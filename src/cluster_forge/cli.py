@@ -4,15 +4,11 @@ stored tables, and inspect stars of fan faces.
 
 Exit codes: 0 success, 1 a verification failed, 2 malformed input,
 3 attempt to mutate a frozen direction, 4 misuse of a truncated atlas.
-Set CLUSTER_FORGE_THREADS to allow verification batches to run on a thread
-pool; output order is canonical either way.
 """
 
 import json
-import os
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import click
@@ -58,6 +54,8 @@ EXIT_VERIFY = 1
 EXIT_INPUT = 2
 EXIT_FROZEN = 3
 EXIT_TRUNCATED = 4
+
+Y_SEED_NEEDS_MUTABLE = "Y-seed dynamics need a fully mutable matrix"
 
 
 def _fail(code, msg):
@@ -106,20 +104,10 @@ def _parse_directions(text, ed, source, mutable_only=True):
     return tuple(out)
 
 
-def _thread_count():
-    raw = os.environ.get("CLUSTER_FORGE_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _run_batch(fn, items):
-    threads = _thread_count()
-    if threads > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
+def _need_mutable(ed, seed_path, source, need):
+    if ed.m:
+        _fail(EXIT_INPUT,
+              f"{source}: seed file {seed_path} has frozen directions; {need}")
 
 
 def _mat_text(M):
@@ -153,6 +141,7 @@ def mutate(seed_path, path_text, coeffs, as_json):
     """Mutate the Y-seed along a path and print the result."""
     ed, p_file = _load_seed(seed_path)
     path = _parse_directions(path_text, ed, "--path")
+    _need_mutable(ed, seed_path, "mutate", Y_SEED_NEEDS_MUTABLE)
     if coeffs == "principal":
         seed = YSeedCoeff.initial_principal(ed)
     elif coeffs == "none":
@@ -247,13 +236,6 @@ def _random_paths(ed, paths_arg, max_len, rng_seed, source):
     return [_parse_directions(p, ed, source) for p in paths_arg.split(";")]
 
 
-def _need_mutable(ed, seed_path, check):
-    if ed.m:
-        _fail(EXIT_INPUT,
-              f"verify {check}: seed file {seed_path} has frozen "
-              "directions; this check needs a fully mutable seed")
-
-
 def _enumerate_or_die(ed, depth, allowed=None):
     try:
         return enumerate_gfan(ed, depth_cap=depth, allowed=allowed)
@@ -280,6 +262,7 @@ def verify(check, seed_path, paths_spec, max_len, rng_seed, depth, as_json):
     results = []
 
     if check == "separation":
+        _need_mutable(ed, seed_path, "verify separation", Y_SEED_NEEDS_MUTABLE)
         p0 = (p_file if len(p_file) == ed.n
               else YSeedCoeff.initial_principal(ed).p)
         paths = _random_paths(ed, paths_spec, max_len, rng_seed, "--paths")
@@ -292,7 +275,7 @@ def verify(check, seed_path, paths_spec, max_len, rng_seed, depth, as_json):
             except (CheckFailed, ExactAlgebraError) as exc:
                 return label, False, str(exc)
 
-        results = _run_batch(one, paths)
+        results = [one(path) for path in paths]
 
     elif check in ("duality", "signcoherence"):
         atlas = _enumerate_or_die(ed, depth)
@@ -320,7 +303,8 @@ def verify(check, seed_path, paths_spec, max_len, rng_seed, depth, as_json):
                 results.append((label, False, str(exc)))
 
     else:
-        _need_mutable(ed, seed_path, check)
+        _need_mutable(ed, seed_path, f"verify {check}",
+                      "this check needs a fully mutable seed")
         fam = Family(ed, atlas=_enumerate_or_die(ed, depth))
         named = {
             "cocycle": lambda: cocycle_check(fam, max_len=max_len),

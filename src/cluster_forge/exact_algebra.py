@@ -208,8 +208,9 @@ class LaurentPoly:
         while k:
             if k & 1:
                 r = r * b
-            b = b * b
             k >>= 1
+            if k:
+                b = b * b
         return r
 
     # -- substitution ----------------------------------------------------
@@ -291,9 +292,11 @@ class LaurentPoly:
 def poly_exact_div(a, b):
     """Exact division in the integer Laurent ring; fails loudly otherwise.
 
-    Both operands are shifted into the ordinary polynomial ring, divided by
-    leading terms (graded-lex) over the rationals, and the quotient must come
-    out with integer coefficients and zero remainder.
+    Both operands are shifted into the ordinary polynomial ring and divided by
+    leading terms (graded-lex) over the integers.  The leading monomial of the
+    remainder strictly decreases, so each step fixes one quotient coefficient
+    for good: the division fails as soon as a leading monomial is not divisible
+    or a quotient coefficient is not an integer.
     """
     _check_same_vars(a, b)
     if b.is_zero():
@@ -302,21 +305,21 @@ def poly_exact_div(a, b):
         return LaurentPoly.zero(a.vars)
     ma = a.min_exponents()
     mb = b.min_exponents()
-    ap = {tuple(x - y for x, y in zip(e, ma)): Fraction(c)
-          for e, c in a.terms.items()}
-    bp = {tuple(x - y for x, y in zip(e, mb)): Fraction(c)
-          for e, c in b.terms.items()}
+    rem = {tuple(x - y for x, y in zip(e, ma)): c for e, c in a.terms.items()}
+    bp = {tuple(x - y for x, y in zip(e, mb)): c for e, c in b.terms.items()}
     lead_b = max(bp, key=graded_lex_key)
     cb = bp[lead_b]
+    shift = tuple(x - y for x, y in zip(ma, mb))
     quot = {}
-    rem = ap
     while rem:
         lead_r = max(rem, key=graded_lex_key)
         diff = tuple(x - y for x, y in zip(lead_r, lead_b))
         if any(x < 0 for x in diff):
             raise InexactDivision("leading term not divisible")
-        q = rem[lead_r] / cb
-        quot[diff] = q
+        q, r = divmod(rem[lead_r], cb)
+        if r:
+            raise InexactDivision("quotient has non-integer coefficient")
+        quot[tuple(x + y for x, y in zip(diff, shift))] = q
         for e, c in bp.items():
             key = tuple(x + y for x, y in zip(e, diff))
             s = rem.get(key, 0) - q * c
@@ -324,24 +327,7 @@ def poly_exact_div(a, b):
                 rem[key] = s
             else:
                 rem.pop(key, None)
-    shift = tuple(x - y for x, y in zip(ma, mb))
-    terms = {}
-    for e, c in quot.items():
-        if c.denominator != 1:
-            raise InexactDivision("quotient has non-integer coefficient")
-        terms[tuple(x + y for x, y in zip(e, shift))] = int(c)
-    return LaurentPoly(a.vars, terms)
-
-
-def poly_arith(a, b, op):
-    """Dispatch basic polynomial arithmetic by name: add, mul, exact_div."""
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "exact_div":
-        return poly_exact_div(a, b)
-    raise ExactAlgebraError(f"unknown op {op!r}")
+    return LaurentPoly(a.vars, quot)
 
 
 def _canonical_factor(poly):

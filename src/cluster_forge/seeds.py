@@ -479,12 +479,37 @@ def seed_to_json(ed, p):
     }
 
 
+def _json_int(x, field):
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ValueError(f"{field} must be an integer, not {x!r}")
+    return x
+
+
 def seed_from_json(obj):
-    ed = ExchangeData(obj["B"], obj["n"], obj.get("d"))
-    r = obj.get("coeff_rank", 0)
+    """Exchange data and coefficient tuple from a parsed seed object.
+
+    Every entry of ``B``, ``n``, ``d``, ``coeff_rank`` and ``p`` must be an
+    integer, and ``p`` holds either no tuple or ``n`` tuples of length
+    ``coeff_rank``; anything else raises ``ValueError`` naming the field.
+    """
+    n = _json_int(obj["n"], "n")
+    B = [[_json_int(x, f"B[{i}][{j}]") for j, x in enumerate(row)]
+         for i, row in enumerate(obj["B"])]
+    d = obj.get("d")
+    if d is not None:
+        d = [_json_int(x, f"d[{i}]") for i, x in enumerate(d)]
+    r = _json_int(obj.get("coeff_rank", 0), "coeff_rank")
+    p = obj.get("p", [])
+    if len(p) not in (0, n):
+        raise ValueError(f"p has {len(p)} tuples, not 0 or n = {n}")
+    for i, e in enumerate(p):
+        if len(e) != r:
+            raise ValueError(
+                f"p[{i}] has length {len(e)}, not coeff_rank = {r}")
+        for j, x in enumerate(e):
+            _json_int(x, f"p[{i}][{j}]")
     pv = p_vars(r)
-    p = tuple(TropMonomial(pv, e) for e in obj.get("p", []))
-    return ed, p
+    return ExchangeData(B, n, d), tuple(TropMonomial(pv, e) for e in p)
 
 
 def seed_dumps(ed, p):

@@ -3,6 +3,8 @@ fan round-trip."""
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
@@ -16,8 +18,8 @@ from cluster_forge.corpus import (
     read_golden,
 )
 
-FIXTURES = os.path.join(os.path.dirname(__file__), "..", "src",
-                        "cluster_forge", "fixtures")
+SRC = os.path.join(os.path.dirname(__file__), "..", "src")
+FIXTURES = os.path.join(SRC, "cluster_forge", "fixtures")
 
 
 def fixture(name):
@@ -26,6 +28,16 @@ def fixture(name):
 
 def run(*args, **kw):
     return CliRunner().invoke(main, list(args), **kw)
+
+
+def run_process(*args):
+    """Run the CLI in a fresh interpreter, so an uncaught exception shows as
+    a traceback on stderr instead of being kept by the test runner."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [SRC] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, "-m", "cluster_forge.cli", *args],
+                          capture_output=True, text=True, env=env, timeout=60)
 
 
 # -- table ---------------------------------------------------------------------
@@ -109,6 +121,33 @@ def test_mutate_malformed_seed_exit_2():
                                    "--path", "1"])
         assert res.exit_code == 2
         assert "bad.json" in res.stderr
+
+
+@pytest.mark.parametrize("seed, field", [
+    ({"B": [[0, 1.5], [-1.5, 0]], "n": 2}, "B[0][1]"),
+    ({"B": [[0, 1], [-1, 0]], "n": 2, "coeff_rank": 1, "p": [[1.7], [2]]},
+     "p[0][0]"),
+    ({"B": [[0, 1], [-1, 0]], "n": 2, "coeff_rank": 1, "p": [[1]]}, "p has"),
+    ({"B": [[0, 1], [-1, 0]], "n": 2, "coeff_rank": 2, "p": [[1], [2]]},
+     "coeff_rank"),
+    ({"B": [[0, 1], [-1, 0]], "n": True}, "n must"),
+], ids=["float-B", "float-p", "p-count", "p-tuple-length", "bool-n"])
+def test_mutate_non_integer_or_misshaped_seed_exit_2(seed, field):
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        with open("bad.json", "w") as fh:
+            json.dump(seed, fh)
+        res = runner.invoke(main, ["mutate", "--seed", "bad.json",
+                                   "--path", "1"])
+        assert res.exit_code == 2
+        assert "bad.json" in res.stderr and field in res.stderr
+
+
+def test_mutate_gr25_needs_mutable_seed():
+    res = run_process("mutate", "--seed", fixture("gr25.json"), "--path", "1")
+    assert res.returncode == 2
+    assert "Traceback" not in res.stdout + res.stderr
+    assert "gr25.json" in res.stderr and "fully mutable" in res.stderr
 
 
 def test_mutate_frozen_direction_exit_3():
@@ -216,13 +255,11 @@ def test_verify_strata_b2():
     assert res.exit_code == 0
 
 
-def test_verify_threaded_output_matches_serial():
-    args = ["verify", "separation", "--seed", fixture("a2.json"),
-            "--paths", "random:8", "--rng-seed", "3"]
-    serial = CliRunner().invoke(main, args)
-    threaded = CliRunner().invoke(
-        main, args, env={"CLUSTER_FORGE_THREADS": "4"})
-    assert serial.output == threaded.output
+def test_verify_separation_gr25_needs_mutable_seed():
+    res = run_process("verify", "separation", "--seed", fixture("gr25.json"))
+    assert res.returncode == 2
+    assert "Traceback" not in res.stdout + res.stderr
+    assert "gr25.json" in res.stderr and "fully mutable" in res.stderr
 
 
 # -- degenerate ---------------------------------------------------------------------

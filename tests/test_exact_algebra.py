@@ -15,7 +15,6 @@ from cluster_forge.exact_algebra import (
     RatPair,
     degree_of,
     limit_t_zero,
-    poly_arith,
     poly_exact_div,
     prf_add,
     prf_sum,
@@ -38,21 +37,18 @@ def test_poly_product_binomials():
     expect = lp(XT, {(1, 1, 1, 1): 1, (1, 0, 1, 0): 1, (0, 1, 0, 1): 1,
                      (0, 0, 0, 0): 1})
     assert a * b == expect
-    assert poly_arith(a, b, "mul") == expect
 
 
 def test_poly_addition_cancels():
     a = lp(XY, {(1, 0): 2, (0, 1): 1})
     b = lp(XY, {(1, 0): -2, (0, 0): 5})
     assert a + b == lp(XY, {(0, 1): 1, (0, 0): 5})
-    assert poly_arith(a, b, "add") == a + b
 
 
 def test_exact_div_square_by_factor():
     one_plus_y = lp(XY, {(0, 0): 1, (0, 1): 1})
     sq = one_plus_y * one_plus_y
     assert poly_exact_div(sq, one_plus_y) == one_plus_y
-    assert poly_arith(sq, one_plus_y, "exact_div") == one_plus_y
 
 
 def test_exact_div_detects_inexact():
@@ -76,6 +72,24 @@ def test_exact_div_integrality_enforced():
     b = lp(XY, {(1, 0): 2})
     with pytest.raises(InexactDivision):
         poly_exact_div(a, b)
+
+
+@pytest.mark.parametrize("a, b, c", [
+    # a*b / (2*b) == a/2: the leading quotient coefficient is an integer, a
+    # later one is not
+    (lp(XY, {(1, 0): 2, (0, 0): 1}), lp(XY, {(0, 1): 1, (0, 0): 1}), 2),
+    (lp(XY, {(2, 0): 4, (1, 1): 2, (0, 0): 3}),
+     lp(XY, {(1, 0): 1, (0, 1): 1, (0, 0): 1}), 2),
+    (lp(XY, {(0, 2): 6, (1, 0): -3, (-1, 0): 2}),
+     lp(XY, {(1, 1): 1, (0, -1): -1}), -3),
+    # a monomial divisor divides every leading monomial, so only the
+    # integrality of the coefficients can reject it
+    (lp(XY, {(1, 0): 2, (0, 1): 4, (0, 0): 1}), lp(XY, {(-1, 1): 1}), 2),
+])
+def test_exact_div_non_integer_later_quotient_coefficient(a, b, c):
+    assert poly_exact_div(a * b, b) == a
+    with pytest.raises(InexactDivision):
+        poly_exact_div(a * b, b.scale(c))
 
 
 def test_to_text_deterministic_order():
@@ -238,10 +252,61 @@ def positive_polys(vars=XY, max_terms=4, max_exp=2):
                            max_size=max_terms).map(build)
 
 
+def signed_polys(vars=XY, max_terms=4, max_exp=2):
+    exps = st.tuples(*[st.integers(-max_exp, max_exp)] * len(vars))
+    return st.dictionaries(exps, st.integers(-3, 3), max_size=max_terms).map(
+        lambda d: LaurentPoly(vars, d))
+
+
 @settings(max_examples=60, deadline=None)
 @given(positive_polys(), positive_polys())
 def test_exact_div_round_trips(a, b):
     assert poly_exact_div(a * b, b) == a
+
+
+@settings(max_examples=60, deadline=None)
+@given(signed_polys(), st.integers(0, 6))
+def test_power_is_repeated_product(p, k):
+    prod = LaurentPoly.one(XY)
+    for _ in range(k):
+        prod = prod * p
+    assert p.power(k) == prod
+
+
+@pytest.fixture(scope="module")
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+@settings(max_examples=80, deadline=None)
+@given(signed_polys(max_terms=3), signed_polys(max_terms=3),
+       signed_polys(max_terms=2), st.sampled_from([1, -1, 2, -3]))
+def test_exact_div_agrees_with_sympy(sympy, q, b, r, scale):
+    """Either sympy's quotient with zero remainder and integer coefficients,
+    or InexactDivision."""
+    assume(not b.is_zero())
+    a = q * b.scale(scale) + r
+    b = b.scale(scale * scale)
+    x, y = sympy.symbols("x y")
+
+    def shifted(p):
+        # p times a monomial, with componentwise-minimal exponent 0
+        m = p.min_exponents() if p.terms else (0, 0)
+        expr = sum((c * x ** (e[0] - m[0]) * y ** (e[1] - m[1])
+                    for e, c in p.terms.items()), sympy.Integer(0))
+        return expr, m
+
+    sa, ma = shifted(a)
+    sb, mb = shifted(b)
+    quo, rem = sympy.div(sa, sb, x, y, domain=sympy.QQ)
+    terms = sympy.Poly(quo, x, y).terms() if quo != 0 else []
+    if rem != 0 or any(c.q != 1 for _, c in terms):
+        with pytest.raises(InexactDivision):
+            poly_exact_div(a, b)
+        return
+    expect = lp(XY, {(i + ma[0] - mb[0], j + ma[1] - mb[1]): int(c)
+                     for (i, j), c in terms})
+    assert poly_exact_div(a, b) == expect
 
 
 @settings(max_examples=60, deadline=None)
