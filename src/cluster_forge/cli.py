@@ -110,11 +110,6 @@ def _need_mutable(ed, seed_path, source, need):
               f"{source}: seed file {seed_path} has frozen directions; {need}")
 
 
-def _mat_text(M):
-    return "[" + ", ".join("[" + ", ".join(str(x) for x in row) + "]"
-                           for row in M) + "]"
-
-
 def _echo_json(obj):
     click.echo(json.dumps(obj, indent=2, sort_keys=True))
 
@@ -176,7 +171,7 @@ def mutate(seed_path, path_text, coeffs, as_json):
             "y": [f.to_text() for f in seed.y],
         })
     else:
-        click.echo(f"matrix: {_mat_text(seed.exchange.B)}")
+        click.echo(f"matrix: {corpus.mat_text(seed.exchange.B)}")
         for i, m in enumerate(seed.p):
             click.echo(f"p{i + 1}: {m.to_text()}")
         for i, f in enumerate(seed.y):
@@ -495,11 +490,11 @@ def star_cmd(fan_path, tau, as_json):
         click.echo("base cone path: "
                    + (",".join(str(k) for k in data["base_cone_path"])
                       or "(initial)"))
-        click.echo(f"quotient rows: {_mat_text(st.quotient_rows)}")
+        click.echo(f"quotient rows: {corpus.mat_text(st.quotient_rows)}")
         for pc in data["projected_cones"]:
             gens = ", ".join(str(tuple(g)) for g in pc["generators"])
             click.echo(f"cone {pc['cone']}: {gens}")
-        click.echo(f"restricted matrix: {_mat_text(st.restricted.B)}")
+        click.echo(f"restricted matrix: {corpus.mat_text(st.restricted.B)}")
     sys.exit(EXIT_OK)
 
 

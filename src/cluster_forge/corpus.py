@@ -77,12 +77,6 @@ def a3_rev_exchange():
     return ExchangeData(((0, -1, 0), (1, 0, -1), (0, 1, 0)), 3)
 
 
-def a3_frozen_data():
-    """Rank-3 reversed path quiver with direction 1 excluded from mutation:
-    exchange data plus the allowed direction tuple for fan enumeration."""
-    return a3_rev_exchange(), (1, 2)
-
-
 #: The pentagon mutation walk 2,1,2,1,2 (0-based directions).
 PENTAGON_PATH = (1, 0, 1, 0, 1)
 
@@ -299,7 +293,8 @@ def read_golden(name):
         return fh.read()
 
 
-def _mat_text(M):
+def mat_text(M):
+    """Integer matrix as nested bracketed rows, as tables and the CLI print it."""
     return "[" + ", ".join("[" + ", ".join(str(x) for x in row) + "]"
                            for row in M) + "]"
 
@@ -310,7 +305,7 @@ def a2_table_text():
     lines = ["pentagon walk with coefficients, directions 2,1,2,1,2", ""]
     for idx, (B, p, y) in enumerate(rows):
         lines.append(f"row {idx}")
-        lines.append(f"  matrix: {_mat_text(B)}")
+        lines.append(f"  matrix: {mat_text(B)}")
         for j, f in enumerate(p):
             lines.append(f"  p{j + 1}: {f.to_text()}")
         for j, f in enumerate(y):
@@ -328,8 +323,8 @@ def a2_principal_table_text():
              ""]
     for idx, (B, C, images) in enumerate(rows):
         lines.append(f"row {idx}")
-        lines.append(f"  matrix: {_mat_text(B)}")
-        lines.append(f"  c-matrix: {_mat_text(C)}")
+        lines.append(f"  matrix: {mat_text(B)}")
+        lines.append(f"  c-matrix: {mat_text(C)}")
         for j in range(n):
             col = TropMonomial(tn, [C[r][j] for r in range(n)])
             lines.append(f"  t{j + 1}: {col.to_text()}")
@@ -702,7 +697,7 @@ def gr25_table_text():
         lines.append(f"  {name}: "
                      f"{LaurentPoly(GR25_XVARS + tn, GR25_EXT[name]).to_text()}")
         lines.append(f"  degree {name}: "
-                     + _mat_text((GR25_CVEC[name],))[1:-1])
+                     + mat_text((GR25_CVEC[name],))[1:-1])
     return "\n".join(lines) + "\n"
 
 

@@ -27,9 +27,8 @@ from .exact_algebra import (
 )
 from .semifields import TropMonomial
 from .seeds import mutate_coeff_tuple, mutate_matrix, sign, t_vars
-from .invariants import (CheckFailed, c_matrix, c_matrix_step,
-                         mat_inverse_integer, mat_transpose)
-from .gfan import enumerate_gfan, star
+from .invariants import CheckFailed, c_matrix, c_matrix_step
+from .gfan import enumerate_gfan, g_cone_step, star
 
 
 def family_vars(n, r=None):
@@ -98,19 +97,6 @@ class TransitionMap:
         return dict(zip(xnames, self.images))
 
 
-class FamilyPatch:
-    """One patch of the glued family: its cone, its coefficient matrix, and
-    its coordinates as rational functions."""
-
-    __slots__ = ("index", "cone", "C", "coordinates")
-
-    def __init__(self, index, cone, C, coordinates):
-        self.index = index
-        self.cone = cone
-        self.C = C
-        self.coordinates = coordinates
-
-
 class Family:
     """The glued family over a complete cone atlas.
 
@@ -147,10 +133,6 @@ class Family:
 
     def coordinates(self):
         return tuple(PosRatFunc.variable(self.vars, v) for v in self.xnames)
-
-    def patch(self, cone_index):
-        return FamilyPatch(cone_index, self.atlas.cones[cone_index],
-                           self.c_matrix_at(cone_index), self.coordinates())
 
     def transition(self, cone_index, k, coefficient_free=False):
         key = (cone_index, k, coefficient_free)
@@ -318,7 +300,6 @@ def cocycle_check(fam, max_len=8, base=0):
                     f"coordinate {i + 1}")
 
     C0 = fam.c_matrix_at(base)
-    B0 = fam.atlas.cones[base].B
     cols0 = {tuple(C0[r][j] for r in range(n)): j for j in range(n)}
 
     def verify_closure(images, Cw):
@@ -339,11 +320,11 @@ def cocycle_check(fam, max_len=8, base=0):
                     f"{images[i].to_text()}, expected a coordinate "
                     f"permutation")
 
-    base_key = fam.atlas.cones[base].key()
-    Cd0 = fam.atlas.cones[base].Cd
-    stack = [(None, tuple(coords), C0, B0, Cd0, 0)]
+    base_cone = fam.atlas.cones[base]
+    base_key = base_cone.key()
+    stack = [(None, tuple(coords), C0, base_cone, 0)]
     while stack:
-        last, images, Cw, Bw, Cdw, length = stack.pop()
+        last, images, Cw, cone, length = stack.pop()
         if length == max_len:
             continue
         subst = dict(zip(fam.xnames, images))
@@ -351,24 +332,15 @@ def cocycle_check(fam, max_len=8, base=0):
             if k == last:
                 continue
             step = family_wall_images(
-                Bw, k, tuple(Cw[r][k] for r in range(n)),
+                cone.B, k, tuple(Cw[r][k] for r in range(n)),
                 fam.xnames, fam.tnames)
             nimages = tuple(img.evaluate(subst) for img in step)
-            nC = c_matrix_step(Cw, Bw, k)
-            nCd = c_matrix_step(Cdw, _neg_transpose(Bw), k)
-            nB = mutate_matrix(Bw, k)
-            G = mat_transpose(mat_inverse_integer(nCd))
-            gens = frozenset(tuple(G[r][j] for r in range(n))
-                             for j in range(n))
-            if gens == base_key:
+            nC = c_matrix_step(Cw, cone.B, k)
+            ncone = g_cone_step(cone, k)
+            if ncone.key() == base_key:
                 verify_closure(nimages, nC)
-            stack.append((k, nimages, nC, nB, nCd, length + 1))
+            stack.append((k, nimages, nC, ncone, length + 1))
     return True
-
-
-def _neg_transpose(B):
-    n = len(B)
-    return tuple(tuple(-B[j][i] for j in range(n)) for i in range(n))
 
 
 def _in_glue_ring(f, k, W, n):
@@ -545,7 +517,7 @@ def strata_consistency_check(fam, tau_rays):
     face_rays = [base_gens[j] for j in face_pos]
 
     Cbase = fam.c_matrix_at(st.base.index)
-    root = (st.base.B, Cbase, st.base.Cd, st.restricted.B,
+    root = (st.base, Cbase, st.restricted.B,
             tuple(TropMonomial(fam.tnames,
                                tuple(Cbase[r][i] for r in range(n)))
                   for i in trans_pos))
@@ -553,7 +525,8 @@ def strata_consistency_check(fam, tau_rays):
     frontier = [root]
     while frontier:
         nxt = []
-        for Bw, Cw, Cdw, Bb, pb in frontier:
+        for cone, Cw, Bb, pb in frontier:
+            Bw = cone.B
             for l, k in enumerate(trans_pos):
                 for ll, i in enumerate(trans_pos):
                     if Bb[l][ll] != Bw[k][i]:
@@ -616,21 +589,19 @@ def strata_consistency_check(fam, tau_rays):
                                 f"exponents of coordinate {i + 1} do not "
                                 f"express the far coefficient vector in "
                                 f"the transverse near ones")
-                nCd = c_matrix_step(Cdw, _neg_transpose(Bw), k)
-                G = mat_transpose(mat_inverse_integer(nCd))
-                gens = [tuple(G[r][j] for r in range(n)) for j in range(n)]
+                ncone = g_cone_step(cone, k)
+                gens = ncone.generators()
                 for pos, ray in zip(face_pos, face_rays):
                     if gens[pos] != ray:
                         raise CheckFailed(
                             "transverse mutation moved a face generator")
-                key = frozenset(gens)
+                key = ncone.key()
                 if fam.atlas.cone_by_key(key) is None:
                     raise CheckFailed(
                         "transverse mutation left the enumerated atlas")
                 if key not in seen:
                     seen.add(key)
-                    nxt.append((mutate_matrix(Bw, k), Cfar, nCd,
-                                mutate_matrix(Bb, l),
+                    nxt.append((ncone, Cfar, mutate_matrix(Bb, l),
                                 mutate_coeff_tuple(pb, Bb, l)))
         frontier = nxt
     if len(seen) != node_count:

@@ -193,13 +193,6 @@ class LaurentPoly:
             return LaurentPoly.zero(self.vars)
         return LaurentPoly(self.vars, {e: c * v for e, v in self.terms.items()})
 
-    def shift(self, exps):
-        """Multiply by the monomial with exponent vector ``exps``."""
-        return LaurentPoly(
-            self.vars,
-            {tuple(a + b for a, b in zip(e, exps)): c
-             for e, c in self.terms.items()})
-
     def power(self, k):
         if k < 0:
             raise ExactAlgebraError("negative power of a polynomial")
@@ -728,33 +721,11 @@ class RatPair:
         self.num = num
         self.den = den
 
-    @classmethod
-    def from_posrat(cls, f):
-        num, den = f.expand()
-        return cls(num, den)
-
-    @classmethod
-    def one(cls, vars):
-        return cls(LaurentPoly.one(vars), LaurentPoly.one(vars))
-
     def mul(self, other):
         return RatPair(self.num * other.num, self.den * other.den)
 
-    def add(self, other):
-        return RatPair(self.num * other.den + other.num * self.den,
-                       self.den * other.den)
-
-    def sub(self, other):
-        return RatPair(self.num * other.den - other.num * self.den,
-                       self.den * other.den)
-
     def inv(self):
         return RatPair(self.den, self.num)
-
-    def power(self, k):
-        if k >= 0:
-            return RatPair(self.num.power(k), self.den.power(k))
-        return RatPair(self.den.power(-k), self.num.power(-k))
 
     def scale(self, q):
         q = Fraction(q)
@@ -762,9 +733,6 @@ class RatPair:
 
     def equals(self, other):
         return self.num * other.den == other.num * self.den
-
-    def is_zero(self):
-        return self.num.is_zero()
 
     def __repr__(self):
         return f"RatPair(({self.num.to_text()}) / ({self.den.to_text()}))"

@@ -8,7 +8,6 @@ pattern along the same path, so all membership tests are integer arithmetic.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 from .invariants import (
@@ -19,7 +18,7 @@ from .invariants import (
     mat_inverse_integer,
     mat_transpose,
 )
-from .seeds import ExchangeData, langlands_dual, mutate_matrix
+from .seeds import ExchangeData, mutate_matrix, seed_from_json
 
 
 class FanDepthExceeded(Exception):
@@ -114,6 +113,20 @@ class GFanAtlas:
         return None
 
 
+def g_cone_step(cone, k):
+    """The cone across the wall in direction k: the exchange matrix mutates,
+    the facet normals step by the c-vector recurrence of the
+    negated-transpose pattern, and the generators are the columns of their
+    inverse transpose.  That pattern needs no matrix of its own, because
+    matrix mutation commutes with negating the transpose.  The new record
+    has no atlas index."""
+    n = len(cone.Cd)
+    Bd = tuple(tuple(-cone.B[j][i] for j in range(n)) for i in range(n))
+    Cd = c_matrix_step(cone.Cd, Bd, k)
+    return ConeRecord(None, cone.path + (k,), mutate_matrix(cone.B, k),
+                      mat_transpose(mat_inverse_integer(Cd)), Cd)
+
+
 def enumerate_gfan(ed, depth_cap=64, allowed=None, partial=False):
     """Breadth-first walk of the seed pattern, one node per distinct set of
     g-vector columns.  When new cones still appear at the cap, raises
@@ -121,20 +134,12 @@ def enumerate_gfan(ed, depth_cap=64, allowed=None, partial=False):
     incomplete."""
     n = ed.n
     allowed = tuple(range(n)) if allowed is None else tuple(allowed)
-    dual0 = langlands_dual(ed)
     I = mat_identity(n)
-    start = (ed.B, dual0.B, I)
-    cones = []
+    root = ConeRecord(0, (), ed.B, I, I)
+    cones = [root]
     adjacency = {}
-    seen = {}
-
-    def g_of(Cd):
-        return mat_transpose(mat_inverse_integer(Cd))
-
-    rec = ConeRecord(0, [], ed.B, I, I)
-    cones.append(rec)
-    seen[rec.key()] = 0
-    frontier = [(start, [], 0)]
+    seen = {root.key(): 0}
+    frontier = [root]
     depth = 0
     complete = True
     while frontier:
@@ -145,31 +150,22 @@ def enumerate_gfan(ed, depth_cap=64, allowed=None, partial=False):
             raise FanDepthExceeded(
                 f"new cones still appearing at depth {depth_cap}")
         nxt = []
-        for (B, Bd, Cd), path, src in frontier:
+        for src in frontier:
             for k in allowed:
-                B2 = mutate_matrix(B, k)
-                Cd2 = c_matrix_step(Cd, Bd, k)
-                Bd2 = mutate_matrix(Bd, k)
-                G2 = g_of(Cd2)
-                key = _gkey(G2)
+                rec = g_cone_step(src, k)
+                key = rec.key()
                 if key in seen:
-                    adjacency[(src, k)] = seen[key]
+                    adjacency[(src.index, k)] = seen[key]
                     continue
-                idx = len(cones)
-                rec = ConeRecord(idx, path + [k], B2, G2, Cd2)
+                rec.index = len(cones)
                 cones.append(rec)
-                seen[key] = idx
-                adjacency[(src, k)] = idx
-                nxt.append(((B2, Bd2, Cd2), path + [k], idx))
+                seen[key] = rec.index
+                adjacency[(src.index, k)] = rec.index
+                nxt.append(rec)
         frontier = nxt
         depth += 1
     return GFanAtlas(ExchangeData(ed.B, ed.n, ed.d), cones, adjacency, allowed,
                      complete=complete)
-
-
-def _gkey(G):
-    n = len(G)
-    return frozenset(tuple(G[i][j] for i in range(n)) for j in range(n))
 
 
 # -- fan axioms ----------------------------------------------------------------
@@ -448,8 +444,7 @@ def fan_from_json(obj):
     Incomplete files are rejected."""
     if not obj.get("complete", True):
         raise FanDepthExceeded("fan file is marked incomplete")
-    seed = obj["seed"]
-    ed = ExchangeData(seed["B"], seed["n"], seed.get("d"))
+    ed, _ = seed_from_json(obj["seed"])
     allowed = tuple(k - 1 for k in obj.get("allowed", range(1, ed.n + 1)))
     atlas = enumerate_gfan(ed, allowed=allowed)
     rays = [tuple(r) for r in obj["rays"]]

@@ -1,5 +1,5 @@
 """Mutation invariants along paths: c-vectors, g-vectors, F-polynomials,
-sign coherence, separation of additions, and periodicity detection.
+sign coherence, and separation of additions.
 
 All invariants are computed by at least two logically independent routes and
 cross-checked in the test suite:
@@ -17,11 +17,9 @@ import csv
 import io
 import json
 from fractions import Fraction
-from itertools import permutations
 
 from .exact_algebra import (
     Grading,
-    LaurentPoly,
     PosRatFunc,
     degree_of,
     poly_exact_div,
@@ -30,7 +28,6 @@ from .exact_algebra import (
 from .semifields import TropMonomial, trop_sum
 from .seeds import (
     ClusterSeedCoeff,
-    ExchangeData,
     YSeedCoeff,
     langlands_dual,
     mutate_cluster_seed,
@@ -39,7 +36,6 @@ from .seeds import (
     mutate_y_seed,
     p_vars,
     sign,
-    x_vars,
     y_vars,
 )
 
@@ -185,13 +181,12 @@ def g_matrix(ed, path):
 
 def principal_grading(n, B0):
     """Multi-degrees making the principal-coefficient cluster dynamics
-    homogeneous: coordinate i gets the i-th unit vector, coefficient j the
-    negated j-th column of the initial matrix."""
+    homogeneous: mutable coordinate i gets the i-th unit vector, every
+    frozen coordinate degree zero, coefficient j the negated j-th column of
+    the initial matrix restricted to the mutable rows."""
     degs = {}
-    for i in range(n):
-        e = [0] * n
-        e[i] = 1
-        degs[f"x{i + 1}"] = tuple(e)
+    for i in range(len(B0)):
+        degs[f"x{i + 1}"] = tuple(int(i == j) for j in range(n))
     for j in range(n):
         degs[f"p{j + 1}"] = tuple(-B0[i][j] for i in range(n))
     return Grading(degs)
@@ -332,38 +327,6 @@ def separation_check(ed, p0, path):
         if p_run[j] != rhs3:
             raise CheckFailed(f"separation (coefficient form) fails at j={j + 1}")
     return True
-
-
-# -- periodicity --------------------------------------------------------------
-
-def detect_period(B0, vals0, B1, vals1, equal=rat_equal, p0=None, p1=None):
-    """Relabeling that carries state 1 back to state 0, or None.
-
-    Searches all permutations s with B1[i][j] == B0[s(i)][s(j)],
-    vals1[j] == vals0[s(j)], and optionally the coefficient tuples matching
-    the same way.
-    """
-    n = len(vals0)
-    for s in permutations(range(n)):
-        if any(B1[i][j] != B0[s[i]][s[j]] for i in range(n) for j in range(n)):
-            continue
-        if p0 is not None and any(p1[j] != p0[s[j]] for j in range(n)):
-            continue
-        if all(equal(vals1[j], vals0[s[j]]) for j in range(n)):
-            return s
-    return None
-
-
-def y_pattern_period(ed, p0, path):
-    """Permutation identifying the endpoint of the path with the start, for
-    the Y-dynamics with the given coefficients; None when the endpoint is a
-    genuinely new seed."""
-    seed0 = YSeedCoeff.initial(ed, p0)
-    s = seed0
-    for k in path:
-        s = mutate_y_seed(s, k)
-    return detect_period(seed0.exchange.B, seed0.y, s.exchange.B, s.y,
-                         p0=seed0.p, p1=s.p)
 
 
 # -- reporting -----------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Seed mutation: exchange matrices, coefficient tuples in a tropical
-semifield, Y-variables, cluster variables, extended (frozen-variable) seeds,
-and basis-level seed data on a lattice with a skew form.
+semifield, Y-variables, cluster variables, and extended (frozen-variable)
+seeds.
 
 Conventions, used consistently everywhere:
 
@@ -16,8 +16,6 @@ Conventions, used consistently everywhere:
 
 from __future__ import annotations
 
-import json
-from fractions import Fraction
 from math import lcm
 
 from .exact_algebra import PosRatFunc, prf_add
@@ -103,9 +101,6 @@ class ExchangeData:
             raise ValueError(f"direction {k} is not mutable")
         return ExchangeData(mutate_matrix(self.B, k), self.n, self.d)
 
-    def mutable_block(self):
-        return tuple(tuple(row[: self.n]) for row in self.B[: self.n])
-
     def __eq__(self, other):
         return (isinstance(other, ExchangeData) and self.B == other.B
                 and self.n == other.n and self.d == other.d)
@@ -122,12 +117,6 @@ def langlands_dual(ed):
     L = lcm(*ed.d) if len(ed.d) > 1 else ed.d[0]
     Bt = tuple(tuple(-ed.B[j][i] for j in range(ed.size)) for i in range(ed.size))
     return ExchangeData(Bt, ed.n, tuple(L // x for x in ed.d))
-
-
-def dual_pattern_data(p0, ed):
-    """Pattern data for the dual dynamics: same coefficient tuple, dual
-    exchange data."""
-    return tuple(p0), langlands_dual(ed)
 
 
 class YSeedCoeff:
@@ -275,34 +264,6 @@ def mutate_cluster_seed(seed, k):
                             if seed.p else ())
 
 
-def y_tilde_monomials(ed, vars=None):
-    """Column monomials of the exchange matrix: the j-th output has exponent
-    vector equal to column j of B, over x1..xN (frozen rows included)."""
-    N = ed.size
-    vars = tuple(vars) if vars is not None else x_vars(N)
-    out = []
-    for j in range(ed.n):
-        e = [0] * len(vars)
-        for i in range(N):
-            e[i] = ed.B[i][j]
-        out.append(PosRatFunc.monomial(vars, e))
-    return out
-
-
-def y_hat(seed):
-    """Coefficient times column monomial, per mutable direction, in the
-    seed's own variables."""
-    out = []
-    for j in range(seed.exchange.n):
-        m = PosRatFunc.one(seed.vars)
-        for i in range(seed.exchange.size):
-            b = seed.exchange.B[i][j]
-            if b:
-                m = m.mul(seed.x[i].power(b))
-        out.append(seed.p[j].to_posrat(seed.vars).mul(m))
-    return out
-
-
 def build_extended_seed(B, n, coeff_exps, d=None, coeff_rank=None):
     """Exchange data on mutable plus frozen indices from coefficient
     exponents.
@@ -357,113 +318,6 @@ def p_star_pullback(ed, vars=None):
     return out
 
 
-# -- basis-level seeds on a lattice with a skew form -------------------------
-
-class NSeedCoords:
-    """Seed as a lattice basis with a skew form.
-
-    ``E`` holds integer basis vectors (rows) of the ambient lattice; ``F``
-    holds the scaled dual basis (rows, rational), one per index, with
-    <E_i, d_j F_j> = delta_ij under the coordinate dot pairing.  ``omega`` is
-    the skew form matrix on ambient coordinates, rational.
-    """
-
-    __slots__ = ("E", "F", "omega", "d")
-
-    def __init__(self, E, F, omega, d):
-        self.E = tuple(tuple(Fraction(x) for x in row) for row in E)
-        self.F = tuple(tuple(Fraction(x) for x in row) for row in F)
-        self.omega = tuple(tuple(Fraction(x) for x in row) for row in omega)
-        self.d = tuple(int(x) for x in d)
-
-    def form(self, v, w):
-        return sum(a * self.omega[i][j] * b
-                   for i, a in enumerate(v) if a
-                   for j, b in enumerate(w) if b)
-
-    def epsilon(self):
-        """Exchange matrix read off the basis: form value times the target
-        multiplier; entries must come out integral."""
-        N = len(self.E)
-        out = []
-        for i in range(N):
-            row = []
-            for j in range(N):
-                v = self.form(self.E[i], self.E[j]) * self.d[j]
-                if v.denominator != 1:
-                    raise ValueError("basis does not give an integer matrix")
-                row.append(int(v))
-            out.append(tuple(row))
-        return tuple(out)
-
-    def pairing_check(self):
-        """<e_i, f_j> d_j must be the identity."""
-        N = len(self.E)
-        for i in range(N):
-            for j in range(N):
-                v = sum(a * b for a, b in zip(self.E[i], self.F[j])) * self.d[j]
-                if v != (1 if i == j else 0):
-                    return False
-        return True
-
-    def mutate(self, k):
-        """Basis mutation in direction k: push the positive part of column k
-        of the matrix into the other basis vectors, negate the k-th; dually
-        on the scaled dual basis along row k."""
-        eps = self.epsilon()
-        N = len(self.E)
-        E = [list(row) for row in self.E]
-        F = [list(row) for row in self.F]
-        newE = []
-        for i in range(N):
-            if i == k:
-                newE.append([-x for x in E[k]])
-            else:
-                c = max(eps[i][k], 0)
-                newE.append([a + c * b for a, b in zip(E[i], E[k])])
-        newF = [list(row) for row in F]
-        fk = [-x for x in F[k]]
-        for j in range(N):
-            c = max(-eps[k][j], 0)
-            if c:
-                fk = [a + c * b for a, b in zip(fk, F[j])]
-        newF[k] = fk
-        return NSeedCoords(newE, newF, self.omega, self.d)
-
-
-def build_principal_nseed(ed):
-    """Basis-level seed for the self-coefficient extension on N + dual(N).
-
-    The ambient lattice doubles: the first block carries the original basis,
-    the second the scaled dual basis.  The form restricts to the original
-    one on the first block, pairs the blocks by the duality pairing, and
-    vanishes on the second block.  Its matrix reproduces the extended
-    exchange matrix with identity cross blocks.
-    """
-    n = ed.n
-    if ed.m:
-        raise ValueError("needs a fully mutable matrix")
-    L = lcm(*ed.d) if n > 1 else ed.d[0]
-    dp = [L // x for x in ed.d]   # multipliers on the basis side
-    # Lambda_ij = eps_ij / dp_j with eps = B^T
-    Lam = [[Fraction(ed.B[j][i], dp[j]) for j in range(n)] for i in range(n)]
-    omega = [[Fraction(0)] * (2 * n) for _ in range(2 * n)]
-    for i in range(n):
-        for j in range(n):
-            omega[i][j] = Lam[i][j]
-    for i in range(n):
-        omega[i][n + i] = Fraction(1, dp[i])
-        omega[n + i][i] = Fraction(-1, dp[i])
-    E = [[1 if j == i else 0 for j in range(2 * n)] for i in range(2 * n)]
-    F = [[Fraction(1, dp[i % n]) if j == i else Fraction(0)
-          for j in range(2 * n)] for i in range(2 * n)]
-    return NSeedCoords(E, F, omega, dp + dp)
-
-
-def mutate_n_seed(ns, k):
-    return ns.mutate(k)
-
-
 # -- JSON round trip ----------------------------------------------------------
 
 def seed_to_json(ed, p):
@@ -511,10 +365,3 @@ def seed_from_json(obj):
     pv = p_vars(r)
     return ExchangeData(B, n, d), tuple(TropMonomial(pv, e) for e in p)
 
-
-def seed_dumps(ed, p):
-    return json.dumps(seed_to_json(ed, p), indent=2, sort_keys=True)
-
-
-def seed_loads(s):
-    return seed_from_json(json.loads(s))

@@ -95,22 +95,15 @@ def trop_sum(monomials):
     return out
 
 
-def p_plus_minus(p):
-    """Split a tropical monomial into coprime nonnegative parts (plus, minus)
-    with p == plus / minus."""
-    plus = TropMonomial(p.vars, [max(x, 0) for x in p.exps])
-    minus = TropMonomial(p.vars, [max(-x, 0) for x in p.exps])
-    return plus, minus
-
-
 def bracket(p, sign_source):
     """Sign-selected part of a tropical monomial: the minus part for a
-    negative selector, one for zero, the plus part for a positive selector."""
-    if sign_source < 0:
-        return p_plus_minus(p)[1]
-    if sign_source > 0:
-        return p_plus_minus(p)[0]
-    return TropMonomial.one(p.vars)
+    negative selector, one for zero, the plus part for a positive selector.
+    The plus and minus parts are coprime and nonnegative, with
+    p == plus / minus."""
+    if sign_source == 0:
+        return TropMonomial.one(p.vars)
+    s = 1 if sign_source > 0 else -1
+    return TropMonomial(p.vars, [max(s * x, 0) for x in p.exps])
 
 
 def tropicalize_poly(poly, trop_vars=None):

@@ -204,27 +204,35 @@ def test_fan_freeze_restricts_directions():
 
 
 def test_fan_tampered_file_is_input_error():
-    runner = CliRunner()
-    with runner.isolated_filesystem():
-        runner.invoke(main, ["fan", "--seed", fixture("a2.json"),
-                             "--out", "fan.json"])
-        with open("fan.json") as fh:
-            obj = json.load(fh)
+    def stale_ray(obj):
         obj["rays"][0] = [7, 7]
-        with open("fan.json", "w") as fh:
-            json.dump(obj, fh)
-        res = runner.invoke(main, ["star", "--fan", "fan.json",
-                                   "--tau", "ray:1"])
-        assert res.exit_code == 2
-        assert "fan.json" in res.stderr
+
+    def non_integer_seed(obj):
+        obj["seed"]["B"] = [[0, 1.5], [-1.5, 0]]
+
+    runner = CliRunner()
+    for tamper, named in ((stale_ray, "fan.json"), (non_integer_seed, "B[0][1]")):
+        with runner.isolated_filesystem():
+            runner.invoke(main, ["fan", "--seed", fixture("a2.json"),
+                                 "--out", "fan.json"])
+            with open("fan.json") as fh:
+                obj = json.load(fh)
+            tamper(obj)
+            with open("fan.json", "w") as fh:
+                json.dump(obj, fh)
+            res = runner.invoke(main, ["star", "--fan", "fan.json",
+                                       "--tau", "ray:1"])
+            assert res.exit_code == 2
+            assert "fan.json" in res.stderr and named in res.stderr
 
 
 # -- verify -----------------------------------------------------------------------
 
 def test_verify_duality_a3_all_cones():
-    res = run("verify", "duality", "--seed", fixture("a3.json"))
-    assert res.exit_code == 0
-    assert "14/14 ok" in res.output
+    for name, summary in (("a3.json", "14/14 ok"), ("gr25.json", "5/5 ok")):
+        res = run("verify", "duality", "--seed", fixture(name))
+        assert res.exit_code == 0
+        assert summary in res.output
 
 
 def test_verify_separation_reproducible_with_rng_seed():

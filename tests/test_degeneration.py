@@ -323,11 +323,3 @@ def test_family_rejects_frozen_directions():
     with pytest.raises(ValueError):
         Family(ed)
 
-
-def test_patch_accessor():
-    fam = Family(A2)
-    patch = fam.patch(0)
-    assert patch.index == 0
-    assert patch.C == ((1, 0), (0, 1))
-    assert patch.coordinates == fam.coordinates()
-    assert patch.cone.path == ()

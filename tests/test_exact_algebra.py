@@ -219,13 +219,17 @@ def test_limit_keeps_residual_parameter_content():
 
 def test_ratpair_signed_arithmetic():
     x = RatPair(LaurentPoly.variable(XY, "x"), LaurentPoly.one(XY))
-    one = RatPair.one(XY)
-    d = x.sub(one)          # x - 1
-    s = d.mul(d).sub(x.mul(x))  # (x-1)^2 - x^2 = -2x + 1
-    expect = RatPair(lp(XY, {(1, 0): -2, (0, 0): 1}), LaurentPoly.one(XY))
+    d = RatPair(lp(XY, {(1, 0): 1, (0, 0): -1}), LaurentPoly.one(XY))  # x - 1
+    s = d.mul(d).mul(x.inv())  # (x-1)^2 / x = (x^2 - 2x + 1) / x
+    expect = RatPair(lp(XY, {(2, 0): 1, (1, 0): -2, (0, 0): 1}),
+                     LaurentPoly.variable(XY, "x"))
     assert s.equals(expect)
+    assert not s.equals(d)
     assert x.scale(Fraction(3, 2)).equals(
         RatPair(lp(XY, {(1, 0): 3}), LaurentPoly.constant(XY, 2)))
+    # 1 - x, over 2
+    assert d.scale(Fraction(-1, 2)).equals(
+        RatPair(lp(XY, {(1, 0): -1, (0, 0): 1}), LaurentPoly.constant(XY, 2)))
 
 
 def test_substitute_values_rational_points():

@@ -1,15 +1,14 @@
 """Path invariants: frozen rank-2 walk oracles, dual-route cross-checks,
-separation identities, periodicity."""
+separation identities."""
 
 import pytest
 
-from cluster_forge.exact_algebra import LaurentPoly
+from cluster_forge.corpus import gr25_exchange
 from cluster_forge.invariants import (
     CheckFailed,
     c_matrix,
     c_matrix_tropical,
     check_sign_coherence,
-    detect_period,
     f_polynomials,
     g_matrix,
     g_matrix_degrees,
@@ -21,7 +20,6 @@ from cluster_forge.invariants import (
     mat_mul,
     mat_transpose,
     separation_check,
-    y_pattern_period,
 )
 from cluster_forge.seeds import ExchangeData, langlands_dual
 from cluster_forge.semifields import TropMonomial
@@ -90,7 +88,8 @@ def test_g_matrix_walk_matches_frozen_values():
 def test_g_matrix_routes_agree():
     for ed, paths in ((A2, prefixes(WALK)),
                       (B2, prefixes([0, 1, 0, 1, 0])),
-                      (A3, prefixes([2, 1, 0, 2, 1]))):
+                      (A3, prefixes([2, 1, 0, 2, 1])),
+                      (gr25_exchange(), prefixes([0, 1, 0, 1, 0]))):
         for pre in paths:
             assert g_matrix(ed, pre) == g_matrix_degrees(ed, pre)
 
@@ -144,16 +143,6 @@ def test_separation_identities_general_coefficients():
     p0a3 = (TropMonomial(pva, (1, 0)), TropMonomial(pva, (0, -1)),
             TropMonomial(pva, (1, 1)))
     assert separation_check(A3, p0a3, [0, 2, 1, 0])
-
-
-def test_y_pattern_periodicity():
-    p0 = tuple(TropMonomial.variable(PV, v) for v in PV)
-    assert y_pattern_period(A2, p0, WALK) == (1, 0)
-    assert y_pattern_period(A2, p0, WALK + WALK) == (0, 1)
-    assert y_pattern_period(A2, p0, [1, 0]) is None
-    # the coefficient-free dynamics shares the same periodicity
-    triv = tuple(TropMonomial.one(()) for _ in range(2))
-    assert y_pattern_period(A2, triv, WALK) == (1, 0)
 
 
 def test_matrix_helpers():
