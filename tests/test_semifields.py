@@ -24,12 +24,19 @@ def test_trop_add_componentwise_min():
     assert trop_add(TropMonomial(P, (-1, 0)), one) == TropMonomial(P, (-1, 0))
 
 
+def test_plus_minus_split():
+    p = TropMonomial(P, (2, -3))
+    plus, minus = bracket(p, 1), bracket(p, -1)
+    assert plus == TropMonomial(P, (2, 0))
+    assert minus == TropMonomial(P, (0, 3))
+    assert plus.mul(minus.inv()) == p
+
+
 def test_bracket_selects_by_sign():
     p = TropMonomial(P, (2, -3))
     assert bracket(p, 5) == TropMonomial(P, (2, 0))
     assert bracket(p, 0) == TropMonomial.one(P)
     assert bracket(p, -1) == TropMonomial(P, (0, 3))
-    assert bracket(p, 1).mul(bracket(p, -1).inv()) == p
 
 
 def test_tropicalize_poly_takes_min_exponents():
