@@ -34,10 +34,8 @@ from .gfan import (
 )
 from .invariants import (
     CheckFailed,
-    c_matrix,
     check_sign_coherence,
     g_matrix_degrees,
-    langlands_dual,
     mat_det,
     mat_identity,
     mat_mul,
@@ -58,8 +56,16 @@ EXIT_TRUNCATED = 4
 Y_SEED_NEEDS_MUTABLE = "Y-seed dynamics need a fully mutable matrix"
 
 
+def _echo(text, err=False, nl=True):
+    """``click.echo`` to the current ``sys.stdout`` or ``sys.stderr``.  The
+    stream is passed explicitly because, without one, click caches each new
+    stream in a weak-key dictionary whose value is the stream itself, so
+    every in-process call would leave its streams and output alive."""
+    click.echo(text, file=sys.stderr if err else sys.stdout, nl=nl)
+
+
 def _fail(code, msg):
-    click.echo(f"error: {msg}", err=True)
+    _echo(f"error: {msg}", err=True)
     sys.exit(code)
 
 
@@ -111,7 +117,7 @@ def _need_mutable(ed, seed_path, source, need):
 
 
 def _echo_json(obj):
-    click.echo(json.dumps(obj, indent=2, sort_keys=True))
+    _echo(json.dumps(obj, indent=2, sort_keys=True))
 
 
 @click.group()
@@ -171,11 +177,11 @@ def mutate(seed_path, path_text, coeffs, as_json):
             "y": [f.to_text() for f in seed.y],
         })
     else:
-        click.echo(f"matrix: {corpus.mat_text(seed.exchange.B)}")
+        _echo(f"matrix: {corpus.mat_text(seed.exchange.B)}")
         for i, m in enumerate(seed.p):
-            click.echo(f"p{i + 1}: {m.to_text()}")
+            _echo(f"p{i + 1}: {m.to_text()}")
         for i, f in enumerate(seed.y):
-            click.echo(f"Y{i + 1}: {f.to_text()}")
+            _echo(f"Y{i + 1}: {f.to_text()}")
 
 
 # -- fan ---------------------------------------------------------------------
@@ -200,16 +206,16 @@ def fan(seed_path, freeze_text, depth, out_path, as_json):
         _fail(EXIT_INPUT, "--freeze leaves no mutable directions")
     atlas = enumerate_gfan(ed, depth_cap=depth, allowed=allowed, partial=True)
     if not atlas.complete:
-        click.echo(f"warning: enumeration truncated at depth {depth}; "
-                   "the atlas is incomplete", err=True)
+        _echo(f"warning: enumeration truncated at depth {depth}; "
+              "the atlas is incomplete", err=True)
     obj = fan_to_json(atlas)
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             json.dump(obj, fh, indent=2, sort_keys=True)
             fh.write("\n")
         if not as_json:
-            click.echo(f"{len(atlas.cones)} cones, {len(atlas.rays)} rays "
-                       f"-> {out_path}")
+            _echo(f"{len(atlas.cones)} cones, {len(atlas.rays)} rays "
+                  f"-> {out_path}")
     if as_json or not out_path:
         _echo_json(obj)
     sys.exit(EXIT_OK if atlas.complete else EXIT_TRUNCATED)
@@ -274,21 +280,18 @@ def verify(check, seed_path, paths_spec, max_len, rng_seed, depth, as_json):
 
     elif check in ("duality", "signcoherence"):
         atlas = _enumerate_or_die(ed, depth)
-        dual = langlands_dual(ed)
         eye = mat_identity(ed.n)
         for rec in atlas.cones:
             label = "cone " + (",".join(str(k + 1) for k in rec.path)
                                or "(initial)")
             try:
-                C = c_matrix(ed, rec.path)
                 if check == "signcoherence":
-                    ok = check_sign_coherence(C)
+                    ok = check_sign_coherence(rec.C)
                     results.append((label, ok,
                                     "" if ok else "mixed-sign column"))
                     continue
                 G = g_matrix_degrees(ed, rec.path)
-                Cd = c_matrix(dual, rec.path)
-                if mat_mul(mat_transpose(G), Cd) != eye:
+                if mat_mul(mat_transpose(G), rec.Cd) != eye:
                     results.append((label, False, "duality identity failed"))
                 elif abs(mat_det(G)) != 1:
                     results.append((label, False, "degree matrix not unimodular"))
@@ -337,9 +340,9 @@ def verify(check, seed_path, paths_spec, max_len, rng_seed, depth, as_json):
     else:
         for label, good, detail in results:
             suffix = "" if good else f"  [{detail}]"
-            click.echo(f"{check} {label}: {'ok' if good else 'FAIL'}{suffix}")
+            _echo(f"{check} {label}: {'ok' if good else 'FAIL'}{suffix}")
         passed = sum(1 for r in results if r[1])
-        click.echo(f"verify {check}: {passed}/{len(results)} ok")
+        _echo(f"verify {check}: {passed}/{len(results)} ok")
     sys.exit(EXIT_OK if ok else EXIT_VERIFY)
 
 
@@ -396,12 +399,12 @@ def degenerate(seed_path, at_text, depth, as_json):
     else:
         kind = ("toric gluing of the central fiber" if all(zeros)
                 else "fiber transition maps")
-        click.echo(f"{kind} at ({', '.join(str(x) for x in u)})")
+        _echo(f"{kind} at ({', '.join(str(x) for x in u)})")
         for w in walls:
-            click.echo(f"wall cone {w['src']} --{w['direction']}--> "
-                       f"cone {w['dst']}")
+            _echo(f"wall cone {w['src']} --{w['direction']}--> "
+                  f"cone {w['dst']}")
             for i, img in enumerate(w["images"]):
-                click.echo(f"  X{i + 1} -> {img}")
+                _echo(f"  X{i + 1} -> {img}")
     sys.exit(EXIT_OK)
 
 
@@ -423,14 +426,14 @@ def table(which, fmt):
         "dp5": corpus.dp5_table_text,
     }
     if fmt == "text":
-        click.echo(texts[which](), nl=False)
+        _echo(texts[which](), nl=False)
         sys.exit(EXIT_OK)
     if which in ("a2", "a2-principal"):
         rows = table_rows(corpus.a2_exchange(), corpus.PENTAGON_PATH)
         if fmt == "csv":
-            click.echo(rows_to_csv(rows), nl=False)
+            _echo(rows_to_csv(rows), nl=False)
         else:
-            click.echo(rows_to_json(rows))
+            _echo(rows_to_json(rows))
         sys.exit(EXIT_OK)
     if fmt == "csv":
         _fail(EXIT_INPUT, f"table {which}: csv rows are only defined for "
@@ -486,15 +489,15 @@ def star_cmd(fan_path, tau, as_json):
     if as_json:
         _echo_json(data)
     else:
-        click.echo(f"star of ray {ray}")
-        click.echo("base cone path: "
-                   + (",".join(str(k) for k in data["base_cone_path"])
-                      or "(initial)"))
-        click.echo(f"quotient rows: {corpus.mat_text(st.quotient_rows)}")
+        _echo(f"star of ray {ray}")
+        _echo("base cone path: "
+              + (",".join(str(k) for k in data["base_cone_path"])
+                 or "(initial)"))
+        _echo(f"quotient rows: {corpus.mat_text(st.quotient_rows)}")
         for pc in data["projected_cones"]:
             gens = ", ".join(str(tuple(g)) for g in pc["generators"])
-            click.echo(f"cone {pc['cone']}: {gens}")
-        click.echo(f"restricted matrix: {corpus.mat_text(st.restricted.B)}")
+            _echo(f"cone {pc['cone']}: {gens}")
+        _echo(f"restricted matrix: {corpus.mat_text(st.restricted.B)}")
     sys.exit(EXIT_OK)
 
 

@@ -45,9 +45,15 @@ from .seeds import (
     sign,
     y_vars,
 )
-from .invariants import CheckFailed, c_matrix_step, mat_identity
-from .gfan import enumerate_gfan, normal_fan_of_polygon, polytope_P
-from .degeneration import family_vars, family_wall_images
+from .invariants import CheckFailed
+from .gfan import (
+    ConeRecord,
+    enumerate_gfan,
+    g_cone_step,
+    normal_fan_of_polygon,
+    polytope_P,
+)
+from .degeneration import column, family_vars, family_wall_images
 
 
 # -- fixture exchange data ----------------------------------------------------
@@ -70,11 +76,6 @@ def b2_exchange():
 def a3_exchange():
     """Rank-3 path quiver 1 -> 2 -> 3."""
     return ExchangeData(((0, 1, 0), (-1, 0, 1), (0, -1, 0)), 3)
-
-
-def a3_rev_exchange():
-    """Rank-3 path quiver with both arrows reversed."""
-    return ExchangeData(((0, -1, 0), (1, 0, -1), (0, 1, 0)), 3)
 
 
 #: The pentagon mutation walk 2,1,2,1,2 (0-based directions).
@@ -185,17 +186,14 @@ def principal_family_walk(ed, path):
     xn, tn = family_vars(n)
     names = xn + tn
     images = tuple(PosRatFunc.variable(names, v) for v in xn)
-    B = ed.B
-    C = mat_identity(n)
-    rows = [(B, C, images)]
+    cone = ConeRecord.initial(ed)
+    rows = [(cone.B, cone.C, images)]
     for k in path:
-        step = family_wall_images(B, k, tuple(C[r][k] for r in range(n)),
-                                  xn, tn)
+        step = family_wall_images(cone.B, k, column(cone.C, k), xn, tn)
         subst = dict(zip(xn, images))
         images = tuple(img.evaluate(subst) for img in step)
-        C = c_matrix_step(C, B, k)
-        B = mutate_matrix(B, k)
-        rows.append((B, C, images))
+        cone = g_cone_step(cone, k)
+        rows.append((cone.B, cone.C, images))
     return rows
 
 

@@ -27,8 +27,13 @@ from .exact_algebra import (
 )
 from .semifields import TropMonomial
 from .seeds import mutate_coeff_tuple, mutate_matrix, sign, t_vars
-from .invariants import CheckFailed, c_matrix, c_matrix_step
+from .invariants import CheckFailed
 from .gfan import enumerate_gfan, g_cone_step, star
+
+
+def column(M, j):
+    """Column j of a square matrix, as a tuple."""
+    return tuple(row[j] for row in M)
 
 
 def family_vars(n, r=None):
@@ -100,8 +105,9 @@ class TransitionMap:
 class Family:
     """The glued family over a complete cone atlas.
 
-    Caches per-cone coefficient matrices, wall transitions, and pullbacks of
-    patch coordinates to the initial patch.
+    A patch's coefficient vectors are the c-vectors of its cone record.
+    Caches wall transitions and pullbacks of patch coordinates to the
+    initial patch.
     """
 
     def __init__(self, ed, atlas=None, depth_cap=64):
@@ -113,23 +119,12 @@ class Family:
         self.xnames, self.tnames = family_vars(ed.n)
         self.vars = self.xnames + self.tnames
         self._by_path = {c.path: c.index for c in self.atlas.cones}
-        self._c = {}
         self._trans = {}
         self._pull = {}
 
     @property
     def n(self):
         return self.ed.n
-
-    def c_matrix_at(self, cone_index):
-        if cone_index not in self._c:
-            path = self.atlas.cones[cone_index].path
-            self._c[cone_index] = c_matrix(self.ed, path)
-        return self._c[cone_index]
-
-    def c_column(self, cone_index, k):
-        C = self.c_matrix_at(cone_index)
-        return tuple(C[i][k] for i in range(len(C)))
 
     def coordinates(self):
         return tuple(PosRatFunc.variable(self.vars, v) for v in self.xnames)
@@ -139,8 +134,7 @@ class Family:
         if key not in self._trans:
             rec = self.atlas.cones[cone_index]
             dst = self.atlas.adjacency[(cone_index, k)]
-            c_k = ((0,) * self.n if coefficient_free
-                   else self.c_column(cone_index, k))
+            c_k = (0,) * self.n if coefficient_free else column(rec.C, k)
             images = family_wall_images(rec.B, k, c_k, self.xnames,
                                         self.tnames)
             self._trans[key] = TransitionMap(cone_index, dst, k, images)
@@ -186,10 +180,10 @@ def degree_check(fam, cone_indices=None):
     idxs = (range(len(fam.atlas.cones)) if cone_indices is None
             else cone_indices)
     for idx in idxs:
-        C = fam.c_matrix_at(idx)
+        C = fam.atlas.cones[idx].C
         pull = fam.pullback_to_initial(idx)
         for i, f in enumerate(pull):
-            want = tuple(C[r][i] for r in range(fam.n))
+            want = column(C, i)
             got = degree_of(f, grading)
             if got != want:
                 raise CheckFailed(
@@ -205,10 +199,10 @@ def limit_check(fam, cone_indices=None):
     idxs = (range(len(fam.atlas.cones)) if cone_indices is None
             else cone_indices)
     for idx in idxs:
-        C = fam.c_matrix_at(idx)
+        C = fam.atlas.cones[idx].C
         pull = fam.pullback_to_initial(idx)
         for i, f in enumerate(pull):
-            want = tuple(C[r][i] for r in range(n))
+            want = column(C, i)
             try:
                 lim = limit_t_zero(f, fam.tnames)
             except LimitError as exc:
@@ -233,11 +227,10 @@ def central_fiber_toric_check(fam):
     n = fam.n
     for (src, k), dst in sorted(fam.atlas.adjacency.items()):
         T = fam.transition(src, k)
-        B = fam.atlas.cones[src].B
-        Csrc = fam.c_matrix_at(src)
-        Cfar = c_matrix_step(Csrc, B, k)
-        ck = fam.c_column(src, k)
-        cs = sign(next(x for x in ck if x))
+        near = fam.atlas.cones[src]
+        B, Csrc = near.B, near.C
+        Cfar = g_cone_step(near, k).C
+        cs = sign(next(x for x in column(Csrc, k) if x))
         for i in range(n):
             try:
                 lim = limit_t_zero(T.images[i], fam.tnames)
@@ -285,12 +278,9 @@ def cocycle_check(fam, max_len=8, base=0):
     coords = fam.coordinates()
     for (src, k), dst in sorted(fam.atlas.adjacency.items()):
         T = fam.transition(src, k)
-        Bfar = mutate_matrix(fam.atlas.cones[src].B, k)
-        Cfar = c_matrix_step(fam.c_matrix_at(src),
-                             fam.atlas.cones[src].B, k)
-        back = family_wall_images(
-            Bfar, k, tuple(Cfar[r][k] for r in range(n)),
-            fam.xnames, fam.tnames)
+        far = g_cone_step(fam.atlas.cones[src], k)
+        back = family_wall_images(far.B, k, column(far.C, k), fam.xnames,
+                                  fam.tnames)
         subst = T.subst(fam.xnames)
         for i in range(n):
             comp = back[i].evaluate(subst)
@@ -299,13 +289,13 @@ def cocycle_check(fam, max_len=8, base=0):
                     f"wall ({src},{k}): there-and-back composite moves "
                     f"coordinate {i + 1}")
 
-    C0 = fam.c_matrix_at(base)
-    cols0 = {tuple(C0[r][j] for r in range(n)): j for j in range(n)}
+    base_cone = fam.atlas.cones[base]
+    cols0 = {column(base_cone.C, j): j for j in range(n)}
 
     def verify_closure(images, Cw):
         perm = []
         for i in range(n):
-            col = tuple(Cw[r][i] for r in range(n))
+            col = column(Cw, i)
             if col not in cols0:
                 raise CheckFailed("closed walk permutes coefficient vectors "
                                   "outside the base cone's own")
@@ -320,26 +310,23 @@ def cocycle_check(fam, max_len=8, base=0):
                     f"{images[i].to_text()}, expected a coordinate "
                     f"permutation")
 
-    base_cone = fam.atlas.cones[base]
     base_key = base_cone.key()
-    stack = [(None, tuple(coords), C0, base_cone, 0)]
+    stack = [(None, tuple(coords), base_cone, 0)]
     while stack:
-        last, images, Cw, cone, length = stack.pop()
+        last, images, cone, length = stack.pop()
         if length == max_len:
             continue
         subst = dict(zip(fam.xnames, images))
         for k in fam.atlas.allowed:
             if k == last:
                 continue
-            step = family_wall_images(
-                cone.B, k, tuple(Cw[r][k] for r in range(n)),
-                fam.xnames, fam.tnames)
+            step = family_wall_images(cone.B, k, column(cone.C, k),
+                                      fam.xnames, fam.tnames)
             nimages = tuple(img.evaluate(subst) for img in step)
-            nC = c_matrix_step(Cw, cone.B, k)
             ncone = g_cone_step(cone, k)
             if ncone.key() == base_key:
-                verify_closure(nimages, nC)
-            stack.append((k, nimages, nC, ncone, length + 1))
+                verify_closure(nimages, ncone.C)
+            stack.append((k, nimages, ncone, length + 1))
     return True
 
 
@@ -368,14 +355,13 @@ def glue_ring_check(fam, src, k, coefficient_free=False):
     are the identity."""
     n = fam.n
     T = fam.transition(src, k, coefficient_free)
-    Bs = fam.atlas.cones[src].B
-    Bfar = mutate_matrix(Bs, k)
+    near = fam.atlas.cones[src]
+    far = g_cone_step(near, k)
+    Bs, Bfar = near.B, far.B
     if coefficient_free:
         ck = ck_far = (0,) * n
     else:
-        ck = fam.c_column(src, k)
-        Cfar = c_matrix_step(fam.c_matrix_at(src), Bs, k)
-        ck_far = tuple(Cfar[r][k] for r in range(n))
+        ck, ck_far = column(near.C, k), column(far.C, k)
     R = family_wall_images(Bfar, k, ck_far, fam.xnames, fam.tnames)
     for i in range(n):
         if i == k or not Bs[k][i]:
@@ -458,12 +444,11 @@ def fiber_iso_check(fam, u, u2, walls=None):
     assign_u2 = dict(zip(fam.tnames, u2))
     for src, k in items:
         T = fam.transition(src, k)
-        Csrc = fam.c_matrix_at(src)
-        Cfar = c_matrix_step(Csrc, fam.atlas.cones[src].B, k)
-        scales = {fam.xnames[j]: ratio(tuple(Csrc[r][j] for r in range(n)))
-                  for j in range(n)}
+        near = fam.atlas.cones[src]
+        Cfar = g_cone_step(near, k).C
+        scales = {fam.xnames[j]: ratio(column(near.C, j)) for j in range(n)}
         for i in range(n):
-            lam2 = ratio(tuple(Cfar[r][i] for r in range(n)))
+            lam2 = ratio(column(Cfar, i))
             num, den = T.images[i].expand()
             lhs = (substitute_values(num, assign_u, scales)
                    .mul(substitute_values(den, assign_u, scales).inv()))
@@ -516,31 +501,30 @@ def strata_consistency_check(fam, tau_rays):
     base_gens = st.base.generators()
     face_rays = [base_gens[j] for j in face_pos]
 
-    Cbase = fam.c_matrix_at(st.base.index)
-    root = (st.base, Cbase, st.restricted.B,
-            tuple(TropMonomial(fam.tnames,
-                               tuple(Cbase[r][i] for r in range(n)))
+    root = (st.base, st.restricted.B,
+            tuple(TropMonomial(fam.tnames, column(st.base.C, i))
                   for i in trans_pos))
     seen = {st.base.key()}
     frontier = [root]
     while frontier:
         nxt = []
-        for cone, Cw, Bb, pb in frontier:
-            Bw = cone.B
+        for cone, Bb, pb in frontier:
+            Bw, Cw = cone.B, cone.C
             for l, k in enumerate(trans_pos):
                 for ll, i in enumerate(trans_pos):
                     if Bb[l][ll] != Bw[k][i]:
                         raise CheckFailed(
                             "restricted exchange matrix drifts from the "
                             "ambient one on the stratum")
-                if pb[l].exps != tuple(Cw[r][k] for r in range(n)):
+                if pb[l].exps != column(Cw, k):
                     raise CheckFailed(
                         "restricted coefficients drift from the ambient "
                         "coefficient vectors")
             for l, k in enumerate(trans_pos):
-                ck = tuple(Cw[r][k] for r in range(n))
-                T = family_wall_images(Bw, k, ck, fam.xnames, fam.tnames)
-                Cfar = c_matrix_step(Cw, Bw, k)
+                T = family_wall_images(Bw, k, column(Cw, k), fam.xnames,
+                                       fam.tnames)
+                ncone = g_cone_step(cone, k)
+                Cfar = ncone.C
                 for j in face_pos:
                     num, den = T[j].expand()
                     dmin = den.min_exponents()
@@ -589,7 +573,6 @@ def strata_consistency_check(fam, tau_rays):
                                 f"exponents of coordinate {i + 1} do not "
                                 f"express the far coefficient vector in "
                                 f"the transverse near ones")
-                ncone = g_cone_step(cone, k)
                 gens = ncone.generators()
                 for pos, ray in zip(face_pos, face_rays):
                     if gens[pos] != ray:
@@ -601,7 +584,7 @@ def strata_consistency_check(fam, tau_rays):
                         "transverse mutation left the enumerated atlas")
                 if key not in seen:
                     seen.add(key)
-                    nxt.append((ncone, Cfar, mutate_matrix(Bb, l),
+                    nxt.append((ncone, mutate_matrix(Bb, l),
                                 mutate_coeff_tuple(pb, Bb, l)))
         frontier = nxt
     if len(seen) != node_count:

@@ -4,21 +4,17 @@ stars of faces, and the rank-2 polytope attached to a complete fan.
 Cones are simplicial, generated by the columns of the running g-matrix; the
 inward facet normals are the columns of the c-matrix of the negated-transpose
 pattern along the same path, so all membership tests are integer arithmetic.
+A walk step moves a seed's exchange matrix, c-matrix, g-matrix and dual
+c-matrix together, in integers only: the g-matrix changes in column k by the
+recurrence (6.12) of Fomin-Zelevinsky, Cluster algebras IV.
 """
 
 from __future__ import annotations
 
 from math import gcd
 
-from .invariants import (
-    CheckFailed,
-    c_matrix_step,
-    mat_det,
-    mat_identity,
-    mat_inverse_integer,
-    mat_transpose,
-)
-from .seeds import ExchangeData, mutate_matrix, seed_from_json
+from .invariants import CheckFailed, c_matrix_step, mat_det, mat_identity
+from .seeds import ExchangeData, json_int, mutate_matrix, seed_from_json
 
 
 class FanDepthExceeded(Exception):
@@ -45,17 +41,25 @@ def cross3(a, b):
 
 
 class ConeRecord:
-    """One maximal cone: generator matrix, facet-normal matrix, the exchange
-    matrix and a representative path at its seed."""
+    """One maximal cone and the seed at it: a representative path, the
+    exchange matrix ``B``, the c-matrix ``C``, the generator (g-)matrix
+    ``G`` and the facet-normal (dual c-)matrix ``Cd``."""
 
-    __slots__ = ("index", "path", "B", "G", "Cd")
+    __slots__ = ("index", "path", "B", "C", "G", "Cd")
 
-    def __init__(self, index, path, B, G, Cd):
+    def __init__(self, index, path, B, C, G, Cd):
         self.index = index
         self.path = tuple(path)
         self.B = B
+        self.C = C
         self.G = G
         self.Cd = Cd
+
+    @classmethod
+    def initial(cls, ed):
+        """The initial seed's cone: every matrix but B is the identity."""
+        I = mat_identity(ed.n)
+        return cls(0, (), ed.B, I, I, I)
 
     def generators(self):
         n = len(self.G)
@@ -114,17 +118,31 @@ class GFanAtlas:
 
 
 def g_cone_step(cone, k):
-    """The cone across the wall in direction k: the exchange matrix mutates,
-    the facet normals step by the c-vector recurrence of the
-    negated-transpose pattern, and the generators are the columns of their
-    inverse transpose.  That pattern needs no matrix of its own, because
-    matrix mutation commutes with negating the transpose.  The new record
-    has no atlas index."""
-    n = len(cone.Cd)
-    Bd = tuple(tuple(-cone.B[j][i] for j in range(n)) for i in range(n))
-    Cd = c_matrix_step(cone.Cd, Bd, k)
-    return ConeRecord(None, cone.path + (k,), mutate_matrix(cone.B, k),
-                      mat_transpose(mat_inverse_integer(Cd)), Cd)
+    """The cone across the wall in direction k, stepped in integers.
+
+    B mutates; C and the dual c-matrix Cd step by the c-vector recurrence,
+    Cd for the negated-transpose pattern, which needs no matrix of its own
+    because matrix mutation commutes with negating the transpose.  Only
+    column k of G changes, by Cluster algebras IV (6.12) under sign
+    coherence: g'_k = -g_k + sum_l [-e*b_lk]_+ g_l, with e the sign of the
+    k-th c-vector.  The new record has no atlas index.
+    """
+    n = len(cone.C)
+    B = cone.B
+    col = tuple(cone.C[i][k] for i in range(n))
+    pos = any(x > 0 for x in col)
+    if pos == any(x < 0 for x in col):
+        path = ",".join(str(j + 1) for j in cone.path) or "(initial)"
+        raise CheckFailed(f"cone at path {path}: c-vector {k + 1} {col} is "
+                          f"not sign-coherent")
+    e = 1 if pos else -1
+    a = [max(-e * B[l][k], 0) for l in range(n)]
+    G = tuple(row[:k] + (sum(x * y for x, y in zip(a, row)) - row[k],)
+              + row[k + 1:] for row in cone.G)
+    Bd = tuple(tuple(-B[j][i] for j in range(n)) for i in range(n))
+    return ConeRecord(None, cone.path + (k,), mutate_matrix(B, k),
+                      c_matrix_step(cone.C, B, k), G,
+                      c_matrix_step(cone.Cd, Bd, k))
 
 
 def enumerate_gfan(ed, depth_cap=64, allowed=None, partial=False):
@@ -132,10 +150,8 @@ def enumerate_gfan(ed, depth_cap=64, allowed=None, partial=False):
     g-vector columns.  When new cones still appear at the cap, raises
     FanDepthExceeded, or with ``partial`` returns the truncated atlas marked
     incomplete."""
-    n = ed.n
-    allowed = tuple(range(n)) if allowed is None else tuple(allowed)
-    I = mat_identity(n)
-    root = ConeRecord(0, (), ed.B, I, I)
+    allowed = tuple(range(ed.n)) if allowed is None else tuple(allowed)
+    root = ConeRecord.initial(ed)
     cones = [root]
     adjacency = {}
     seen = {root.key(): 0}
@@ -441,15 +457,30 @@ def fan_to_json(atlas):
 def fan_from_json(obj):
     """Rebuild a complete atlas from its serialized form: re-enumerate from
     the stored seed and require the file's rays and maximal cones to match.
-    Incomplete files are rejected."""
-    if not obj.get("complete", True):
+    Incomplete files are rejected.  Rays, cone indices and allowed
+    directions must be integers, of length n and in range; anything else
+    raises ``ValueError`` naming the field."""
+    complete = obj.get("complete", True)
+    if not isinstance(complete, bool):
+        raise ValueError(f"complete must be true or false, not {complete!r}")
+    if not complete:
         raise FanDepthExceeded("fan file is marked incomplete")
     ed, _ = seed_from_json(obj["seed"])
-    allowed = tuple(k - 1 for k in obj.get("allowed", range(1, ed.n + 1)))
+    n = ed.n
+    allowed = tuple(json_int(k, f"allowed[{i}]", 1, n) - 1 for i, k in
+                    enumerate(obj.get("allowed", range(1, n + 1))))
+    rays = []
+    for i, r in enumerate(obj["rays"]):
+        if not isinstance(r, list) or len(r) != n:
+            raise ValueError(f"rays[{i}] must be a list of n = {n} integers")
+        rays.append(tuple(json_int(x, f"rays[{i}][{j}]")
+                          for j, x in enumerate(r)))
+    file_cones = set()
+    for i, idxs in enumerate(obj["maximal_cones"]):
+        file_cones.add(frozenset(
+            rays[json_int(x, f"maximal_cones[{i}][{j}]", 0, len(rays) - 1)]
+            for j, x in enumerate(idxs)))
     atlas = enumerate_gfan(ed, allowed=allowed)
-    rays = [tuple(r) for r in obj["rays"]]
-    file_cones = {frozenset(rays[i] for i in idxs)
-                  for idxs in obj["maximal_cones"]}
     if set(rays) != set(atlas.rays):
         raise CheckFailed("fan file rays do not match re-enumeration")
     if file_cones != {c.key() for c in atlas.cones}:

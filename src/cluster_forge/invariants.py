@@ -9,6 +9,11 @@ cross-checked in the test suite:
 * g-vectors: inverse-transpose duality against the c-matrix of the negated
   transpose pattern vs multi-degrees of the principal-coefficient cluster
   variables.
+
+The g-fan walk uses neither: ``gfan.g_cone_step`` steps g-vectors by the
+integer recurrence of Cluster algebras IV (6.12), and the two routes here,
+with ``c_matrix`` and ``c_matrix_tropical`` for its c-matrices, are what
+the walk is checked against.
 """
 
 from __future__ import annotations

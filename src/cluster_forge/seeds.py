@@ -333,9 +333,13 @@ def seed_to_json(ed, p):
     }
 
 
-def _json_int(x, field):
+def json_int(x, field, lo=None, hi=None):
+    """A JSON integer (not a bool), within ``lo..hi`` when they are given;
+    anything else raises ``ValueError`` naming the field."""
     if isinstance(x, bool) or not isinstance(x, int):
         raise ValueError(f"{field} must be an integer, not {x!r}")
+    if lo is not None and not lo <= x <= hi:
+        raise ValueError(f"{field} = {x} is out of range {lo}..{hi}")
     return x
 
 
@@ -346,13 +350,13 @@ def seed_from_json(obj):
     integer, and ``p`` holds either no tuple or ``n`` tuples of length
     ``coeff_rank``; anything else raises ``ValueError`` naming the field.
     """
-    n = _json_int(obj["n"], "n")
-    B = [[_json_int(x, f"B[{i}][{j}]") for j, x in enumerate(row)]
+    n = json_int(obj["n"], "n")
+    B = [[json_int(x, f"B[{i}][{j}]") for j, x in enumerate(row)]
          for i, row in enumerate(obj["B"])]
     d = obj.get("d")
     if d is not None:
-        d = [_json_int(x, f"d[{i}]") for i, x in enumerate(d)]
-    r = _json_int(obj.get("coeff_rank", 0), "coeff_rank")
+        d = [json_int(x, f"d[{i}]") for i, x in enumerate(d)]
+    r = json_int(obj.get("coeff_rank", 0), "coeff_rank")
     p = obj.get("p", [])
     if len(p) not in (0, n):
         raise ValueError(f"p has {len(p)} tuples, not 0 or n = {n}")
@@ -361,7 +365,7 @@ def seed_from_json(obj):
             raise ValueError(
                 f"p[{i}] has length {len(e)}, not coeff_rank = {r}")
         for j, x in enumerate(e):
-            _json_int(x, f"p[{i}][{j}]")
+            json_int(x, f"p[{i}][{j}]")
     pv = p_vars(r)
     return ExchangeData(B, n, d), tuple(TropMonomial(pv, e) for e in p)
 

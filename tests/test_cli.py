@@ -1,6 +1,8 @@
 """Command-line behavior: output formats, golden bytes, exit codes, and the
 fan round-trip."""
 
+import gc
+import io
 import json
 import os
 import subprocess
@@ -210,8 +212,22 @@ def test_fan_tampered_file_is_input_error():
     def non_integer_seed(obj):
         obj["seed"]["B"] = [[0, 1.5], [-1.5, 0]]
 
+    def float_rays(obj):
+        obj["rays"] = [[float(x) for x in r] for r in obj["rays"]]
+
+    def setter(field, value):
+        return lambda obj: obj.__setitem__(field, value)
+
     runner = CliRunner()
-    for tamper, named in ((stale_ray, "fan.json"), (non_integer_seed, "B[0][1]")):
+    for tamper, named in ((stale_ray, "fan.json"),
+                          (non_integer_seed, "B[0][1]"),
+                          (float_rays, "rays[0][0]"),
+                          (setter("allowed", [3]), "allowed[0]"),
+                          (setter("allowed", [0, 2]), "allowed[0]"),
+                          (setter("allowed", [True, 2]), "allowed[0]"),
+                          (setter("complete", "yes"), "complete"),
+                          (setter("maximal_cones", [[0, 5]]),
+                           "maximal_cones[0][1]")):
         with runner.isolated_filesystem():
             runner.invoke(main, ["fan", "--seed", fixture("a2.json"),
                                  "--out", "fan.json"])
@@ -224,6 +240,25 @@ def test_fan_tampered_file_is_input_error():
                                        "--tau", "ray:1"])
             assert res.exit_code == 2
             assert "fan.json" in res.stderr and named in res.stderr
+
+
+def test_in_process_calls_free_their_streams():
+    """Repeated in-process calls, on stdout and on stderr, leave no text
+    stream alive behind them."""
+    def live_streams():
+        gc.collect()
+        return sum(isinstance(o, io.TextIOWrapper) for o in gc.get_objects())
+
+    runner = CliRunner()
+    ok = ["mutate", "--seed", fixture("a2.json"), "--path", "1"]
+    bad = ["mutate", "--seed", "no-such-seed.json"]
+    runner.invoke(main, ok)
+    runner.invoke(main, bad)
+    before = live_streams()
+    for _ in range(10):
+        assert runner.invoke(main, ok).exit_code == 0
+        assert runner.invoke(main, bad).exit_code == 2
+    assert live_streams() <= before
 
 
 # -- verify -----------------------------------------------------------------------

@@ -11,10 +11,12 @@ from cluster_forge.exact_algebra import (
     rat_equal,
 )
 from cluster_forge.semifields import TropMonomial
-from cluster_forge.seeds import ExchangeData, YSeedCoeff, mutate_matrix, mutate_y_seed
-from cluster_forge.invariants import CheckFailed, c_matrix_step
+from cluster_forge.seeds import ExchangeData, YSeedCoeff, mutate_y_seed
+from cluster_forge.invariants import CheckFailed
+from cluster_forge.gfan import g_cone_step
 from cluster_forge.degeneration import (
     Family,
+    column,
     central_fiber_toric_check,
     cocycle_check,
     degree_check,
@@ -97,19 +99,15 @@ A3_STAR_SIZES = {
 
 def _walk_composite(fam, path):
     """Compose wall transitions along a mutation walk from the initial
-    patch, carrying the walk's own seed data."""
+    patch, stepping the walk's own cone record."""
     images = fam.coordinates()
-    Bw = fam.atlas.cones[0].B
-    Cw = fam.c_matrix_at(0)
-    n = fam.n
+    cone = fam.atlas.cones[0]
     for k in path:
-        step = family_wall_images(Bw, k,
-                                  tuple(Cw[r][k] for r in range(n)),
-                                  fam.xnames, fam.tnames)
+        step = family_wall_images(cone.B, k, column(cone.C, k), fam.xnames,
+                                  fam.tnames)
         subst = dict(zip(fam.xnames, images))
         images = tuple(img.evaluate(subst) for img in step)
-        Cw = c_matrix_step(Cw, Bw, k)
-        Bw = mutate_matrix(Bw, k)
+        cone = g_cone_step(cone, k)
     return images
 
 

@@ -2,12 +2,14 @@
 
 import pytest
 
-from cluster_forge.invariants import CheckFailed
+from cluster_forge.invariants import CheckFailed, mat_identity
 from cluster_forge.gfan import (
+    ConeRecord,
     FanDepthExceeded,
     check_fan,
     enumerate_gfan,
     fan_to_json,
+    g_cone_step,
     normal_fan_of_polygon,
     polytope_P,
     primitive,
@@ -19,6 +21,13 @@ A1 = ExchangeData(((0,),), 1)
 A2 = ExchangeData(((0, 1), (-1, 0)), 2)
 B2 = ExchangeData(((0, -1), (2, 0)), 2, (2, 1))
 A3 = ExchangeData(((0, 1, 0), (-1, 0, 1), (0, -1, 0)), 3)
+G2 = ExchangeData(((0, -1), (3, 0)), 2, (3, 1))
+B3 = ExchangeData(((0, 1, 0), (-1, 0, 1), (0, -2, 0)), 3, (2, 2, 1))
+C3 = ExchangeData(((0, 1, 0), (-1, 0, 2), (0, -1, 0)), 3, (1, 1, 2))
+A4 = ExchangeData(((0, 1, 0, 0), (-1, 0, 1, 0), (0, -1, 0, 1),
+                   (0, 0, -1, 0)), 4)
+D4 = ExchangeData(((0, 1, 0, 0), (-1, 0, 1, 1), (0, -1, 0, 0),
+                   (0, -1, 0, 0)), 4)
 # same rank-3 shape with reversed arrows, used for the frozen-direction fan
 A3_REV = ExchangeData(((0, -1, 0), (1, 0, -1), (0, 1, 0)), 3)
 MARKOV = ExchangeData(((0, 2, -2), (-2, 0, 2), (2, -2, 0)), 3)
@@ -33,6 +42,12 @@ def test_cone_counts():
     assert len(enumerate_gfan(A2).cones) == 5
     assert len(enumerate_gfan(B2).cones) == 6
     assert len(enumerate_gfan(A3).cones) == 14
+    # the numbers of clusters of finite types G2, B3, C3, A4 and D4
+    assert len(enumerate_gfan(G2).cones) == 8
+    assert len(enumerate_gfan(B3).cones) == 20
+    assert len(enumerate_gfan(C3).cones) == 20
+    assert len(enumerate_gfan(A4).cones) == 42
+    assert len(enumerate_gfan(D4).cones) == 50
 
 
 def test_a2_rays_and_cones():
@@ -49,8 +64,19 @@ def test_b2_rays():
 
 
 def test_fan_axioms_hold():
-    for ed in (A1, A2, B2, A3):
+    for ed in (A1, A2, B2, A3, G2, B3, C3, A4, D4):
         assert check_fan(enumerate_gfan(ed))
+
+
+def test_g_cone_step_needs_a_sign_coherent_column():
+    rec = ConeRecord(None, (1, 0), A2.B, ((1, 0), (-1, 1)), mat_identity(2),
+                     mat_identity(2))
+    with pytest.raises(CheckFailed, match=r"path 2,1: c-vector 1 \(1, -1\)"):
+        g_cone_step(rec, 0)
+    with pytest.raises(CheckFailed, match="c-vector 2"):
+        g_cone_step(ConeRecord(None, (), A2.B, ((1, 0), (0, 0)),
+                               mat_identity(2), mat_identity(2)), 1)
+    assert g_cone_step(rec, 1).path == (1, 0, 1)
 
 
 def test_adjacency_walks_every_wall():

@@ -1,9 +1,12 @@
 """Path invariants: frozen rank-2 walk oracles, dual-route cross-checks,
 separation identities."""
 
+import json
+import os
+
 import pytest
 
-from cluster_forge.corpus import gr25_exchange
+from cluster_forge.gfan import ConeRecord, g_cone_step
 from cluster_forge.invariants import (
     CheckFailed,
     c_matrix,
@@ -21,12 +24,24 @@ from cluster_forge.invariants import (
     mat_transpose,
     separation_check,
 )
-from cluster_forge.seeds import ExchangeData, langlands_dual
+from cluster_forge.seeds import ExchangeData, langlands_dual, seed_from_json
 from cluster_forge.semifields import TropMonomial
 
 A2 = ExchangeData(((0, 1), (-1, 0)), 2)
 B2 = ExchangeData(((0, -1), (2, 0)), 2, (2, 1))
 A3 = ExchangeData(((0, 1, 0), (-1, 0, 1), (0, -1, 0)), 3)
+G2 = ExchangeData(((0, -1), (3, 0)), 2, (3, 1))
+B3 = ExchangeData(((0, 1, 0), (-1, 0, 1), (0, -2, 0)), 3, (2, 2, 1))
+C3 = ExchangeData(((0, 1, 0), (-1, 0, 2), (0, -1, 0)), 3, (1, 1, 2))
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "..", "src",
+                        "cluster_forge", "fixtures")
+
+
+def fixture_exchange(name):
+    with open(os.path.join(FIXTURES, name), encoding="utf-8") as fh:
+        return seed_from_json(json.load(fh))[0]
+
 
 WALK = [1, 0, 1, 0, 1]
 
@@ -86,12 +101,22 @@ def test_g_matrix_walk_matches_frozen_values():
 
 
 def test_g_matrix_routes_agree():
-    for ed, paths in ((A2, prefixes(WALK)),
-                      (B2, prefixes([0, 1, 0, 1, 0])),
-                      (A3, prefixes([2, 1, 0, 2, 1])),
-                      (gr25_exchange(), prefixes([0, 1, 0, 1, 0]))):
-        for pre in paths:
-            assert g_matrix(ed, pre) == g_matrix_degrees(ed, pre)
+    """Three routes to G: the Fraction inverse of the dual c-matrix, the
+    degrees of the principal-coefficient cluster variables, and the integer
+    walk step, which must also carry the c-matrix and dual c-matrix."""
+    eds = [fixture_exchange(f) for f in sorted(os.listdir(FIXTURES))]
+    assert len(eds) == 6
+    for ed in eds + [G2, B3, C3]:
+        dual = langlands_dual(ed)
+        path = [0, 1, 0, 1, 0] if ed.n == 2 else [2, 1, 0, 2, 1]
+        rec = ConeRecord.initial(ed)
+        for i, pre in enumerate(prefixes(path)):
+            if i:
+                rec = g_cone_step(rec, pre[-1])
+            assert rec.path == tuple(pre)
+            assert g_matrix(ed, pre) == g_matrix_degrees(ed, pre) == rec.G
+            assert rec.C == c_matrix(ed, pre)
+            assert rec.Cd == c_matrix(dual, pre)
 
 
 def test_duality_of_c_and_g():
