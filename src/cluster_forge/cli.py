@@ -230,6 +230,9 @@ def _random_paths(ed, paths_arg, max_len, rng_seed, source):
             count = int(paths_arg.split(":", 1)[1])
         except ValueError:
             _fail(EXIT_INPUT, f"{source}: {paths_arg!r} is not random:N")
+        if count < 1:
+            _fail(EXIT_INPUT, f"{source}: {paths_arg!r} asks for {count} "
+                              "paths; N must be at least 1")
         rng = random.Random(rng_seed)
         return [tuple(rng.randrange(ed.n)
                       for _ in range(rng.randint(1, max_len)))
@@ -259,6 +262,9 @@ def _enumerate_or_die(ed, depth, allowed=None):
 @click.option("--json", "as_json", is_flag=True)
 def verify(check, seed_path, paths_spec, max_len, rng_seed, depth, as_json):
     """Run one verification suite against a seed; exit 1 on failure."""
+    if max_len < 1:
+        _fail(EXIT_INPUT, f"--max-len {max_len}: walks and random paths "
+                          "need a length of at least 1")
     ed, p_file = _load_seed(seed_path)
     results = []
 

@@ -191,7 +191,8 @@ def principal_family_walk(ed, path):
     for k in path:
         step = family_wall_images(cone.B, k, column(cone.C, k), xn, tn)
         subst = dict(zip(xn, images))
-        images = tuple(img.evaluate(subst) for img in step)
+        memo = {}
+        images = tuple(img.evaluate(subst, memo) for img in step)
         cone = g_cone_step(cone, k)
         rows.append((cone.B, cone.C, images))
     return rows

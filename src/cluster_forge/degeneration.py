@@ -49,10 +49,14 @@ def family_wall_images(B, k, c_k, xnames, tnames):
     The far wall coordinate pulls back to the inverse of the near one; every
     other coordinate picks up a subtraction-free binomial power whose
     t-exponents are the positive and negative parts of the near patch's k-th
-    coefficient vector, sign-matched against the exchange entry.
+    coefficient vector, sign-matched against the exchange entry.  Only row k
+    of ``B``, ``k`` and ``c_k`` are read, and the binomial is built once for
+    each sign of that row's entries.  ``Family.wall_images`` caches this per
+    family.
     """
     vars = xnames + tnames
     n = len(xnames)
+    bases = {}
     images = []
     for i in range(n):
         if i == k:
@@ -66,12 +70,13 @@ def family_wall_images(B, k, c_k, xnames, tnames):
             images.append(xi)
             continue
         s = sign(e)
-        first = [0] * n + [max(s * c, 0) for c in c_k]
-        second = [0] * n + [max(-s * c, 0) for c in c_k]
-        second[k] = -s
-        base = prf_add(PosRatFunc.monomial(vars, first),
-                       PosRatFunc.monomial(vars, second))
-        images.append(xi.mul(base.power(-e)))
+        if s not in bases:
+            first = [0] * n + [max(s * c, 0) for c in c_k]
+            second = [0] * n + [max(-s * c, 0) for c in c_k]
+            second[k] = -s
+            bases[s] = prf_add(PosRatFunc.monomial(vars, first),
+                               PosRatFunc.monomial(vars, second))
+        images.append(xi.mul(bases[s].power(-e)))
     return tuple(images)
 
 
@@ -106,8 +111,13 @@ class Family:
     """The glued family over a complete cone atlas.
 
     A patch's coefficient vectors are the c-vectors of its cone record.
-    Caches wall transitions and pullbacks of patch coordinates to the
-    initial patch.
+    Caches, in dicts it owns and that live exactly as long as it does, wall
+    transitions (keyed on cone index, direction and coefficient-freeness),
+    pullbacks of patch coordinates to the initial patch (keyed on cone
+    index), and wall images (keyed on row k of the exchange matrix, k and
+    the coefficient vector, everything ``family_wall_images`` reads).  Every
+    check here that builds wall images in the family's own variables reads
+    the wall-image cache.
     """
 
     def __init__(self, ed, atlas=None, depth_cap=64):
@@ -121,6 +131,7 @@ class Family:
         self._by_path = {c.path: c.index for c in self.atlas.cones}
         self._trans = {}
         self._pull = {}
+        self._walls = {}
 
     @property
     def n(self):
@@ -129,15 +140,23 @@ class Family:
     def coordinates(self):
         return tuple(PosRatFunc.variable(self.vars, v) for v in self.xnames)
 
+    def wall_images(self, B, k, c_k):
+        """``family_wall_images`` in this family's variables, computed once
+        per (row k of B, k, c_k)."""
+        key = (tuple(B[k]), k, tuple(c_k))
+        if key not in self._walls:
+            self._walls[key] = family_wall_images(B, k, c_k, self.xnames,
+                                                  self.tnames)
+        return self._walls[key]
+
     def transition(self, cone_index, k, coefficient_free=False):
         key = (cone_index, k, coefficient_free)
         if key not in self._trans:
             rec = self.atlas.cones[cone_index]
             dst = self.atlas.adjacency[(cone_index, k)]
             c_k = (0,) * self.n if coefficient_free else column(rec.C, k)
-            images = family_wall_images(rec.B, k, c_k, self.xnames,
-                                        self.tnames)
-            self._trans[key] = TransitionMap(cone_index, dst, k, images)
+            self._trans[key] = TransitionMap(
+                cone_index, dst, k, self.wall_images(rec.B, k, c_k))
         return self._trans[key]
 
     def pullback_to_initial(self, cone_index):
@@ -154,8 +173,9 @@ class Family:
                 if T.dst != cone_index:
                     raise CheckFailed("adjacency disagrees with stored path")
                 subst = dict(zip(self.xnames, base))
+                memo = {}
                 self._pull[cone_index] = tuple(
-                    img.evaluate(subst) for img in T.images)
+                    img.evaluate(subst, memo) for img in T.images)
         return self._pull[cone_index]
 
     def standard_grading(self):
@@ -279,11 +299,11 @@ def cocycle_check(fam, max_len=8, base=0):
     for (src, k), dst in sorted(fam.atlas.adjacency.items()):
         T = fam.transition(src, k)
         far = g_cone_step(fam.atlas.cones[src], k)
-        back = family_wall_images(far.B, k, column(far.C, k), fam.xnames,
-                                  fam.tnames)
+        back = fam.wall_images(far.B, k, column(far.C, k))
         subst = T.subst(fam.xnames)
+        memo = {}
         for i in range(n):
-            comp = back[i].evaluate(subst)
+            comp = back[i].evaluate(subst, memo)
             if not rat_equal(comp, coords[i]):
                 raise CheckFailed(
                     f"wall ({src},{k}): there-and-back composite moves "
@@ -317,12 +337,12 @@ def cocycle_check(fam, max_len=8, base=0):
         if length == max_len:
             continue
         subst = dict(zip(fam.xnames, images))
+        memo = {}
         for k in fam.atlas.allowed:
             if k == last:
                 continue
-            step = family_wall_images(cone.B, k, column(cone.C, k),
-                                      fam.xnames, fam.tnames)
-            nimages = tuple(img.evaluate(subst) for img in step)
+            step = fam.wall_images(cone.B, k, column(cone.C, k))
+            nimages = tuple(img.evaluate(subst, memo) for img in step)
             ncone = g_cone_step(cone, k)
             if ncone.key() == base_key:
                 verify_closure(nimages, ncone.C)
@@ -362,7 +382,7 @@ def glue_ring_check(fam, src, k, coefficient_free=False):
         ck = ck_far = (0,) * n
     else:
         ck, ck_far = column(near.C, k), column(far.C, k)
-    R = family_wall_images(Bfar, k, ck_far, fam.xnames, fam.tnames)
+    R = fam.wall_images(Bfar, k, ck_far)
     for i in range(n):
         if i == k or not Bs[k][i]:
             continue
@@ -392,11 +412,12 @@ def glue_ring_check(fam, src, k, coefficient_free=False):
     coords = fam.coordinates()
     sub_T = T.subst(fam.xnames)
     sub_R = dict(zip(fam.xnames, R))
+    memo_T, memo_R = {}, {}
     for i in range(n):
-        if not rat_equal(R[i].evaluate(sub_T), coords[i]):
+        if not rat_equal(R[i].evaluate(sub_T, memo_T), coords[i]):
             raise CheckFailed(
                 f"wall ({src},{k}): composite is not the identity")
-        if not rat_equal(T.images[i].evaluate(sub_R), coords[i]):
+        if not rat_equal(T.images[i].evaluate(sub_R, memo_R), coords[i]):
             raise CheckFailed(
                 f"wall ({src},{k}): reverse composite is not the identity")
     return True
@@ -521,8 +542,7 @@ def strata_consistency_check(fam, tau_rays):
                         "restricted coefficients drift from the ambient "
                         "coefficient vectors")
             for l, k in enumerate(trans_pos):
-                T = family_wall_images(Bw, k, column(Cw, k), fam.xnames,
-                                       fam.tnames)
+                T = fam.wall_images(Bw, k, column(Cw, k))
                 ncone = g_cone_step(cone, k)
                 Cfar = ncone.C
                 for j in face_pos:

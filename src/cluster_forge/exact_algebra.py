@@ -499,11 +499,17 @@ class PosRatFunc:
             out = out.mul(PosRatFunc.from_poly(p.substitute_monomials(images, tv), k))
         return out
 
-    def evaluate(self, subst):
+    def evaluate(self, subst, memo=None):
         """Compose with a map sending each variable to a PosRatFunc.
 
         Variables absent from ``subst`` map to themselves over the target
         variable set (taken from any image).
+
+        ``memo``, when given, is a dict from factor polynomial to its value
+        under ``subst``; it is read and filled here, so callers composing a
+        tuple of functions with one ``subst`` pass one dict for the whole
+        tuple and compute each shared factor once.  It is keyed on the
+        factor alone, so it must live no longer than that one ``subst``.
         """
         if not subst:
             return self
@@ -519,9 +525,11 @@ class PosRatFunc:
         for v, x in zip(self.vars, self.unit):
             if x:
                 out = out.mul(images[v].power(x))
+        memo = {} if memo is None else memo
         for p, k in self.factors.items():
-            val = _evaluate_positive_poly(p, images, tv)
-            out = out.mul(val.power(k))
+            if p not in memo:
+                memo[p] = _evaluate_positive_poly(p, images, tv)
+            out = out.mul(memo[p].power(k))
         return out.reduced()
 
     # -- misc -------------------------------------------------------------

@@ -11,6 +11,7 @@ recurrence (6.12) of Fomin-Zelevinsky, Cluster algebras IV.
 
 from __future__ import annotations
 
+from functools import cached_property
 from math import gcd
 
 from .invariants import CheckFailed, c_matrix_step, mat_det, mat_identity
@@ -111,10 +112,14 @@ class GFanAtlas:
         return tuple(sorted(out))
 
     def cone_by_key(self, key):
-        for c in self.cones:
-            if c.key() == key:
-                return c
-        return None
+        """The cone whose generator set is ``key``, or None.  The first call
+        indexes the cones by key in a dict that lives exactly as long as the
+        atlas; ``enumerate_gfan`` makes one cone per key."""
+        return self._by_key.get(key)
+
+    @cached_property
+    def _by_key(self):
+        return {c.key(): c for c in self.cones}
 
 
 def g_cone_step(cone, k):

@@ -287,6 +287,21 @@ def test_verify_separation_explicit_paths():
     assert len(data["results"]) == 2
 
 
+@pytest.mark.parametrize("check, args, option", [
+    ("separation", ("--paths", "random:0"), "--paths"),
+    ("separation", ("--paths", "random:-3"), "--paths"),
+    ("separation", ("--paths", "random:3", "--max-len", "0"), "--max-len"),
+    ("cocycle", ("--max-len", "-1"), "--max-len"),
+], ids=["no-paths", "negative-paths", "zero-max-len", "cocycle-negative"])
+def test_verify_empty_work_is_input_error(check, args, option):
+    """A path count or walk length below 1 is refused, not reported as
+    0/0 ok, a traceback, or (for the cocycle walk) a walk without end."""
+    res = run_process("verify", check, "--seed", fixture("a2.json"), *args)
+    assert res.returncode == 2
+    assert "Traceback" not in res.stdout + res.stderr
+    assert option in res.stderr
+
+
 def test_verify_glue_needs_mutable_seed():
     res = run("verify", "glue", "--seed", fixture("gr25.json"))
     assert res.exit_code == 2

@@ -1,6 +1,10 @@
 """Oracles and consistency checks for the glued family over the cone atlas
 and its degeneration onto the toric variety of the fan."""
 
+import json
+import os
+import random
+
 import pytest
 
 from cluster_forge.exact_algebra import (
@@ -11,7 +15,12 @@ from cluster_forge.exact_algebra import (
     rat_equal,
 )
 from cluster_forge.semifields import TropMonomial
-from cluster_forge.seeds import ExchangeData, YSeedCoeff, mutate_y_seed
+from cluster_forge.seeds import (
+    ExchangeData,
+    YSeedCoeff,
+    mutate_y_seed,
+    seed_from_json,
+)
 from cluster_forge.invariants import CheckFailed
 from cluster_forge.gfan import g_cone_step
 from cluster_forge.degeneration import (
@@ -34,6 +43,18 @@ from cluster_forge.degeneration import (
 A2 = ExchangeData(((0, 1), (-1, 0)), 2)
 B2 = ExchangeData(((0, -1), (2, 0)), 2, (2, 1))
 A3 = ExchangeData(((0, 1, 0), (-1, 0, 1), (0, -1, 0)), 3)
+G2 = ExchangeData(((0, -1), (3, 0)), 2, (3, 1))
+B3 = ExchangeData(((0, 1, 0), (-1, 0, 1), (0, -2, 0)), 3, (2, 2, 1))
+C3 = ExchangeData(((0, 1, 0), (-1, 0, 2), (0, -1, 0)), 3, (1, 1, 2))
+A4 = ExchangeData(((0, 1, 0, 0), (-1, 0, 1, 0), (0, -1, 0, 1),
+                   (0, 0, -1, 0)), 4)
+D4 = ExchangeData(((0, 1, 0, 0), (-1, 0, 1, 1), (0, -1, 0, 0),
+                   (0, -1, 0, 0)), 4)
+FINITE_TYPES = {"a2": A2, "b2": B2, "g2": G2, "a3": A3, "b3": B3, "c3": C3,
+                "a4": A4, "d4": D4}
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "..", "src",
+                        "cluster_forge", "fixtures")
 
 V = ("X1", "X2", "t1", "t2")
 
@@ -321,3 +342,65 @@ def test_family_rejects_frozen_directions():
     with pytest.raises(ValueError):
         Family(ed)
 
+
+
+# -- caches against fresh computation ----------------------------------------------
+
+@pytest.mark.parametrize("ed", list(FINITE_TYPES.values()),
+                         ids=list(FINITE_TYPES))
+def test_wall_image_cache_and_shared_memo_agree_with_fresh(ed):
+    """On random walks of length 0-6, the family's wall-image cache returns
+    what a fresh family_wall_images call builds, for coefficient-true and
+    coefficient-free wall data alike; and composing a step's images with one
+    memo for the whole tuple equals composing each image on its own."""
+    rng = random.Random(7)
+    fam = Family(ed)
+    n = ed.n
+    free = (0,) * n
+    for _ in range(12):
+        cone = fam.atlas.cones[0]
+        images = fam.coordinates()
+        for _ in range(rng.randint(0, 6)):
+            subst = dict(zip(fam.xnames, images))
+            memo = {}
+            for k in range(n):
+                for c_k in (column(cone.C, k), free):
+                    fresh = family_wall_images(cone.B, k, c_k, fam.xnames,
+                                               fam.tnames)
+                    assert fam.wall_images(cone.B, k, c_k) == fresh
+                    shared = tuple(img.evaluate(subst, memo)
+                                   for img in fam.wall_images(cone.B, k, c_k))
+                    assert shared == tuple(img.evaluate(subst)
+                                           for img in fresh)
+            k = rng.randrange(n)
+            images = tuple(img.evaluate(subst) for img in
+                           fam.wall_images(cone.B, k, column(cone.C, k)))
+            cone = g_cone_step(cone, k)
+
+
+def _a3_fixture_family():
+    with open(os.path.join(FIXTURES, "a3.json"), encoding="utf-8") as fh:
+        return Family(seed_from_json(json.load(fh))[0])
+
+
+@pytest.mark.parametrize("check, calls", [
+    (lambda fam: cocycle_check(fam, max_len=5), 405),
+    (glue_ring_check_all, 126),
+    (degree_check, 39),
+], ids=["cocycle", "glue", "degree"])
+def test_checks_evaluate_through_posratfunc_evaluate(monkeypatch, check,
+                                                     calls):
+    """Every composition in the checks goes through PosRatFunc.evaluate,
+    the boundary the benchmark's tracer counts; the caches change what one
+    call computes, never how many calls there are."""
+    seen = []
+    evaluate = PosRatFunc.evaluate
+
+    def counted(self, *args, **kwargs):
+        seen.append(self)
+        return evaluate(self, *args, **kwargs)
+
+    fam = _a3_fixture_family()
+    monkeypatch.setattr(PosRatFunc, "evaluate", counted)
+    assert check(fam)
+    assert len(seen) == calls

@@ -321,8 +321,9 @@ def test_poly_ring_axioms(a, b, c):
     assert a + b == b + a
 
 
-def posrats(vars=XY):
-    return st.tuples(positive_polys(vars), positive_polys(vars)).map(
+def posrats(vars=XY, max_terms=4, max_exp=2):
+    polys = positive_polys(vars, max_terms, max_exp)
+    return st.tuples(polys, polys).map(
         lambda t: PosRatFunc.from_poly(t[0]).mul(
             PosRatFunc.from_poly(t[1]).inv()))
 
@@ -412,3 +413,118 @@ def test_rat_equal_square_against_expanded_square():
         PosRatFunc.from_poly(one_plus_x * y, -1))
     assert rat_equal(lhs, rhs)
     assert not rat_equal(lhs, rhs.mul(PosRatFunc.from_poly(y)))
+
+
+# -- sympy route for the factored arithmetic --------------------------------------
+
+def _sympy_poly(sympy, p):
+    """A LaurentPoly over XY as a sympy expression in x, y."""
+    x, y = sympy.symbols("x y")
+    return sum((c * x ** e[0] * y ** e[1] for e, c in p.terms.items()),
+               sympy.Integer(0))
+
+
+def _sympy_value(sympy, f):
+    """A PosRatFunc over XY as an unexpanded sympy expression in x, y."""
+    x, y = sympy.symbols("x y")
+    out = x ** f.unit[0] * y ** f.unit[1]
+    for p, e in f.factors.items():
+        out *= _sympy_poly(sympy, p) ** e
+    return out
+
+
+def _sympy_cancelled(sympy, expr):
+    """Numerator and denominator of ``expr`` after sympy's ``cancel``."""
+    return sympy.fraction(sympy.cancel(sympy.together(expr)))
+
+
+def _sympy_content(sympy, expr):
+    """Integer content of a rational function: content of its cancelled
+    numerator over that of its cancelled denominator."""
+    x, y = sympy.symbols("x y")
+    num, den = _sympy_cancelled(sympy, expr)
+    return (sympy.Poly(num, x, y).content()
+            / sympy.Poly(den, x, y).content())
+
+
+def _sympy_equal(sympy, f, expr):
+    """f equals expr: sympy's cancelled form of expr, cross-multiplied with
+    f's own expansion."""
+    num, den = _sympy_cancelled(sympy, expr)
+    nf, df = f.expand()
+    return sympy.expand(num * _sympy_poly(sympy, df)
+                        - den * _sympy_poly(sympy, nf)) == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 3), posrats()), min_size=1,
+                max_size=3))
+def test_prf_sum_agrees_with_sympy(sympy, parts):
+    """prf_sum is the cancelled sum, and fails exactly when that sum has an
+    integer content other than 1 (no factored form with unit coefficient)."""
+    expr = sum((c * _sympy_value(sympy, f) for c, f in parts),
+               sympy.Integer(0))
+    if _sympy_content(sympy, expr) != 1:
+        with pytest.raises(PositivityError):
+            prf_sum(parts)
+        return
+    assert _sympy_equal(sympy, prf_sum(parts), expr)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(positive_polys(max_terms=3, max_exp=1), min_size=1,
+                max_size=3), st.data())
+def test_reduced_agrees_with_sympy(sympy, polys, data):
+    """reduced keeps the value and stays subtraction-free, on numerators and
+    denominators that are products of shared polynomials (so one often
+    divides the other)."""
+    idx = st.lists(st.integers(0, len(polys) - 1), max_size=3)
+    num, den = LaurentPoly.one(XY), LaurentPoly.one(XY)
+    for i in data.draw(idx):
+        num = num * polys[i]
+    for i in data.draw(idx):
+        den = den * polys[i]
+    unit = data.draw(st.tuples(st.integers(-2, 2), st.integers(-2, 2)))
+    a, b = data.draw(st.integers(1, 2)), data.draw(st.integers(1, 2))
+    f = (PosRatFunc.monomial(XY, unit).mul(PosRatFunc.from_poly(num, a))
+         .mul(PosRatFunc.from_poly(den, -b)))
+    r = f.reduced()
+    assert all(p.all_coefs_positive() for p in r.factors)
+    assert _sympy_equal(sympy, r, _sympy_value(sympy, f))
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except PositivityError:
+        return PositivityError
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.lists(st.tuples(st.integers(-1, 1), st.integers(-1, 1)),
+                         min_size=2, max_size=2, unique=True)
+                .map(lambda es: LaurentPoly(XY, dict.fromkeys(es, 1))),
+                min_size=1, max_size=3),
+       posrats(max_terms=2, max_exp=1),
+       posrats(max_terms=2, max_exp=1), st.data())
+def test_evaluate_agrees_with_sympy(sympy, polys, sx, sy, data):
+    """A tuple of functions sharing binomial factor keys, composed with one
+    map: with one memo for the tuple, each value equals the one computed
+    without a memo, and both equal sympy's substitution."""
+    k = len(polys)
+    exps = st.lists(st.sampled_from([-1, 1]), min_size=k, max_size=k)
+    units = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+    funcs = [_factored(data.draw(units), polys, data.draw(exps), False)
+             for _ in range(data.draw(st.integers(2, 3)))]
+    subst = {"x": sx, "y": sy}
+    memo = {}
+    shared = [_outcome(lambda: f.evaluate(subst, memo)) for f in funcs]
+    alone = [_outcome(lambda: f.evaluate(subst)) for f in funcs]
+    assert shared == alone
+    x, y = sympy.symbols("x y")
+    point = {x: _sympy_value(sympy, sx), y: _sympy_value(sympy, sy)}
+    for f, got in zip(funcs, shared):
+        if got is PositivityError:
+            continue
+        expr = _sympy_value(sympy, f).subs(point, simultaneous=True)
+        assert _sympy_equal(sympy, got, expr)

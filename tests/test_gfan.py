@@ -50,6 +50,19 @@ def test_cone_counts():
     assert len(enumerate_gfan(D4).cones) == 50
 
 
+@pytest.mark.parametrize("ed", [A2, B2, G2, A3, B3, C3, A4, D4],
+                         ids=["a2", "b2", "g2", "a3", "b3", "c3", "a4", "d4"])
+def test_cone_by_key_agrees_with_a_linear_scan(ed):
+    atlas = enumerate_gfan(ed)
+    for cone in atlas.cones:
+        for k in range(ed.n):
+            key = g_cone_step(cone, k).key()
+            scan = next(c for c in atlas.cones if c.key() == key)
+            assert atlas.cone_by_key(key) is scan
+    assert atlas.cone_by_key(frozenset({(2,) * ed.n})) is None
+    assert atlas.cone_by_key(frozenset()) is None
+
+
 def test_a2_rays_and_cones():
     atlas = enumerate_gfan(A2)
     assert atlas.rays == A2_RAYS
