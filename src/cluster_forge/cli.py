@@ -69,6 +69,12 @@ def _fail(code, msg):
     sys.exit(code)
 
 
+def _need_depth(depth):
+    if depth < 0:
+        _fail(EXIT_INPUT, f"--depth {depth}: the breadth-first depth cap "
+                          "must be at least 0")
+
+
 def _load_json_file(path, what):
     try:
         with open(path, encoding="utf-8") as fh:
@@ -199,6 +205,7 @@ def mutate(seed_path, path_text, coeffs, as_json):
               help="print the atlas JSON to stdout even with --out")
 def fan(seed_path, freeze_text, depth, out_path, as_json):
     """Enumerate the atlas of maximal cones reachable from the seed."""
+    _need_depth(depth)
     ed, _ = _load_seed(seed_path)
     frozen = set(_parse_directions(freeze_text, ed, "--freeze"))
     allowed = tuple(k for k in range(ed.n) if k not in frozen)
@@ -265,6 +272,7 @@ def verify(check, seed_path, paths_spec, max_len, rng_seed, depth, as_json):
     if max_len < 1:
         _fail(EXIT_INPUT, f"--max-len {max_len}: walks and random paths "
                           "need a length of at least 1")
+    _need_depth(depth)
     ed, p_file = _load_seed(seed_path)
     results = []
 
@@ -364,6 +372,7 @@ def verify(check, seed_path, paths_spec, max_len, rng_seed, depth, as_json):
 def degenerate(seed_path, at_text, depth, as_json):
     """Print the wall transition maps of the family specialized at a base
     point; the zero point gives the toric gluing of the central fiber."""
+    _need_depth(depth)
     ed, _ = _load_seed(seed_path)
     if ed.m:
         _fail(EXIT_INPUT, f"degenerate: seed file {seed_path} has frozen "

@@ -454,11 +454,18 @@ def fiber_iso_check(fam, u, u2, walls=None):
     if any(x == 0 for x in u) or any(x == 0 for x in u2):
         raise ValueError("fibre comparison needs nonzero base points")
 
+    quot = [b / a for a, b in zip(u, u2)]
+    ratios = {}
+
     def ratio(col):
-        out = Fraction(1)
-        for l in range(n):
-            out *= Fraction(u2[l]) ** col[l] / Fraction(u[l]) ** col[l]
-        return out
+        """u2^col / u^col, computed once per column in this call."""
+        if col not in ratios:
+            out = Fraction(1)
+            for q, x in zip(quot, col):
+                if x:
+                    out *= q ** x
+            ratios[col] = out
+        return ratios[col]
 
     items = (sorted(fam.atlas.adjacency) if walls is None else walls)
     assign_u = dict(zip(fam.tnames, u))

@@ -18,6 +18,15 @@ Two layers:
 
 ``RatPair`` is a signed numerator/denominator pair used where subtraction or
 rational scalars are unavoidable (fiber specialization at rational points).
+
+The public constructors ``LaurentPoly(vars, terms)`` and
+``PosRatFunc(vars, unit, factors)`` validate what callers hand them: zero
+coefficients and exponents are dropped, exponent vectors must match the
+variable set, factors must share it, and factors equal to one are dropped.
+``LaurentPoly._new`` and ``PosRatFunc._new`` are trusted: they set the slots
+without checks, and only this module's own arithmetic calls them, on results
+it has built clean (sums, negations and products of polynomials, exact
+quotients, products and nonzero powers of rational functions).
 """
 
 from __future__ import annotations
@@ -83,6 +92,16 @@ class LaurentPoly:
         self.terms = clean
         self._hash = None
 
+    @classmethod
+    def _new(cls, vars, terms):
+        """Trusted constructor: ``vars`` is a tuple and ``terms`` already
+        has nonzero coefficients and exponent tuples of the right length."""
+        self = object.__new__(cls)
+        self.vars = vars
+        self.terms = terms
+        self._hash = None
+        return self
+
     # -- constructors -------------------------------------------------
     @classmethod
     def zero(cls, vars):
@@ -113,7 +132,10 @@ class LaurentPoly:
         return not self.terms
 
     def is_one(self):
-        return self.terms == {tuple([0] * len(self.vars)): 1}
+        if len(self.terms) != 1:
+            return False
+        ((e, c),) = self.terms.items()
+        return c == 1 and not any(e)
 
     def is_monomial(self):
         return len(self.terms) == 1
@@ -167,10 +189,11 @@ class LaurentPoly:
                 terms[e] = s
             else:
                 terms.pop(e, None)
-        return LaurentPoly(self.vars, terms)
+        return LaurentPoly._new(self.vars, terms)
 
     def __neg__(self):
-        return LaurentPoly(self.vars, {e: -c for e, c in self.terms.items()})
+        return LaurentPoly._new(self.vars,
+                                {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -186,7 +209,7 @@ class LaurentPoly:
                     terms[e] = s
                 else:
                     terms.pop(e, None)
-        return LaurentPoly(self.vars, terms)
+        return LaurentPoly._new(self.vars, terms)
 
     def scale(self, c):
         if not c:
@@ -320,7 +343,7 @@ def poly_exact_div(a, b):
                 rem[key] = s
             else:
                 rem.pop(key, None)
-    return LaurentPoly(a.vars, quot)
+    return LaurentPoly._new(a.vars, quot)
 
 
 def _canonical_factor(poly):
@@ -368,6 +391,17 @@ class PosRatFunc:
                 clean[p] = e
         self.factors = clean
 
+    @classmethod
+    def _new(cls, vars, unit, factors):
+        """Trusted constructor: ``vars`` and ``unit`` are tuples, and
+        ``factors`` maps polynomials over ``vars``, none equal to one, to
+        nonzero exponents."""
+        self = object.__new__(cls)
+        self.vars = vars
+        self.unit = unit
+        self.factors = factors
+        return self
+
     # -- constructors ---------------------------------------------------
     @classmethod
     def one(cls, vars):
@@ -404,14 +438,16 @@ class PosRatFunc:
                 factors[p] = s
             else:
                 factors.pop(p, None)
-        return PosRatFunc(self.vars, unit, factors)
+        return PosRatFunc._new(self.vars, unit, factors)
 
     def inv(self):
         return self.power(-1)
 
     def power(self, k):
-        return PosRatFunc(self.vars, tuple(x * k for x in self.unit),
-                          {p: e * k for p, e in self.factors.items()})
+        if not k:
+            return PosRatFunc.one(self.vars)
+        return PosRatFunc._new(self.vars, tuple(x * k for x in self.unit),
+                               {p: e * k for p, e in self.factors.items()})
 
     # -- expansion --------------------------------------------------------
     def num_den_split(self):
@@ -747,45 +783,50 @@ class RatPair:
 
 
 def substitute_values(poly, assignment, scales=None):
-    """Evaluate some variables of an integer polynomial at rational values,
-    optionally also scaling other variables by rational constants (the
-    variable stays, its coefficient picks up scale**exponent).
+    """Evaluate some variables of an integer polynomial at rational values
+    (ints or Fractions), optionally also scaling other variables by rational
+    constants (the variable stays, its coefficient picks up
+    scale**exponent).
 
     Returns a RatPair over the same variable set (substituted slots pinned
-    to exponent zero).
+    to exponent zero) in lowest terms: the numerator's coefficients share no
+    factor with the constant denominator, which ``degenerate`` prints.
+
+    The arithmetic is in integers.  Each value a/b is read once; with hi and
+    lo the largest positive and negative exponents of its variable,
+    d = b^hi * |a|^lo makes every (a/b)^x * d an integer.  Terms are summed
+    as integers over the product of these d, and the sums and that product
+    are divided by their gcd at the end.
     """
-    num_terms = {}
-    denom_lcm = 1
-    cache = {}
     scales = scales or {}
-
-    def value_of(e):
-        key = tuple(e[i] for i in idx) + tuple(e[i] for i in sidx)
-        if key not in cache:
-            v = Fraction(1)
-            for i in idx:
-                v *= Fraction(assignment[poly.vars[i]]) ** e[i]
-            for i in sidx:
-                v *= Fraction(scales[poly.vars[i]]) ** e[i]
-            cache[key] = v
-        return cache[key]
-
-    idx = [i for i, v in enumerate(poly.vars) if v in assignment]
-    sidx = [i for i, v in enumerate(poly.vars) if v in scales]
-    vals = {}
-    for e, c in poly.terms.items():
-        v = value_of(e) * c
-        key = list(e)
-        for i in idx:
-            key[i] = 0
-        key = tuple(key)
-        vals[key] = vals.get(key, Fraction(0)) + v
-    for v in vals.values():
-        denom_lcm = denom_lcm * v.denominator // gcd(denom_lcm, v.denominator)
-    for e, v in vals.items():
-        c = v * denom_lcm
-        assert c.denominator == 1
-        if c:
-            num_terms[e] = int(c)
-    return RatPair(LaurentPoly(poly.vars, num_terms),
-                   LaurentPoly.constant(poly.vars, denom_lcm))
+    pinned = [i for i, v in enumerate(poly.vars) if v in assignment]
+    values = ([(i, assignment[poly.vars[i]]) for i in pinned]
+              + [(i, scales[v]) for i, v in enumerate(poly.vars)
+                 if v in scales])
+    terms = poly.terms
+    powers = []   # (slot i, {exponent x: (a/b)^x * d})
+    denom = 1
+    for i, q in values:
+        xs = {e[i] for e in terms} or {0}
+        hi, lo = max(max(xs), 0), max(-min(xs), 0)
+        a, b = q.numerator, q.denominator
+        d = b ** hi * abs(a) ** lo
+        denom *= d
+        # exact floor divisions: b^x and a^-x divide d
+        powers.append((i, {x: a ** x * d // b ** x if x >= 0
+                           else b ** -x * d // a ** -x for x in xs}))
+    sums = {}
+    for e, c in terms.items():
+        for i, mult in powers:
+            c *= mult[e[i]]
+        if pinned:
+            key = list(e)
+            for i in pinned:
+                key[i] = 0
+            e = tuple(key)
+        sums[e] = sums.get(e, 0) + c
+    g = denom
+    for c in sums.values():
+        g = gcd(g, c)
+    return RatPair(LaurentPoly(poly.vars, {e: c // g for e, c in sums.items()}),
+                   LaurentPoly.constant(poly.vars, denom // g))

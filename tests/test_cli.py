@@ -287,16 +287,23 @@ def test_verify_separation_explicit_paths():
     assert len(data["results"]) == 2
 
 
-@pytest.mark.parametrize("check, args, option", [
-    ("separation", ("--paths", "random:0"), "--paths"),
-    ("separation", ("--paths", "random:-3"), "--paths"),
-    ("separation", ("--paths", "random:3", "--max-len", "0"), "--max-len"),
-    ("cocycle", ("--max-len", "-1"), "--max-len"),
-], ids=["no-paths", "negative-paths", "zero-max-len", "cocycle-negative"])
-def test_verify_empty_work_is_input_error(check, args, option):
-    """A path count or walk length below 1 is refused, not reported as
-    0/0 ok, a traceback, or (for the cocycle walk) a walk without end."""
-    res = run_process("verify", check, "--seed", fixture("a2.json"), *args)
+@pytest.mark.parametrize("args, option", [
+    (("verify", "separation", "--paths", "random:0"), "--paths"),
+    (("verify", "separation", "--paths", "random:-3"), "--paths"),
+    (("verify", "separation", "--paths", "random:3", "--max-len", "0"),
+     "--max-len"),
+    (("verify", "cocycle", "--max-len", "-1"), "--max-len"),
+    (("fan", "--depth", "-1"), "--depth"),
+    (("verify", "degree", "--depth", "-1"), "--depth"),
+    (("degenerate", "--at", "1,1", "--depth", "-1"), "--depth"),
+], ids=["no-paths", "negative-paths", "zero-max-len", "cocycle-negative",
+        "fan-negative-depth", "verify-negative-depth",
+        "degenerate-negative-depth"])
+def test_verify_empty_work_is_input_error(args, option):
+    """A path count or walk length below 1, or a negative depth cap, is
+    refused, not reported as 0/0 ok, a truncated atlas, a traceback, or
+    (for the cocycle walk) a walk without end."""
+    res = run_process(*args, "--seed", fixture("a2.json"))
     assert res.returncode == 2
     assert "Traceback" not in res.stdout + res.stderr
     assert option in res.stderr
@@ -343,6 +350,22 @@ def test_degenerate_fiber_at_one():
 def test_degenerate_rational_point():
     res = run("degenerate", "--seed", fixture("a2.json"), "--at", "2/3,5")
     assert res.exit_code == 0
+    res = run("degenerate", "--seed", fixture("a2.json"), "--at", "1/2,-3")
+    assert res.exit_code == 0
+    lines = res.output.splitlines()
+    assert lines[0] == "fiber transition maps at (1/2, -3)"
+    # numerators keep the lowest-terms integer form over a constant
+    # denominator, which the printed text shows
+    assert lines[-8:] == [
+        "  X1 -> (2*X1*X2 - 3*X1) / 2",
+        "  X2 -> 1 / X2",
+        "wall cone 4 --1--> cone 2",
+        "  X1 -> 1 / X1",
+        "  X2 -> 2*X1*X2 / (2*X1 + 1)",
+        "wall cone 4 --2--> cone 3",
+        "  X1 -> X1*X2 - 3*X1",
+        "  X2 -> 1 / X2",
+    ]
 
 
 def test_degenerate_mixed_zero_is_input_error():

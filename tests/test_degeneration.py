@@ -4,6 +4,7 @@ and its degeneration onto the toric variety of the fan."""
 import json
 import os
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -285,7 +286,12 @@ def test_specialize_fiber_at_one():
     (A2, (2, 3), (5, 7)),
     (B2, (1, 1), (2, 3)),
     (A3, (1, 1, 1), (2, 3, 5)),
-], ids=["a2-23", "a2-57", "a2-2357", "b2", "a3"])
+    (A2, (Fraction(1, 2), -3), (Fraction(-7, 3), Fraction(4, 9))),
+    (G2, (Fraction(-5, 2), Fraction(2, 7)), (3, Fraction(-1, 4))),
+    (A3, (Fraction(1, 2), -3, Fraction(5, 3)),
+     (Fraction(-7, 3), Fraction(4, 9), -2)),
+], ids=["a2-23", "a2-57", "a2-2357", "b2", "a3", "a2-signed", "g2-signed",
+        "a3-signed"])
 def test_fiber_isomorphisms(ed, u, u2):
     assert fiber_iso_check(Family(ed), u, u2)
 
@@ -293,6 +299,29 @@ def test_fiber_isomorphisms(ed, u, u2):
 def test_fiber_iso_rejects_zero_base_point():
     with pytest.raises(ValueError):
         fiber_iso_check(Family(A2), (1, 1), (0, 1))
+
+
+@pytest.mark.parametrize("tamper", ["t-factor", "square", "swap"])
+def test_fiber_iso_rejects_tampered_transition(tamper):
+    """A wall image changed in the family's transition cache breaks the
+    intertwining at signed rational points."""
+    u, u2 = (Fraction(1, 2), -3), (Fraction(-7, 3), Fraction(4, 9))
+    fam = Family(A2)
+    assert fiber_iso_check(fam, u, u2)
+    T = fam.transition(1, 1)
+    images = list(T.images)
+    if tamper == "t-factor":
+        images[0] = images[0].mul(PosRatFunc.variable(V, "t1"))
+    elif tamper == "square":
+        images[0] = images[0].power(2)
+    else:
+        images.reverse()
+    fam._trans[(1, 1, False)] = type(T)(T.src, T.dst, T.k, images)
+    with pytest.raises(CheckFailed):
+        fiber_iso_check(fam, u, u2)
+    with pytest.raises(CheckFailed):
+        fiber_iso_check(fam, u, u2, walls=[(1, 1)])
+    assert fiber_iso_check(fam, u, u2, walls=[(0, 0), (0, 1)])
 
 
 def test_strata_of_every_a2_ray():

@@ -1,10 +1,12 @@
 """Exact arithmetic layer: frozen oracles plus algebraic property tests."""
 
+import math
 import pytest
 from fractions import Fraction
 from hypothesis import assume, given, settings, strategies as st
 
 from cluster_forge.exact_algebra import (
+    ExactAlgebraError,
     Grading,
     InexactDivision,
     InhomogeneousError,
@@ -13,6 +15,7 @@ from cluster_forge.exact_algebra import (
     PosRatFunc,
     PositivityError,
     RatPair,
+    VariableSetMismatch,
     degree_of,
     limit_t_zero,
     poly_exact_div,
@@ -240,6 +243,18 @@ def test_substitute_values_rational_points():
                             LaurentPoly.constant(XY, 2)))
 
 
+def test_public_constructors_validate():
+    with pytest.raises(ExactAlgebraError):
+        LaurentPoly(XY, {(1, 0, 0): 1})
+    p = lp(XY, {(1, 0): 1, (0, 0): 1})
+    with pytest.raises(VariableSetMismatch):
+        PosRatFunc(XT, (0, 0, 0, 0), {p: 1})
+    # zero coefficients, zero exponents and factors equal to one are dropped
+    assert LaurentPoly(XY, {(1, 0): 0, (0, 1): 2}).terms == {(0, 1): 2}
+    f = PosRatFunc(XY, (0, 0), {p: 0, LaurentPoly.one(XY): 3})
+    assert f == PosRatFunc.one(XY) and f.factors == {}
+
+
 # -- property tests ---------------------------------------------------------
 
 def positive_polys(vars=XY, max_terms=4, max_exp=2):
@@ -313,6 +328,45 @@ def test_exact_div_agrees_with_sympy(sympy, q, b, r, scale):
     assert poly_exact_div(a, b) == expect
 
 
+def _nonzero_rationals():
+    return st.tuples(st.integers(-9, 9).filter(bool),
+                     st.integers(1, 9)).map(lambda t: Fraction(*t))
+
+
+def _substitute_reference(p, assignment, scales):
+    """substitute_values term by term in Fractions: the collected
+    coefficients over their least common denominator."""
+    sums = {}
+    for e, c in p.terms.items():
+        v = Fraction(c)
+        key = list(e)
+        for i, name in enumerate(p.vars):
+            if name in assignment:
+                v *= Fraction(assignment[name]) ** e[i]
+                key[i] = 0
+            elif name in scales:
+                v *= Fraction(scales[name]) ** e[i]
+        sums[tuple(key)] = sums.get(tuple(key), 0) + v
+    den = math.lcm(*(v.denominator for v in sums.values()))
+    num = {e: int(v * den) for e, v in sums.items() if v}
+    return num, {(0,) * len(p.vars): den}
+
+
+@settings(max_examples=150, deadline=None)
+@given(signed_polys(XT, max_terms=6, max_exp=3),
+       st.fixed_dictionaries({}, optional={v: _nonzero_rationals()
+                                           for v in ("t1", "t2")}),
+       st.fixed_dictionaries({}, optional={v: _nonzero_rationals()
+                                           for v in ("X1", "X2")}))
+def test_substitute_values_normal_form(p, assignment, scales):
+    """The exact numerator terms and constant denominator, which
+    ``degenerate`` prints, not only the value."""
+    r = substitute_values(p, assignment, scales)
+    num, den = _substitute_reference(p, assignment, scales)
+    assert r.num.terms == num
+    assert r.den.terms == den
+
+
 @settings(max_examples=60, deadline=None)
 @given(positive_polys(), positive_polys(), positive_polys())
 def test_poly_ring_axioms(a, b, c):
@@ -326,6 +380,46 @@ def posrats(vars=XY, max_terms=4, max_exp=2):
     return st.tuples(polys, polys).map(
         lambda t: PosRatFunc.from_poly(t[0]).mul(
             PosRatFunc.from_poly(t[1]).inv()))
+
+
+def _assert_clean_poly(p):
+    assert p == LaurentPoly(p.vars, p.terms)
+    assert type(p.vars) is tuple
+    assert all(c != 0 for c in p.terms.values())
+    assert all(type(e) is tuple and len(e) == len(p.vars) for e in p.terms)
+
+
+def _assert_clean_prf(f):
+    assert f == PosRatFunc(f.vars, f.unit, f.factors)
+    assert type(f.vars) is tuple and type(f.unit) is tuple
+    assert len(f.unit) == len(f.vars)
+    for p, e in f.factors.items():
+        assert e != 0 and not p.is_one() and p.vars == f.vars
+        _assert_clean_poly(p)
+
+
+@settings(max_examples=80, deadline=None)
+@given(signed_polys(), signed_polys(), signed_polys(max_terms=2),
+       st.integers(0, 3), posrats(max_terms=3), posrats(max_terms=3),
+       st.integers(-3, 3))
+def test_trusted_results_equal_their_validated_copies(a, b, c, k, f, g, j):
+    """Every result the arithmetic builds through the trusted constructors
+    is exactly what the validating constructors make of it."""
+    polys = [a + b, a - b, -a, a + (-a), a * b, (a - b) * c, (a * c).power(k),
+             c.power(k) + a]
+    if not b.is_zero():
+        polys.append(poly_exact_div(a * b, b))
+        polys.append(poly_exact_div(b * c * c, b))
+    for p in polys:
+        _assert_clean_poly(p)
+    assert (a + (-a)).is_zero()
+    prfs = [f.mul(g), f.power(j), f.inv(), f.mul(f.inv()), g.power(0),
+            f.mul(g).power(-2).mul(g.power(2)), f.inv().inv()]
+    for h in prfs:
+        _assert_clean_prf(h)
+    assert f.mul(f.inv()) == PosRatFunc.one(XY)
+    assert f.inv().inv() == f
+    assert f.mul(g).power(-2).mul(g.power(2)) == f.power(-2)
 
 
 @settings(max_examples=40, deadline=None)
@@ -417,17 +511,20 @@ def test_rat_equal_square_against_expanded_square():
 
 # -- sympy route for the factored arithmetic --------------------------------------
 
+def _sympy_monomial(sympy, vars, exps):
+    return sympy.Mul(*(s ** x for s, x in zip(sympy.symbols(vars), exps)))
+
+
 def _sympy_poly(sympy, p):
-    """A LaurentPoly over XY as a sympy expression in x, y."""
-    x, y = sympy.symbols("x y")
-    return sum((c * x ** e[0] * y ** e[1] for e, c in p.terms.items()),
-               sympy.Integer(0))
+    """A LaurentPoly as a sympy expression in its variables' names."""
+    return sum((c * _sympy_monomial(sympy, p.vars, e)
+                for e, c in p.terms.items()), sympy.Integer(0))
 
 
 def _sympy_value(sympy, f):
-    """A PosRatFunc over XY as an unexpanded sympy expression in x, y."""
-    x, y = sympy.symbols("x y")
-    out = x ** f.unit[0] * y ** f.unit[1]
+    """A PosRatFunc as an unexpanded sympy expression in its variables'
+    names."""
+    out = _sympy_monomial(sympy, f.vars, f.unit)
     for p, e in f.factors.items():
         out *= _sympy_poly(sympy, p) ** e
     return out
@@ -528,3 +625,59 @@ def test_evaluate_agrees_with_sympy(sympy, polys, sx, sy, data):
             continue
         expr = _sympy_value(sympy, f).subs(point, simultaneous=True)
         assert _sympy_equal(sympy, got, expr)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(positive_polys(max_terms=3, max_exp=1), min_size=1, max_size=3),
+       st.data())
+def test_rat_equal_agrees_with_sympy(sympy, polys, data):
+    """rat_equal(f, g) exactly when sympy cancels f - g to zero; g is drawn
+    equal to f in value (with the same or merged factor keys) or not."""
+    k = len(polys)
+    unit = data.draw(st.tuples(st.integers(-2, 2), st.integers(-2, 2)))
+    exps_f = data.draw(st.lists(st.integers(-2, 2), min_size=k, max_size=k))
+    if data.draw(st.booleans()):
+        unit_g, exps_g = unit, exps_f
+    else:
+        unit_g = data.draw(st.tuples(st.integers(-2, 2), st.integers(-2, 2)))
+        exps_g = data.draw(st.lists(st.integers(-2, 2), min_size=k,
+                                    max_size=k))
+    f = _factored(unit, polys, exps_f, data.draw(st.booleans()))
+    g = _factored(unit_g, polys, exps_g, data.draw(st.booleans()))
+    diff = sympy.cancel(_sympy_value(sympy, f) - _sympy_value(sympy, g))
+    assert rat_equal(f, g) == (diff == 0)
+
+
+def _t_free_led_polys():
+    """Positive polynomials over XT with one t-free leading term and up to
+    two terms divisible by t1 or t2, and arbitrary positive polynomials."""
+    xs = st.tuples(st.integers(-1, 1), st.integers(-1, 1))
+    ts = st.tuples(st.integers(0, 2), st.integers(0, 2)).filter(any)
+    led = st.tuples(xs, st.lists(st.tuples(xs, ts), min_size=1, max_size=2)
+                    ).map(lambda d: LaurentPoly(XT, {
+                        **{x + t: 1 for x, t in d[1]}, d[0] + (0, 0): 1}))
+    return st.one_of(led, positive_polys(XT, max_terms=3, max_exp=1))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.tuples(*[st.integers(-2, 2)] * 4),
+       st.lists(st.tuples(_t_free_led_polys(), st.sampled_from([-2, -1, 1, 2])),
+                min_size=1, max_size=3))
+def test_limit_t_zero_agrees_with_sympy(sympy, unit, parts):
+    """Whenever limit_t_zero returns a monomial L, sympy's limit of f / L
+    as t1, t2 -> 0 is 1 along the paths (s, s) and (s, s^2).  Content
+    factoring is conservative (it may refuse a function whose limit becomes
+    a monomial only after cancellation), so a refusal must be LimitError."""
+    f = PosRatFunc.monomial(XT, unit)
+    for p, e in parts:
+        f = f.mul(PosRatFunc.from_poly(p, e))
+    try:
+        got = limit_t_zero(f, ("t1", "t2"))
+    except LimitError:
+        return
+    assert got.is_monomial()
+    t1, t2, s = sympy.symbols("t1 t2 s", positive=True)
+    ratio = _sympy_value(sympy, f) / _sympy_poly(sympy, got)
+    ratio = ratio.subs({sympy.Symbol("t1"): t1, sympy.Symbol("t2"): t2})
+    for path in ({t1: s, t2: s}, {t1: s, t2: s ** 2}):
+        assert sympy.limit(sympy.cancel(ratio.subs(path)), s, 0, "+") == 1
