@@ -78,11 +78,15 @@ def _need_depth(depth):
 def _load_json_file(path, what):
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            obj = json.load(fh)
     except FileNotFoundError:
         _fail(EXIT_INPUT, f"{what} file {path} not found")
     except json.JSONDecodeError as exc:
         _fail(EXIT_INPUT, f"{what} file {path} is not valid JSON: {exc}")
+    if not isinstance(obj, dict):
+        _fail(EXIT_INPUT, f"{what} file {path} must hold a JSON object, "
+                          f"not {json.dumps(obj)[:40]}")
+    return obj
 
 
 def _load_seed(path):
@@ -295,6 +299,7 @@ def verify(check, seed_path, paths_spec, max_len, rng_seed, depth, as_json):
     elif check in ("duality", "signcoherence"):
         atlas = _enumerate_or_die(ed, depth)
         eye = mat_identity(ed.n)
+        seeds_by_prefix = {}
         for rec in atlas.cones:
             label = "cone " + (",".join(str(k + 1) for k in rec.path)
                                or "(initial)")
@@ -304,7 +309,7 @@ def verify(check, seed_path, paths_spec, max_len, rng_seed, depth, as_json):
                     results.append((label, ok,
                                     "" if ok else "mixed-sign column"))
                     continue
-                G = g_matrix_degrees(ed, rec.path)
+                G = g_matrix_degrees(ed, rec.path, seeds_by_prefix)
                 if mat_mul(mat_transpose(G), rec.Cd) != eye:
                     results.append((label, False, "duality identity failed"))
                 elif abs(mat_det(G)) != 1:
@@ -472,7 +477,12 @@ def star_cmd(fan_path, tau, as_json):
     obj = _load_json_file(fan_path, "fan")
     try:
         atlas = fan_from_json(obj)
-    except FanDepthExceeded:
+    except FanDepthExceeded as exc:
+        if exc.depth is not None:
+            _fail(EXIT_TRUNCATED,
+                  f"fan file {fan_path} is marked complete, but the "
+                  "re-enumeration of its stored seed is still growing at "
+                  f"depth {exc.depth}; the seed may be of infinite type")
         _fail(EXIT_TRUNCATED,
               f"fan file {fan_path} is marked incomplete (truncated "
               "enumeration); re-run fan with a larger --depth")

@@ -452,12 +452,25 @@ class PosRatFunc:
     # -- expansion --------------------------------------------------------
     def num_den_split(self):
         """Split into ([unit]+ exps, positive factor dict, [unit]- exps,
-        negative factor dict with positive exponents)."""
-        up = tuple(max(x, 0) for x in self.unit)
-        un = tuple(max(-x, 0) for x in self.unit)
-        nf = {p: e for p, e in self.factors.items() if e > 0}
-        df = {p: -e for p, e in self.factors.items() if e < 0}
-        return up, nf, un, df
+        negative factor dict with positive exponents).  One pass over the
+        unit and one over the factors, whose exponents are never zero."""
+        up = []
+        un = []
+        for x in self.unit:
+            if x >= 0:
+                up.append(x)
+                un.append(0)
+            else:
+                up.append(0)
+                un.append(-x)
+        nf = {}
+        df = {}
+        for p, e in self.factors.items():
+            if e > 0:
+                nf[p] = e
+            else:
+                df[p] = -e
+        return tuple(up), nf, tuple(un), df
 
     def expand(self):
         """Return (num, den) positive-coefficient Laurent polynomials with

@@ -6,7 +6,9 @@ inward facet normals are the columns of the c-matrix of the negated-transpose
 pattern along the same path, so all membership tests are integer arithmetic.
 A walk step moves a seed's exchange matrix, c-matrix, g-matrix and dual
 c-matrix together, in integers only: the g-matrix changes in column k by the
-recurrence (6.12) of Fomin-Zelevinsky, Cluster algebras IV.
+recurrence (6.12) of Fomin-Zelevinsky, Cluster algebras IV.  The walk keys
+each step by that one new g-vector and steps the full record only onto a
+cone it has not seen.
 """
 
 from __future__ import annotations
@@ -19,7 +21,13 @@ from .seeds import ExchangeData, json_int, mutate_matrix, seed_from_json
 
 
 class FanDepthExceeded(Exception):
-    """BFS hit the depth cap before closing; the fan may be infinite."""
+    """BFS hit the depth cap before closing; the fan may be infinite.
+    ``depth`` is the cap the walk reached, or None when a fan file was
+    marked incomplete by the walk that wrote it."""
+
+    def __init__(self, msg, depth=None):
+        super().__init__(msg)
+        self.depth = depth
 
 
 def primitive(v):
@@ -63,12 +71,10 @@ class ConeRecord:
         return cls(0, (), ed.B, I, I, I)
 
     def generators(self):
-        n = len(self.G)
-        return tuple(tuple(self.G[i][j] for i in range(n)) for j in range(n))
+        return tuple(zip(*self.G))
 
     def normals(self):
-        n = len(self.Cd)
-        return tuple(tuple(self.Cd[i][j] for i in range(n)) for j in range(n))
+        return tuple(zip(*self.Cd))
 
     def key(self):
         return frozenset(self.generators())
@@ -122,28 +128,37 @@ class GFanAtlas:
         return {c.key(): c for c in self.cones}
 
 
+def g_vector_step(cone, k):
+    """The k-th g-vector of the cone across the wall in direction k, by
+    Cluster algebras IV (6.12) under sign coherence: g'_k = -g_k +
+    sum_l [-e*b_lk]_+ g_l, with e the sign of the k-th c-vector.  Raises
+    ``CheckFailed`` when that c-vector is not sign-coherent."""
+    col = tuple(row[k] for row in cone.C)
+    pos = max(col) > 0
+    if pos == (min(col) < 0):
+        path = ",".join(str(j + 1) for j in cone.path) or "(initial)"
+        raise CheckFailed(f"cone at path {path}: c-vector {k + 1} {col} is "
+                          f"not sign-coherent")
+    e = 1 if pos else -1
+    terms = [(l, a) for l, row in enumerate(cone.B[:len(col)])
+             if (a := -e * row[k]) > 0]
+    return tuple([sum([row[l] * a for l, a in terms]) - row[k]
+                  for row in cone.G])
+
+
 def g_cone_step(cone, k):
     """The cone across the wall in direction k, stepped in integers.
 
     B mutates; C and the dual c-matrix Cd step by the c-vector recurrence,
     Cd for the negated-transpose pattern, which needs no matrix of its own
     because matrix mutation commutes with negating the transpose.  Only
-    column k of G changes, by Cluster algebras IV (6.12) under sign
-    coherence: g'_k = -g_k + sum_l [-e*b_lk]_+ g_l, with e the sign of the
-    k-th c-vector.  The new record has no atlas index.
+    column k of G changes, to ``g_vector_step(cone, k)``.  The new record
+    has no atlas index.
     """
     n = len(cone.C)
     B = cone.B
-    col = tuple(cone.C[i][k] for i in range(n))
-    pos = any(x > 0 for x in col)
-    if pos == any(x < 0 for x in col):
-        path = ",".join(str(j + 1) for j in cone.path) or "(initial)"
-        raise CheckFailed(f"cone at path {path}: c-vector {k + 1} {col} is "
-                          f"not sign-coherent")
-    e = 1 if pos else -1
-    a = [max(-e * B[l][k], 0) for l in range(n)]
-    G = tuple(row[:k] + (sum(x * y for x, y in zip(a, row)) - row[k],)
-              + row[k + 1:] for row in cone.G)
+    g = g_vector_step(cone, k)
+    G = tuple(row[:k] + (x,) + row[k + 1:] for row, x in zip(cone.G, g))
     Bd = tuple(tuple(-B[j][i] for j in range(n)) for i in range(n))
     return ConeRecord(None, cone.path + (k,), mutate_matrix(B, k),
                       c_matrix_step(cone.C, B, k), G,
@@ -152,9 +167,10 @@ def g_cone_step(cone, k):
 
 def enumerate_gfan(ed, depth_cap=64, allowed=None, partial=False):
     """Breadth-first walk of the seed pattern, one node per distinct set of
-    g-vector columns.  When new cones still appear at the cap, raises
-    FanDepthExceeded, or with ``partial`` returns the truncated atlas marked
-    incomplete."""
+    g-vector columns.  A step first computes only the new g-vector; the
+    full record is stepped only when the resulting cone is new.  When new
+    cones still appear at the cap, raises FanDepthExceeded, or with
+    ``partial`` returns the truncated atlas marked incomplete."""
     allowed = tuple(range(ed.n)) if allowed is None else tuple(allowed)
     root = ConeRecord.initial(ed)
     cones = [root]
@@ -169,20 +185,21 @@ def enumerate_gfan(ed, depth_cap=64, allowed=None, partial=False):
                 complete = False
                 break
             raise FanDepthExceeded(
-                f"new cones still appearing at depth {depth_cap}")
+                f"new cones still appearing at depth {depth_cap}", depth_cap)
         nxt = []
         for src in frontier:
+            gens = src.generators()
             for k in allowed:
-                rec = g_cone_step(src, k)
-                key = rec.key()
-                if key in seen:
-                    adjacency[(src.index, k)] = seen[key]
-                    continue
-                rec.index = len(cones)
-                cones.append(rec)
-                seen[key] = rec.index
-                adjacency[(src.index, k)] = rec.index
-                nxt.append(rec)
+                key = frozenset(gens[:k] + (g_vector_step(src, k),)
+                                + gens[k + 1:])
+                index = seen.get(key)
+                if index is None:
+                    rec = g_cone_step(src, k)
+                    index = rec.index = len(cones)
+                    cones.append(rec)
+                    seen[key] = index
+                    nxt.append(rec)
+                adjacency[(src.index, k)] = index
         frontier = nxt
         depth += 1
     return GFanAtlas(ExchangeData(ed.B, ed.n, ed.d), cones, adjacency, allowed,
@@ -459,11 +476,20 @@ def fan_to_json(atlas):
     }
 
 
+def _add_once(items, x, field):
+    """Add ``x`` to the dict ``items``, used as an ordered set, unless the
+    file already listed it."""
+    if x in items:
+        raise ValueError(f"{field} repeats an earlier entry")
+    items[x] = None
+
+
 def fan_from_json(obj):
     """Rebuild a complete atlas from its serialized form: re-enumerate from
     the stored seed and require the file's rays and maximal cones to match.
     Incomplete files are rejected.  Rays, cone indices and allowed
-    directions must be integers, of length n and in range; anything else
+    directions must be integers, of length n and in range, and none may be
+    listed twice; each maximal cone lists n distinct rays.  Anything else
     raises ``ValueError`` naming the field."""
     complete = obj.get("complete", True)
     if not isinstance(complete, bool):
@@ -472,22 +498,29 @@ def fan_from_json(obj):
         raise FanDepthExceeded("fan file is marked incomplete")
     ed, _ = seed_from_json(obj["seed"])
     n = ed.n
-    allowed = tuple(json_int(k, f"allowed[{i}]", 1, n) - 1 for i, k in
-                    enumerate(obj.get("allowed", range(1, n + 1))))
-    rays = []
+    allowed = {}
+    for i, k in enumerate(obj.get("allowed", range(1, n + 1))):
+        _add_once(allowed, json_int(k, f"allowed[{i}]", 1, n) - 1,
+                  f"allowed[{i}]")
+    rays = {}
     for i, r in enumerate(obj["rays"]):
         if not isinstance(r, list) or len(r) != n:
             raise ValueError(f"rays[{i}] must be a list of n = {n} integers")
-        rays.append(tuple(json_int(x, f"rays[{i}][{j}]")
-                          for j, x in enumerate(r)))
-    file_cones = set()
+        _add_once(rays, tuple(json_int(x, f"rays[{i}][{j}]")
+                              for j, x in enumerate(r)), f"rays[{i}]")
+    rays = tuple(rays)
+    file_cones = {}
     for i, idxs in enumerate(obj["maximal_cones"]):
-        file_cones.add(frozenset(
+        cone = frozenset(
             rays[json_int(x, f"maximal_cones[{i}][{j}]", 0, len(rays) - 1)]
-            for j, x in enumerate(idxs)))
-    atlas = enumerate_gfan(ed, allowed=allowed)
+            for j, x in enumerate(idxs))
+        if len(cone) != n or len(idxs) != n:
+            raise ValueError(f"maximal_cones[{i}] must list n = {n} "
+                             "distinct ray indices")
+        _add_once(file_cones, cone, f"maximal_cones[{i}]")
+    atlas = enumerate_gfan(ed, allowed=tuple(allowed))
     if set(rays) != set(atlas.rays):
         raise CheckFailed("fan file rays do not match re-enumeration")
-    if file_cones != {c.key() for c in atlas.cones}:
+    if set(file_cones) != {c.key() for c in atlas.cones}:
         raise CheckFailed("fan file cones do not match re-enumeration")
     return atlas

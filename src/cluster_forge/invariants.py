@@ -13,7 +13,9 @@ cross-checked in the test suite:
 The g-fan walk uses neither: ``gfan.g_cone_step`` steps g-vectors by the
 integer recurrence of Cluster algebras IV (6.12), and the two routes here,
 with ``c_matrix`` and ``c_matrix_tropical`` for its c-matrices, are what
-the walk is checked against.
+the walk is checked against.  The degree route may share path prefixes
+through its memo, but it reads only a walked cone's path, never its
+matrices, so it stays independent of the walk.
 """
 
 from __future__ import annotations
@@ -197,13 +199,27 @@ def principal_grading(n, B0):
     return Grading(degs)
 
 
-def g_matrix_degrees(ed, path):
+def g_matrix_degrees(ed, path, memo=None):
     """Degree route: multi-degrees of the principal-coefficient cluster
-    variables; column j is the degree vector of the j-th variable."""
-    seed = ClusterSeedCoeff.initial_principal(ed)
+    variables; column j is the degree vector of the j-th variable.
+
+    ``memo``, when given, is a dict from path prefix to the principal
+    cluster seed at it; it is read and filled here, so a caller walking
+    many paths that share prefixes, such as the cones of a breadth-first
+    atlas, mutates once per new prefix.  It is keyed on the path alone, so
+    it must live no longer than one ``ed``.
+    """
+    path = tuple(path)
+    memo = {} if memo is None else memo
+    start = len(path)
+    while start and path[:start] not in memo:
+        start -= 1
+    seed = memo.get(path[:start])
+    if seed is None:
+        seed = memo[()] = ClusterSeedCoeff.initial_principal(ed)
+    for i in range(start, len(path)):
+        seed = memo[path[:i + 1]] = mutate_cluster_seed(seed, path[i])
     grading = principal_grading(ed.n, ed.B)
-    for k in path:
-        seed = mutate_cluster_seed(seed, k)
     cols = [degree_of(x, grading) for x in seed.x]
     return tuple(tuple(cols[j][i] for j in range(ed.n)) for i in range(ed.n))
 

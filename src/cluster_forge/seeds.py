@@ -350,6 +350,8 @@ def seed_from_json(obj):
     integer, and ``p`` holds either no tuple or ``n`` tuples of length
     ``coeff_rank``; anything else raises ``ValueError`` naming the field.
     """
+    if not isinstance(obj, dict):
+        raise ValueError("a seed must be a JSON object")
     n = json_int(obj["n"], "n")
     B = [[json_int(x, f"B[{i}][{j}]") for j, x in enumerate(row)]
          for i, row in enumerate(obj["B"])]

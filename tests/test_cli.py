@@ -1,6 +1,7 @@
 """Command-line behavior: output formats, golden bytes, exit codes, and the
 fan round-trip."""
 
+import functools
 import gc
 import io
 import json
@@ -10,7 +11,9 @@ import sys
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from cluster_forge import invariants
 from cluster_forge.cli import main
 from cluster_forge.corpus import (
     a2_principal_table_text,
@@ -242,6 +245,141 @@ def test_fan_tampered_file_is_input_error():
             assert "fan.json" in res.stderr and named in res.stderr
 
 
+@functools.cache
+def _fan_text(seed_name):
+    with CliRunner().isolated_filesystem():
+        run("fan", "--seed", fixture(seed_name), "--out", "fan.json")
+        with open("fan.json") as fh:
+            return fh.read()
+
+
+def _fan_file(seed_name):
+    """A fresh copy of the JSON object that ``fan --out`` writes for a
+    fixture seed."""
+    return json.loads(_fan_text(seed_name))
+
+
+@pytest.mark.parametrize("what, value", [
+    ("fan", []), ("fan", "x"), ("fan", 3), ("seed", []), ("seed", None)])
+def test_json_file_that_is_not_an_object_is_input_error(tmp_path, what,
+                                                         value):
+    path = tmp_path / "file.json"
+    path.write_text(json.dumps(value))
+    args = (("star", "--fan", str(path), "--tau", "ray:1") if what == "fan"
+            else ("fan", "--seed", str(path)))
+    res = run(*args)
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert f"{what} file {path} must hold a JSON object" in res.stderr
+
+
+def test_fan_file_nested_seed_must_be_an_object(tmp_path):
+    obj = _fan_file("a2.json")
+    obj["seed"] = [[0, 1], [-1, 0]]
+    path = tmp_path / "fan.json"
+    path.write_text(json.dumps(obj))
+    res = run("star", "--fan", str(path), "--tau", "ray:1")
+    assert res.exit_code == 2
+    assert "a seed must be a JSON object" in res.stderr
+
+
+def test_star_on_a_complete_file_whose_seed_never_closes(tmp_path):
+    """A Kronecker seed stored in a file marked complete: exit 4, and the
+    message names the growing re-enumeration, not a truncated file."""
+    obj = _fan_file("a2.json")
+    obj["seed"]["B"] = [[0, 2], [-2, 0]]
+    path = tmp_path / "fan.json"
+    path.write_text(json.dumps(obj))
+    res = run("star", "--fan", str(path), "--tau", "ray:1")
+    assert res.exit_code == 4
+    assert "marked complete" in res.stderr
+    assert "still growing at depth 64" in res.stderr
+    assert "incomplete" not in res.stderr
+
+
+@pytest.mark.parametrize("tamper, named", [
+    (lambda o: o["rays"].append(o["rays"][2]), "rays[5]"),
+    (lambda o: o["rays"].insert(1, o["rays"][0]), "rays[1]"),
+    (lambda o: o["maximal_cones"].append(o["maximal_cones"][0]),
+     "maximal_cones[5]"),
+    (lambda o: o["maximal_cones"].append(o["maximal_cones"][3][::-1]),
+     "maximal_cones[5]"),
+    (lambda o: o["maximal_cones"][1].insert(0, o["maximal_cones"][1][0]),
+     "maximal_cones[1]"),
+    (lambda o: o["maximal_cones"][1].pop(), "maximal_cones[1]"),
+    (lambda o: o.__setitem__("allowed", [1, 2, 1]), "allowed[2]"),
+], ids=["ray-appended", "ray-inserted", "cone-appended", "cone-reversed",
+        "cone-repeats-a-ray", "cone-too-short", "allowed-repeated"])
+def test_fan_file_listing_an_entry_twice_is_input_error(tmp_path, tamper,
+                                                        named):
+    obj = _fan_file("a2.json")
+    tamper(obj)
+    path = tmp_path / "fan.json"
+    path.write_text(json.dumps(obj))
+    res = run("star", "--fan", str(path), "--tau", "ray:1")
+    assert res.exit_code == 2
+    assert "fan.json" in res.stderr and named in res.stderr
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 6)
+    | st.floats(-2, 2, allow_nan=False) | st.text("ab01", max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text("ab", max_size=2), inner, max_size=3),
+    max_leaves=8)
+
+
+_LEFT_OUT = object()
+
+
+def _fan_field(valid, entry=None):
+    """A fan-file field: as written, left out, any JSON value, and for a
+    list field also entries of the right kind in any number, or the
+    written entries reordered, repeated or dropped."""
+    out = st.just(valid) | st.just(_LEFT_OUT) | _JSON
+    if entry is None:
+        return out
+    return (out | st.lists(entry, max_size=8)
+            | st.lists(st.sampled_from(valid), max_size=len(valid) + 2)
+            | st.permutations(valid))
+
+
+@st.composite
+def _fan_files(draw):
+    base = _fan_file(draw(st.sampled_from(["a2.json", "b2.json"])))
+    if not draw(st.booleans()):
+        return draw(_JSON.filter(lambda v: not isinstance(v, dict)))
+    ints = st.integers(-2, 6)
+    entries = {
+        "rays": st.lists(ints, min_size=1, max_size=3),
+        "maximal_cones": st.lists(ints, max_size=3),
+        "allowed": ints,
+        "complete": None,
+    }
+    for field, entry in entries.items():
+        value = draw(_fan_field(base[field], entry))
+        if value is _LEFT_OUT:
+            del base[field]
+        else:
+            base[field] = value
+    return base
+
+
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_fan_files(),
+       st.sampled_from(["ray:1", "ray:4", "ray:6", "ray:0", "ray:x", "1"]))
+def test_star_fuzzed_fan_files_exit_cleanly(tmp_path, obj, tau):
+    """Fan files with their fields replaced, dropped, repeated or reordered
+    around a fixed finite-type seed: star ends with exit 0-4 and no
+    exception other than SystemExit."""
+    path = tmp_path / "fan.json"
+    path.write_text(json.dumps(obj))
+    res = run("star", "--fan", str(path), "--tau", tau)
+    assert res.exit_code in range(5)
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+
+
 def test_in_process_calls_free_their_streams():
     """Repeated in-process calls, on stdout and on stderr, leave no text
     stream alive behind them."""
@@ -268,6 +406,23 @@ def test_verify_duality_a3_all_cones():
         res = run("verify", "duality", "--seed", fixture(name))
         assert res.exit_code == 0
         assert summary in res.output
+
+
+def test_verify_duality_mutates_once_per_new_cone(monkeypatch):
+    """The degree route shares path prefixes across one atlas: A3 has 14
+    cones, so 13 mutations past the initial seed."""
+    calls = []
+    mutate = invariants.mutate_cluster_seed
+
+    def counted(seed, k):
+        calls.append(k)
+        return mutate(seed, k)
+
+    monkeypatch.setattr(invariants, "mutate_cluster_seed", counted)
+    res = run("verify", "duality", "--seed", fixture("a3.json"))
+    assert res.exit_code == 0
+    assert "14/14 ok" in res.output
+    assert len(calls) == 13
 
 
 def test_verify_separation_reproducible_with_rng_seed():

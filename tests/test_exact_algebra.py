@@ -422,6 +422,23 @@ def test_trusted_results_equal_their_validated_copies(a, b, c, k, f, g, j):
     assert f.mul(g).power(-2).mul(g.power(2)) == f.power(-2)
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), posrats(),
+       posrats(max_terms=3), st.integers(-3, 3))
+def test_num_den_split_parts(unit, f, g, k):
+    """The four parts of the split: unit = up - un with both parts
+    nonnegative and never both positive in one place, and the factors
+    split by sign with every exponent positive and no key in both."""
+    h = PosRatFunc.monomial(XY, unit).mul(f).mul(g.power(k))
+    up, nf, un, df = h.num_den_split()
+    assert tuple(a - b for a, b in zip(up, un)) == h.unit
+    assert all(a >= 0 and b >= 0 and min(a, b) == 0 for a, b in zip(up, un))
+    assert not nf.keys() & df.keys()
+    assert all(e > 0 for e in nf.values())
+    assert all(e > 0 for e in df.values())
+    assert {**nf, **{p: -e for p, e in df.items()}} == h.factors
+
+
 @settings(max_examples=40, deadline=None)
 @given(posrats(), posrats())
 def test_prf_add_agrees_with_expanded_arithmetic(f, g):

@@ -1,5 +1,8 @@
 """Fan enumeration, fan axioms, stars, and rank-2 polytopes."""
 
+import json
+import os
+
 import pytest
 
 from cluster_forge.invariants import CheckFailed, mat_identity
@@ -10,12 +13,13 @@ from cluster_forge.gfan import (
     enumerate_gfan,
     fan_to_json,
     g_cone_step,
+    g_vector_step,
     normal_fan_of_polygon,
     polytope_P,
     primitive,
     star,
 )
-from cluster_forge.seeds import ExchangeData
+from cluster_forge.seeds import ExchangeData, seed_from_json
 
 A1 = ExchangeData(((0,),), 1)
 A2 = ExchangeData(((0, 1), (-1, 0)), 2)
@@ -28,6 +32,8 @@ A4 = ExchangeData(((0, 1, 0, 0), (-1, 0, 1, 0), (0, -1, 0, 1),
                    (0, 0, -1, 0)), 4)
 D4 = ExchangeData(((0, 1, 0, 0), (-1, 0, 1, 1), (0, -1, 0, 0),
                    (0, -1, 0, 0)), 4)
+A5 = ExchangeData(tuple(tuple(1 if j == i + 1 else -1 if j == i - 1 else 0
+                             for j in range(5)) for i in range(5)), 5)
 # same rank-3 shape with reversed arrows, used for the frozen-direction fan
 A3_REV = ExchangeData(((0, -1, 0), (1, 0, -1), (0, 1, 0)), 3)
 MARKOV = ExchangeData(((0, 2, -2), (-2, 0, 2), (2, -2, 0)), 3)
@@ -35,6 +41,53 @@ MARKOV = ExchangeData(((0, 2, -2), (-2, 0, 2), (2, -2, 0)), 3)
 A2_RAYS = ((-1, 0), (-1, 1), (0, -1), (0, 1), (1, 0))
 A2_CONE_CYCLE = [(1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1)]
 B2_RAYS = ((-1, 0), (0, -1), (0, 1), (1, -2), (1, -1), (1, 0))
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "..", "src",
+                        "cluster_forge", "fixtures")
+with open(os.path.join(FIXTURES, "gr25.json"), encoding="utf-8") as _fh:
+    GR25 = seed_from_json(json.load(_fh))[0]
+
+FINITE = [A1, A2, B2, G2, A3, B3, C3, A4, D4, A5, GR25]
+FINITE_IDS = ["a1", "a2", "b2", "g2", "a3", "b3", "c3", "a4", "d4", "a5",
+              "gr25"]
+
+
+def reference_walk(ed, depth_cap=64, allowed=None, partial=False):
+    """The breadth-first walk that steps the full record on every wall:
+    (cones, adjacency, allowed, complete)."""
+    allowed = tuple(range(ed.n)) if allowed is None else tuple(allowed)
+    cones = [ConeRecord.initial(ed)]
+    seen = {cones[0].key(): 0}
+    adjacency = {}
+    frontier = [0]
+    depth = 0
+    while frontier:
+        if depth > depth_cap:
+            assert partial
+            return cones, adjacency, allowed, False
+        nxt = []
+        for i in frontier:
+            for k in allowed:
+                rec = g_cone_step(cones[i], k)
+                if rec.key() not in seen:
+                    seen[rec.key()] = len(cones)
+                    cones.append(rec)
+                    nxt.append(seen[rec.key()])
+                adjacency[(i, k)] = seen[rec.key()]
+        frontier = nxt
+        depth += 1
+    return cones, adjacency, allowed, True
+
+
+def assert_walk_matches_reference(ed, **kw):
+    atlas = enumerate_gfan(ed, **kw)
+    cones, adjacency, allowed, complete = reference_walk(ed, **kw)
+    assert [c.index for c in atlas.cones] == list(range(len(cones)))
+    assert [(c.path, c.B, c.C, c.G, c.Cd) for c in atlas.cones] == \
+        [(c.path, c.B, c.C, c.G, c.Cd) for c in cones]
+    assert atlas.adjacency == adjacency
+    assert atlas.allowed == allowed
+    assert atlas.complete is complete
 
 
 def test_cone_counts():
@@ -63,6 +116,32 @@ def test_cone_by_key_agrees_with_a_linear_scan(ed):
     assert atlas.cone_by_key(frozenset()) is None
 
 
+@pytest.mark.parametrize("ed", FINITE, ids=FINITE_IDS)
+def test_walk_matches_the_full_step_reference(ed):
+    assert_walk_matches_reference(ed)
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2])
+def test_partial_walk_matches_the_full_step_reference(depth):
+    for ed in (A3, D4, A5, MARKOV):
+        assert_walk_matches_reference(ed, depth_cap=depth, partial=True)
+
+
+def test_restricted_walk_matches_the_full_step_reference():
+    assert_walk_matches_reference(A3_REV, allowed=(1, 2))
+    assert_walk_matches_reference(D4, allowed=(3, 1, 0))
+    assert_walk_matches_reference(A5, allowed=(0, 2, 4), depth_cap=1,
+                                  partial=True)
+
+
+@pytest.mark.parametrize("ed", FINITE, ids=FINITE_IDS)
+def test_g_vector_step_is_the_new_column_of_the_full_step(ed):
+    for cone in enumerate_gfan(ed).cones:
+        for k in range(ed.n):
+            G = g_cone_step(cone, k).G
+            assert g_vector_step(cone, k) == tuple(row[k] for row in G)
+
+
 def test_a2_rays_and_cones():
     atlas = enumerate_gfan(A2)
     assert atlas.rays == A2_RAYS
@@ -84,12 +163,16 @@ def test_fan_axioms_hold():
 def test_g_cone_step_needs_a_sign_coherent_column():
     rec = ConeRecord(None, (1, 0), A2.B, ((1, 0), (-1, 1)), mat_identity(2),
                      mat_identity(2))
-    with pytest.raises(CheckFailed, match=r"path 2,1: c-vector 1 \(1, -1\)"):
-        g_cone_step(rec, 0)
-    with pytest.raises(CheckFailed, match="c-vector 2"):
-        g_cone_step(ConeRecord(None, (), A2.B, ((1, 0), (0, 0)),
-                               mat_identity(2), mat_identity(2)), 1)
+    zero = ConeRecord(None, (), A2.B, ((1, 0), (0, 0)), mat_identity(2),
+                      mat_identity(2))
+    for step in (g_cone_step, g_vector_step):
+        with pytest.raises(CheckFailed,
+                           match=r"path 2,1: c-vector 1 \(1, -1\)"):
+            step(rec, 0)
+        with pytest.raises(CheckFailed, match=r"\(initial\): c-vector 2"):
+            step(zero, 1)
     assert g_cone_step(rec, 1).path == (1, 0, 1)
+    assert g_vector_step(rec, 1) == (0, -1)
 
 
 def test_adjacency_walks_every_wall():

@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from cluster_forge.gfan import ConeRecord, g_cone_step
+from cluster_forge.gfan import ConeRecord, enumerate_gfan, g_cone_step
 from cluster_forge.invariants import (
     CheckFailed,
     c_matrix,
@@ -33,6 +33,10 @@ A3 = ExchangeData(((0, 1, 0), (-1, 0, 1), (0, -1, 0)), 3)
 G2 = ExchangeData(((0, -1), (3, 0)), 2, (3, 1))
 B3 = ExchangeData(((0, 1, 0), (-1, 0, 1), (0, -2, 0)), 3, (2, 2, 1))
 C3 = ExchangeData(((0, 1, 0), (-1, 0, 2), (0, -1, 0)), 3, (1, 1, 2))
+A4 = ExchangeData(((0, 1, 0, 0), (-1, 0, 1, 0), (0, -1, 0, 1),
+                   (0, 0, -1, 0)), 4)
+D4 = ExchangeData(((0, 1, 0, 0), (-1, 0, 1, 1), (0, -1, 0, 0),
+                   (0, -1, 0, 0)), 4)
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "src",
                         "cluster_forge", "fixtures")
@@ -117,6 +121,24 @@ def test_g_matrix_routes_agree():
             assert g_matrix(ed, pre) == g_matrix_degrees(ed, pre) == rec.G
             assert rec.C == c_matrix(ed, pre)
             assert rec.Cd == c_matrix(dual, pre)
+
+
+def test_g_matrix_degrees_with_a_shared_memo():
+    """One memo across every cone of an atlas, filled in breadth-first
+    order, gives the memo-free degrees and the duality route's G; each
+    cone's path then costs one mutation."""
+    for ed in (G2, B3, C3, A4, D4, fixture_exchange("gr25.json")):
+        memo = {}
+        atlas = enumerate_gfan(ed)
+        for cone in atlas.cones:
+            G = g_matrix_degrees(ed, cone.path, memo)
+            assert G == g_matrix_degrees(ed, cone.path)
+            assert G == g_matrix(ed, cone.path)
+        assert set(memo) == {cone.path for cone in atlas.cones}
+        # a path off the atlas extends the memo from its longest prefix
+        path = (0, 1, 0, 1, 0, 1, 0)
+        assert g_matrix_degrees(ed, path, memo) == g_matrix(ed, path)
+        assert path in memo
 
 
 def test_duality_of_c_and_g():
