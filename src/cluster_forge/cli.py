@@ -24,7 +24,7 @@ from .degeneration import (
     specialize_fiber,
     strata_consistency_check,
 )
-from .exact_algebra import ExactAlgebraError, limit_t_zero
+from .exact_algebra import ExactAlgebraError, limit_t_zero, ratio_text
 from .gfan import (
     FanDepthExceeded,
     enumerate_gfan,
@@ -97,7 +97,7 @@ def _load_seed(path):
         _fail(EXIT_INPUT, f"seed file {path} is malformed: {exc}")
 
 
-def _parse_directions(text, ed, source, mutable_only=True):
+def _parse_directions(text, ed, source):
     """Comma-separated 1-based directions to 0-based, validating range and
     frozenness."""
     if not text:
@@ -112,7 +112,7 @@ def _parse_directions(text, ed, source, mutable_only=True):
         if not 1 <= k <= ed.size:
             _fail(EXIT_INPUT,
                   f"{source}: direction {k} out of range 1..{ed.size}")
-        if mutable_only and k > ed.n:
+        if k > ed.n:
             _fail(EXIT_FROZEN,
                   f"{source}: direction {k} is frozen (mutable directions "
                   f"are 1..{ed.n})")
@@ -251,9 +251,9 @@ def _random_paths(ed, paths_arg, max_len, rng_seed, source):
     return [_parse_directions(p, ed, source) for p in paths_arg.split(";")]
 
 
-def _enumerate_or_die(ed, depth, allowed=None):
+def _enumerate_or_die(ed, depth):
     try:
-        return enumerate_gfan(ed, depth_cap=depth, allowed=allowed)
+        return enumerate_gfan(ed, depth_cap=depth)
     except FanDepthExceeded:
         _fail(EXIT_TRUNCATED,
               f"fan enumeration is still growing at depth {depth}; "
@@ -401,17 +401,8 @@ def degenerate(seed_path, at_text, depth, as_json):
             images = [limit_t_zero(f, fam.tnames).to_text()
                       for f in T.images]
         else:
-            images = []
-            for f in specialize_fiber(T.images, fam.tnames, u):
-                nt, dt = f.num.to_text(), f.den.to_text()
-                if dt == "1":
-                    images.append(nt)
-                    continue
-                if " " in nt:
-                    nt = f"({nt})"
-                if " " in dt or "*" in dt:
-                    dt = f"({dt})"
-                images.append(f"{nt} / {dt}")
+            images = [ratio_text(f.num, f.den) for f in
+                      specialize_fiber(T.images, fam.tnames, u)]
         walls.append({"src": src, "direction": k + 1, "dst": dst,
                       "images": images})
     if as_json:
@@ -503,13 +494,14 @@ def star_cmd(fan_path, tau, as_json):
         st = star(atlas, [ray])
     except CheckFailed as exc:
         _fail(EXIT_VERIFY, str(exc))
+    restricted = st.restricted.B if st.restricted else ()
     data = {
         "ray": list(ray),
         "base_cone_path": [k + 1 for k in st.base.path],
         "quotient_rows": [list(r) for r in st.quotient_rows],
         "projected_cones": [{"cone": idx, "generators": [list(g) for g in gens]}
                             for idx, gens in st.proj_cones],
-        "restricted_matrix": [list(r) for r in st.restricted.B],
+        "restricted_matrix": [list(r) for r in restricted],
     }
     if as_json:
         _echo_json(data)
@@ -522,7 +514,7 @@ def star_cmd(fan_path, tau, as_json):
         for pc in data["projected_cones"]:
             gens = ", ".join(str(tuple(g)) for g in pc["generators"])
             _echo(f"cone {pc['cone']}: {gens}")
-        _echo(f"restricted matrix: {corpus.mat_text(st.restricted.B)}")
+        _echo(f"restricted matrix: {corpus.mat_text(restricted)}")
     sys.exit(EXIT_OK)
 
 

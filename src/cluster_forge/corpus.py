@@ -53,7 +53,7 @@ from .gfan import (
     normal_fan_of_polygon,
     polytope_P,
 )
-from .degeneration import column, family_vars, family_wall_images
+from .degeneration import column, composer, family_vars, family_wall_images
 
 
 # -- fixture exchange data ----------------------------------------------------
@@ -189,10 +189,8 @@ def principal_family_walk(ed, path):
     cone = ConeRecord.initial(ed)
     rows = [(cone.B, cone.C, images)]
     for k in path:
-        step = family_wall_images(cone.B, k, column(cone.C, k), xn, tn)
-        subst = dict(zip(xn, images))
-        memo = {}
-        images = tuple(img.evaluate(subst, memo) for img in step)
+        images = composer(xn, images)(
+            family_wall_images(cone.B, k, column(cone.C, k), xn, tn))
         cone = g_cone_step(cone, k)
         rows.append((cone.B, cone.C, images))
     return rows

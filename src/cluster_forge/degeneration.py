@@ -36,10 +36,19 @@ def column(M, j):
     return tuple(row[j] for row in M)
 
 
-def family_vars(n, r=None):
-    """Patch coordinate names X1..Xn followed by base parameters t1..tr."""
-    r = n if r is None else r
-    return tuple(f"X{i + 1}" for i in range(n)), t_vars(r)
+def family_vars(n):
+    """Patch coordinate names X1..Xn followed by base parameters t1..tn."""
+    return tuple(f"X{i + 1}" for i in range(n)), t_vars(n)
+
+
+def composer(xnames, images):
+    """Composition with the substitution X_i -> images[i]: the returned
+    function maps a tuple of functions in the coordinates to their
+    composites.  Every tuple it is given shares one factor memo, which is
+    valid for this one substitution only."""
+    subst = dict(zip(xnames, images))
+    memo = {}
+    return lambda fs: tuple(f.evaluate(subst, memo) for f in fs)
 
 
 def family_wall_images(B, k, c_k, xnames, tnames):
@@ -91,20 +100,26 @@ def wall_binomial(vars, k, c_k, n):
 
 
 class TransitionMap:
-    """Coordinate images across one wall: entry i is the pullback of the far
-    patch's i-th coordinate, written in the near patch's coordinates."""
+    """One wall of the family: the near cone record, the coordinate images
+    (entry i the pullback of the far patch's i-th coordinate, written in
+    the near patch's coordinates), and the far record ``g_cone_step(near,
+    k)``, its columns in the near record's order, stepped on first use."""
 
-    __slots__ = ("src", "dst", "k", "images", "vars")
+    __slots__ = ("src", "dst", "k", "near", "images", "_far")
 
-    def __init__(self, src, dst, k, images):
+    def __init__(self, src, dst, k, near, images):
         self.src = src
         self.dst = dst
         self.k = k
+        self.near = near
         self.images = tuple(images)
-        self.vars = self.images[0].vars
+        self._far = None
 
-    def subst(self, xnames):
-        return dict(zip(xnames, self.images))
+    @property
+    def far(self):
+        if self._far is None:
+            self._far = g_cone_step(self.near, self.k)
+        return self._far
 
 
 class Family:
@@ -115,17 +130,17 @@ class Family:
     transitions (keyed on cone index, direction and coefficient-freeness),
     pullbacks of patch coordinates to the initial patch (keyed on cone
     index), and wall images (keyed on row k of the exchange matrix, k and
-    the coefficient vector, everything ``family_wall_images`` reads).  Every
-    check here that builds wall images in the family's own variables reads
-    the wall-image cache.
+    the coefficient vector, everything ``family_wall_images`` reads).  The
+    transition is the one place a wall's far record is stepped; the checks
+    read it there.  Every check here that builds wall images in the
+    family's own variables reads the wall-image cache.
     """
 
-    def __init__(self, ed, atlas=None, depth_cap=64):
+    def __init__(self, ed, atlas=None):
         if ed.m:
             raise ValueError("the glued family needs fully mutable data")
         self.ed = ed
-        self.atlas = atlas if atlas is not None else enumerate_gfan(
-            ed, depth_cap=depth_cap)
+        self.atlas = atlas if atlas is not None else enumerate_gfan(ed)
         self.xnames, self.tnames = family_vars(ed.n)
         self.vars = self.xnames + self.tnames
         self._by_path = {c.path: c.index for c in self.atlas.cones}
@@ -152,11 +167,11 @@ class Family:
     def transition(self, cone_index, k, coefficient_free=False):
         key = (cone_index, k, coefficient_free)
         if key not in self._trans:
-            rec = self.atlas.cones[cone_index]
-            dst = self.atlas.adjacency[(cone_index, k)]
-            c_k = (0,) * self.n if coefficient_free else column(rec.C, k)
+            near = self.atlas.cones[cone_index]
+            c_k = (0,) * self.n if coefficient_free else column(near.C, k)
             self._trans[key] = TransitionMap(
-                cone_index, dst, k, self.wall_images(rec.B, k, c_k))
+                cone_index, self.atlas.adjacency[(cone_index, k)], k, near,
+                self.wall_images(near.B, k, c_k))
         return self._trans[key]
 
     def pullback_to_initial(self, cone_index):
@@ -172,10 +187,7 @@ class Family:
                 T = self.transition(parent, rec.path[-1])
                 if T.dst != cone_index:
                     raise CheckFailed("adjacency disagrees with stored path")
-                subst = dict(zip(self.xnames, base))
-                memo = {}
-                self._pull[cone_index] = tuple(
-                    img.evaluate(subst, memo) for img in T.images)
+                self._pull[cone_index] = composer(self.xnames, base)(T.images)
         return self._pull[cone_index]
 
     def standard_grading(self):
@@ -212,28 +224,34 @@ def degree_check(fam, cone_indices=None):
     return True
 
 
+def coordinate_limit(fam, f, where):
+    """Exponents in X1..Xn of the limit of f at t = 0.  The limit must be a
+    coordinate monomial with coefficient one; otherwise raises
+    ``CheckFailed`` naming ``where``."""
+    try:
+        lim = limit_t_zero(f, fam.tnames)
+    except LimitError as exc:
+        raise CheckFailed(f"{where} has no monomial limit ({exc})")
+    (exps, coef), = lim.terms.items()
+    if coef != 1 or any(exps[fam.n:]):
+        raise CheckFailed(f"{where} limit not a coordinate monomial: "
+                          f"{lim.to_text()}")
+    return exps[:fam.n]
+
+
 def limit_check(fam, cone_indices=None):
     """At t = 0 each pullback becomes the pure coordinate monomial whose
     exponent vector is the coefficient vector of its cone."""
-    n = fam.n
     idxs = (range(len(fam.atlas.cones)) if cone_indices is None
             else cone_indices)
     for idx in idxs:
         C = fam.atlas.cones[idx].C
-        pull = fam.pullback_to_initial(idx)
-        for i, f in enumerate(pull):
-            want = column(C, i)
-            try:
-                lim = limit_t_zero(f, fam.tnames)
-            except LimitError as exc:
-                raise CheckFailed(
-                    f"cone {idx} coordinate {i + 1}: no monomial limit "
-                    f"({exc})")
-            (exps, coef), = lim.terms.items()
-            if coef != 1 or any(exps[n:]) or exps[:n] != want:
-                raise CheckFailed(
-                    f"cone {idx} coordinate {i + 1}: limit "
-                    f"{lim.to_text()}, expected exponents {want}")
+        for i, f in enumerate(fam.pullback_to_initial(idx)):
+            where = f"cone {idx} coordinate {i + 1}"
+            got, want = coordinate_limit(fam, f, where), column(C, i)
+            if got != want:
+                raise CheckFailed(f"{where}: limit exponents {got}, "
+                                  f"expected {want}")
     return True
 
 
@@ -245,25 +263,13 @@ def central_fiber_toric_check(fam):
     also express the far cone's coefficient vectors integrally in the near
     cone's."""
     n = fam.n
-    for (src, k), dst in sorted(fam.atlas.adjacency.items()):
+    for src, k in sorted(fam.atlas.adjacency):
         T = fam.transition(src, k)
-        near = fam.atlas.cones[src]
-        B, Csrc = near.B, near.C
-        Cfar = g_cone_step(near, k).C
+        B, Csrc, Cfar = T.near.B, T.near.C, T.far.C
         cs = sign(next(x for x in column(Csrc, k) if x))
         for i in range(n):
-            try:
-                lim = limit_t_zero(T.images[i], fam.tnames)
-            except LimitError as exc:
-                raise CheckFailed(
-                    f"wall ({src},{k}): coordinate {i + 1} has no monomial "
-                    f"limit ({exc})")
-            (exps, coef), = lim.terms.items()
-            if coef != 1 or any(exps[n:]):
-                raise CheckFailed(
-                    f"wall ({src},{k}): coordinate {i + 1} limit not a "
-                    f"coordinate monomial: {lim.to_text()}")
-            a = list(exps[:n])
+            a = list(coordinate_limit(fam, T.images[i],
+                                      f"wall ({src},{k}): coordinate {i + 1}"))
             want = [0] * n
             if i == k:
                 want[k] = -1
@@ -286,30 +292,27 @@ def central_fiber_toric_check(fam):
 # -- consistency of the gluing ----------------------------------------------------
 
 
-def cocycle_check(fam, max_len=8, base=0):
+def cocycle_check(fam, max_len=8):
     """Composite transitions around closed walks act as coordinate
     permutations matching the walk's coefficient matrix.
 
     Checks the immediate there-and-back composite at every wall, then all
     non-backtracking closed walks up to the given length starting from the
-    base cone.
+    initial cone.
     """
     n = fam.n
     coords = fam.coordinates()
-    for (src, k), dst in sorted(fam.atlas.adjacency.items()):
+    for src, k in sorted(fam.atlas.adjacency):
         T = fam.transition(src, k)
-        far = g_cone_step(fam.atlas.cones[src], k)
-        back = fam.wall_images(far.B, k, column(far.C, k))
-        subst = T.subst(fam.xnames)
-        memo = {}
+        back = fam.wall_images(T.far.B, k, column(T.far.C, k))
+        comp = composer(fam.xnames, T.images)(back)
         for i in range(n):
-            comp = back[i].evaluate(subst, memo)
-            if not rat_equal(comp, coords[i]):
+            if not rat_equal(comp[i], coords[i]):
                 raise CheckFailed(
                     f"wall ({src},{k}): there-and-back composite moves "
                     f"coordinate {i + 1}")
 
-    base_cone = fam.atlas.cones[base]
+    base_cone = fam.atlas.cones[0]
     cols0 = {column(base_cone.C, j): j for j in range(n)}
 
     def verify_closure(images, Cw):
@@ -336,13 +339,11 @@ def cocycle_check(fam, max_len=8, base=0):
         last, images, cone, length = stack.pop()
         if length == max_len:
             continue
-        subst = dict(zip(fam.xnames, images))
-        memo = {}
+        after = composer(fam.xnames, images)
         for k in fam.atlas.allowed:
             if k == last:
                 continue
-            step = fam.wall_images(cone.B, k, column(cone.C, k))
-            nimages = tuple(img.evaluate(subst, memo) for img in step)
+            nimages = after(fam.wall_images(cone.B, k, column(cone.C, k)))
             ncone = g_cone_step(cone, k)
             if ncone.key() == base_key:
                 verify_closure(nimages, ncone.C)
@@ -375,13 +376,11 @@ def glue_ring_check(fam, src, k, coefficient_free=False):
     are the identity."""
     n = fam.n
     T = fam.transition(src, k, coefficient_free)
-    near = fam.atlas.cones[src]
-    far = g_cone_step(near, k)
-    Bs, Bfar = near.B, far.B
+    Bs, Bfar = T.near.B, T.far.B
     if coefficient_free:
         ck = ck_far = (0,) * n
     else:
-        ck, ck_far = column(near.C, k), column(far.C, k)
+        ck, ck_far = column(T.near.C, k), column(T.far.C, k)
     R = fam.wall_images(Bfar, k, ck_far)
     for i in range(n):
         if i == k or not Bs[k][i]:
@@ -410,14 +409,13 @@ def glue_ring_check(fam, src, k, coefficient_free=False):
         raise CheckFailed(
             f"wall ({src},{k}): wall coordinate does not invert")
     coords = fam.coordinates()
-    sub_T = T.subst(fam.xnames)
-    sub_R = dict(zip(fam.xnames, R))
-    memo_T, memo_R = {}, {}
+    there_back = composer(fam.xnames, T.images)(R)
+    back_there = composer(fam.xnames, R)(T.images)
     for i in range(n):
-        if not rat_equal(R[i].evaluate(sub_T, memo_T), coords[i]):
+        if not rat_equal(there_back[i], coords[i]):
             raise CheckFailed(
                 f"wall ({src},{k}): composite is not the identity")
-        if not rat_equal(T.images[i].evaluate(sub_R, memo_R), coords[i]):
+        if not rat_equal(back_there[i], coords[i]):
             raise CheckFailed(
                 f"wall ({src},{k}): reverse composite is not the identity")
     return True
@@ -433,16 +431,20 @@ def glue_ring_check_all(fam, coefficient_free=False):
 # -- fibres over nonzero base points ----------------------------------------------
 
 
+def at_base_point(num_den, assign, scales=None):
+    """An expanded image, a (numerator, denominator) pair, with the base
+    parameters at the values ``assign`` and the coordinates optionally
+    rescaled by ``scales``; an exact rational pair."""
+    num, den = num_den
+    return (substitute_values(num, assign, scales)
+            .mul(substitute_values(den, assign, scales).inv()))
+
+
 def specialize_fiber(images, tnames, u):
     """Evaluate the base parameters at a rational point, keeping the
     coordinates symbolic; returns exact rational pairs."""
     assign = dict(zip(tnames, u))
-    out = []
-    for f in images:
-        num, den = f.expand()
-        out.append(substitute_values(num, assign)
-                   .mul(substitute_values(den, assign).inv()))
-    return tuple(out)
+    return tuple(at_base_point(f.expand(), assign) for f in images)
 
 
 def fiber_iso_check(fam, u, u2, walls=None):
@@ -472,17 +474,13 @@ def fiber_iso_check(fam, u, u2, walls=None):
     assign_u2 = dict(zip(fam.tnames, u2))
     for src, k in items:
         T = fam.transition(src, k)
-        near = fam.atlas.cones[src]
-        Cfar = g_cone_step(near, k).C
-        scales = {fam.xnames[j]: ratio(column(near.C, j)) for j in range(n)}
+        scales = {fam.xnames[j]: ratio(column(T.near.C, j))
+                  for j in range(n)}
         for i in range(n):
-            lam2 = ratio(column(Cfar, i))
-            num, den = T.images[i].expand()
-            lhs = (substitute_values(num, assign_u, scales)
-                   .mul(substitute_values(den, assign_u, scales).inv()))
-            rhs = (substitute_values(num, assign_u2)
-                   .mul(substitute_values(den, assign_u2).inv())
-                   .scale(lam2))
+            num_den = T.images[i].expand()
+            lhs = at_base_point(num_den, assign_u, scales)
+            rhs = (at_base_point(num_den, assign_u2)
+                   .scale(ratio(column(T.far.C, i))))
             if not lhs.equals(rhs):
                 raise CheckFailed(
                     f"wall ({src},{k}): fibre rescaling does not intertwine "
@@ -529,7 +527,7 @@ def strata_consistency_check(fam, tau_rays):
     base_gens = st.base.generators()
     face_rays = [base_gens[j] for j in face_pos]
 
-    root = (st.base, st.restricted.B,
+    root = (st.base, st.restricted.B if st.restricted else (),
             tuple(TropMonomial(fam.tnames, column(st.base.C, i))
                   for i in trans_pos))
     seen = {st.base.key()}
@@ -585,13 +583,9 @@ def strata_consistency_check(fam, tau_rays):
                             f"stratum wall in direction {k}: ambient "
                             f"transition disagrees with the restricted "
                             f"family at coordinate {i + 1}")
-                    lim = limit_t_zero(T[i], fam.tnames)
-                    (exps, coef), = lim.terms.items()
-                    if coef != 1 or any(exps[n:]):
-                        raise CheckFailed(
-                            f"stratum wall in direction {k}: transverse "
-                            f"coordinate {i + 1} has no monomial limit on "
-                            f"the stratum")
+                    exps = coordinate_limit(
+                        fam, T[i], f"stratum wall in direction {k}: "
+                        f"transverse coordinate {i + 1}")
                     for r in range(n):
                         if Cfar[r][i] != sum(Cw[r][j] * exps[j]
                                              for j in trans_pos):

@@ -591,19 +591,25 @@ class PosRatFunc:
                      tuple(sorted(((hash(p), e) for p, e in self.factors.items())))))
 
     def to_text(self):
-        num, den = self.expand()
-        if den.is_one():
-            return num.to_text()
-        nt = num.to_text()
-        dt = den.to_text()
-        if num.num_terms() > 1:
-            nt = f"({nt})"
-        if den.num_terms() > 1 or "*" in dt:
-            dt = f"({dt})"
-        return f"{nt} / {dt}"
+        return ratio_text(*self.expand())
 
     def __repr__(self):
         return f"PosRatFunc({self.to_text()})"
+
+
+def ratio_text(num, den):
+    """``num / den`` as text: the numerator alone over a denominator of one;
+    otherwise a numerator of several terms is parenthesized, and so is a
+    denominator of several terms or with a ``*``."""
+    nt = num.to_text()
+    if den.is_one():
+        return nt
+    dt = den.to_text()
+    if num.num_terms() > 1:
+        nt = f"({nt})"
+    if den.num_terms() > 1 or "*" in dt:
+        dt = f"({dt})"
+    return f"{nt} / {dt}"
 
 
 def _evaluate_positive_poly(poly, images, target_vars):

@@ -13,7 +13,6 @@ cone it has not seen.
 
 from __future__ import annotations
 
-from functools import cached_property
 from math import gcd
 
 from .invariants import CheckFailed, c_matrix_step, mat_det, mat_identity
@@ -100,12 +99,14 @@ class ConeRecord:
 
 class GFanAtlas:
     """All maximal g-cones reachable from the initial seed (optionally only
-    through a subset of directions), with wall adjacency.  ``complete`` is
+    through a subset of directions), with wall adjacency and the walk's own
+    index ``by_key`` from generator set to cone index.  ``complete`` is
     false when enumeration was cut off at a depth cap."""
 
-    def __init__(self, ed, cones, adjacency, allowed, complete=True):
+    def __init__(self, ed, cones, by_key, adjacency, allowed, complete=True):
         self.ed = ed
         self.cones = cones
+        self.by_key = by_key
         self.adjacency = adjacency
         self.allowed = tuple(allowed)
         self.complete = complete
@@ -118,14 +119,10 @@ class GFanAtlas:
         return tuple(sorted(out))
 
     def cone_by_key(self, key):
-        """The cone whose generator set is ``key``, or None.  The first call
-        indexes the cones by key in a dict that lives exactly as long as the
-        atlas; ``enumerate_gfan`` makes one cone per key."""
-        return self._by_key.get(key)
-
-    @cached_property
-    def _by_key(self):
-        return {c.key(): c for c in self.cones}
+        """The cone whose generator set is ``key``, or None; ``enumerate_gfan``
+        makes one cone per key."""
+        index = self.by_key.get(key)
+        return None if index is None else self.cones[index]
 
 
 def g_vector_step(cone, k):
@@ -202,8 +199,8 @@ def enumerate_gfan(ed, depth_cap=64, allowed=None, partial=False):
                 adjacency[(src.index, k)] = index
         frontier = nxt
         depth += 1
-    return GFanAtlas(ExchangeData(ed.B, ed.n, ed.d), cones, adjacency, allowed,
-                     complete=complete)
+    return GFanAtlas(ExchangeData(ed.B, ed.n, ed.d), cones, seen, adjacency,
+                     allowed, complete=complete)
 
 
 # -- fan axioms ----------------------------------------------------------------
@@ -278,7 +275,8 @@ def check_fan(atlas, require_complete=True):
 
 class StarData:
     """Quotient fan of the cones containing a face, with the face's base
-    cone, the coordinates on the quotient, and the restricted exchange data.
+    cone, the coordinates on the quotient, and the restricted exchange data
+    (None for the zero-dimensional star of a whole maximal cone).
     """
 
     __slots__ = ("atlas", "tau", "base", "kept", "dropped", "quotient_rows",
@@ -334,7 +332,7 @@ def star(atlas, tau_rays):
     restricted = ExchangeData(
         tuple(tuple(base.B[i][j] for j in dropped) for i in dropped),
         len(dropped),
-        tuple(atlas.ed.d[i] for i in dropped))
+        tuple(atlas.ed.d[i] for i in dropped)) if dropped else None
     return StarData(atlas, tuple(tau), base, tuple(kept), tuple(dropped),
                     tuple(rows), tuple(proj), restricted)
 
@@ -521,6 +519,6 @@ def fan_from_json(obj):
     atlas = enumerate_gfan(ed, allowed=tuple(allowed))
     if set(rays) != set(atlas.rays):
         raise CheckFailed("fan file rays do not match re-enumeration")
-    if set(file_cones) != {c.key() for c in atlas.cones}:
+    if file_cones.keys() != atlas.by_key.keys():
         raise CheckFailed("fan file cones do not match re-enumeration")
     return atlas

@@ -305,18 +305,12 @@ def separation_check(ed, p0, path):
         shifted_y[f"y{i + 1}"] = tuple(e)
         shifted_u[f"p{i + 1}"] = tuple(e)
 
-    p_run = tuple(p0)
-    B = ed.B
-    for k in path:
-        p_run = mutate_coeff_tuple(p_run, B, k)
-        B = mutate_matrix(B, k)
-
     for j in range(n):
         lhs = with_coeff.y[j]
 
         # identity 1: shifted coefficient-free variable over running coefficient
         rhs1 = free.y[j].substitute_monomials(shifted_y, vars).mul(
-            p_run[j].to_posrat(vars).inv())
+            with_coeff.p[j].to_posrat(vars).inv())
         if not rat_equal(lhs, rhs1):
             raise CheckFailed(f"separation (shift form) fails at j={j + 1}")
 
@@ -345,7 +339,7 @@ def separation_check(ed, p0, path):
             b = Bv[i][j]
             if b:
                 rhs3 = rhs3.mul(trop_eval_poly(F[i], list(p0)).power(b))
-        if p_run[j] != rhs3:
+        if with_coeff.p[j] != rhs3:
             raise CheckFailed(f"separation (coefficient form) fails at j={j + 1}")
     return True
 

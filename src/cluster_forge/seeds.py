@@ -264,7 +264,7 @@ def mutate_cluster_seed(seed, k):
                             if seed.p else ())
 
 
-def build_extended_seed(B, n, coeff_exps, d=None, coeff_rank=None):
+def build_extended_seed(B, n, coeff_exps, d=None):
     """Exchange data on mutable plus frozen indices from coefficient
     exponents.
 
@@ -274,8 +274,7 @@ def build_extended_seed(B, n, coeff_exps, d=None, coeff_rank=None):
     zero.
     """
     n = int(n)
-    r = coeff_rank if coeff_rank is not None else (
-        len(coeff_exps[0]) if coeff_exps else 0)
+    r = len(coeff_exps[0]) if coeff_exps else 0
     for e in coeff_exps:
         if len(e) != r:
             raise ValueError("coefficient exponent vectors have mixed lengths")

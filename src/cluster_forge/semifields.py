@@ -58,15 +58,6 @@ class TropMonomial:
     def __hash__(self):
         return hash((self.vars, self.exps))
 
-    def to_laurent(self, target_vars=None):
-        """The same monomial as a LaurentPoly, optionally over a larger
-        variable set (unlisted slots get exponent zero)."""
-        tv = tuple(target_vars) if target_vars is not None else self.vars
-        e = [0] * len(tv)
-        for v, x in zip(self.vars, self.exps):
-            e[tv.index(v)] += x
-        return LaurentPoly.monomial(tv, e)
-
     def to_posrat(self, target_vars=None):
         tv = tuple(target_vars) if target_vars is not None else self.vars
         e = [0] * len(tv)
@@ -75,7 +66,7 @@ class TropMonomial:
         return PosRatFunc.monomial(tv, e)
 
     def to_text(self):
-        return self.to_laurent().to_text()
+        return LaurentPoly.monomial(self.vars, self.exps).to_text()
 
     def __repr__(self):
         return f"TropMonomial({self.to_text()})"

@@ -475,6 +475,25 @@ def test_verify_strata_b2():
     assert res.exit_code == 0
 
 
+def test_rank_one_star_and_strata(tmp_path):
+    """In rank 1 a ray is a whole maximal cone: its star is zero-dimensional,
+    with no quotient rows, the empty restricted matrix and one projected
+    cone without generators."""
+    seed = tmp_path / "seed.json"
+    seed.write_text(json.dumps({"B": [[0]], "n": 1}))
+    fan = tmp_path / "fan.json"
+    assert run("fan", "--seed", str(seed), "--out", str(fan)).exit_code == 0
+    for i in (1, 2):
+        res = run("star", "--fan", str(fan), "--tau", f"ray:{i}", "--json")
+        assert res.exit_code == 0
+        st = json.loads(res.output)
+        assert st["quotient_rows"] == [] and st["restricted_matrix"] == []
+        assert [c["generators"] for c in st["projected_cones"]] == [[]]
+    res = run("verify", "strata", "--seed", str(seed))
+    assert res.exit_code == 0
+    assert res.output.endswith("verify strata: 2/2 ok\n")
+
+
 def test_verify_separation_gr25_needs_mutable_seed():
     res = run_process("verify", "separation", "--seed", fixture("gr25.json"))
     assert res.returncode == 2

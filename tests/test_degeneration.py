@@ -13,6 +13,7 @@ from cluster_forge.exact_algebra import (
     PosRatFunc,
     RatPair,
     limit_t_zero,
+    prf_add,
     rat_equal,
 )
 from cluster_forge.semifields import TropMonomial
@@ -29,6 +30,7 @@ from cluster_forge.degeneration import (
     column,
     central_fiber_toric_check,
     cocycle_check,
+    coordinate_limit,
     degree_check,
     family_wall_images,
     fiber_iso_check,
@@ -215,6 +217,19 @@ def test_limit_check_rejects_tampered_pullback():
         limit_check(fam)
 
 
+def test_coordinate_limit_needs_a_coordinate_monomial():
+    """The t = 0 limit is read as exponents in X only when it is a monomial
+    with coefficient one and no residual t-exponent."""
+    fam = Family(A2)
+    X1, X2, t1 = (PosRatFunc.variable(V, v) for v in ("X1", "X2", "t1"))
+    assert coordinate_limit(fam, X1.mul(prf_add(t1, X2)), "f") == (1, 1)
+    two_plus_t1 = PosRatFunc.from_poly(
+        LaurentPoly(V, {(0, 0, 0, 0): 2, (0, 0, 1, 0): 1}))
+    for bad in (X1.mul(two_plus_t1), X1.mul(t1.inv()), prf_add(X1, X2)):
+        with pytest.raises(CheckFailed, match="^f "):
+            coordinate_limit(fam, bad, "f")
+
+
 @pytest.mark.parametrize("ed", [A2, B2, A3], ids=["a2", "b2", "a3"])
 def test_central_fiber_toric(ed):
     assert central_fiber_toric_check(Family(ed))
@@ -237,7 +252,7 @@ def test_cocycle_rejects_tampered_transition():
     fam = Family(A2)
     T = fam.transition(0, 0)
     fam._trans[(0, 0, False)] = type(T)(
-        T.src, T.dst, T.k, (T.images[0].power(2), T.images[1]))
+        T.src, T.dst, T.k, T.near, (T.images[0].power(2), T.images[1]))
     with pytest.raises(CheckFailed):
         cocycle_check(fam)
 
@@ -316,7 +331,7 @@ def test_fiber_iso_rejects_tampered_transition(tamper):
         images[0] = images[0].power(2)
     else:
         images.reverse()
-    fam._trans[(1, 1, False)] = type(T)(T.src, T.dst, T.k, images)
+    fam._trans[(1, 1, False)] = type(T)(T.src, T.dst, T.k, T.near, images)
     with pytest.raises(CheckFailed):
         fiber_iso_check(fam, u, u2)
     with pytest.raises(CheckFailed):
@@ -359,6 +374,15 @@ def test_strata_of_a3_two_dimensional_faces():
             st = strata_consistency_check(fam, [gens[a], gens[b]])
             assert len(st.proj_cones) == 2
             assert st.restricted.B == ((0,),)
+
+
+def test_strata_of_a_whole_a3_maximal_cone():
+    """The face spanned by all three rays of a maximal cone has the
+    zero-dimensional star: one projected cone, no restricted data."""
+    fam = Family(A3)
+    st = strata_consistency_check(fam, fam.atlas.cones[4].generators())
+    assert st.proj_cones == ((4, ()),)
+    assert st.quotient_rows == () and st.restricted is None
 
 
 def test_strata_rejects_non_face():

@@ -43,33 +43,38 @@ def _is_click_command(node):
                for d in getattr(node, "decorator_list", ()))
 
 
+def _source_trees():
+    """The parsed Python files of src/, tests/ and bench/."""
+    for top in ("src", "tests", "bench"):
+        for dirpath, _, files in os.walk(os.path.join(ROOT, top)):
+            for f in files:
+                if f.endswith(".py"):
+                    with open(os.path.join(dirpath, f),
+                              encoding="utf-8") as fh:
+                        yield ast.parse(fh.read(), filename=f)
+
+
 @pytest.fixture(scope="module")
 def names_used():
     """Every identifier, attribute name and string constant in the Python
     files of src/, tests/ and bench/, except a module-level definition's
     uses of its own name inside its own body."""
     used = set()
-    for top in ("src", "tests", "bench"):
-        for dirpath, _, files in os.walk(os.path.join(ROOT, top)):
-            for f in files:
-                if not f.endswith(".py"):
+    for tree in _source_trees():
+        for stmt in tree.body:
+            own = getattr(stmt, "name", None)
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                elif (isinstance(node, ast.Constant)
+                      and isinstance(node.value, str)):
+                    name = node.value
+                else:
                     continue
-                with open(os.path.join(dirpath, f), encoding="utf-8") as fh:
-                    tree = ast.parse(fh.read(), filename=f)
-                for stmt in tree.body:
-                    own = getattr(stmt, "name", None)
-                    for node in ast.walk(stmt):
-                        if isinstance(node, ast.Name):
-                            name = node.id
-                        elif isinstance(node, ast.Attribute):
-                            name = node.attr
-                        elif (isinstance(node, ast.Constant)
-                              and isinstance(node.value, str)):
-                            name = node.value
-                        else:
-                            continue
-                        if name != own:
-                            used.add(name)
+                if name != own:
+                    used.add(name)
     return used
 
 
@@ -82,3 +87,65 @@ def test_module_level_definitions_are_used(module, names_used):
                and not _is_click_command(node)]
     unused = sorted(name for name in defined if name not in names_used)
     assert not unused, f"{module} defines but nothing uses: {', '.join(unused)}"
+
+
+def _calls_by_name():
+    """For every call in the Python files of src/, tests/ and bench/, keyed
+    by the called name: the number of positional arguments, the keyword
+    names, and whether ``*args`` or ``**kwargs`` is passed."""
+    calls = {}
+    for tree in _source_trees():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            starred = (any(isinstance(a, ast.Starred) for a in node.args)
+                       or any(k.arg is None for k in node.keywords))
+            calls.setdefault(name, []).append(
+                (len(node.args), {k.arg for k in node.keywords}, starred))
+    return calls
+
+
+def _defaulted_parameters(tree):
+    """(function name, names a call may use, parameter, its position or
+    None for keyword-only) for every defaulted parameter of a function or
+    method.  A method's position discounts ``self``; ``__init__`` is also
+    called by its class's name."""
+    in_class = {id(fn): cls for cls in ast.walk(tree)
+                if isinstance(cls, ast.ClassDef) for fn in cls.body}
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        cls = in_class.get(id(fn))
+        static = any(getattr(d, "id", None) == "staticmethod"
+                     for d in fn.decorator_list)
+        offset = 1 if cls is not None and not static else 0
+        names = {fn.name}
+        if cls is not None and fn.name == "__init__":
+            names.add(cls.name)
+        a = fn.args
+        pos = a.posonlyargs + a.args
+        for i in range(len(pos) - len(a.defaults), len(pos)):
+            yield fn.name, names, pos[i].arg, i - offset
+        for p, d in zip(a.kwonlyargs, a.kw_defaults):
+            if d is not None:
+                yield fn.name, names, p.arg, None
+
+
+def test_every_defaulted_parameter_is_passed_somewhere():
+    """A defaulted parameter that no call in src/, tests/ or bench/ passes,
+    by keyword or by position, is a knob nobody turns.  Calls are matched
+    by function name, and one with ``*args`` or ``**kwargs`` passes every
+    parameter."""
+    calls = _calls_by_name()
+    unused = []
+    for module in MODULES:
+        with open(os.path.join(PACKAGE, module), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=module)
+        for fname, names, param, pos in _defaulted_parameters(tree):
+            if not any(starred or param in kws
+                       or (pos is not None and npos > pos)
+                       for name in names for npos, kws, starred
+                       in calls.get(name, ())):
+                unused.append(f"{module}: {fname}({param}=)")
+    assert not unused, f"defaulted but never passed: {', '.join(unused)}"
