@@ -551,16 +551,13 @@ def strata_consistency_check(fam, tau_rays):
                 ncone = g_cone_step(cone, k)
                 Cfar = ncone.C
                 for j in face_pos:
-                    num, den = T[j].expand()
-                    dmin = den.min_exponents()
-                    dmax = [max(e[r] for e in den.terms)
-                            for r in range(len(fam.vars))]
+                    nmin, _, dmin, dmax = T[j].exponent_bounds()
                     if any(dmin[jj] or dmax[jj] for jj in face_pos):
                         raise CheckFailed(
                             f"stratum wall in direction {k}: face "
                             f"coordinate {j + 1} image has a face variable "
                             f"in its denominator")
-                    if num.min_exponents()[j] < 1:
+                    if nmin[j] < 1:
                         raise CheckFailed(
                             f"stratum wall in direction {k}: face "
                             f"coordinate {j + 1} does not divide its own "

@@ -19,6 +19,21 @@ Two layers:
 ``RatPair`` is a signed numerator/denominator pair used where subtraction or
 rational scalars are unavoidable (fiber specialization at rational points).
 
+The t -> 0 limit (``limit_t_zero``), the degree (``degree_of``) and the
+exponent bounds (``PosRatFunc.exponent_bounds``) of a rational function are
+read factor by factor, never from the expansion: each is the unit's part
+plus, for every factor p with exponent e, e times p's own value.  This is
+exact, because by Ostrowski's theorem the Newton polytope of a product of
+nonzero Laurent polynomials over Z is the Minkowski sum of the factors'
+polytopes (with positive coefficients, simply because no two terms of a
+product cancel).  So componentwise minimum and maximum exponents add; the
+terms of a product at its minimal exponents in some variables are the
+products of the factors' terms at theirs; a product is a single term, or
+homogeneous for a grading, exactly when every factor is.  The factored
+reads therefore return what the expanded ones would, and fail exactly when
+they would, for every factor a nonzero polynomial with positive
+coefficients, canonical or not; they skip the products ``expand`` spends.
+
 The public constructors ``LaurentPoly(vars, terms)`` and
 ``PosRatFunc(vars, unit, factors)`` validate what callers hand them: zero
 coefficients and exponents are dropped, exponent vectors must match the
@@ -26,7 +41,8 @@ variable set, factors must share it, and factors equal to one are dropped.
 ``LaurentPoly._new`` and ``PosRatFunc._new`` are trusted: they set the slots
 without checks, and only this module's own arithmetic calls them, on results
 it has built clean (sums, negations and products of polynomials, exact
-quotients, products and nonzero powers of rational functions).
+quotients, products and nonzero powers of rational functions, and the
+monomials, zeros and ones its own algorithms start from).
 """
 
 from __future__ import annotations
@@ -116,8 +132,8 @@ class LaurentPoly:
         return cls(vars, {tuple([0] * len(vars)): c} if c else {})
 
     @classmethod
-    def monomial(cls, vars, exps, coef=1):
-        return cls(vars, {tuple(exps): coef} if coef else {})
+    def monomial(cls, vars, exps):
+        return cls(vars, {tuple(exps): 1})
 
     @classmethod
     def variable(cls, vars, name):
@@ -174,6 +190,12 @@ class LaurentPoly:
                     m[i] = x
         return tuple(m)
 
+    def max_exponents(self):
+        """Componentwise maximum exponent vector."""
+        if not self.terms:
+            raise ExactAlgebraError("zero polynomial has no exponents")
+        return tuple(max(xs) for xs in zip(*self.terms))
+
     def sorted_terms(self):
         """Terms in descending graded-lex order (leading term first)."""
         return sorted(self.terms.items(), key=lambda t: graded_lex_key(t[0]),
@@ -219,7 +241,7 @@ class LaurentPoly:
     def power(self, k):
         if k < 0:
             raise ExactAlgebraError("negative power of a polynomial")
-        r = LaurentPoly.one(self.vars)
+        r = LaurentPoly._new(self.vars, {(0,) * len(self.vars): 1})
         b = self
         while k:
             if k & 1:
@@ -476,15 +498,35 @@ class PosRatFunc:
         """Return (num, den) positive-coefficient Laurent polynomials with
         num/den == self and nonnegative exponents."""
         up, nf, un, df = self.num_den_split()
-        num = LaurentPoly.monomial(self.vars, up)
+        num = LaurentPoly._new(self.vars, {up: 1})
         for p, e in nf.items():
             num = num * p.power(e)
-        den = LaurentPoly.monomial(self.vars, un)
+        den = LaurentPoly._new(self.vars, {un: 1})
         for p, e in df.items():
             den = den * p.power(e)
         if not (num.all_coefs_positive() and den.all_coefs_positive()):
             raise PositivityError("expansion lost positivity")
         return num, den
+
+    def exponent_bounds(self):
+        """Componentwise minimum and maximum exponents of the numerator and
+        the denominator that ``expand`` returns, as ``(num_min, num_max,
+        den_min, den_max)``, read from the unit and the factors without
+        expanding.  Exponent bounds add under products (see the module
+        docstring), so each bound is the unit's part plus, for every factor
+        p on that side, |e| times p's own bound; factors need not be
+        canonical."""
+        up, nf, un, df = self.num_den_split()
+        out = []
+        for unit, side in ((up, nf), (un, df)):
+            lo, hi = list(unit), list(unit)
+            for p, e in side.items():
+                for i, (a, b) in enumerate(zip(p.min_exponents(),
+                                               p.max_exponents())):
+                    lo[i] += e * a
+                    hi[i] += e * b
+            out += [tuple(lo), tuple(hi)]
+        return tuple(out)
 
     # -- reduction ----------------------------------------------------------
     def reduced(self):
@@ -564,13 +606,16 @@ class PosRatFunc:
             return self
         any_img = next(iter(subst.values()))
         tv = any_img.vars
+        zero = (0,) * len(tv)
         images = {}
         for v in self.vars:
             img = subst.get(v)
             if img is None:
-                img = PosRatFunc.variable(tv, v)
+                e = list(zero)
+                e[tv.index(v)] = 1
+                img = PosRatFunc._new(tv, tuple(e), {})
             images[v] = img
-        out = PosRatFunc.one(tv)
+        out = PosRatFunc._new(tv, zero, {})
         for v, x in zip(self.vars, self.unit):
             if x:
                 out = out.mul(images[v].power(x))
@@ -615,8 +660,9 @@ def ratio_text(num, den):
 def _evaluate_positive_poly(poly, images, target_vars):
     """Evaluate a positive polynomial at PosRatFunc arguments, exactly."""
     parts = []
+    one = PosRatFunc._new(target_vars, (0,) * len(target_vars), {})
     for e, c in poly.sorted_terms():
-        m = PosRatFunc.one(target_vars)
+        m = one
         for v, x in zip(poly.vars, e):
             if x:
                 m = m.mul(images[v].power(x))
@@ -645,10 +691,10 @@ def prf_sum(parts):
             den_unit[i] = max(den_unit[i], x)
         for p, e in df.items():
             den_factors[p] = max(den_factors.get(p, 0), e)
-    total = LaurentPoly.zero(vars)
+    total = LaurentPoly._new(vars, {})
     for (c, f), (up, nf, un, df) in zip(parts, splits):
-        piece = LaurentPoly.monomial(
-            vars, tuple(a + b - x for a, b, x in zip(up, den_unit, un)), c)
+        piece = LaurentPoly._new(
+            vars, {tuple(a + b - x for a, b, x in zip(up, den_unit, un)): c})
         for p, e in nf.items():
             piece = piece * p.power(e)
         for p, e in den_factors.items():
@@ -716,55 +762,78 @@ class Grading:
 
 
 def degree_of(f, grading):
-    """Degree of a homogeneous rational function: deg(num) - deg(den)."""
-    num, den = f.expand()
-    dn = grading.poly_degree(num)
-    dd = grading.poly_degree(den)
-    return tuple(a - b for a, b in zip(dn, dd))
+    """Degree of a homogeneous rational function, deg(num) - deg(den) of
+    its expansion, read per factor: the unit's degree plus, for every
+    factor p with exponent e, e times ``poly_degree(p)``.
+
+    A product of nonzero polynomials is homogeneous exactly when every
+    factor is, and its degree is then the sum (the module docstring's
+    Newton-polytope argument, with the grading as the linear map).  So
+    this returns the expansion's degree, and raises ``InhomogeneousError``
+    exactly when the expanded numerator or denominator is inhomogeneous,
+    for a grading that gives every variable a degree.
+    """
+    out = list(grading.term_degree(f.vars, f.unit))
+    for p, e in f.factors.items():
+        for i, y in enumerate(grading.poly_degree(p)):
+            out[i] += e * y
+    return tuple(out)
+
+
+def _t_initial_term(p, t_idx):
+    """The one term (exps, coef) of p at its componentwise minimal
+    exponents in the slots ``t_idx``; ``LimitError`` when no term or more
+    than one term sits there."""
+    if not p.terms:
+        raise LimitError("zero factor")
+    mins = [min(e[i] for e in p.terms) for i in t_idx]
+    hits = [(e, c) for e, c in p.terms.items()
+            if all(e[i] == m for i, m in zip(t_idx, mins))]
+    if not hits:
+        raise LimitError(f"factor {p.to_text()} vanishes at t=0 after "
+                         f"content removal")
+    if len(hits) > 1:
+        raise LimitError(f"limit not a monomial: factor {p.to_text()} keeps "
+                         f"{len(hits)} terms at t=0")
+    return hits[0]
 
 
 def limit_t_zero(f, t_vars):
     """Limit of f as the listed variables go to zero, by content factoring.
 
-    From numerator and denominator separately, factor out the monomial
-    content in the t-variables, then set t = 0 in what remains.  The result
-    must be a single monomial (possibly with residual t-exponents from the
-    content ratio, which callers may reject).  Fails loudly when the
-    denominator still vanishes at t = 0 or the limit is not a monomial.
+    Of the expanded numerator and denominator, take the terms at the
+    componentwise minimal exponents in the t-variables: each must be a
+    single term, and the limit is their ratio (possibly with residual
+    t-exponents from the content ratio, which callers may reject).  Fails
+    loudly when either side has no such term (it vanishes at t = 0 after
+    content removal), more than one (the limit is not a monomial), or the
+    ratio has a non-integer coefficient.
+
+    Read per factor, without expanding: the result's exponent vector is
+    the unit plus, for every factor p with exponent e, e times the
+    exponent vector of p's one term at its minimal t-exponents, whose
+    coefficient goes into the numerator (e > 0) or the denominator
+    (e < 0).  This is exact: for nonzero polynomials the minimal
+    t-exponents of a product are the sums of the factors' minima, a term
+    of the product sits at them exactly when each factor's term does, and
+    a product is a single term exactly when every factor is (the module
+    docstring's Newton-polytope argument).  So this returns the expanded
+    read's monomial, and raises ``LimitError`` exactly when it does.
     """
-    num, den = f.expand()
     t_idx = [f.vars.index(v) for v in t_vars]
-
-    def content_and_fiber(poly, what):
-        content = [0] * len(f.vars)
-        mins = {i: min(e[i] for e in poly.terms) for i in t_idx}
-        for i, m in mins.items():
-            content[i] = m
-        fiber = {}
-        for e, c in poly.terms.items():
-            if all(e[i] == mins[i] for i in t_idx):
-                key = list(e)
-                for i, m in mins.items():
-                    key[i] = 0
-                fiber[tuple(key)] = c
-        if not fiber:
-            raise LimitError(f"{what} vanishes at t=0 after content removal")
-        return tuple(content), LaurentPoly(f.vars, fiber)
-
-    if num.is_zero():
-        raise LimitError("numerator is zero")
-    cn, num0 = content_and_fiber(num, "numerator")
-    cd, den0 = content_and_fiber(den, "denominator")
-    if not num0.is_monomial():
-        raise LimitError(f"limit not a monomial: {num0.to_text()}")
-    if not den0.is_monomial():
-        raise LimitError(f"denominator limit not a monomial: {den0.to_text()}")
-    en, an = num0.monomial_parts()
-    ed, ad = den0.monomial_parts()
+    exps = list(f.unit)
+    an = ad = 1
+    for p, e in f.factors.items():
+        x, c = _t_initial_term(p, t_idx)
+        for i, y in enumerate(x):
+            exps[i] += e * y
+        if e > 0:
+            an *= c ** e
+        else:
+            ad *= c ** -e
     if an % ad:
         raise LimitError("limit has non-integer coefficient")
-    exps = tuple(x - y + a - b for x, y, a, b in zip(en, ed, cn, cd))
-    return LaurentPoly.monomial(f.vars, exps, an // ad)
+    return LaurentPoly._new(f.vars, {tuple(exps): an // ad})
 
 
 class RatPair:

@@ -3,7 +3,7 @@
 import math
 import pytest
 from fractions import Fraction
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from cluster_forge.exact_algebra import (
     ExactAlgebraError,
@@ -698,3 +698,131 @@ def test_limit_t_zero_agrees_with_sympy(sympy, unit, parts):
     ratio = ratio.subs({sympy.Symbol("t1"): t1, sympy.Symbol("t2"): t2})
     for path in ({t1: s, t2: s}, {t1: s, t2: s ** 2}):
         assert sympy.limit(sympy.cancel(ratio.subs(path)), s, 0, "+") == 1
+
+
+# -- expansion route for the factored reads -----------------------------------------
+#
+# limit_t_zero, degree_of and PosRatFunc.exponent_bounds read each factor on
+# its own.  The oracles below read the expansion instead, as plain
+# content factoring and per-term degrees on the expanded numerator and
+# denominator, and the functions are built through the public constructor
+# with factors that are not canonical (any exponent shift, any content).
+
+GRADING_XT = Grading({"X1": (1, 0), "X2": (0, 1), "t1": (-1, 0),
+                      "t2": (0, -1)})
+T_XT = ("t1", "t2")
+
+
+def _expanded_degree(f, grading):
+    """deg(num) - deg(den) of f's expansion."""
+    num, den = f.expand()
+    dn = grading.poly_degree(num)
+    dd = grading.poly_degree(den)
+    return tuple(a - b for a, b in zip(dn, dd))
+
+
+def _expanded_limit(f, t_vars):
+    """The t -> 0 limit by content factoring on the expanded numerator and
+    denominator: each keeps its terms at its componentwise minimal
+    t-exponents, which must be one term, and the limit is their ratio."""
+    num, den = f.expand()
+    t_idx = [f.vars.index(v) for v in t_vars]
+
+    def content_and_fiber(poly, what):
+        content = [0] * len(f.vars)
+        mins = {i: min(e[i] for e in poly.terms) for i in t_idx}
+        for i, m in mins.items():
+            content[i] = m
+        fiber = {}
+        for e, c in poly.terms.items():
+            if all(e[i] == mins[i] for i in t_idx):
+                key = list(e)
+                for i, m in mins.items():
+                    key[i] = 0
+                fiber[tuple(key)] = c
+        if not fiber:
+            raise LimitError(f"{what} vanishes at t=0 after content removal")
+        return tuple(content), LaurentPoly(f.vars, fiber)
+
+    if num.is_zero():
+        raise LimitError("numerator is zero")
+    cn, num0 = content_and_fiber(num, "numerator")
+    cd, den0 = content_and_fiber(den, "denominator")
+    if not num0.is_monomial():
+        raise LimitError(f"limit not a monomial: {num0.to_text()}")
+    if not den0.is_monomial():
+        raise LimitError(f"denominator limit not a monomial: {den0.to_text()}")
+    en, an = num0.monomial_parts()
+    ed, ad = den0.monomial_parts()
+    if an % ad:
+        raise LimitError("limit has non-integer coefficient")
+    exps = tuple(x - y + a - b for x, y, a, b in zip(en, ed, cn, cd))
+    return LaurentPoly(f.vars, {exps: an // ad})
+
+
+def _expanded_box(poly):
+    """Componentwise minimum and maximum exponents over the terms."""
+    n = len(poly.vars)
+    return (tuple(min(e[i] for e in poly.terms) for i in range(n)),
+            tuple(max(e[i] for e in poly.terms) for i in range(n)))
+
+
+def _read(fn):
+    """fn's value, or the class of the arithmetic error it raises."""
+    try:
+        return fn()
+    except ExactAlgebraError as exc:
+        return type(exc)
+
+
+def _noncanonical_polys():
+    """Positive polynomials over XT with any exponent shift and content:
+    arbitrary ones, ones homogeneous for GRADING_XT (x - t fixed), and
+    ones with a t-free leading term."""
+    raw = st.dictionaries(st.tuples(*[st.integers(-1, 2)] * 4),
+                          st.integers(1, 3), min_size=1, max_size=3)
+    shift = st.tuples(st.integers(-1, 1), st.integers(-1, 1))
+    xs = st.dictionaries(st.tuples(st.integers(-1, 2), st.integers(-1, 2)),
+                         st.integers(1, 3), min_size=1, max_size=3)
+    homogeneous = st.tuples(shift, xs).map(
+        lambda t: {x + (x[0] - t[0][0], x[1] - t[0][1]): c
+                   for x, c in t[1].items()})
+    return st.one_of(st.one_of(raw, homogeneous).map(
+        lambda d: LaurentPoly(XT, d)), _t_free_led_polys())
+
+
+X1_PLUS_X2 = lp(XT, {(1, 0, 0, 0): 1, (0, 1, 0, 0): 1})
+T1_PLUS_T2 = lp(XT, {(0, 0, 1, 0): 1, (0, 0, 0, 1): 1})
+TWO_PLUS_T1 = lp(XT, {(0, 0, 0, 0): 2, (0, 0, 1, 0): 1})
+TWO_PLUS_T2 = lp(XT, {(0, 0, 0, 0): 2, (0, 0, 0, 1): 1})
+X1_PLUS_ONE = lp(XT, {(1, 0, 0, 0): 1, (0, 0, 0, 0): 1})
+SHIFTED = lp(XT, {(-1, 0, -1, 0): 2, (0, 1, 0, 1): 2, (1, 1, 0, 2): 4})
+ZERO4 = (0, 0, 0, 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.tuples(*[st.integers(-2, 2)] * 4),
+       st.lists(st.tuples(_noncanonical_polys(),
+                          st.sampled_from([-2, -1, 1, 2])),
+                max_size=3))
+@example(ZERO4, [(X1_PLUS_X2, 1)])                     # numerator fibre
+@example(ZERO4, [(X1_PLUS_X2, -2)])                    # denominator fibre
+@example(ZERO4, [(T1_PLUS_T2, 1)])                     # vanishing fibre
+@example(ZERO4, [(T1_PLUS_T2, -1)])
+@example(ZERO4, [(TWO_PLUS_T1, -1)])                   # 1/2 at t = 0
+@example(ZERO4, [(TWO_PLUS_T1, 2), (TWO_PLUS_T2, -1)])  # 4/2 at t = 0
+@example(ZERO4, [(X1_PLUS_ONE, -1)])                   # inhomogeneous
+@example((1, 0, 2, -1), [(SHIFTED, -2), (TWO_PLUS_T2, 1)])
+def test_factored_reads_agree_with_the_expansion(unit, parts):
+    """On any function with positive factors, canonical or not, each
+    factored read returns what the expansion route returns, or raises the
+    same class of error: the t -> 0 limit (non-monomial, vanishing and
+    non-integer fibres), the degree (inhomogeneous factors) and the
+    exponent bounds the strata check reads."""
+    f = PosRatFunc(XT, unit, dict(parts))
+    assert (_read(lambda: limit_t_zero(f, T_XT))
+            == _read(lambda: _expanded_limit(f, T_XT)))
+    assert (_read(lambda: degree_of(f, GRADING_XT))
+            == _read(lambda: _expanded_degree(f, GRADING_XT)))
+    num, den = f.expand()
+    assert f.exponent_bounds() == _expanded_box(num) + _expanded_box(den)

@@ -210,3 +210,186 @@ def test_invariant_report_structure():
     assert rep["sign_coherent"] is True
     assert abs(rep["det_C"]) == 1 and abs(rep["det_G"]) == 1
     assert rep["path"] == [2, 1, 2, 1, 2]
+
+
+# -- third route: Cluster algebras IV (arXiv:math/0602259) in sympy --------------
+#
+# Nothing below calls the exact-arithmetic engine: matrix and coefficient
+# mutation are written out from the paper, rational functions live in
+# sympy's fraction field and polynomials in its ring over ZZ, and the
+# program is asked only for the values it reports (f_polynomials, c_matrix,
+# g_matrix), which are then checked against the paper's formulas.
+
+ACYCLIC_TRIANGLE = ExchangeData(((0, 1, 1), (-1, 0, 1), (-1, -1, 0)), 3)
+FZ_TYPES = {"A2": A2, "B2": B2, "G2": G2, "A3": A3,
+            "acyclic-triangle": ACYCLIC_TRIANGLE}
+FZ_MAX_LEN = 5
+
+# A coefficient tuple in the tropical semifield Trop(q1, q2), per rank; its
+# entries have mixed signs so that F|Trop is not always trivial.
+FZ_Y0 = {2: ((1, -1), (-2, 1)), 3: ((1, 0), (-1, 2), (0, -1))}
+
+
+@pytest.fixture(scope="module")
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+def _fz_paths(n):
+    """Every path of length 0..FZ_MAX_LEN without an immediate repeat, each
+    after its parent."""
+    out = [()]
+    for path in out:
+        if len(path) < FZ_MAX_LEN:
+            out += [path + (k,) for k in range(n) if path[-1:] != (k,)]
+    return out
+
+
+def _fz_mutate_matrix(B, k):
+    """Matrix mutation, Cluster algebras I (4.3): b'_ij = -b_ij if k is i
+    or j, else b_ij + [b_ik]+ [b_kj]+ - [-b_ik]+ [-b_kj]+."""
+    n = len(B)
+    return tuple(tuple(-B[i][j] if k in (i, j) else
+                       B[i][j] + max(B[i][k], 0) * max(B[k][j], 0)
+                       - max(-B[i][k], 0) * max(-B[k][j], 0)
+                       for j in range(n)) for i in range(n))
+
+
+def _trop_mutate(y, B, k):
+    """Y-seed mutation (2.3) in a tropical semifield, on exponent vectors:
+    y_k -> y_k^-1, y_j -> y_j y_k^[b_kj]+ (y_k (+) 1)^-b_kj."""
+    return tuple(tuple(-c for c in y[k]) if j == k else
+                 tuple(a + max(B[k][j], 0) * c - B[k][j] * min(c, 0)
+                       for a, c in zip(yj, y[k]))
+                 for j, yj in enumerate(y))
+
+
+def _trop_eval(f, y):
+    """F|Trop(y): the tropical sum (componentwise minimum) over F's terms of
+    the exponent vector prod_i y_i^e_i."""
+    return tuple(min(sum(e[i] * y[i][r] for i in range(len(y)))
+                     for e in f.terms) for r in range(len(y[0])))
+
+
+def _eval(f, args, one):
+    """The polynomial f (a term map) at the sympy values args."""
+    out = 0 * one
+    for e, c in f.terms.items():
+        m = c * one
+        for a, x in zip(args, e):
+            m *= a ** x
+        out += m
+    return out
+
+
+def _fz_walk(ed, start, step):
+    """The state ``start`` carried along every path of ``_fz_paths`` by
+    ``step(state, B, k)``, with B the exchange matrix at the parent; yields
+    (path, exchange matrix at the path, state)."""
+    states = {(): (ed.B, start)}
+    for path in _fz_paths(ed.n):
+        if path:
+            B, state = states[path[:-1]]
+            k = path[-1]
+            states[path] = (_fz_mutate_matrix(B, k), step(state, B, k))
+        yield path, states[path][0], states[path][1]
+
+
+@pytest.mark.parametrize("name", sorted(FZ_TYPES))
+def test_separation_formula_of_cluster_algebras_iv(sympy, name):
+    """Cluster variables and coefficients computed by the exchange relation
+    with coefficients in Trop(q1, q2), along every path of length up to 5,
+    satisfy the separation formulas with the program's F-polynomials,
+    c-vectors and g-vectors:
+
+    * Cor. 6.3: x_l;t = x^g_l F_l;t(y^_1..y^_n) / F_l;t|Trop(y), where
+      y^_j = y_j prod_i x_i^b_ij over the initial matrix;
+    * Prop. 3.13: y_j;t = y^c_j prod_i F_i;t|Trop(y)^b_ij;t.
+    """
+    from sympy.polys.fields import field
+
+    ed = FZ_TYPES[name]
+    n = ed.n
+    K, *gens = field(",".join([f"x{i + 1}" for i in range(n)]
+                              + ["q1", "q2"]), sympy.ZZ)
+    xs, qs = gens[:n], gens[n:]
+    one = K.one
+
+    def mono(e, base=qs):
+        out = one
+        for a, x in zip(base, e):
+            out *= a ** x
+        return out
+
+    y0 = FZ_Y0[n]
+    yhat = [mono(y0[j]) * mono([ed.B[i][j] for i in range(n)], xs)
+            for j in range(n)]
+
+    def step(seed, B, k):
+        """Exchange relation (2.15): x_k x_k' = y_k/(y_k (+) 1) prod x^[b_ik]+
+        + 1/(y_k (+) 1) prod x^[-b_ik]+, with the coefficients mutated by
+        (2.3)."""
+        x, y = seed
+        plus = mono([max(c, 0) for c in y[k]])
+        minus = mono([max(-c, 0) for c in y[k]])
+        for i in range(n):
+            plus *= x[i] ** max(B[i][k], 0)
+            minus *= x[i] ** max(-B[i][k], 0)
+        x = list(x)
+        x[k] = (plus + minus) / x[k]
+        return tuple(x), _trop_mutate(y, B, k)
+
+    count = 0
+    for path, B, (x, y) in _fz_walk(ed, (tuple(xs), y0), step):
+        F = f_polynomials(ed, path)
+        C = c_matrix(ed, path)
+        G = g_matrix(ed, path)
+        trop = [_trop_eval(f, y0) for f in F]
+        for l in range(n):
+            want = (mono([G[i][l] for i in range(n)], xs)
+                    * _eval(F[l], yhat, one) / mono(trop[l]))
+            assert x[l] == want, (name, path, l)
+        for j in range(n):
+            want = tuple(sum(C[i][j] * y0[i][r] + B[i][j] * trop[i][r]
+                             for i in range(n)) for r in range(2))
+            assert y[j] == want, (name, path, j)
+        count += 1
+    assert count == 1 + sum(n * (n - 1) ** i for i in range(FZ_MAX_LEN))
+
+
+@pytest.mark.parametrize("name", sorted(FZ_TYPES))
+def test_f_polynomial_recurrence_of_cluster_algebras_iv(sympy, name):
+    """F-polynomials built by their own recurrence in ZZ[y], Prop. 5.1,
+    along every path of length up to 5, equal the program's: F_l;t' =
+    F_l;t for l != k, and F_k;t' is (prod_j y_j^[c_jk]+ prod_i F_i^[b_ik]+
+    + prod_j y_j^[-c_jk]+ prod_i F_i^[-b_ik]+) divided exactly by F_k;t.
+    The c-vectors follow (5.9) and must equal the program's too."""
+    from sympy.polys.rings import ring
+
+    ed = FZ_TYPES[name]
+    n = ed.n
+    R, *ys = ring(",".join(f"y{i + 1}" for i in range(n)), sympy.ZZ)
+
+    def step(state, B, k):
+        F, C = state
+        plus, minus = R.one, R.one
+        for j in range(n):
+            plus *= ys[j] ** max(C[j][k], 0)
+            minus *= ys[j] ** max(-C[j][k], 0)
+        for i in range(n):
+            plus *= F[i] ** max(B[i][k], 0)
+            minus *= F[i] ** max(-B[i][k], 0)
+        F = list(F)
+        F[k] = (plus + minus).exquo(F[k])
+        C = tuple(tuple(-C[i][j] if j == k else
+                        C[i][j] + C[i][k] * max(B[k][j], 0)
+                        + max(-C[i][k], 0) * B[k][j]
+                        for j in range(n)) for i in range(n))
+        return tuple(F), C
+
+    start = ((R.one,) * n, mat_identity(n))
+    for path, _, (F, C) in _fz_walk(ed, start, step):
+        assert C == c_matrix(ed, path), (name, path)
+        got = f_polynomials(ed, path)
+        for l in range(n):
+            assert _eval(got[l], ys, R.one) == F[l], (name, path, l)
