@@ -28,7 +28,7 @@ from .exact_algebra import (
 from .semifields import TropMonomial
 from .seeds import mutate_coeff_tuple, mutate_matrix, sign, t_vars
 from .invariants import CheckFailed
-from .gfan import enumerate_gfan, g_cone_step, star
+from .gfan import enumerate_gfan, g_cone_step, star, two_faces
 
 
 def column(M, j):
@@ -292,13 +292,27 @@ def central_fiber_toric_check(fam):
 # -- consistency of the gluing ----------------------------------------------------
 
 
-def cocycle_check(fam, max_len=8):
+def cocycle_check(fam, max_len=8, faces=None):
     """Composite transitions around closed walks act as coordinate
     permutations matching the walk's coefficient matrix.
 
-    Checks the immediate there-and-back composite at every wall, then all
-    non-backtracking closed walks up to the given length starting from the
-    initial cone.
+    Checks the immediate there-and-back composite at every wall, then the
+    composite around every 2-face of the exchange graph, the cycle of cones
+    around a codimension-2 cone, that closes within ``max_len`` steps
+    (``gfan.two_faces``; ``faces`` is its result when the caller has it).
+    Each face is walked once, from its start cone, and must come back to
+    that cone's own coefficient vectors, permuted, with the coordinates
+    permuted the same way.
+
+    Why the faces suffice: in finite type the exchange graph is the
+    1-skeleton of the generalized associahedron (Chapoton-Fomin-Zelevinsky,
+    arXiv:math/0202004; Fomin-Zelevinsky, arXiv:hep-th/0111053), whose
+    2-faces are the rank-2 cycles of length 4, 5, 6 or 8.  The 2-skeleton
+    of a polytope is simply connected, so every closed walk is a product of
+    conjugates of 2-face boundaries, and since transitions commute with
+    relabelling the coordinates, a permutation around every face gives a
+    permutation around every closed walk.  At ``max_len`` 8 every
+    finite-type face closes.
     """
     n = fam.n
     coords = fam.coordinates()
@@ -312,42 +326,26 @@ def cocycle_check(fam, max_len=8):
                     f"wall ({src},{k}): there-and-back composite moves "
                     f"coordinate {i + 1}")
 
-    base_cone = fam.atlas.cones[0]
-    cols0 = {column(base_cone.C, j): j for j in range(n)}
-
-    def verify_closure(images, Cw):
-        perm = []
-        for i in range(n):
-            col = column(Cw, i)
-            if col not in cols0:
-                raise CheckFailed("closed walk permutes coefficient vectors "
-                                  "outside the base cone's own")
-            perm.append(cols0[col])
-        if sorted(perm) != list(range(n)):
-            raise CheckFailed("closed walk does not permute the coefficient "
-                              "vectors")
-        for i in range(n):
-            if not rat_equal(images[i], coords[perm[i]]):
+    closed, _ = two_faces(fam.atlas, max_len) if faces is None else faces
+    for start, i, j, stepped in closed:
+        where = f"face at cone {start.index} in directions {i + 1},{j + 1}"
+        cone, images = start, None
+        for s, nxt in enumerate(stepped):
+            k = (i, j)[s % 2]
+            step = fam.wall_images(cone.B, k, column(cone.C, k))
+            images = composer(fam.xnames, images)(step) if s else step
+            cone = nxt
+        cols = {column(start.C, c): c for c in range(n)}
+        perm = [cols.get(column(cone.C, c)) for c in range(n)]
+        if set(perm) != set(range(n)):
+            raise CheckFailed(f"{where}: the coefficient vectors do not come "
+                              f"back permuted")
+        for c in range(n):
+            if not rat_equal(images[c], coords[perm[c]]):
                 raise CheckFailed(
-                    f"closed walk composite sends coordinate {i + 1} to "
-                    f"{images[i].to_text()}, expected a coordinate "
+                    f"{where}: the composite sends coordinate {c + 1} to "
+                    f"{images[c].to_text()}, expected a coordinate "
                     f"permutation")
-
-    base_key = base_cone.key()
-    stack = [(None, tuple(coords), base_cone, 0)]
-    while stack:
-        last, images, cone, length = stack.pop()
-        if length == max_len:
-            continue
-        after = composer(fam.xnames, images)
-        for k in fam.atlas.allowed:
-            if k == last:
-                continue
-            nimages = after(fam.wall_images(cone.B, k, column(cone.C, k)))
-            ncone = g_cone_step(cone, k)
-            if ncone.key() == base_key:
-                verify_closure(nimages, ncone.C)
-            stack.append((k, nimages, ncone, length + 1))
     return True
 
 

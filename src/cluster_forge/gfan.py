@@ -1,5 +1,6 @@
-"""Enumeration of the fan of g-vector cones, exact fan-axiom checking,
-stars of faces, and the rank-2 polytope attached to a complete fan.
+"""Enumeration of the fan of g-vector cones and of the 2-faces of its
+exchange graph, exact fan-axiom checking, stars of faces, and the rank-2
+polytope attached to a complete fan.
 
 Cones are simplicial, generated by the columns of the running g-matrix; the
 inward facet normals are the columns of the c-matrix of the negated-transpose
@@ -201,6 +202,44 @@ def enumerate_gfan(ed, depth_cap=64, allowed=None, partial=False):
         depth += 1
     return GFanAtlas(ExchangeData(ed.B, ed.n, ed.d), cones, seen, adjacency,
                      allowed, complete=complete)
+
+
+def two_faces(atlas, max_len):
+    """The 2-faces of the exchange graph, each walked once.
+
+    A 2-face is the cycle of maximal cones around a codimension-2 cone, and
+    is named by that cone: the generators of a cone other than its positions
+    i and j, for a pair of allowed directions with i listed before j, so
+    naming a face takes no step.  The first cone to name a face walks it, stepping
+    ``g_cone_step`` alternately in i and j until the cone's key comes back
+    or ``max_len`` steps have been taken.  Returns the closed faces, each as
+    (start record, i, j, stepped records), and the number of faces that did
+    not close within ``max_len`` steps.  Integer arithmetic only.
+    """
+    named = set()
+    closed = []
+    skipped = 0
+    for cone in atlas.cones:
+        gens = cone.generators()
+        key = cone.key()
+        for a, i in enumerate(atlas.allowed):
+            for j in atlas.allowed[a + 1:]:
+                face = frozenset(g for p, g in enumerate(gens)
+                                 if p != i and p != j)
+                if face in named:
+                    continue
+                named.add(face)
+                stepped = []
+                rec = cone
+                while len(stepped) < max_len:
+                    rec = g_cone_step(rec, (i, j)[len(stepped) % 2])
+                    stepped.append(rec)
+                    if rec.key() == key:
+                        closed.append((cone, i, j, tuple(stepped)))
+                        break
+                else:
+                    skipped += 1
+    return closed, skipped
 
 
 # -- fan axioms ----------------------------------------------------------------

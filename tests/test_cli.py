@@ -380,6 +380,56 @@ def test_star_fuzzed_fan_files_exit_cleanly(tmp_path, obj, tau):
     assert res.exception is None or isinstance(res.exception, SystemExit)
 
 
+FINITE_SEEDS = ["a2.json", "a3.json", "a3_rev.json", "b2.json", "dp5.json",
+                "gr25.json"]
+# strings that int() or Fraction() read in a way one might not expect
+_ODD_PIECES = ["", " ", "0", "-0", "-1", "+1", " 2 ", "1/0", "1//2", "2/3",
+               "-1/2", "1/-2", "1.5", ".5", "1e3", "1_0", "_1", "0x1", "½",
+               "٣", "x", "inf", "nan", "9" * 40]
+
+
+def _pieces(max_count):
+    """Comma-joined text of at most ``max_count`` pieces: all in 1..3, or
+    each a small integer, an odd numeral or short free text without commas.
+    Free text stays at four characters so that no piece spells a large
+    decimal exponent."""
+    piece = (st.integers(-2, 9).map(str) | st.sampled_from(_ODD_PIECES)
+             | st.text(alphabet="0123456789-+/._ e½٣x", max_size=4))
+    return (st.lists(st.integers(1, 3).map(str), max_size=max_count)
+            | st.lists(piece, max_size=max_count)).map(",".join)
+
+
+def _exits_cleanly(res):
+    return (res.exit_code in range(5)
+            and (res.exception is None
+                 or isinstance(res.exception, SystemExit)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(FINITE_SEEDS), _pieces(6),
+       st.none() | st.sampled_from(["principal", "none", "trop:1", "trop:2",
+                                    "trop:", "trop:x", "trop:-1", "trop:٣",
+                                    "Principal", ""])
+       | st.text(max_size=8))
+def test_mutate_fuzzed_path_and_coeffs_exit_cleanly(name, path, coeffs):
+    """mutate --path and --with-coeffs text on the finite-type fixtures,
+    paths of at most six steps: exit 0-4 and no exception other than
+    SystemExit."""
+    args = ["mutate", "--seed", fixture(name), f"--path={path}"]
+    if coeffs is not None:
+        args.append(f"--with-coeffs={coeffs}")
+    assert _exits_cleanly(run(*args))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(FINITE_SEEDS), _pieces(4), st.booleans())
+def test_degenerate_fuzzed_point_exits_cleanly(name, at, as_json):
+    """degenerate --at text on the finite-type fixtures: exit 0-4 and no
+    exception other than SystemExit."""
+    args = ["degenerate", "--seed", fixture(name), f"--at={at}"]
+    assert _exits_cleanly(run(*args, *(["--json"] if as_json else [])))
+
+
 def test_in_process_calls_free_their_streams():
     """Repeated in-process calls, on stdout and on stderr, leave no text
     stream alive behind them."""
@@ -462,6 +512,27 @@ def test_verify_empty_work_is_input_error(args, option):
     assert res.returncode == 2
     assert "Traceback" not in res.stdout + res.stderr
     assert option in res.stderr
+
+
+def test_verify_cocycle_names_the_faces_it_skips():
+    """B2's one 2-face is a hexagon: at --max-len 5 it is not walked, and
+    stderr says so; stdout and the exit code are those of a full check."""
+    res = run("verify", "cocycle", "--seed", fixture("b2.json"),
+              "--max-len", "5")
+    full = run("verify", "cocycle", "--seed", fixture("b2.json"))
+    assert res.exit_code == full.exit_code == 0
+    assert res.stdout == full.stdout == ("cocycle cocycle: ok\n"
+                                         "verify cocycle: 1/1 ok\n")
+    assert res.stderr == ("verify cocycle: 1 of 1 faces longer than "
+                          "--max-len 5 were not checked\n")
+
+
+@pytest.mark.parametrize("name", ["a2.json", "a3.json", "a3_rev.json",
+                                  "b2.json", "dp5.json"])
+def test_verify_cocycle_default_skips_no_face(name):
+    res = run("verify", "cocycle", "--seed", fixture(name))
+    assert res.exit_code == 0
+    assert res.stderr == ""
 
 
 def test_verify_glue_needs_mutable_seed():

@@ -24,10 +24,11 @@ from cluster_forge.seeds import (
     seed_from_json,
 )
 from cluster_forge.invariants import CheckFailed
-from cluster_forge.gfan import g_cone_step
+from cluster_forge.gfan import g_cone_step, two_faces
 from cluster_forge.degeneration import (
     Family,
     column,
+    composer,
     central_fiber_toric_check,
     cocycle_check,
     coordinate_limit,
@@ -243,9 +244,13 @@ def test_central_fiber_monomial_maps_frozen():
         assert got == expected
 
 
-@pytest.mark.parametrize("ed", [A2, B2, A3], ids=["a2", "b2", "a3"])
+@pytest.mark.parametrize("ed", list(FINITE_TYPES.values()),
+                         ids=list(FINITE_TYPES))
 def test_cocycle(ed):
-    assert cocycle_check(Family(ed))
+    """At the default max_len of 8 every 2-face of every finite type
+    closes, and each closes on a permutation of its start cone's
+    coordinates."""
+    assert cocycle_check(Family(ed)) is True
 
 
 def test_cocycle_rejects_tampered_transition():
@@ -255,6 +260,81 @@ def test_cocycle_rejects_tampered_transition():
         T.src, T.dst, T.k, T.near, (T.images[0].power(2), T.images[1]))
     with pytest.raises(CheckFailed):
         cocycle_check(fam)
+
+
+def test_cocycle_rejects_a_face_that_does_not_come_back():
+    """A face walk cut one step short ends on another cone, whose
+    coefficient vectors are no permutation of the start cone's."""
+    fam = Family(A2)
+    (start, i, j, stepped), = two_faces(fam.atlas, 8)[0]
+    with pytest.raises(CheckFailed, match="do not come back permuted"):
+        cocycle_check(fam, faces=([(start, i, j, stepped[:-1])], 0))
+
+
+def _wall_key(rec, k):
+    """The ``Family.wall_images`` cache key of a record's wall in direction
+    k."""
+    return (tuple(rec.B[k]), k, column(rec.C, k))
+
+
+def _face_keys(start, i, j, max_len):
+    """Wall keys, from both sides, of the walk alternating in i and j from
+    ``start`` until it closes or has taken ``max_len`` steps."""
+    keys = set()
+    rec = start
+    for s in range(max_len):
+        k = (i, j)[s % 2]
+        nxt = g_cone_step(rec, k)
+        keys |= {_wall_key(rec, k), _wall_key(nxt, k)}
+        rec = nxt
+        if rec.key() == start.key():
+            break
+    return keys
+
+
+def _conjugate(fam, images, c):
+    """Wall images conjugated by the rescaling X_c -> t1*X_c: entry i is
+    images[i] at the rescaled coordinates, divided by the rescaling of X_i.
+    Conjugating a wall's images from both sides keeps the there-and-back
+    composite the identity."""
+    exps = [0] * len(fam.vars)
+    exps[fam.n] = 1
+    t1 = PosRatFunc.monomial(fam.vars, exps)
+    coords = list(fam.coordinates())
+    coords[c] = coords[c].mul(t1)
+    out = list(composer(fam.xnames, coords)(images))
+    out[c] = out[c].mul(t1.inv())
+    return tuple(out)
+
+
+@pytest.mark.parametrize("ed", [A4, D4], ids=["a4", "d4"])
+def test_cocycle_rejects_a_tampered_wall_off_the_base_faces(ed):
+    """A wall conjugated from both sides by a rescaling of its wall
+    coordinate passes the there-and-back pass.  Its wall-image keys serve
+    no wall of a face holding the base cone, so closed walks of at most
+    five steps from the base cone, which go around such faces, miss it;
+    the walk around a face through it catches it."""
+    max_len = 5
+    fam = Family(ed)
+    atlas = fam.atlas
+    base = atlas.cones[0]
+    near_base = set()
+    for i in atlas.allowed:
+        for j in atlas.allowed:
+            if i != j:
+                near_base |= _face_keys(base, i, j, max_len)
+    closed, skipped = two_faces(atlas, max_len)
+    assert skipped == 0
+    start, i, j, stepped = next(
+        face for face in closed
+        if not _face_keys(face[0], face[1], face[2], max_len) & near_base)
+    for rec in (start, stepped[0]):
+        key = _wall_key(rec, i)
+        fam._walls[key] = _conjugate(fam, fam.wall_images(rec.B, i, key[2]),
+                                     i)
+    assert cocycle_check(fam, faces=([], 0))
+    with pytest.raises(CheckFailed, match="face at cone"):
+        cocycle_check(fam, max_len=max_len)
 
 
 @pytest.mark.parametrize("ed", [A2, B2, A3], ids=["a2", "b2", "a3"])
@@ -437,7 +517,10 @@ def _a3_fixture_family():
 
 
 @pytest.mark.parametrize("check, calls", [
-    (lambda fam: cocycle_check(fam, max_len=5), 405),
+    # 42 walls there and back, three coordinates each (126), and on the nine
+    # faces of A3 the 42 face steps less the first of each, whose images
+    # are taken as they are (99)
+    (lambda fam: cocycle_check(fam, max_len=5), 225),
     (glue_ring_check_all, 126),
     (degree_check, 39),
 ], ids=["cocycle", "glue", "degree"])

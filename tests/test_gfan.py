@@ -18,6 +18,7 @@ from cluster_forge.gfan import (
     polytope_P,
     primitive,
     star,
+    two_faces,
 )
 from cluster_forge.seeds import ExchangeData, seed_from_json
 
@@ -185,6 +186,50 @@ def test_adjacency_walks_every_wall():
             assert other.index != c.index
             shared = c.key() & other.key()
             assert len(shared) == n - 1
+
+
+FACE_LENGTHS = {
+    "a2": {5: 1}, "b2": {6: 1}, "g2": {8: 1}, "a3": {4: 3, 5: 6},
+    "b3": {4: 4, 5: 4, 6: 4}, "c3": {4: 4, 5: 4, 6: 4}, "a4": {4: 28, 5: 28},
+    "d4": {4: 30, 5: 36},
+}
+
+
+@pytest.mark.parametrize("ed, name", [(A2, "a2"), (B2, "b2"), (G2, "g2"),
+                                      (A3, "a3"), (B3, "b3"), (C3, "c3"),
+                                      (A4, "a4"), (D4, "d4")],
+                         ids=list(FACE_LENGTHS))
+def test_two_faces_count_by_euler_relation(ed, name):
+    """Each face walk closes on its start cone with i and j alternating,
+    and the faces found are every 2-face of the generalized associahedron:
+    with V cones, E walls, F faces and one facet per ray, V - E + F = 2 in
+    rank 3 and V - E + F - rays = 0 in rank 4."""
+    atlas = enumerate_gfan(ed)
+    closed, skipped = two_faces(atlas, 8)
+    assert skipped == 0
+    lengths = {}
+    for start, i, j, stepped in closed:
+        assert i < j and stepped[-1].key() == start.key()
+        assert [rec.path[-1] for rec in stepped] == [
+            (i, j)[s % 2] for s in range(len(stepped))]
+        assert all(rec.key() != start.key() for rec in stepped[:-1])
+        lengths[len(stepped)] = lengths.get(len(stepped), 0) + 1
+    assert lengths == FACE_LENGTHS[name]
+    V, E, F = len(atlas.cones), len(atlas.adjacency) // 2, len(closed)
+    if ed.n == 3:
+        assert V - E + F == 2
+    elif ed.n == 4:
+        assert V - E + F - len(atlas.rays) == 0
+
+
+def test_two_faces_counts_the_faces_it_cannot_close():
+    """A face longer than max_len is counted, not walked again from each of
+    its cones: B3 has four hexagons, and B2 and G2 one face each."""
+    closed, skipped = two_faces(enumerate_gfan(B3), 5)
+    assert (len(closed), skipped) == (8, 4)
+    assert two_faces(enumerate_gfan(B2), 5) == ([], 1)
+    assert two_faces(enumerate_gfan(G2), 7) == ([], 1)
+    assert two_faces(enumerate_gfan(A1), 8) == ([], 0)
 
 
 def test_depth_cap_detects_infinite_fan():
