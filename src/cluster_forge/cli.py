@@ -332,12 +332,12 @@ def verify(check, seed_path, paths_spec, max_len, rng_seed, depth, as_json):
         }
         try:
             if check == "cocycle":
-                closed, skipped = faces = two_faces(fam.atlas, max_len)
+                closed, skipped = two_faces(fam.atlas, max_len)
                 if skipped:
                     _echo(f"verify cocycle: {skipped} of "
                           f"{len(closed) + skipped} faces longer than "
                           f"--max-len {max_len} were not checked", err=True)
-                cocycle_check(fam, faces=faces)
+                cocycle_check(fam, max_len=max_len)
                 results.append((check, True, ""))
             elif check in named:
                 named[check]()
@@ -378,10 +378,31 @@ def verify(check, seed_path, paths_spec, max_len, rng_seed, depth, as_json):
 # -- degenerate ---------------------------------------------------------------
 
 
+# --at refuses decimal exponents beyond this size: Fraction expands 1e{e}
+# to an integer of e digits, which takes time quadratic in e
+AT_MAX_EXPONENT = 1000
+
+
+class _ExponentTooLarge(ValueError):
+    pass
+
+
+def _rational(piece):
+    """One --at component as a Fraction; ValueError when it is not a
+    rational numeral, _ExponentTooLarge when its decimal exponent is beyond
+    +-AT_MAX_EXPONENT.  The exponent is read before Fraction sees the
+    piece; int accepts every exponent Fraction does."""
+    _, mark, exponent = piece.strip().lower().partition("e")
+    if mark and abs(int(exponent)) > AT_MAX_EXPONENT:
+        raise _ExponentTooLarge(piece)
+    return Fraction(piece.strip())
+
+
 @main.command()
 @click.option("--seed", "seed_path", required=True)
 @click.option("--at", "at_text", required=True,
-              help="comma-separated rational base point u1,...,un")
+              help="comma-separated rational base point u1,...,un "
+                   f"(decimal exponents up to {AT_MAX_EXPONENT})")
 @click.option("--depth", default=64, show_default=True)
 @click.option("--json", "as_json", is_flag=True)
 def degenerate(seed_path, at_text, depth, as_json):
@@ -393,7 +414,10 @@ def degenerate(seed_path, at_text, depth, as_json):
         _fail(EXIT_INPUT, f"degenerate: seed file {seed_path} has frozen "
               "directions; the family needs a fully mutable seed")
     try:
-        u = [Fraction(piece.strip()) for piece in at_text.split(",")]
+        u = [_rational(piece) for piece in at_text.split(",")]
+    except _ExponentTooLarge:
+        _fail(EXIT_INPUT, f"--at {at_text!r}: decimal exponents beyond "
+              f"+-{AT_MAX_EXPONENT} are not accepted")
     except (ValueError, ZeroDivisionError):
         _fail(EXIT_INPUT, f"--at {at_text!r} is not a comma-separated "
               "rational vector")
@@ -404,23 +428,32 @@ def degenerate(seed_path, at_text, depth, as_json):
         _fail(EXIT_INPUT, "--at must be all zero (central fiber) or all "
               "nonzero (smooth fiber)")
     fam = Family(ed, atlas=_enumerate_or_die(ed, depth))
-    walls = []
+    maps = []
     for (src, k), dst in sorted(fam.atlas.adjacency.items()):
         T = fam.transition(src, k)
         if all(zeros):
-            images = [limit_t_zero(f, fam.tnames).to_text()
-                      for f in T.images]
+            images = [limit_t_zero(f, fam.tnames) for f in T.images]
         else:
-            images = [ratio_text(f.num, f.den) for f in
-                      specialize_fiber(T.images, fam.tnames, u)]
-        walls.append({"src": src, "direction": k + 1, "dst": dst,
-                      "images": images})
+            images = specialize_fiber(T.images, fam.tnames, u)
+        maps.append((src, k, dst, images))
+    # the only ValueError printing raises is Python's limit on the digits
+    # of an int converted to text
+    try:
+        at = [str(x) for x in u]
+        walls = [{"src": src, "direction": k + 1, "dst": dst,
+                  "images": [f.to_text() if all(zeros)
+                             else ratio_text(f.num, f.den) for f in images]}
+                 for src, k, dst, images in maps]
+    except ValueError:
+        _fail(EXIT_INPUT, f"--at {at_text!r}: the specialized maps have "
+              f"numbers of more than {sys.get_int_max_str_digits()} digits, "
+              "too long to print")
     if as_json:
-        _echo_json({"at": [str(x) for x in u], "walls": walls})
+        _echo_json({"at": at, "walls": walls})
     else:
         kind = ("toric gluing of the central fiber" if all(zeros)
                 else "fiber transition maps")
-        _echo(f"{kind} at ({', '.join(str(x) for x in u)})")
+        _echo(f"{kind} at ({', '.join(at)})")
         for w in walls:
             _echo(f"wall cone {w['src']} --{w['direction']}--> "
                   f"cone {w['dst']}")

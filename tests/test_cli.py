@@ -385,16 +385,15 @@ FINITE_SEEDS = ["a2.json", "a3.json", "a3_rev.json", "b2.json", "dp5.json",
 # strings that int() or Fraction() read in a way one might not expect
 _ODD_PIECES = ["", " ", "0", "-0", "-1", "+1", " 2 ", "1/0", "1//2", "2/3",
                "-1/2", "1/-2", "1.5", ".5", "1e3", "1_0", "_1", "0x1", "½",
-               "٣", "x", "inf", "nan", "9" * 40]
+               "٣", "x", "inf", "nan", "9" * 40, "1e5000", "1e99999999",
+               "1e-99999999", "1e٣٣٣٣", "9" * 5000]
 
 
 def _pieces(max_count):
     """Comma-joined text of at most ``max_count`` pieces: all in 1..3, or
-    each a small integer, an odd numeral or short free text without commas.
-    Free text stays at four characters so that no piece spells a large
-    decimal exponent."""
+    each a small integer, an odd numeral or free text without commas."""
     piece = (st.integers(-2, 9).map(str) | st.sampled_from(_ODD_PIECES)
-             | st.text(alphabet="0123456789-+/._ e½٣x", max_size=4))
+             | st.text(alphabet="0123456789-+/._ e½٣x", max_size=12))
     return (st.lists(st.integers(1, 3).map(str), max_size=max_count)
             | st.lists(piece, max_size=max_count)).map(",".join)
 
@@ -428,6 +427,26 @@ def test_degenerate_fuzzed_point_exits_cleanly(name, at, as_json):
     exception other than SystemExit."""
     args = ["degenerate", "--seed", fixture(name), f"--at={at}"]
     assert _exits_cleanly(run(*args, *(["--json"] if as_json else [])))
+
+
+@pytest.mark.parametrize("at", ["1e5000,1", "1e99999999,1", "1,1e-1001"])
+def test_degenerate_refuses_large_decimal_exponents(at):
+    """A decimal exponent beyond AT_MAX_EXPONENT is refused before Fraction
+    expands it."""
+    res = run("degenerate", "--seed", fixture("a2.json"), f"--at={at}")
+    assert res.exit_code == 2
+    assert "decimal exponents beyond +-1000" in res.output
+
+
+def test_degenerate_refuses_maps_too_long_to_print():
+    """Within the exponent bound, a base point whose maps hold an integer
+    past Python's digit limit for text ends in exit 2, not a traceback."""
+    big = "9" * 3000
+    res = run("degenerate", "--seed", fixture("a2.json"), f"--at={big},{big}")
+    assert res.exit_code == 2
+    assert "too long to print" in res.output
+    assert run("degenerate", "--seed", fixture("a2.json"),
+               "--at=1e1000,1").exit_code == 0
 
 
 def test_in_process_calls_free_their_streams():
