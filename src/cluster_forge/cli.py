@@ -509,30 +509,26 @@ def star_cmd(fan_path, tau, as_json):
     """Print the star of a fan face: base cone, quotient coordinates, and
     the projected cones."""
     obj = _load_json_file(fan_path, "fan")
-    try:
-        atlas = fan_from_json(obj)
-    except FanDepthExceeded as exc:
-        if exc.depth is not None:
-            _fail(EXIT_TRUNCATED,
-                  f"fan file {fan_path} is marked complete, but the "
-                  "re-enumeration of its stored seed is still growing at "
-                  f"depth {exc.depth}; the seed may be of infinite type")
-        _fail(EXIT_TRUNCATED,
-              f"fan file {fan_path} is marked incomplete (truncated "
-              "enumeration); re-run fan with a larger --depth")
-    except (CheckFailed, KeyError, TypeError, ValueError) as exc:
-        _fail(EXIT_INPUT, f"fan file {fan_path} is malformed or stale: {exc}")
     if not tau.startswith("ray:"):
         _fail(EXIT_INPUT, f"--tau {tau!r} must look like ray:I")
     try:
         ray_index = int(tau.split(":", 1)[1])
     except ValueError:
         _fail(EXIT_INPUT, f"--tau {tau!r}: index is not an integer")
-    rays = [tuple(r) for r in obj["rays"]]
-    if not 1 <= ray_index <= len(rays):
-        _fail(EXIT_INPUT,
-              f"--tau ray:{ray_index} out of range 1..{len(rays)}")
-    ray = rays[ray_index - 1]
+    try:
+        atlas = fan_from_json(obj, ray_index - 1)
+    except FanDepthExceeded as exc:
+        if exc.depth is not None:
+            _fail(EXIT_TRUNCATED,
+                  f"fan file {fan_path} is marked complete, but the "
+                  "re-enumeration of its stored seed is still growing at "
+                  f"depth {exc.depth}; the seed may be of infinite type")
+        _fail(EXIT_TRUNCATED, f"fan file {fan_path} {exc}")
+    except IndexError as exc:
+        _fail(EXIT_INPUT, f"--tau ray:{ray_index} {exc}")
+    except (CheckFailed, KeyError, TypeError, ValueError) as exc:
+        _fail(EXIT_INPUT, f"fan file {fan_path} is malformed or stale: {exc}")
+    ray = tuple(obj["rays"][ray_index - 1])
     try:
         st = star(atlas, [ray])
     except CheckFailed as exc:

@@ -9,7 +9,8 @@ A walk step moves a seed's exchange matrix, c-matrix, g-matrix and dual
 c-matrix together, in integers only: the g-matrix changes in column k by the
 recurrence (6.12) of Fomin-Zelevinsky, Cluster algebras IV.  The walk keys
 each step by that one new g-vector and steps the full record only onto a
-cone it has not seen.
+cone it has not seen.  A fan file is read back to certify the star of one
+ray from the file's own stored paths, without walking the whole fan.
 """
 
 from __future__ import annotations
@@ -101,8 +102,9 @@ class ConeRecord:
 class GFanAtlas:
     """All maximal g-cones reachable from the initial seed (optionally only
     through a subset of directions), with wall adjacency and the walk's own
-    index ``by_key`` from generator set to cone index.  ``complete`` is
-    false when enumeration was cut off at a depth cap."""
+    index ``by_key`` from generator set to position in ``cones``.
+    ``complete`` is false when enumeration was cut off at a depth cap.
+    ``fan_from_json`` returns one holding only the cones of a star."""
 
     def __init__(self, ed, cones, by_key, adjacency, allowed, complete=True):
         self.ed = ed
@@ -120,8 +122,8 @@ class GFanAtlas:
         return tuple(sorted(out))
 
     def cone_by_key(self, key):
-        """The cone whose generator set is ``key``, or None; ``enumerate_gfan``
-        makes one cone per key."""
+        """The cone whose generator set is ``key``, or None; an atlas holds
+        one cone per key."""
         index = self.by_key.get(key)
         return None if index is None else self.cones[index]
 
@@ -514,31 +516,68 @@ def fan_to_json(atlas):
 
 
 def _add_once(items, x, field):
-    """Add ``x`` to the dict ``items``, used as an ordered set, unless the
-    file already listed it."""
+    """Map ``x`` to its position in the file in the dict ``items``, unless
+    the file already listed it."""
     if x in items:
         raise ValueError(f"{field} repeats an earlier entry")
-    items[x] = None
+    items[x] = len(items)
 
 
-def fan_from_json(obj):
-    """Rebuild a complete atlas from its serialized form: re-enumerate from
-    the stored seed and require the file's rays and maximal cones to match.
-    Incomplete files are rejected.  Rays, cone indices and allowed
-    directions must be integers, of length n and in range, and none may be
-    listed twice; each maximal cone lists n distinct rays.  Anything else
-    raises ``ValueError`` naming the field."""
+def fan_from_json(obj, tau):
+    """Certify the star of one ray of a fan file from the file itself, and
+    return an atlas of the cones that hold the ray.
+
+    ``tau`` is the ray's 0-based position in the file's ``rays``; a
+    position out of range raises ``IndexError``.  Fields come first.  Rays,
+    cone indices, allowed directions and path steps must be integers, of
+    length n and in range, and none may be listed twice; each maximal cone
+    lists n distinct rays and has one path, of allowed directions and
+    shorter than the number of cones, as every breadth-first path is.
+    Anything else raises ``ValueError`` naming the field.  A file marked
+    incomplete raises ``FanDepthExceeded``.
+
+    Then three local checks, each raising ``CheckFailed`` naming a field:
+
+    (a) replay: the stored path of every cone holding the ray, stepped by
+        ``g_cone_step`` from the stored seed (prefixes shared), ends on that
+        cone's generators;
+    (b) transverse closure: from each replayed cone, the cone across every
+        allowed wall that keeps the ray is a stored cone;
+    (c) pseudomanifold closure, without arithmetic: every ray lies in a
+        cone, no facet lies in more than two cones, and every cone shares
+        exactly one facet per allowed direction.
+
+    In finite type the cones holding a ray form the fan of the restricted
+    exchange data, connected by the mutations transverse to the ray
+    (Chapoton-Fomin-Zelevinsky, arXiv:math/0202004).  So, with the ray in
+    some stored cone as (c) asks, (a) and (b) say that the stored cones
+    holding the ray are exactly the seed's cones holding it, with the
+    generator order and path that each stored path gives, which is all
+    that ``star`` reads.  A wrong cone away from the ray that keeps (c) is
+    not caught.
+
+    When a local check fails, the stored seed is enumerated once to name
+    the fault: a seed still growing at the depth cap raises
+    ``FanDepthExceeded`` with that depth, a file holding only the first
+    cones of its seed's walk raises it as truncated, and any other fault
+    is the failed check.
+
+    The returned atlas holds the replayed cones in file order, each
+    numbered by its position in the file, and no adjacency.
+    """
     complete = obj.get("complete", True)
     if not isinstance(complete, bool):
         raise ValueError(f"complete must be true or false, not {complete!r}")
     if not complete:
-        raise FanDepthExceeded("fan file is marked incomplete")
+        raise FanDepthExceeded("is marked incomplete (truncated "
+                               "enumeration); re-run fan with a larger --depth")
     ed, _ = seed_from_json(obj["seed"])
     n = ed.n
     allowed = {}
     for i, k in enumerate(obj.get("allowed", range(1, n + 1))):
         _add_once(allowed, json_int(k, f"allowed[{i}]", 1, n) - 1,
                   f"allowed[{i}]")
+    allowed = tuple(allowed)
     rays = {}
     for i, r in enumerate(obj["rays"]):
         if not isinstance(r, list) or len(r) != n:
@@ -546,7 +585,7 @@ def fan_from_json(obj):
         _add_once(rays, tuple(json_int(x, f"rays[{i}][{j}]")
                               for j, x in enumerate(r)), f"rays[{i}]")
     rays = tuple(rays)
-    file_cones = {}
+    cones = {}
     for i, idxs in enumerate(obj["maximal_cones"]):
         cone = frozenset(
             rays[json_int(x, f"maximal_cones[{i}][{j}]", 0, len(rays) - 1)]
@@ -554,10 +593,102 @@ def fan_from_json(obj):
         if len(cone) != n or len(idxs) != n:
             raise ValueError(f"maximal_cones[{i}] must list n = {n} "
                              "distinct ray indices")
-        _add_once(file_cones, cone, f"maximal_cones[{i}]")
-    atlas = enumerate_gfan(ed, allowed=tuple(allowed))
-    if set(rays) != set(atlas.rays):
-        raise CheckFailed("fan file rays do not match re-enumeration")
-    if file_cones.keys() != atlas.by_key.keys():
-        raise CheckFailed("fan file cones do not match re-enumeration")
-    return atlas
+        _add_once(cones, cone, f"maximal_cones[{i}]")
+    paths = _read_paths(obj["paths"], len(cones), n, allowed)
+    if not 0 <= tau < len(rays):
+        raise IndexError(f"out of range 1..{len(rays)}")
+    try:
+        records = _certify_star(ed, allowed, rays, cones, paths, tau)
+    except CheckFailed:
+        atlas = enumerate_gfan(ed, allowed=allowed)
+        m = len(cones)
+        if 0 < m < len(atlas.cones) and list(cones) == [
+                c.key() for c in atlas.cones[:m]]:
+            raise FanDepthExceeded(
+                f"is marked complete, but holds only the first {m} of the "
+                f"{len(atlas.cones)} cones its stored seed's walk reaches; "
+                "re-run fan with a larger --depth")
+        raise
+    return GFanAtlas(ed, records, {c.key(): j for j, c in enumerate(records)},
+                     {}, allowed)
+
+
+def _read_paths(paths, count, n, allowed):
+    """The file's ``paths`` as 0-based direction tuples, one per maximal
+    cone, each of allowed directions and shorter than ``count``."""
+    if not isinstance(paths, list) or len(paths) != count:
+        raise ValueError(f"paths must hold one list per maximal cone, "
+                         f"{count} in all")
+    out = []
+    for i, path in enumerate(paths):
+        if not isinstance(path, list):
+            raise ValueError(f"paths[{i}] must be a list of directions")
+        if len(path) >= count:
+            raise ValueError(f"paths[{i}] has {len(path)} steps; a "
+                             f"breadth-first path through {count} cones "
+                             "has fewer")
+        steps = tuple(json_int(k, f"paths[{i}][{j}]", 1, n) - 1
+                      for j, k in enumerate(path))
+        for j, k in enumerate(steps):
+            if k not in allowed:
+                raise ValueError(f"paths[{i}][{j}] = {k + 1} is not an "
+                                 "allowed direction")
+        out.append(steps)
+    return out
+
+
+def _certify_star(ed, allowed, rays, cones, paths, tau):
+    """Checks (a), (b) and (c) of ``fan_from_json`` on ``cones``, a dict
+    from each maximal cone's generator set to its position in the file;
+    returns the replayed records of the cones holding ray ``tau``, in file
+    order."""
+    facets = {}
+    for cone in cones:
+        for r in cone:
+            f = cone - {r}
+            facets[f] = facets.get(f, 0) + 1
+    for i, cone in enumerate(cones):
+        shared = 0
+        for r in cone:
+            count = facets[cone - {r}]
+            if count > 2:
+                raise CheckFailed(f"a facet of maximal_cones[{i}] lies in "
+                                  f"{count} maximal cones")
+            shared += count == 2
+        if shared != len(allowed):
+            raise CheckFailed(
+                f"maximal_cones[{i}] shares {shared} of its facets with "
+                f"other maximal cones, not one per allowed direction "
+                f"({len(allowed)})")
+    in_cones = set().union(*cones)
+    for i, r in enumerate(rays):
+        if r not in in_cones:
+            raise CheckFailed(f"rays[{i}] lies in no maximal cone")
+    ray = rays[tau]
+    replayed = {(): ConeRecord.initial(ed)}
+    records = []
+    for key, i in cones.items():
+        if ray not in key:
+            continue
+        path = paths[i]
+        j = len(path)
+        while path[:j] not in replayed:
+            j -= 1
+        rec = replayed[path[:j]]
+        for j in range(j, len(path)):
+            rec = replayed[path[:j + 1]] = g_cone_step(rec, path[j])
+        gens = rec.generators()
+        if rec.key() != key:
+            raise CheckFailed(f"paths[{i}] leads the stored seed to a cone "
+                              f"with generators {sorted(gens)}, not "
+                              f"maximal_cones[{i}]")
+        rec.index = i
+        records.append(rec)
+        p = gens.index(ray)
+        for k in allowed:
+            if k != p and frozenset(gens[:k] + (g_vector_step(rec, k),)
+                                    + gens[k + 1:]) not in cones:
+                raise CheckFailed(
+                    f"maximal_cones[{i}] holds rays[{tau}], but the cone "
+                    f"across its wall {k + 1} is not stored")
+    return records

@@ -8,12 +8,13 @@ import json
 import os
 import subprocess
 import sys
+from math import gcd
 
 import pytest
 from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from cluster_forge import invariants
+from cluster_forge import cli, gfan, invariants
 from cluster_forge.cli import main
 from cluster_forge.corpus import (
     a2_principal_table_text,
@@ -22,6 +23,8 @@ from cluster_forge.corpus import (
     gr25_table_text,
     read_golden,
 )
+from cluster_forge.gfan import enumerate_gfan
+from cluster_forge.seeds import seed_from_json
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 FIXTURES = os.path.join(SRC, "cluster_forge", "fixtures")
@@ -230,7 +233,26 @@ def test_fan_tampered_file_is_input_error():
                           (setter("allowed", [True, 2]), "allowed[0]"),
                           (setter("complete", "yes"), "complete"),
                           (setter("maximal_cones", [[0, 5]]),
-                           "maximal_cones[0][1]")):
+                           "maximal_cones[0][1]"),
+                          (setter("paths", [[], [1], [2], [1, 2.0], [2, 1]]),
+                           "paths[3][1]"),
+                          (setter("paths", [[], [1], [2], [1, 3], [2, 1]]),
+                           "paths[3][1]"),
+                          (setter("paths", [[], [1], [2], [0], [2, 1]]),
+                           "paths[3][0]"),
+                          (setter("paths", [[], [True], [2], [1, 2], [2, 1]]),
+                           "paths[1][0]"),
+                          (setter("paths", [[], [1], 2, [1, 2], [2, 1]]),
+                           "paths[2]"),
+                          (setter("paths", [[], [1], [2], [1, 2]]), "paths"),
+                          (setter("paths", {}), "paths"),
+                          (lambda obj: obj.pop("paths"), "paths"),
+                          (setter("allowed", [2]), "paths[1][0]"),
+                          (lambda obj: obj["rays"].append([3, 5]),
+                           "rays[5] lies in no maximal cone"),
+                          (lambda obj: (obj["maximal_cones"].append([1, 4]),
+                                        obj["paths"].append([1])),
+                           "lies in 3 maximal cones")):
         with runner.isolated_filesystem():
             runner.invoke(main, ["fan", "--seed", fixture("a2.json"),
                                  "--out", "fan.json"])
@@ -297,6 +319,148 @@ def test_star_on_a_complete_file_whose_seed_never_closes(tmp_path):
     assert "incomplete" not in res.stderr
 
 
+# exchange matrices and multipliers of the finite types the two routes of
+# star are compared on
+STAR_TYPES = {
+    "a1": ([[0]], [1]),
+    "a2": ([[0, 1], [-1, 0]], [1, 1]),
+    "b2": ([[0, -1], [2, 0]], [2, 1]),
+    "g2": ([[0, -1], [3, 0]], [3, 1]),
+    "a3": ([[0, 1, 0], [-1, 0, 1], [0, -1, 0]], [1, 1, 1]),
+    "b3": ([[0, 1, 0], [-1, 0, 1], [0, -2, 0]], [2, 2, 1]),
+    "c3": ([[0, 1, 0], [-1, 0, 2], [0, -1, 0]], [1, 1, 2]),
+    "a4": ([[0, 1, 0, 0], [-1, 0, 1, 0], [0, -1, 0, 1], [0, 0, -1, 0]],
+           [1, 1, 1, 1]),
+    "d4": ([[0, 1, 0, 0], [-1, 0, 1, 1], [0, -1, 0, 0], [0, -1, 0, 0]],
+           [1, 1, 1, 1]),
+}
+
+
+def _rewalk(obj, tau):
+    """The full re-walk of a fan file's stored seed: the reference route
+    for the cones ``star`` prints."""
+    ed, _ = seed_from_json(obj["seed"])
+    return enumerate_gfan(ed, allowed=[k - 1 for k in obj["allowed"]])
+
+
+@pytest.mark.parametrize("name", [*STAR_TYPES, "a3_rev-freeze-1"])
+def test_star_matches_the_full_rewalk(tmp_path, monkeypatch, name):
+    """star certified from the file prints, on every ray and in text and
+    --json, the bytes that star on the re-walked fan prints."""
+    if name in STAR_TYPES:
+        B, d = STAR_TYPES[name]
+        seed = tmp_path / "seed.json"
+        seed.write_text(json.dumps({"B": B, "n": len(B), "d": d}))
+        args = ["--seed", str(seed)]
+    else:
+        args = ["--seed", fixture("a3_rev.json"), "--freeze", "1"]
+    fan = tmp_path / "fan.json"
+    assert run("fan", *args, "--out", str(fan)).exit_code == 0
+    calls = [["star", "--fan", str(fan), "--tau", f"ray:{i}", *js]
+             for i in range(1, len(json.loads(fan.read_text())["rays"]) + 1)
+             for js in ([], ["--json"])]
+    got = [run(*c) for c in calls]
+    monkeypatch.setattr(cli, "fan_from_json", _rewalk)
+    for res, c in zip(got, calls):
+        want = run(*c)
+        assert res.exit_code == want.exit_code == 0
+        assert res.stdout == want.stdout
+
+
+def _holding(obj, index):
+    """Positions of the stored cones that hold ray ``index``."""
+    return [i for i, c in enumerate(obj["maximal_cones"]) if index in c]
+
+
+def _swap_a_path(obj):
+    i, j = _holding(obj, 0)[1:3]
+    obj["paths"][i] = obj["paths"][j]
+    return f"paths[{i}]"
+
+
+def _delete_a_cone(obj):
+    i = _holding(obj, 0)[1]
+    for field in ("maximal_cones", "paths", "dual_rays"):
+        del obj[field][i]
+    return "maximal_cones["
+
+
+@pytest.mark.parametrize("tamper", [_swap_a_path, _delete_a_cone])
+def test_star_tampered_cone_of_the_star_is_input_error(tmp_path, tamper):
+    """A path changed, or a cone deleted, among the cones holding the
+    starred ray of the A3 fan: exit 2, naming the field."""
+    obj = _fan_file("a3.json")
+    named = tamper(obj)
+    path = tmp_path / "fan.json"
+    path.write_text(json.dumps(obj))
+    res = run("star", "--fan", str(path), "--tau", "ray:1")
+    assert res.exit_code == 2
+    assert "fan.json is malformed or stale" in res.stderr
+    assert named in res.stderr
+
+
+def test_star_needs_every_transverse_neighbour(tmp_path):
+    """In the fan of a3_rev.json with direction 1 frozen, every cone holds
+    the frozen ray e1.  One cone of its star is swapped for three forged
+    cones through a new ray, which keep every facet count of the file:
+    exit 2, naming the missing cone across a wall of a stored one."""
+    path = tmp_path / "fan.json"
+    assert run("fan", "--seed", fixture("a3_rev.json"), "--freeze", "1",
+               "--out", str(path)).exit_code == 0
+    obj = json.loads(path.read_text())
+    tau = obj["rays"].index([1, 0, 0])
+    cones = [set(c) for c in obj["maximal_cones"]]
+    gone = cones[-1]
+    a0, a1 = sorted(gone - {tau})
+    far = {}
+    for c in cones[:-1]:
+        for r in (a0, a1):
+            if {tau, r} <= c:
+                far[r] = (c - {tau, r}).pop()
+    x = len(obj["rays"])
+    obj["rays"].append([-1, 0, 0])
+    forged = [[a0, a1, x], [a1, far[a1], x], [a0, far[a0], x]]
+    obj["maximal_cones"] = obj["maximal_cones"][:-1] + forged
+    obj["paths"] = obj["paths"][:-1] + [[2]] * 3
+    path.write_text(json.dumps(obj))
+    res = run("star", "--fan", str(path), "--tau", f"ray:{tau + 1}")
+    assert res.exit_code == 2
+    assert f"holds rays[{tau}], but the cone across its wall" in res.stderr
+
+
+@pytest.mark.parametrize("seed_name", ["b2.json", "a3.json"])
+def test_star_on_a_truncated_file_marked_complete(tmp_path, seed_name):
+    """fan --depth 1 with complete flipped to true: exit 4, naming the
+    truncation, on every ray."""
+    path = tmp_path / "fan.json"
+    assert run("fan", "--seed", fixture(seed_name), "--depth", "1",
+               "--out", str(path)).exit_code == 4
+    obj = json.loads(path.read_text())
+    obj["complete"] = True
+    path.write_text(json.dumps(obj))
+    for i in range(1, len(obj["rays"]) + 1):
+        res = run("star", "--fan", str(path), "--tau", f"ray:{i}")
+        assert res.exit_code == 4
+        assert "is marked complete, but holds only the first" in res.stderr
+
+
+def test_star_refuses_a_long_path_before_any_replay(tmp_path, monkeypatch):
+    """A stored path with as many steps as there are cones is no
+    breadth-first path: exit 2 naming it, before any seed step."""
+    obj = _fan_file("a2.json")
+    obj["paths"][3] = [1, 2, 1, 2, 1]
+    path = tmp_path / "fan.json"
+    path.write_text(json.dumps(obj))
+
+    def no_step(cone, k):
+        raise AssertionError("a path was replayed")
+
+    monkeypatch.setattr(gfan, "g_cone_step", no_step)
+    res = run("star", "--fan", str(path), "--tau", "ray:1")
+    assert res.exit_code == 2
+    assert "paths[3] has 5 steps" in res.stderr
+
+
 @pytest.mark.parametrize("tamper, named", [
     (lambda o: o["rays"].append(o["rays"][2]), "rays[5]"),
     (lambda o: o["rays"].insert(1, o["rays"][0]), "rays[1]"),
@@ -353,6 +517,8 @@ def _fan_files(draw):
     entries = {
         "rays": st.lists(ints, min_size=1, max_size=3),
         "maximal_cones": st.lists(ints, max_size=3),
+        "paths": st.lists(ints, max_size=4)
+        | st.lists(st.integers(1, 2), min_size=5, max_size=7),
         "allowed": ints,
         "complete": None,
     }
@@ -418,6 +584,69 @@ def test_mutate_fuzzed_path_and_coeffs_exit_cleanly(name, path, coeffs):
     if coeffs is not None:
         args.append(f"--with-coeffs={coeffs}")
     assert _exits_cleanly(run(*args))
+
+
+@st.composite
+def _skew_symmetrizable(draw):
+    """B, n and d of a seed of rank at most 3 with up to three indices in
+    all and every entry at most 3 in absolute value: the mutable block is
+    skew-symmetrizable by d, of finite or infinite type."""
+    n = draw(st.integers(1, 3))
+    size = draw(st.integers(n, 3))
+    d = draw(st.lists(st.integers(1, 3), min_size=size, max_size=size))
+    entry = st.integers(-3, 3)
+    B = [[draw(entry) if i >= n else 0 for _ in range(size)]
+         for i in range(size)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            g = gcd(d[i], d[j])
+            t = draw(entry)
+            if abs(t * d[j]) > 3 * g or abs(t * d[i]) > 3 * g:
+                t = 0
+            B[i][j], B[j][i] = t * d[j] // g, -t * d[i] // g
+        for j in range(n, size):
+            B[i][j] = draw(entry)
+    return B, n, d
+
+
+@st.composite
+def _seed_objects(draw):
+    """Seed JSON: a valid seed with each field as drawn, left out, or
+    replaced by any JSON value, or a JSON value that is not an object."""
+    if not draw(st.integers(0, 5)):
+        return draw(_JSON.filter(lambda v: not isinstance(v, dict)))
+    B, n, d = draw(_skew_symmetrizable())
+    r = draw(st.integers(0, 3))
+    p = draw(st.just([]) | st.lists(
+        st.lists(st.integers(-3, 3), min_size=r, max_size=r),
+        min_size=n, max_size=n))
+    small = st.integers(-3, 3)
+    fields = {"B": (B, st.lists(st.lists(small, max_size=3), max_size=3)),
+              "n": (n, small), "d": (d, st.lists(small, max_size=3)),
+              "coeff_rank": (r, small),
+              "p": (p, st.lists(st.lists(small, max_size=3), max_size=3))}
+    obj = {}
+    for field, (valid, other) in fields.items():
+        value = (draw(st.just(_LEFT_OUT) | other | _JSON)
+                 if not draw(st.integers(0, 3)) else valid)
+        if value is not _LEFT_OUT:
+            obj[field] = value
+    return obj
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_seed_objects())
+def test_fuzzed_seed_json_exits_cleanly(tmp_path, obj):
+    """Seed objects of rank at most 3 with entries at most 3 in absolute
+    value, valid or with fields dropped or replaced, through fan --depth 3
+    and mutate --path 1,2: exit 0-4 and no exception other than
+    SystemExit."""
+    seed = tmp_path / "seed.json"
+    seed.write_text(json.dumps(obj))
+    assert _exits_cleanly(run("fan", "--seed", str(seed), "--depth", "3"))
+    assert _exits_cleanly(run("mutate", "--seed", str(seed),
+                              "--path", "1,2"))
 
 
 @settings(max_examples=150, deadline=None)
