@@ -16,6 +16,10 @@ Two layers:
   GCD is needed.  Equality cancels shared factors first, then compares the
   expanded numerator and denominator of the residual quotient.
 
+Exact division (``poly_exact_div``) keys terms by ``(total degree,) +
+exponents``: plain tuple order on such keys is graded-lex, and since degree
+is linear in the exponents the keys still add componentwise.
+
 ``RatPair`` is a signed numerator/denominator pair used where subtraction or
 rational scalars are unavoidable (fiber specialization at rational points).
 
@@ -49,6 +53,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import add, sub
 
 
 class ExactAlgebraError(Exception):
@@ -182,19 +187,13 @@ class LaurentPoly:
         """Componentwise minimum exponent vector (the monomial content)."""
         if not self.terms:
             raise ExactAlgebraError("zero polynomial has no monomial content")
-        its = iter(self.terms)
-        m = list(next(its))
-        for e in its:
-            for i, x in enumerate(e):
-                if x < m[i]:
-                    m[i] = x
-        return tuple(m)
+        return tuple(map(min, zip(*self.terms)))
 
     def max_exponents(self):
         """Componentwise maximum exponent vector."""
         if not self.terms:
             raise ExactAlgebraError("zero polynomial has no exponents")
-        return tuple(max(xs) for xs in zip(*self.terms))
+        return tuple(map(max, zip(*self.terms)))
 
     def sorted_terms(self):
         """Terms in descending graded-lex order (leading term first)."""
@@ -223,10 +222,12 @@ class LaurentPoly:
     def __mul__(self, other):
         _check_same_vars(self, other)
         terms = {}
+        get = terms.get
+        items2 = list(other.terms.items())
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = terms.get(e, 0) + c1 * c2
+            for e2, c2 in items2:
+                e = tuple(map(add, e1, e2))
+                s = get(e, 0) + c1 * c2
                 if s:
                     terms[e] = s
                 else:
@@ -335,6 +336,17 @@ def poly_exact_div(a, b):
     remainder strictly decreases, so each step fixes one quotient coefficient
     for good: the division fails as soon as a leading monomial is not divisible
     or a quotient coefficient is not an integer.
+
+    Terms of the remainder and the divisor are keyed by ``(total degree,) +
+    exponents``.  Tuples compare lexicographically, so such keys compare by
+    degree first and break ties lexicographically on the exponents: plain
+    ``max`` finds the graded-lex leading term.  Degree is linear in the
+    exponents, so keys still add and subtract componentwise, and a leading
+    term divides another exactly when no slot of their difference is
+    negative.  The order only steers the steps: when b divides a, the
+    quotient is the one q with a = q * b, and the division by any monomial
+    order finds it, because the leading term of q * b is the product of the
+    leading terms of q and b.
     """
     _check_same_vars(a, b)
     if b.is_zero():
@@ -343,24 +355,31 @@ def poly_exact_div(a, b):
         return LaurentPoly.zero(a.vars)
     ma = a.min_exponents()
     mb = b.min_exponents()
-    rem = {tuple(x - y for x, y in zip(e, ma)): c for e, c in a.terms.items()}
-    bp = {tuple(x - y for x, y in zip(e, mb)): c for e, c in b.terms.items()}
-    lead_b = max(bp, key=graded_lex_key)
+    rem = {}
+    for e, c in a.terms.items():
+        e = tuple(map(sub, e, ma))
+        rem[(sum(e),) + e] = c
+    bp = {}
+    for e, c in b.terms.items():
+        e = tuple(map(sub, e, mb))
+        bp[(sum(e),) + e] = c
+    lead_b = max(bp)
     cb = bp[lead_b]
-    shift = tuple(x - y for x, y in zip(ma, mb))
+    shift = tuple(map(sub, ma, mb))
     quot = {}
+    get = rem.get
     while rem:
-        lead_r = max(rem, key=graded_lex_key)
-        diff = tuple(x - y for x, y in zip(lead_r, lead_b))
-        if any(x < 0 for x in diff):
+        lead_r = max(rem)
+        diff = tuple(map(sub, lead_r, lead_b))
+        if min(diff) < 0:
             raise InexactDivision("leading term not divisible")
         q, r = divmod(rem[lead_r], cb)
         if r:
             raise InexactDivision("quotient has non-integer coefficient")
-        quot[tuple(x + y for x, y in zip(diff, shift))] = q
+        quot[tuple(map(add, diff[1:], shift))] = q
         for e, c in bp.items():
-            key = tuple(x + y for x, y in zip(e, diff))
-            s = rem.get(key, 0) - q * c
+            key = tuple(map(add, e, diff))
+            s = get(key, 0) - q * c
             if s:
                 rem[key] = s
             else:
@@ -383,10 +402,8 @@ def _canonical_factor(poly):
     if poly.integer_content() != 1:
         raise PositivityError(
             f"factor has integer content != 1: {poly.to_text()}")
-    key = LaurentPoly(
-        poly.vars,
-        {tuple(x - y for x, y in zip(e, shift)): c
-         for e, c in poly.terms.items()})
+    key = LaurentPoly._new(
+        poly.vars, {tuple(map(sub, e, shift)): c for e, c in poly.terms.items()})
     return shift, key
 
 
@@ -452,7 +469,7 @@ class PosRatFunc:
     # -- multiplicative structure ----------------------------------------
     def mul(self, other):
         _check_same_vars(self, other)
-        unit = tuple(a + b for a, b in zip(self.unit, other.unit))
+        unit = tuple(map(add, self.unit, other.unit))
         factors = dict(self.factors)
         for p, e in other.factors.items():
             s = factors.get(p, 0) + e

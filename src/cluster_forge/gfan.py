@@ -24,7 +24,8 @@ from .seeds import ExchangeData, json_int, mutate_matrix, seed_from_json
 class FanDepthExceeded(Exception):
     """BFS hit the depth cap before closing; the fan may be infinite.
     ``depth`` is the cap the walk reached, or None when a fan file was
-    marked incomplete by the walk that wrote it."""
+    marked incomplete by the walk that wrote it, or its stored seed was
+    found to be of infinite type without a walk."""
 
     def __init__(self, msg, depth=None):
         super().__init__(msg)
@@ -204,6 +205,41 @@ def enumerate_gfan(ed, depth_cap=64, allowed=None, partial=False):
         depth += 1
     return GFanAtlas(ExchangeData(ed.B, ed.n, ed.d), cones, seen, adjacency,
                      allowed, complete=complete)
+
+
+def infinite_type_witness(B, allowed):
+    """Decide finite type by a breadth-first walk over exchange matrices
+    alone: None in finite type, else ``(path, i, j, b_ij, b_ji)``, a
+    shortest path of allowed directions along which the principal part of
+    ``B`` on the allowed directions reaches a matrix with |b_ij * b_ji| > 3,
+    that pair and its entries.  Path and pair are 0-based directions of
+    ``B``.
+
+    By Fomin-Zelevinsky, Cluster algebras II (arXiv:math/0208229), a
+    cluster algebra is of finite type, for any coefficients, exactly when
+    every matrix in the mutation class of its principal part has
+    |b_ij * b_ji| <= 3; finite type is exactly when the g-fan walk over
+    the allowed directions closes.  The walk always ends: it stops at the
+    first matrix that breaks the bound, and the matrices that keep it have
+    entries in -3..3, so there are finitely many of them.
+    """
+    start = tuple(tuple(B[i][j] for j in allowed) for i in allowed)
+    seen = {start}
+    frontier = [(start, ())]
+    while frontier:
+        nxt = []
+        for M, path in frontier:
+            for a, row in enumerate(M):
+                for b in range(a + 1, len(M)):
+                    if abs(row[b] * M[b][a]) > 3:
+                        return path, allowed[a], allowed[b], row[b], M[b][a]
+            for k, d in enumerate(allowed):
+                N = mutate_matrix(M, k)
+                if N not in seen:
+                    seen.add(N)
+                    nxt.append((N, path + (d,)))
+        frontier = nxt
+    return None
 
 
 def two_faces(atlas, max_len):
@@ -556,11 +592,13 @@ def fan_from_json(obj, tau):
     that ``star`` reads.  A wrong cone away from the ray that keeps (c) is
     not caught.
 
-    When a local check fails, the stored seed is enumerated once to name
-    the fault: a seed still growing at the depth cap raises
-    ``FanDepthExceeded`` with that depth, a file holding only the first
-    cones of its seed's walk raises it as truncated, and any other fault
-    is the failed check.
+    When a local check fails, the fault is named: a seed of infinite type
+    (``infinite_type_witness``) raises ``FanDepthExceeded`` naming the
+    matrix pair and the mutation path to it, without enumerating.  Else
+    the stored seed is enumerated once: a seed still growing at the depth
+    cap raises ``FanDepthExceeded`` with that depth, a file holding only
+    the first cones of its seed's walk raises it as truncated, and any
+    other fault is the failed check.
 
     The returned atlas holds the replayed cones in file order, each
     numbered by its position in the file, and no adjacency.
@@ -600,6 +638,16 @@ def fan_from_json(obj, tau):
     try:
         records = _certify_star(ed, allowed, rays, cones, paths, tau)
     except CheckFailed:
+        witness = infinite_type_witness(ed.B, allowed)
+        if witness is not None:
+            path, i, j, bij, bji = witness
+            along = (f", mutated along {','.join(str(k + 1) for k in path)},"
+                     if path else "")
+            raise FanDepthExceeded(
+                f"is marked complete, but its stored seed is of infinite "
+                f"type: its exchange matrix{along} has b_{i + 1},{j + 1} * "
+                f"b_{j + 1},{i + 1} = {bij} * {bji}, and finite type needs "
+                "|b_ij * b_ji| <= 3 in every matrix of the mutation class")
         atlas = enumerate_gfan(ed, allowed=allowed)
         m = len(cones)
         if 0 < m < len(atlas.cones) and list(cones) == [

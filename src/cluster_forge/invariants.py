@@ -292,6 +292,7 @@ def separation_check(ed, p0, path):
     Bv = with_coeff.exchange.B
     C = c_matrix(ed, path)
     F = f_polynomials(ed, path)
+    trop_F = [trop_eval_poly(f, p0) for f in F]
 
     # substitution "i-th slot -> p_i y_i", keyed for the coefficient-free
     # Y-variables (y-names) and for the F-polynomial slots (p-names)
@@ -320,7 +321,7 @@ def separation_check(ed, p0, path):
             b = Bv[i][j]
             if not b:
                 continue
-            trop_part = trop_eval_poly(F[i], list(p0)).power(-b)
+            trop_part = trop_F[i].power(-b)
             rhs2 = rhs2.mul(trop_part.to_posrat(vars))
             honest = F[i].substitute_monomials(shifted_u, vars)
             rhs2 = rhs2.mul(PosRatFunc.from_poly(honest, b))
@@ -338,7 +339,7 @@ def separation_check(ed, p0, path):
         for i in range(n):
             b = Bv[i][j]
             if b:
-                rhs3 = rhs3.mul(trop_eval_poly(F[i], list(p0)).power(b))
+                rhs3 = rhs3.mul(trop_F[i].power(b))
         if with_coeff.p[j] != rhs3:
             raise CheckFailed(f"separation (coefficient form) fails at j={j + 1}")
     return True

@@ -315,8 +315,35 @@ def test_star_on_a_complete_file_whose_seed_never_closes(tmp_path):
     res = run("star", "--fan", str(path), "--tau", "ray:1")
     assert res.exit_code == 4
     assert "marked complete" in res.stderr
-    assert "still growing at depth 64" in res.stderr
+    assert "of infinite type" in res.stderr
     assert "incomplete" not in res.stderr
+
+
+@pytest.mark.parametrize("B, named", [
+    ([[0, 2, -2], [-2, 0, 2], [2, -2, 0]],
+     "its exchange matrix has b_1,2 * b_2,1 = 2 * -2"),
+    ([[0, 1, 1], [-1, 0, 1], [-1, -1, 0]],
+     "its exchange matrix, mutated along 2, has b_1,3 * b_3,1 = 2 * -2"),
+])
+def test_star_names_an_infinite_type_seed_without_walking(tmp_path,
+                                                          monkeypatch, B,
+                                                          named):
+    """A rank-3 seed of infinite type in a file marked complete: exit 4
+    naming the matrix pair and the mutation path to it, decided over
+    exchange matrices alone, with no walk of the seed's g-fan."""
+    obj = _fan_file("a3.json")
+    obj["seed"]["B"] = B
+    path = tmp_path / "fan.json"
+    path.write_text(json.dumps(obj))
+
+    def no_walk(*args, **kwargs):
+        raise AssertionError("the g-fan was walked")
+
+    monkeypatch.setattr(gfan, "enumerate_gfan", no_walk)
+    res = run("star", "--fan", str(path), "--tau", "ray:1")
+    assert res.exit_code == 4
+    assert (f"fan file {path} is marked complete, but its stored seed is of "
+            f"infinite type: {named}") in res.stderr
 
 
 # exchange matrices and multipliers of the finite types the two routes of

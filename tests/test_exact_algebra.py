@@ -328,6 +328,88 @@ def test_exact_div_agrees_with_sympy(sympy, q, b, r, scale):
     assert poly_exact_div(a, b) == expect
 
 
+XYZ = ("x", "y", "z")
+XYZW = ("x", "y", "z", "w")
+
+
+def tied_polys(vars, max_terms=3):
+    """Signed Laurent polynomials whose terms come in pairs of one total
+    degree: each drawn exponent vector is joined by a rearrangement of it,
+    so division orders them by the lexicographic tie-break."""
+    exps = st.tuples(*[st.integers(-2, 2)] * len(vars))
+    pairs = st.tuples(exps, st.permutations(range(len(vars))),
+                      st.integers(-3, 3), st.integers(-3, 3))
+
+    def build(drawn):
+        terms = {}
+        for e, perm, c1, c2 in drawn:
+            terms[e] = c1
+            terms[tuple(e[i] for i in perm)] = c2
+        return LaurentPoly(vars, terms)
+
+    return st.lists(pairs, max_size=max_terms).map(build)
+
+
+def _quotient_and_divisor():
+    return st.sampled_from([XYZ, XYZW]).flatmap(lambda v: st.tuples(
+        tied_polys(v) | signed_polys(v, max_terms=5),
+        tied_polys(v, max_terms=2) | signed_polys(v, max_terms=3)))
+
+
+# every term of degree 0 (q) and 1 (b): only the tie-break orders them
+HOMOGENEOUS = (lp(XYZ, {(1, -1, 0): 1, (0, 0, 0): -1, (-1, 1, 0): 2,
+                        (0, -1, 1): -3}),
+               lp(XYZ, {(1, 0, 0): 1, (0, 1, 0): -2, (0, 0, 1): 3}))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_quotient_and_divisor())
+@example(HOMOGENEOUS)
+@example(HOMOGENEOUS[::-1])
+def test_exact_div_in_three_and_four_variables(qb):
+    q, b = qb
+    assume(not b.is_zero())
+    assert poly_exact_div(q * b, b) == q
+
+
+@settings(max_examples=150, deadline=None)
+@given(_quotient_and_divisor(),
+       st.tuples(*[st.integers(-3, 3)] * 4), st.sampled_from([2, 3, -2]))
+@example(HOMOGENEOUS, (0, 0, 0, 0), 2)
+def test_inexact_division_in_three_and_four_variables(qb, m, k):
+    """An added monomial makes q * b inexact: b has two terms or more, so it
+    is no unit of the Laurent ring and divides no monomial.  A scaled
+    divisor k * b divides q * b exactly when k divides q's content."""
+    q, b = qb
+    assume(not q.is_zero() and b.num_terms() >= 2)
+    a = q * b
+    with pytest.raises(InexactDivision):
+        poly_exact_div(a + LaurentPoly.monomial(a.vars, m[:len(a.vars)]), b)
+    if q.integer_content() % k:
+        with pytest.raises(InexactDivision):
+            poly_exact_div(a, b.scale(k))
+    else:
+        assert poly_exact_div(a, b.scale(k)) == LaurentPoly(
+            q.vars, {e: c // k for e, c in q.terms.items()})
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([XY, XYZ, XYZW]).flatmap(
+    lambda v: signed_polys(v, max_terms=5, max_exp=3)))
+@example(lp(XYZ, {(-2, 1, 0): 1, (1, -3, 0): -2, (0, 0, -1): 3}))
+def test_exponent_bounds_are_per_coordinate(p):
+    if p.is_zero():
+        for bound in (p.min_exponents, p.max_exponents):
+            with pytest.raises(ExactAlgebraError):
+                bound()
+        return
+    slots = range(len(p.vars))
+    assert p.min_exponents() == tuple(min(e[i] for e in p.terms)
+                                      for i in slots)
+    assert p.max_exponents() == tuple(max(e[i] for e in p.terms)
+                                      for i in slots)
+
+
 def _nonzero_rationals():
     return st.tuples(st.integers(-9, 9).filter(bool),
                      st.integers(1, 9)).map(lambda t: Fraction(*t))

@@ -14,13 +14,14 @@ from cluster_forge.gfan import (
     fan_to_json,
     g_cone_step,
     g_vector_step,
+    infinite_type_witness,
     normal_fan_of_polygon,
     polytope_P,
     primitive,
     star,
     two_faces,
 )
-from cluster_forge.seeds import ExchangeData, seed_from_json
+from cluster_forge.seeds import ExchangeData, mutate_matrix, seed_from_json
 
 A1 = ExchangeData(((0,),), 1)
 A2 = ExchangeData(((0, 1), (-1, 0)), 2)
@@ -235,6 +236,57 @@ def test_two_faces_counts_the_faces_it_cannot_close():
 def test_depth_cap_detects_infinite_fan():
     with pytest.raises(FanDepthExceeded):
         enumerate_gfan(MARKOV, depth_cap=4)
+
+
+ACYCLIC_TRIANGLE = ((0, 1, 1), (-1, 0, 1), (-1, -1, 0))
+AFFINE_D4 = tuple(tuple(1 if i == 0 < j else -1 if j == 0 < i else 0
+                        for j in range(5)) for i in range(5))
+
+
+@pytest.mark.parametrize("ed", [A1, A2, B2, G2, A3, A3_REV, B3, C3, A4, D4,
+                                A5])
+def test_finite_types_have_no_infinite_type_witness(ed):
+    assert infinite_type_witness(ed.B, tuple(range(ed.n))) is None
+
+
+@pytest.mark.parametrize("B, allowed, expect", [
+    (MARKOV.B, (0, 1, 2), ((), 0, 1, 2, -2)),
+    (((0, 2), (-2, 0)), (0, 1), ((), 0, 1, 2, -2)),
+    (((0, -1), (4, 0)), (0, 1), ((), 0, 1, -1, 4)),
+    (ACYCLIC_TRIANGLE, (0, 1, 2), ((1,), 0, 2, 2, -2)),
+    # the principal part on the allowed directions decides: A2, Kronecker
+    (ACYCLIC_TRIANGLE, (0, 1), None),
+    (MARKOV.B, (1, 2), ((), 1, 2, 2, -2)),
+    (AFFINE_D4, tuple(range(5)), "replay"),
+])
+def test_infinite_type_witness(B, allowed, expect):
+    """The witness is a shortest mutation path and a pair beyond
+    |b_ij * b_ji| <= 3, which replaying the path on B confirms."""
+    got = infinite_type_witness(B, allowed)
+    if expect != "replay":
+        assert got == expect
+    if got is None:
+        return
+    path, i, j, bij, bji = got
+    assert i in allowed and j in allowed and set(path) <= set(allowed)
+    M = B
+    for k in path:
+        M = mutate_matrix(M, k)
+    assert (M[i][j], M[j][i]) == (bij, bji) and abs(bij * bji) > 3
+    assert len(path) == _first_bad_depth(B, allowed)
+
+
+def _first_bad_depth(B, allowed):
+    """Depth of the first matrix past the bound, by trying every path of
+    allowed directions up to that length."""
+    level = [B]
+    for depth in range(8):
+        for M in level:
+            if any(abs(M[i][j] * M[j][i]) > 3 for i in allowed
+                   for j in allowed):
+                return depth
+        level = [mutate_matrix(M, k) for M in level for k in allowed]
+    raise AssertionError("no pair past the bound within 8 steps")
 
 
 def test_restricted_direction_fan():
