@@ -3,7 +3,8 @@ verification suites, specialize the degenerating family, reproduce the
 stored tables, and inspect stars of fan faces.
 
 Exit codes: 0 success, 1 a verification failed, 2 malformed input,
-3 attempt to mutate a frozen direction, 4 misuse of a truncated atlas.
+3 attempt to mutate a frozen direction, 4 an atlas that cannot be complete:
+a truncated one, or the g-fan of a seed of infinite type.
 """
 
 import json
@@ -27,6 +28,7 @@ from .degeneration import (
 from .exact_algebra import ExactAlgebraError, limit_t_zero, ratio_text
 from .gfan import (
     FanDepthExceeded,
+    InfiniteType,
     enumerate_gfan,
     fan_from_json,
     fan_to_json,
@@ -70,12 +72,6 @@ def _fail(code, msg):
     sys.exit(code)
 
 
-def _need_depth(depth):
-    if depth < 0:
-        _fail(EXIT_INPUT, f"--depth {depth}: the breadth-first depth cap "
-                          "must be at least 0")
-
-
 def _load_json_file(path, what):
     try:
         with open(path, encoding="utf-8") as fh:
@@ -84,6 +80,11 @@ def _load_json_file(path, what):
         _fail(EXIT_INPUT, f"{what} file {path} not found")
     except json.JSONDecodeError as exc:
         _fail(EXIT_INPUT, f"{what} file {path} is not valid JSON: {exc}")
+    except UnicodeDecodeError as exc:
+        _fail(EXIT_INPUT, f"{what} file {path} is not UTF-8 text: {exc}")
+    except OSError as exc:
+        _fail(EXIT_INPUT, f"{what} file {path} cannot be read: "
+                          f"{exc.strerror}")
     if not isinstance(obj, dict):
         _fail(EXIT_INPUT, f"{what} file {path} must hold a JSON object, "
                           f"not {json.dumps(obj)[:40]}")
@@ -119,6 +120,17 @@ def _parse_directions(text, ed, source):
                   f"are 1..{ed.n})")
         out.append(k - 1)
     return tuple(out)
+
+
+def _walk(ed, seed_path, allowed=None, depth=None):
+    """``enumerate_gfan`` for a seed file; exit 4, naming the matrix pair
+    and the mutation path to it, when the walk finds the seed is of
+    infinite type."""
+    try:
+        return enumerate_gfan(ed, allowed, depth)
+    except InfiniteType as exc:
+        _fail(EXIT_TRUNCATED, f"seed file {seed_path} is of infinite type: "
+                              f"{exc}")
 
 
 def _need_mutable(ed, seed_path, source, need):
@@ -202,29 +214,36 @@ def mutate(seed_path, path_text, coeffs, as_json):
 @click.option("--seed", "seed_path", required=True)
 @click.option("--freeze", "freeze_text", default="",
               help="comma-separated 1-based directions to exclude")
-@click.option("--depth", default=64, show_default=True,
-              help="breadth-first depth cap")
+@click.option("--depth", type=int, default=None,
+              help="stop the breadth-first walk at this depth and write the "
+                   "atlas found so far, marked incomplete (exit 4)")
 @click.option("--out", "out_path", default=None,
               help="write the atlas JSON here instead of stdout")
 @click.option("--json", "as_json", is_flag=True,
               help="print the atlas JSON to stdout even with --out")
 def fan(seed_path, freeze_text, depth, out_path, as_json):
     """Enumerate the atlas of maximal cones reachable from the seed."""
-    _need_depth(depth)
+    if depth is not None and depth < 0:
+        _fail(EXIT_INPUT, f"--depth {depth}: the breadth-first depth cap "
+                          "must be at least 0")
     ed, _ = _load_seed(seed_path)
     frozen = set(_parse_directions(freeze_text, ed, "--freeze"))
     allowed = tuple(k for k in range(ed.n) if k not in frozen)
     if not allowed:
         _fail(EXIT_INPUT, "--freeze leaves no mutable directions")
-    atlas = enumerate_gfan(ed, depth_cap=depth, allowed=allowed, partial=True)
+    atlas = _walk(ed, seed_path, allowed, depth)
     if not atlas.complete:
         _echo(f"warning: enumeration truncated at depth {depth}; "
               "the atlas is incomplete", err=True)
     obj = fan_to_json(atlas)
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            json.dump(obj, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                json.dump(obj, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+        except OSError as exc:
+            _fail(EXIT_INPUT, f"--out {out_path} cannot be written: "
+                              f"{exc.strerror}")
         if not as_json:
             _echo(f"{len(atlas.cones)} cones, {len(atlas.rays)} rays "
                   f"-> {out_path}")
@@ -252,15 +271,6 @@ def _random_paths(ed, paths_arg, max_len, rng_seed, source):
     return [_parse_directions(p, ed, source) for p in paths_arg.split(";")]
 
 
-def _enumerate_or_die(ed, depth):
-    try:
-        return enumerate_gfan(ed, depth_cap=depth)
-    except FanDepthExceeded:
-        _fail(EXIT_TRUNCATED,
-              f"fan enumeration is still growing at depth {depth}; "
-              "raise --depth or freeze directions")
-
-
 @main.command()
 @click.argument("check", type=click.Choice([
     "separation", "duality", "signcoherence", "cocycle", "degree", "limit",
@@ -272,14 +282,12 @@ def _enumerate_or_die(ed, depth):
               help="longest 2-face cycle walked by cocycle; longest random "
                    "path for separation")
 @click.option("--rng-seed", default=0, show_default=True)
-@click.option("--depth", default=64, show_default=True)
 @click.option("--json", "as_json", is_flag=True)
-def verify(check, seed_path, paths_spec, max_len, rng_seed, depth, as_json):
+def verify(check, seed_path, paths_spec, max_len, rng_seed, as_json):
     """Run one verification suite against a seed; exit 1 on failure."""
     if max_len < 1:
         _fail(EXIT_INPUT, f"--max-len {max_len}: walks and random paths "
                           "need a length of at least 1")
-    _need_depth(depth)
     ed, p_file = _load_seed(seed_path)
     results = []
 
@@ -300,7 +308,7 @@ def verify(check, seed_path, paths_spec, max_len, rng_seed, depth, as_json):
         results = [one(path) for path in paths]
 
     elif check in ("duality", "signcoherence"):
-        atlas = _enumerate_or_die(ed, depth)
+        atlas = _walk(ed, seed_path)
         eye = mat_identity(ed.n)
         seeds_by_prefix = {}
         for rec in atlas.cones:
@@ -325,7 +333,7 @@ def verify(check, seed_path, paths_spec, max_len, rng_seed, depth, as_json):
     else:
         _need_mutable(ed, seed_path, f"verify {check}",
                       "this check needs a fully mutable seed")
-        fam = Family(ed, atlas=_enumerate_or_die(ed, depth))
+        fam = Family(ed, atlas=_walk(ed, seed_path))
         named = {
             "degree": lambda: degree_check(fam),
             "limit": lambda: limit_check(fam),
@@ -403,12 +411,10 @@ def _rational(piece):
 @click.option("--at", "at_text", required=True,
               help="comma-separated rational base point u1,...,un "
                    f"(decimal exponents up to {AT_MAX_EXPONENT})")
-@click.option("--depth", default=64, show_default=True)
 @click.option("--json", "as_json", is_flag=True)
-def degenerate(seed_path, at_text, depth, as_json):
+def degenerate(seed_path, at_text, as_json):
     """Print the wall transition maps of the family specialized at a base
     point; the zero point gives the toric gluing of the central fiber."""
-    _need_depth(depth)
     ed, _ = _load_seed(seed_path)
     if ed.m:
         _fail(EXIT_INPUT, f"degenerate: seed file {seed_path} has frozen "
@@ -427,7 +433,7 @@ def degenerate(seed_path, at_text, depth, as_json):
     if any(zeros) and not all(zeros):
         _fail(EXIT_INPUT, "--at must be all zero (central fiber) or all "
               "nonzero (smooth fiber)")
-    fam = Family(ed, atlas=_enumerate_or_die(ed, depth))
+    fam = Family(ed, atlas=_walk(ed, seed_path))
     maps = []
     for (src, k), dst in sorted(fam.atlas.adjacency.items()):
         T = fam.transition(src, k)
@@ -517,12 +523,10 @@ def star_cmd(fan_path, tau, as_json):
         _fail(EXIT_INPUT, f"--tau {tau!r}: index is not an integer")
     try:
         atlas = fan_from_json(obj, ray_index - 1)
+    except InfiniteType as exc:
+        _fail(EXIT_TRUNCATED, f"fan file {fan_path} is marked complete, but "
+                              f"its stored seed is of infinite type: {exc}")
     except FanDepthExceeded as exc:
-        if exc.depth is not None:
-            _fail(EXIT_TRUNCATED,
-                  f"fan file {fan_path} is marked complete, but the "
-                  "re-enumeration of its stored seed is still growing at "
-                  f"depth {exc.depth}; the seed may be of infinite type")
         _fail(EXIT_TRUNCATED, f"fan file {fan_path} {exc}")
     except IndexError as exc:
         _fail(EXIT_INPUT, f"--tau ray:{ray_index} {exc}")

@@ -9,7 +9,8 @@ A walk step moves a seed's exchange matrix, c-matrix, g-matrix and dual
 c-matrix together, in integers only: the g-matrix changes in column k by the
 recurrence (6.12) of Fomin-Zelevinsky, Cluster algebras IV.  The walk keys
 each step by that one new g-vector and steps the full record only onto a
-cone it has not seen.  A fan file is read back to certify the star of one
+cone it has not seen, and stops at the first exchange matrix that shows the
+seed is of infinite type.  A fan file is read back to certify the star of one
 ray from the file's own stored paths, without walking the whole fan.
 """
 
@@ -22,14 +23,26 @@ from .seeds import ExchangeData, json_int, mutate_matrix, seed_from_json
 
 
 class FanDepthExceeded(Exception):
-    """BFS hit the depth cap before closing; the fan may be infinite.
-    ``depth`` is the cap the walk reached, or None when a fan file was
-    marked incomplete by the walk that wrote it, or its stored seed was
-    found to be of infinite type without a walk."""
+    """A fan file that cannot stand for the whole fan: it is marked
+    incomplete by the ``fan --depth`` walk that wrote it, or is marked
+    complete but holds only the first cones of its stored seed's walk."""
 
-    def __init__(self, msg, depth=None):
-        super().__init__(msg)
-        self.depth = depth
+
+class InfiniteType(Exception):
+    """The g-fan walk reached a cone whose exchange matrix, on the allowed
+    directions, has a pair with |b_ij * b_ji| > 3, so the seed is of
+    infinite type.  ``witness`` is ``(path, i, j, b_ij, b_ji)``: the cone's
+    path and the pair, as 0-based directions of the seed, and the two
+    entries.  The message names them 1-based."""
+
+    def __init__(self, path, i, j, bij, bji):
+        along = (f", mutated along {','.join(str(k + 1) for k in path)},"
+                 if path else "")
+        super().__init__(
+            f"its exchange matrix{along} has b_{i + 1},{j + 1} * "
+            f"b_{j + 1},{i + 1} = {bij} * {bji}, and finite type needs "
+            "|b_ij * b_ji| <= 3 in every matrix of the mutation class")
+        self.witness = (path, i, j, bij, bji)
 
 
 def primitive(v):
@@ -104,7 +117,7 @@ class GFanAtlas:
     """All maximal g-cones reachable from the initial seed (optionally only
     through a subset of directions), with wall adjacency and the walk's own
     index ``by_key`` from generator set to position in ``cones``.
-    ``complete`` is false when enumeration was cut off at a depth cap.
+    ``complete`` is false when the walk was cut off at its ``depth``.
     ``fan_from_json`` returns one holding only the cones of a star."""
 
     def __init__(self, ed, cones, by_key, adjacency, allowed, complete=True):
@@ -166,29 +179,37 @@ def g_cone_step(cone, k):
                       c_matrix_step(cone.Cd, Bd, k))
 
 
-def enumerate_gfan(ed, depth_cap=64, allowed=None, partial=False):
+def enumerate_gfan(ed, allowed=None, depth=None):
     """Breadth-first walk of the seed pattern, one node per distinct set of
     g-vector columns.  A step first computes only the new g-vector; the
-    full record is stepped only when the resulting cone is new.  When new
-    cones still appear at the cap, raises FanDepthExceeded, or with
-    ``partial`` returns the truncated atlas marked incomplete."""
+    full record is stepped only when the resulting cone is new.  With
+    ``depth``, the walk steps from no cone deeper than that, and the atlas
+    is marked incomplete when new cones were still appearing.
+
+    Each cone taken from the frontier has its exchange matrix read on the
+    allowed directions, and the first pair with |b_ij * b_ji| > 3 raises
+    ``InfiniteType``.  By Fomin-Zelevinsky, Cluster algebras II
+    (arXiv:math/0208229), finite type, in which the walk closes, holds
+    exactly when every matrix in the mutation class of that principal part
+    keeps the bound, and each of those matrices is, up to relabelling, the
+    matrix of a cone of the walk.  So the walk ends without a cap: it closes,
+    or it raises at the first depth holding a matrix past the bound.
+    """
     allowed = tuple(range(ed.n)) if allowed is None else tuple(allowed)
     root = ConeRecord.initial(ed)
     cones = [root]
     adjacency = {}
     seen = {root.key(): 0}
     frontier = [root]
-    depth = 0
-    complete = True
-    while frontier:
-        if depth > depth_cap:
-            if partial:
-                complete = False
-                break
-            raise FanDepthExceeded(
-                f"new cones still appearing at depth {depth_cap}", depth_cap)
+    level = 0
+    while frontier and (depth is None or level <= depth):
         nxt = []
         for src in frontier:
+            B = src.B
+            for a, i in enumerate(allowed):
+                for j in allowed[a + 1:]:
+                    if abs(B[i][j] * B[j][i]) > 3:
+                        raise InfiniteType(src.path, i, j, B[i][j], B[j][i])
             gens = src.generators()
             for k in allowed:
                 key = frozenset(gens[:k] + (g_vector_step(src, k),)
@@ -202,44 +223,9 @@ def enumerate_gfan(ed, depth_cap=64, allowed=None, partial=False):
                     nxt.append(rec)
                 adjacency[(src.index, k)] = index
         frontier = nxt
-        depth += 1
-    return GFanAtlas(ExchangeData(ed.B, ed.n, ed.d), cones, seen, adjacency,
-                     allowed, complete=complete)
-
-
-def infinite_type_witness(B, allowed):
-    """Decide finite type by a breadth-first walk over exchange matrices
-    alone: None in finite type, else ``(path, i, j, b_ij, b_ji)``, a
-    shortest path of allowed directions along which the principal part of
-    ``B`` on the allowed directions reaches a matrix with |b_ij * b_ji| > 3,
-    that pair and its entries.  Path and pair are 0-based directions of
-    ``B``.
-
-    By Fomin-Zelevinsky, Cluster algebras II (arXiv:math/0208229), a
-    cluster algebra is of finite type, for any coefficients, exactly when
-    every matrix in the mutation class of its principal part has
-    |b_ij * b_ji| <= 3; finite type is exactly when the g-fan walk over
-    the allowed directions closes.  The walk always ends: it stops at the
-    first matrix that breaks the bound, and the matrices that keep it have
-    entries in -3..3, so there are finitely many of them.
-    """
-    start = tuple(tuple(B[i][j] for j in allowed) for i in allowed)
-    seen = {start}
-    frontier = [(start, ())]
-    while frontier:
-        nxt = []
-        for M, path in frontier:
-            for a, row in enumerate(M):
-                for b in range(a + 1, len(M)):
-                    if abs(row[b] * M[b][a]) > 3:
-                        return path, allowed[a], allowed[b], row[b], M[b][a]
-            for k, d in enumerate(allowed):
-                N = mutate_matrix(M, k)
-                if N not in seen:
-                    seen.add(N)
-                    nxt.append((N, path + (d,)))
-        frontier = nxt
-    return None
+        level += 1
+    return GFanAtlas(ed, cones, seen, adjacency, allowed,
+                     complete=not frontier)
 
 
 def two_faces(atlas, max_len):
@@ -592,13 +578,11 @@ def fan_from_json(obj, tau):
     that ``star`` reads.  A wrong cone away from the ray that keeps (c) is
     not caught.
 
-    When a local check fails, the fault is named: a seed of infinite type
-    (``infinite_type_witness``) raises ``FanDepthExceeded`` naming the
-    matrix pair and the mutation path to it, without enumerating.  Else
-    the stored seed is enumerated once: a seed still growing at the depth
-    cap raises ``FanDepthExceeded`` with that depth, a file holding only
-    the first cones of its seed's walk raises it as truncated, and any
-    other fault is the failed check.
+    When a local check fails, the stored seed is enumerated once to name
+    the fault: a seed of infinite type raises the walk's ``InfiniteType``,
+    naming the matrix pair and the mutation path to it, a file holding only
+    the first cones of its seed's walk raises ``FanDepthExceeded`` as
+    truncated, and any other fault is the failed check.
 
     The returned atlas holds the replayed cones in file order, each
     numbered by its position in the file, and no adjacency.
@@ -638,17 +622,7 @@ def fan_from_json(obj, tau):
     try:
         records = _certify_star(ed, allowed, rays, cones, paths, tau)
     except CheckFailed:
-        witness = infinite_type_witness(ed.B, allowed)
-        if witness is not None:
-            path, i, j, bij, bji = witness
-            along = (f", mutated along {','.join(str(k + 1) for k in path)},"
-                     if path else "")
-            raise FanDepthExceeded(
-                f"is marked complete, but its stored seed is of infinite "
-                f"type: its exchange matrix{along} has b_{i + 1},{j + 1} * "
-                f"b_{j + 1},{i + 1} = {bij} * {bji}, and finite type needs "
-                "|b_ij * b_ji| <= 3 in every matrix of the mutation class")
-        atlas = enumerate_gfan(ed, allowed=allowed)
+        atlas = enumerate_gfan(ed, allowed)
         m = len(cones)
         if 0 < m < len(atlas.cones) and list(cones) == [
                 c.key() for c in atlas.cones[:m]]:

@@ -307,7 +307,7 @@ def test_fan_file_nested_seed_must_be_an_object(tmp_path):
 
 def test_star_on_a_complete_file_whose_seed_never_closes(tmp_path):
     """A Kronecker seed stored in a file marked complete: exit 4, and the
-    message names the growing re-enumeration, not a truncated file."""
+    message names the seed as of infinite type, not a truncated file."""
     obj = _fan_file("a2.json")
     obj["seed"]["B"] = [[0, 2], [-2, 0]]
     path = tmp_path / "fan.json"
@@ -319,31 +319,94 @@ def test_star_on_a_complete_file_whose_seed_never_closes(tmp_path):
     assert "incomplete" not in res.stderr
 
 
-@pytest.mark.parametrize("B, named", [
+# the Markov seed and the acyclic triangle, and the pair and path the walk
+# names for each
+INFINITE_TYPE_SEEDS = [
     ([[0, 2, -2], [-2, 0, 2], [2, -2, 0]],
      "its exchange matrix has b_1,2 * b_2,1 = 2 * -2"),
     ([[0, 1, 1], [-1, 0, 1], [-1, -1, 0]],
      "its exchange matrix, mutated along 2, has b_1,3 * b_3,1 = 2 * -2"),
-])
+]
+MAX_STEPS = 100
+
+
+@pytest.fixture
+def bounded_steps(monkeypatch):
+    """Make ``gfan.g_cone_step`` raise after MAX_STEPS calls, so a walk
+    without end fails the test instead of hanging it."""
+    step = gfan.g_cone_step
+    calls = []
+
+    def bounded(cone, k):
+        calls.append(k)
+        if len(calls) > MAX_STEPS:
+            raise AssertionError(f"more than {MAX_STEPS} g-fan steps")
+        return step(cone, k)
+
+    monkeypatch.setattr(gfan, "g_cone_step", bounded)
+
+
+@pytest.mark.parametrize("B, named", INFINITE_TYPE_SEEDS)
 def test_star_names_an_infinite_type_seed_without_walking(tmp_path,
-                                                          monkeypatch, B,
+                                                          bounded_steps, B,
                                                           named):
     """A rank-3 seed of infinite type in a file marked complete: exit 4
-    naming the matrix pair and the mutation path to it, decided over
-    exchange matrices alone, with no walk of the seed's g-fan."""
+    naming the matrix pair and the mutation path to it, within a bounded
+    number of steps of the seed's g-fan."""
     obj = _fan_file("a3.json")
     obj["seed"]["B"] = B
     path = tmp_path / "fan.json"
     path.write_text(json.dumps(obj))
-
-    def no_walk(*args, **kwargs):
-        raise AssertionError("the g-fan was walked")
-
-    monkeypatch.setattr(gfan, "enumerate_gfan", no_walk)
     res = run("star", "--fan", str(path), "--tau", "ray:1")
     assert res.exit_code == 4
     assert (f"fan file {path} is marked complete, but its stored seed is of "
             f"infinite type: {named}") in res.stderr
+
+
+WALKING_COMMANDS = [("fan",), ("fan", "--depth", "1"),
+                    *(("verify", suite) for suite in (
+                        "duality", "signcoherence", "cocycle", "degree",
+                        "limit", "strata", "glue")),
+                    ("degenerate", "--at", "1,1,1")]
+
+
+@pytest.mark.parametrize("command", WALKING_COMMANDS, ids="-".join)
+@pytest.mark.parametrize("B, named", INFINITE_TYPE_SEEDS,
+                         ids=["markov", "acyclic-triangle"])
+def test_walking_commands_refuse_an_infinite_type_seed(tmp_path,
+                                                       bounded_steps,
+                                                       command, B, named):
+    """Every command that walks the g-fan exits 4 on a seed of infinite
+    type, naming the matrix pair and the mutation path to it, within a
+    bounded number of steps."""
+    seed = tmp_path / "seed.json"
+    seed.write_text(json.dumps({"B": B, "n": 3}))
+    res = run(*command, "--seed", str(seed))
+    assert res.exit_code == 4
+    assert res.stdout == ""
+    assert res.stderr == (
+        f"error: seed file {seed} is of infinite type: {named}, and finite "
+        "type needs |b_ij * b_ji| <= 3 in every matrix of the mutation "
+        "class\n")
+
+
+@pytest.mark.parametrize("args, named", [
+    (("fan", "--seed", "{dir}"), "seed file {dir} cannot be read"),
+    (("fan", "--seed", "{utf16}"), "seed file {utf16} is not UTF-8 text"),
+    (("star", "--fan", "{dir}", "--tau", "ray:1"),
+     "fan file {dir} cannot be read"),
+    (("fan", "--seed", fixture("a2.json"), "--out", "{dir}/no-dir/fan.json"),
+     "--out {dir}/no-dir/fan.json cannot be written"),
+], ids=["seed-directory", "seed-utf16", "fan-directory", "out-missing-dir"])
+def test_unreadable_or_unwritable_file_is_input_error(tmp_path, args, named):
+    """A directory or a file that is not UTF-8 given to read, or an --out
+    path in a missing directory: exit 2 naming it, not a traceback."""
+    paths = {"dir": str(tmp_path), "utf16": str(tmp_path / "seed.json")}
+    (tmp_path / "seed.json").write_bytes('{"n": 1}'.encode("utf-16"))
+    res = run_process(*(a.format(**paths) for a in args))
+    assert res.returncode == 2
+    assert "Traceback" not in res.stdout + res.stderr
+    assert named.format(**paths) in res.stderr
 
 
 # exchange matrices and multipliers of the finite types the two routes of
@@ -774,11 +837,8 @@ def test_verify_separation_explicit_paths():
      "--max-len"),
     (("verify", "cocycle", "--max-len", "-1"), "--max-len"),
     (("fan", "--depth", "-1"), "--depth"),
-    (("verify", "degree", "--depth", "-1"), "--depth"),
-    (("degenerate", "--at", "1,1", "--depth", "-1"), "--depth"),
 ], ids=["no-paths", "negative-paths", "zero-max-len", "cocycle-negative",
-        "fan-negative-depth", "verify-negative-depth",
-        "degenerate-negative-depth"])
+        "fan-negative-depth"])
 def test_verify_empty_work_is_input_error(args, option):
     """A path count or walk length below 1, or a negative depth cap, is
     refused, not reported as 0/0 ok, a truncated atlas, a traceback, or

@@ -2,19 +2,19 @@
 
 import json
 import os
+from math import gcd
 
 import pytest
 
 from cluster_forge.invariants import CheckFailed, mat_identity
 from cluster_forge.gfan import (
     ConeRecord,
-    FanDepthExceeded,
+    InfiniteType,
     check_fan,
     enumerate_gfan,
     fan_to_json,
     g_cone_step,
     g_vector_step,
-    infinite_type_witness,
     normal_fan_of_polygon,
     polytope_P,
     primitive,
@@ -54,7 +54,7 @@ FINITE_IDS = ["a1", "a2", "b2", "g2", "a3", "b3", "c3", "a4", "d4", "a5",
               "gr25"]
 
 
-def reference_walk(ed, depth_cap=64, allowed=None, partial=False):
+def reference_walk(ed, allowed=None, depth=None):
     """The breadth-first walk that steps the full record on every wall:
     (cones, adjacency, allowed, complete)."""
     allowed = tuple(range(ed.n)) if allowed is None else tuple(allowed)
@@ -62,10 +62,9 @@ def reference_walk(ed, depth_cap=64, allowed=None, partial=False):
     seen = {cones[0].key(): 0}
     adjacency = {}
     frontier = [0]
-    depth = 0
+    level = 0
     while frontier:
-        if depth > depth_cap:
-            assert partial
+        if depth is not None and level > depth:
             return cones, adjacency, allowed, False
         nxt = []
         for i in frontier:
@@ -77,7 +76,7 @@ def reference_walk(ed, depth_cap=64, allowed=None, partial=False):
                     nxt.append(seen[rec.key()])
                 adjacency[(i, k)] = seen[rec.key()]
         frontier = nxt
-        depth += 1
+        level += 1
     return cones, adjacency, allowed, True
 
 
@@ -125,15 +124,14 @@ def test_walk_matches_the_full_step_reference(ed):
 
 @pytest.mark.parametrize("depth", [0, 1, 2])
 def test_partial_walk_matches_the_full_step_reference(depth):
-    for ed in (A3, D4, A5, MARKOV):
-        assert_walk_matches_reference(ed, depth_cap=depth, partial=True)
+    for ed in (A3, D4, A5):
+        assert_walk_matches_reference(ed, depth=depth)
 
 
 def test_restricted_walk_matches_the_full_step_reference():
     assert_walk_matches_reference(A3_REV, allowed=(1, 2))
     assert_walk_matches_reference(D4, allowed=(3, 1, 0))
-    assert_walk_matches_reference(A5, allowed=(0, 2, 4), depth_cap=1,
-                                  partial=True)
+    assert_walk_matches_reference(A5, allowed=(0, 2, 4), depth=1)
 
 
 @pytest.mark.parametrize("ed", FINITE, ids=FINITE_IDS)
@@ -234,8 +232,11 @@ def test_two_faces_counts_the_faces_it_cannot_close():
 
 
 def test_depth_cap_detects_infinite_fan():
-    with pytest.raises(FanDepthExceeded):
-        enumerate_gfan(MARKOV, depth_cap=4)
+    """The Markov matrix breaks the bound at the initial cone, so the walk
+    refuses it with or without a depth."""
+    for depth in (None, 0, 4):
+        with pytest.raises(InfiniteType, match=r"b_1,2 \* b_2,1 = 2 \* -2"):
+            enumerate_gfan(MARKOV, depth=depth)
 
 
 ACYCLIC_TRIANGLE = ((0, 1, 1), (-1, 0, 1), (-1, -1, 0))
@@ -246,7 +247,7 @@ AFFINE_D4 = tuple(tuple(1 if i == 0 < j else -1 if j == 0 < i else 0
 @pytest.mark.parametrize("ed", [A1, A2, B2, G2, A3, A3_REV, B3, C3, A4, D4,
                                 A5])
 def test_finite_types_have_no_infinite_type_witness(ed):
-    assert infinite_type_witness(ed.B, tuple(range(ed.n))) is None
+    assert enumerate_gfan(ed).complete
 
 
 @pytest.mark.parametrize("B, allowed, expect", [
@@ -260,9 +261,14 @@ def test_finite_types_have_no_infinite_type_witness(ed):
     (AFFINE_D4, tuple(range(5)), "replay"),
 ])
 def test_infinite_type_witness(B, allowed, expect):
-    """The witness is a shortest mutation path and a pair beyond
-    |b_ij * b_ji| <= 3, which replaying the path on B confirms."""
-    got = infinite_type_witness(B, allowed)
+    """The walk's witness is a shortest mutation path and a pair beyond
+    |b_ij * b_ji| <= 3, which replaying the path on B confirms; the walk
+    over a finite-type principal part closes."""
+    try:
+        assert enumerate_gfan(_exchange_data(B), allowed).complete
+        got = None
+    except InfiniteType as exc:
+        got = exc.witness
     if expect != "replay":
         assert got == expect
     if got is None:
@@ -274,6 +280,15 @@ def test_infinite_type_witness(B, allowed, expect):
         M = mutate_matrix(M, k)
     assert (M[i][j], M[j][i]) == (bij, bji) and abs(bij * bji) > 3
     assert len(path) == _first_bad_depth(B, allowed)
+
+
+def _exchange_data(B):
+    """B as exchange data: skew-symmetrized by (|b_21|, |b_12|) over their
+    gcd in rank 2, and skew-symmetric in higher rank."""
+    if len(B) == 2:
+        g = gcd(B[0][1], B[1][0])
+        return ExchangeData(B, 2, (abs(B[1][0]) // g, abs(B[0][1]) // g))
+    return ExchangeData(B, len(B))
 
 
 def _first_bad_depth(B, allowed):

@@ -43,9 +43,9 @@ def _is_click_command(node):
                for d in getattr(node, "decorator_list", ()))
 
 
-def _source_trees():
-    """The parsed Python files of src/, tests/ and bench/."""
-    for top in ("src", "tests", "bench"):
+def _source_trees(tops=("src", "tests", "bench")):
+    """The parsed Python files of src/, tests/ and bench/, or of ``tops``."""
+    for top in tops:
         for dirpath, _, files in os.walk(os.path.join(ROOT, top)):
             for f in files:
                 if f.endswith(".py"):
@@ -149,3 +149,53 @@ def test_every_defaulted_parameter_is_passed_somewhere():
                        in calls.get(name, ())):
                 unused.append(f"{module}: {fname}({param}=)")
     assert not unused, f"defaulted but never passed: {', '.join(unused)}"
+
+
+def _cli_options():
+    """(command, option) for every click option of every command in
+    cli.py, the option by its first name."""
+    with open(os.path.join(PACKAGE, "cli.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename="cli.py")
+    for fn in tree.body:
+        if not _is_click_command(fn):
+            continue
+        command, options = fn.name, []
+        for d in fn.decorator_list:
+            if d.func.attr == "command":
+                command = next((k.value.value for k in d.keywords
+                                if k.arg == "name"), fn.name)
+            elif d.func.attr == "option":
+                options.append(d.args[0].value)
+        for option in options:
+            yield command, option
+
+
+def _invocations():
+    """For every call, list and tuple in the Python files of tests/ and
+    bench/, the string constants among its direct arguments or elements,
+    an f-string by its leading text and ``--option=value`` as ``--option``."""
+    for tree in _source_trees(("tests", "bench")):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                elts = node.args
+            elif isinstance(node, (ast.List, ast.Tuple)):
+                elts = node.elts
+            else:
+                continue
+            words = set()
+            for e in elts:
+                if isinstance(e, ast.JoinedStr) and e.values:
+                    e = e.values[0]
+                if isinstance(e, ast.Constant) and isinstance(e.value, str):
+                    words.add(e.value.split("=", 1)[0])
+            if words:
+                yield words
+
+
+def test_every_cli_option_is_passed_somewhere():
+    """A click option that no test or bench/ invocation passes together
+    with its command's name is a knob nobody turns."""
+    invocations = list(_invocations())
+    unused = [f"{command} {option}" for command, option in _cli_options()
+              if not any({command, option} <= words for words in invocations)]
+    assert not unused, f"options never passed: {', '.join(unused)}"
