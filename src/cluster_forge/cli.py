@@ -3,13 +3,16 @@ verification suites, specialize the degenerating family, reproduce the
 stored tables, and inspect stars of fan faces.
 
 Exit codes: 0 success, 1 a verification failed, 2 malformed input,
-3 attempt to mutate a frozen direction, 4 an atlas that cannot be complete:
-a truncated one, or the g-fan of a seed of infinite type.
+3 attempt to mutate a frozen direction, 4 work that cannot finish: an atlas
+that cannot be complete (a truncated one, or the g-fan of a seed of
+infinite type), or a polynomial product over the term budget of
+``exact_algebra.TERM_BUDGET`` term products.
 """
 
 import json
 import random
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 import click
@@ -25,7 +28,12 @@ from .degeneration import (
     specialize_fiber,
     strata_consistency_check,
 )
-from .exact_algebra import ExactAlgebraError, limit_t_zero, ratio_text
+from .exact_algebra import (
+    ExactAlgebraError,
+    TermBudgetExceeded,
+    limit_t_zero,
+    ratio_text,
+)
 from .gfan import (
     FanDepthExceeded,
     InfiniteType,
@@ -133,6 +141,20 @@ def _walk(ed, seed_path, allowed=None, depth=None):
                               f"{exc}")
 
 
+@contextmanager
+def _budget(what):
+    """Exit 4 when a polynomial product in the work inside would go over
+    the term budget; ``what`` names the command and the stage.  Every
+    command runs in it under its own name (``_Command``), and the stages
+    whose terms grow with the input (a mutation step and printing the
+    result in ``mutate``, one path in ``verify separation``) run in it
+    again under theirs."""
+    try:
+        yield
+    except TermBudgetExceeded as exc:
+        _fail(EXIT_TRUNCATED, f"{what} cannot finish: {exc}")
+
+
 def _need_mutable(ed, seed_path, source, need):
     if ed.m:
         _fail(EXIT_INPUT,
@@ -143,7 +165,19 @@ def _echo_json(obj):
     _echo(json.dumps(obj, indent=2, sort_keys=True))
 
 
-@click.group()
+class _Command(click.Command):
+    """A subcommand run inside ``_budget`` under its own name."""
+
+    def invoke(self, ctx):
+        with _budget(ctx.info_name):
+            return super().invoke(ctx)
+
+
+class _Group(click.Group):
+    command_class = _Command
+
+
+@click.group(cls=_Group)
 def main():
     """Exact cluster-pattern toolkit: mutation, fans, verification,
     degenerations, tables."""
@@ -191,20 +225,24 @@ def mutate(seed_path, path_text, coeffs, as_json):
         seed = YSeedCoeff.initial(ed, p_file)
     else:
         _fail(EXIT_INPUT, f"unknown --with-coeffs value {coeffs!r}")
-    for k in path:
-        seed = mutate_y_seed(seed, k)
+    for step, k in enumerate(path, 1):
+        prefix = ",".join(str(j + 1) for j in path[:step])
+        with _budget(f"mutate: mutation step {step} (path {prefix})"):
+            seed = mutate_y_seed(seed, k)
+    with _budget("mutate: printing the result"):
+        ys = [f.to_text() for f in seed.y]
     if as_json:
         _echo_json({
             "B": [list(r) for r in seed.exchange.B],
             "p": [m.to_text() for m in seed.p],
-            "y": [f.to_text() for f in seed.y],
+            "y": ys,
         })
     else:
         _echo(f"matrix: {corpus.mat_text(seed.exchange.B)}")
         for i, m in enumerate(seed.p):
             _echo(f"p{i + 1}: {m.to_text()}")
-        for i, f in enumerate(seed.y):
-            _echo(f"Y{i + 1}: {f.to_text()}")
+        for i, text in enumerate(ys):
+            _echo(f"Y{i + 1}: {text}")
 
 
 # -- fan ---------------------------------------------------------------------
@@ -300,7 +338,8 @@ def verify(check, seed_path, paths_spec, max_len, rng_seed, as_json):
         def one(path):
             label = "path " + (",".join(str(k + 1) for k in path) or "(empty)")
             try:
-                separation_check(ed, p0, path)
+                with _budget(f"verify separation: {label}"):
+                    separation_check(ed, p0, path)
                 return label, True, ""
             except (CheckFailed, ExactAlgebraError) as exc:
                 return label, False, str(exc)

@@ -39,10 +39,10 @@ from .seeds import (
     mutate_cluster_seed,
     mutate_matrix,
     mutate_y_seed,
+    mutate_y_tuple,
     p_star_pullback,
     p_vars,
     principal_extension,
-    sign,
     y_vars,
 )
 from .invariants import CheckFailed
@@ -86,49 +86,28 @@ PENTAGON_PATH = (1, 0, 1, 0, 1)
 
 def universal_bracket(p, selector):
     """Sign-selected part of a subtraction-free coefficient: p/(p+1) for a
-    positive selector, 1/(p+1) for a negative one, 1 for zero."""
-    if selector == 0:
-        return PosRatFunc.one(p.vars)
+    positive selector, 1/(p+1) for a negative one."""
     denom_inv = prf_add(p, PosRatFunc.one(p.vars)).inv()
     return p.mul(denom_inv) if selector > 0 else denom_inv
 
 
-def universal_coeff_step(B, p, k):
-    """One coefficient mutation with semifield sums kept as honest rational
-    sums: invert the k-th entry, multiply the j-th by
-    (1 + p_k^{-sgn b_kj})^{-b_kj}."""
-    one = PosRatFunc.one(p[k].vars)
-    out = list(p)
-    out[k] = p[k].inv()
-    for j in range(len(p)):
-        if j == k:
-            continue
-        b = B[k][j]
-        if b:
-            grow = prf_add(one, p[k].power(-sign(b))).power(-b)
-            out[j] = p[j].mul(grow).reduced()
-    return tuple(out)
-
-
 def universal_y_step(B, p, y, k):
     """One Y-seed mutation with coefficients kept in the subtraction-free
-    rational functions; returns the new (coefficients, Y-variables)."""
+    rational functions; returns the new (coefficients, Y-variables).  Both
+    go through ``mutate_y_tuple``: the Y-variables with p_k's parts
+    embedded, the coefficients with both parts one."""
     names = y[k].vars
     embed = {v: _unit_vector(names, v) for v in p[k].vars}
-    ys = list(y)
-    ys[k] = y[k].inv()
-    for j in range(len(y)):
-        if j == k:
-            continue
-        b = B[k][j]
-        if not b:
-            continue
-        s = sign(b)
-        lead = universal_bracket(p[k], b).substitute_monomials(embed, names)
-        tail = universal_bracket(p[k], -b).substitute_monomials(embed, names)
-        base = prf_add(lead, tail.mul(y[k].power(-s)))
-        ys[j] = y[j].mul(base.power(-b)).reduced()
-    return universal_coeff_step(B, p, k), tuple(ys)
+    plus, minus = (universal_bracket(p[k], s).substitute_monomials(
+        embed, names) for s in (1, -1))
+    one = PosRatFunc.one(p[k].vars)
+
+    def settle(fs):
+        return tuple(f.reduced() if j != k and B[k][j] else f
+                     for j, f in enumerate(fs))
+
+    return (settle(mutate_y_tuple(p, B, k, one, one)),
+            settle(mutate_y_tuple(y, B, k, plus, minus)))
 
 
 def _unit_vector(names, v):

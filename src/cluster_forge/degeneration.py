@@ -21,12 +21,17 @@ from .exact_algebra import (
     degree_of,
     limit_t_zero,
     poly_exact_div,
-    prf_add,
     rat_equal,
     substitute_values,
 )
 from .semifields import TropMonomial
-from .seeds import mutate_coeff_tuple, mutate_matrix, sign, t_vars
+from .seeds import (
+    mutate_coeff_tuple,
+    mutate_matrix,
+    mutate_y_tuple,
+    sign,
+    t_vars,
+)
 from .invariants import CheckFailed
 from .gfan import enumerate_gfan, g_cone_step, star, two_faces
 
@@ -55,38 +60,20 @@ def family_wall_images(B, k, c_k, xnames, tnames):
     """Pullbacks of the far patch's coordinates across the wall in direction
     k, expressed in the near patch.
 
-    The far wall coordinate pulls back to the inverse of the near one; every
-    other coordinate picks up a subtraction-free binomial power whose
-    t-exponents are the positive and negative parts of the near patch's k-th
-    coefficient vector, sign-matched against the exchange entry.  Only row k
-    of ``B``, ``k`` and ``c_k`` are read, and the binomial is built once for
-    each sign of that row's entries.  ``Family.wall_images`` caches this per
-    family.
+    This is the Y-seed mutation ``mutate_y_tuple`` of the coordinates with
+    coefficient t^c_k, whose parts are the monomials t^[c_k]+ and
+    t^[-c_k]+ of the near patch's k-th coefficient vector: the far wall
+    coordinate pulls back to the inverse of the near one, and every other
+    coordinate picks up a power of a subtraction-free binomial.  Only row k
+    of ``B``, ``k`` and ``c_k`` are read.  ``Family.wall_images`` caches
+    this per family.
     """
     vars = xnames + tnames
     n = len(xnames)
-    bases = {}
-    images = []
-    for i in range(n):
-        if i == k:
-            exps = [0] * len(vars)
-            exps[k] = -1
-            images.append(PosRatFunc.monomial(vars, exps))
-            continue
-        xi = PosRatFunc.variable(vars, xnames[i])
-        e = B[k][i]
-        if e == 0:
-            images.append(xi)
-            continue
-        s = sign(e)
-        if s not in bases:
-            first = [0] * n + [max(s * c, 0) for c in c_k]
-            second = [0] * n + [max(-s * c, 0) for c in c_k]
-            second[k] = -s
-            bases[s] = prf_add(PosRatFunc.monomial(vars, first),
-                               PosRatFunc.monomial(vars, second))
-        images.append(xi.mul(bases[s].power(-e)))
-    return tuple(images)
+    xs = tuple(PosRatFunc.variable(vars, x) for x in xnames)
+    plus = PosRatFunc.monomial(vars, [0] * n + [max(c, 0) for c in c_k])
+    minus = PosRatFunc.monomial(vars, [0] * n + [max(-c, 0) for c in c_k])
+    return mutate_y_tuple(xs, B, k, plus, minus)
 
 
 def wall_binomial(vars, k, c_k, n):

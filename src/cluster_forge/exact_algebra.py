@@ -16,9 +16,10 @@ Two layers:
   GCD is needed.  Equality cancels shared factors first, then compares the
   expanded numerator and denominator of the residual quotient.
 
-Exact division (``poly_exact_div``) keys terms by ``(total degree,) +
-exponents``: plain tuple order on such keys is graded-lex, and since degree
-is linear in the exponents the keys still add componentwise.
+Exact division (``poly_exact_div``) keys terms by the negated ``(total
+degree,) + exponents``: plain tuple order on such keys is reversed
+graded-lex, and since degree is linear in the exponents the keys still add
+componentwise.
 
 ``RatPair`` is a signed numerator/denominator pair used where subtraction or
 rational scalars are unavoidable (fiber specialization at rational points).
@@ -52,6 +53,7 @@ monomials, zeros and ones its own algorithms start from).
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd
 from operator import add, sub
 
@@ -78,6 +80,20 @@ class LimitError(ExactAlgebraError):
 
 class PositivityError(ExactAlgebraError):
     pass
+
+
+#: Most term products one ``LaurentPoly`` product may take: the product of
+#: the two factors' term counts.  The largest product any check, gate or
+#: benchmark case needs is about a quarter of this.
+TERM_BUDGET = 10 ** 6
+
+
+class TermBudgetExceeded(Exception):
+    """A product would take more than ``TERM_BUDGET`` term products.
+
+    Not an ``ExactAlgebraError``: the arithmetic is not wrong, the work is
+    too large to finish, and a caller that reports an arithmetic failure
+    as a failed check must not take it for one."""
 
 
 def graded_lex_key(exps):
@@ -221,6 +237,10 @@ class LaurentPoly:
 
     def __mul__(self, other):
         _check_same_vars(self, other)
+        if len(self.terms) * len(other.terms) > TERM_BUDGET:
+            raise TermBudgetExceeded(
+                f"a product of {len(self.terms)} by {len(other.terms)} terms "
+                f"is over the budget of {TERM_BUDGET} term products")
         terms = {}
         get = terms.get
         items2 = list(other.terms.items())
@@ -337,13 +357,15 @@ def poly_exact_div(a, b):
     for good: the division fails as soon as a leading monomial is not divisible
     or a quotient coefficient is not an integer.
 
-    Terms of the remainder and the divisor are keyed by ``(total degree,) +
-    exponents``.  Tuples compare lexicographically, so such keys compare by
-    degree first and break ties lexicographically on the exponents: plain
-    ``max`` finds the graded-lex leading term.  Degree is linear in the
+    Terms of the remainder and the divisor are keyed by the negated
+    ``(total degree,) + exponents``.  Tuples compare lexicographically, so
+    the smallest such key is the graded-lex leading term, and a heap of the
+    remainder's keys hands the leading terms out in turn, skipping a key
+    popped after its term cancelled: about n log n comparisons for n terms,
+    where a scan for the least key would take n^2.  Degree is linear in the
     exponents, so keys still add and subtract componentwise, and a leading
     term divides another exactly when no slot of their difference is
-    negative.  The order only steers the steps: when b divides a, the
+    positive.  The order only steers the steps: when b divides a, the
     quotient is the one q with a = q * b, and the division by any monomial
     order finds it, because the leading term of q * b is the product of the
     leading terms of q and b.
@@ -357,33 +379,40 @@ def poly_exact_div(a, b):
     mb = b.min_exponents()
     rem = {}
     for e, c in a.terms.items():
-        e = tuple(map(sub, e, ma))
+        e = tuple(map(sub, ma, e))
         rem[(sum(e),) + e] = c
     bp = {}
     for e, c in b.terms.items():
-        e = tuple(map(sub, e, mb))
+        e = tuple(map(sub, mb, e))
         bp[(sum(e),) + e] = c
-    lead_b = max(bp)
+    lead_b = min(bp)
     cb = bp[lead_b]
     shift = tuple(map(sub, ma, mb))
     quot = {}
     get = rem.get
+    heap = list(rem)
+    heapify(heap)
     while rem:
-        lead_r = max(rem)
+        lead_r = heappop(heap)
+        if lead_r not in rem:
+            continue
         diff = tuple(map(sub, lead_r, lead_b))
-        if min(diff) < 0:
+        if max(diff) > 0:
             raise InexactDivision("leading term not divisible")
         q, r = divmod(rem[lead_r], cb)
         if r:
             raise InexactDivision("quotient has non-integer coefficient")
-        quot[tuple(map(add, diff[1:], shift))] = q
+        quot[tuple(map(sub, shift, diff[1:]))] = q
         for e, c in bp.items():
             key = tuple(map(add, e, diff))
-            s = get(key, 0) - q * c
+            old = get(key)
+            s = (old or 0) - q * c
             if s:
                 rem[key] = s
-            else:
-                rem.pop(key, None)
+                if old is None:
+                    heappush(heap, key)
+            elif old is not None:
+                del rem[key]
     return LaurentPoly._new(a.vars, quot)
 
 

@@ -180,30 +180,43 @@ def mutate_coeff_tuple(p, B, k):
     return tuple(out)
 
 
-def mutate_y_seed(seed, k):
-    """One Y-seed mutation with coefficients in direction k.
+def mutate_y_tuple(y, B, k, plus, minus):
+    """The Y-seed mutation rule in direction k on subtraction-free
+    functions ``y``, with the coefficient p_k = plus / minus given by its
+    two parts as functions on the same variables.
 
-    The mutated k-th variable is inverted; every other variable picks up the
-    factor (p_k^[b_kj] + p_k^[-b_kj] * y_k^{-sgn b_kj})^{-b_kj}, with the
-    sign-selected coefficient parts embedded as honest monomials.
+    For p_k in a semifield with sum (+), plus = p_k / (p_k (+) 1) and
+    minus = 1 / (p_k (+) 1): the plus and minus parts [p_k]+ and [p_k]- of
+    a tropical monomial, and plus = minus = 1 for the coefficient-free
+    rule.  y_k inverts; every other y_j with b = B[k][j] != 0 is multiplied
+    by (plus + minus * y_k^-1)^-b when b > 0 and by (minus + plus * y_k)^-b
+    when b < 0.  Each binomial is built once for each sign of row k.
     """
+    yk = y[k]
+    inv = yk.inv()
+    bases = {}
+    out = list(y)
+    out[k] = inv
+    for j, b in enumerate(B[k]):
+        if j == k or not b:
+            continue
+        s = b > 0
+        if s not in bases:
+            bases[s] = (prf_add(plus, minus.mul(inv)) if s
+                        else prf_add(minus, plus.mul(yk)))
+        out[j] = y[j].mul(bases[s].power(-b))
+    return tuple(out)
+
+
+def mutate_y_seed(seed, k):
+    """One Y-seed mutation with coefficients in direction k: the
+    Y-variables by ``mutate_y_tuple`` with the plus and minus parts of the
+    tropical p_k embedded as monomials, the coefficient tuple by
+    ``mutate_coeff_tuple`` and the matrix by its exchange mutation."""
     B = seed.exchange.B
-    n = seed.exchange.n
     pk = seed.p[k]
-    yk = seed.y[k]
-    ys = list(seed.y)
-    ys[k] = yk.inv()
-    for j in range(n):
-        if j == k:
-            continue
-        b = B[k][j]
-        if not b:
-            continue
-        s = sign(b)
-        base = prf_add(
-            bracket(pk, b).to_posrat(seed.vars),
-            bracket(pk, -b).to_posrat(seed.vars).mul(yk.power(-s)))
-        ys[j] = seed.y[j].mul(base.power(-b))
+    ys = mutate_y_tuple(seed.y, B, k, bracket(pk, 1).to_posrat(seed.vars),
+                        bracket(pk, -1).to_posrat(seed.vars))
     return YSeedCoeff(seed.exchange.mutate(k), ys,
                       mutate_coeff_tuple(seed.p, B, k))
 
@@ -317,20 +330,7 @@ def p_star_pullback(ed, vars=None):
     return out
 
 
-# -- JSON round trip ----------------------------------------------------------
-
-def seed_to_json(ed, p):
-    """Serialize exchange data plus a tropical coefficient tuple."""
-    r = len(p[0].exps) if p else 0
-    return {
-        "n": ed.n,
-        "m": ed.m,
-        "d": list(ed.d),
-        "B": [list(row) for row in ed.B],
-        "coeff_rank": r,
-        "p": [list(m.exps) for m in p],
-    }
-
+# -- JSON input ---------------------------------------------------------------
 
 def json_int(x, field, lo=None, hi=None):
     """A JSON integer (not a bool), within ``lo..hi`` when they are given;

@@ -87,12 +87,9 @@ def trop_sum(monomials):
 
 
 def bracket(p, sign_source):
-    """Sign-selected part of a tropical monomial: the minus part for a
-    negative selector, one for zero, the plus part for a positive selector.
-    The plus and minus parts are coprime and nonnegative, with
-    p == plus / minus."""
-    if sign_source == 0:
-        return TropMonomial.one(p.vars)
+    """Sign-selected part of a tropical monomial: the plus part for a
+    positive selector, the minus part otherwise.  The plus and minus parts
+    are coprime and nonnegative, with p == plus / minus."""
     s = 1 if sign_source > 0 else -1
     return TropMonomial(p.vars, [max(s * x, 0) for x in p.exps])
 

@@ -6,6 +6,7 @@ import gc
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from math import gcd
@@ -14,7 +15,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from cluster_forge import cli, gfan, invariants
+from cluster_forge import cli, exact_algebra, gfan, invariants
 from cluster_forge.cli import main
 from cluster_forge.corpus import (
     a2_principal_table_text,
@@ -388,6 +389,53 @@ def test_walking_commands_refuse_an_infinite_type_seed(tmp_path,
         f"error: seed file {seed} is of infinite type: {named}, and finite "
         "type needs |b_ij * b_ji| <= 3 in every matrix of the mutation "
         "class\n")
+
+
+MARKOV = {"B": [[0, 2, -2], [-2, 0, 2], [2, -2, 0]], "n": 3}
+OVER_BUDGET = (r" cannot finish: a product of \d+ by \d+ terms is over the "
+               r"budget of 1000000 term products\n")
+
+
+@pytest.mark.parametrize("args, stage", [
+    (("mutate", "--path", "1,2,3,1,2,3"), "mutate: printing the result"),
+    (("mutate", "--path", "1,2,3,1,2,3,1"),
+     "mutate: mutation step 7 (path 1,2,3,1,2,3,1)"),
+    (("verify", "separation", "--paths", "random:5"),
+     "verify separation: path 2,3,1,3,1,2,1,1"),
+], ids=["mutate-printing", "mutate-step", "verify-separation"])
+def test_exploding_terms_exit_4(tmp_path, args, stage):
+    """The Y-variables of the Markov seed, of infinite type, grow without
+    bound along these paths: each command exits 4 naming its stage, with
+    nothing on stdout, in a fresh process whose timeout fails the test
+    instead of letting it hang."""
+    seed = tmp_path / "markov.json"
+    seed.write_text(json.dumps(MARKOV))
+    res = run_process(*args, "--seed", str(seed))
+    assert res.returncode == 4
+    assert res.stdout == ""
+    assert re.fullmatch(f"error: {re.escape(stage)}{OVER_BUDGET}", res.stderr)
+
+
+A2_SEED = ("--seed", fixture("a2.json"))
+
+
+@pytest.mark.parametrize("args", [
+    ("mutate", "--path", "1,2", *A2_SEED),
+    *(("verify", suite, *A2_SEED) for suite in (
+        "separation", "duality", "cocycle", "degree", "limit", "glue")),
+    ("degenerate", "--at", "1,1/2", *A2_SEED),
+    ("table", "a2"), ("table", "dp5", "--format", "json"),
+], ids=lambda args: "-".join(a for a in args if a not in A2_SEED))
+def test_every_command_maps_the_term_budget_to_exit_4(monkeypatch, args):
+    """Under a budget of one term product, commands that multiply
+    polynomials exit 4 naming themselves, and no verify suite reports the
+    budget as a failed check."""
+    monkeypatch.setattr(exact_algebra, "TERM_BUDGET", 1)
+    res = run(*args)
+    assert res.exit_code == 4
+    assert res.stdout == ""
+    assert re.fullmatch(f"error: {args[0]}.* cannot finish: a product of .* "
+                        "term products\n", res.stderr)
 
 
 @pytest.mark.parametrize("args, named", [

@@ -173,8 +173,16 @@ def test_pentagon_walk_rows_and_closure():
 
 @pytest.mark.parametrize("ed", [A2, B2, A3], ids=["a2", "b2", "a3"])
 def test_pullback_matches_coefficient_dynamics(ed):
-    """Dual route: the composed wall transitions equal the coefficient
-    dynamics seeded with one base parameter per direction."""
+    """The pullback of each patch to the initial one equals the Y-seed walk
+    seeded with one base parameter per direction.  Both sides apply the
+    one Y-mutation rule, ``mutate_y_tuple``: the family through
+    ``family_wall_images``, the walk through ``mutate_y_seed``.  What stays
+    independent is how the steps are put together and where the
+    coefficients come from.  The pullback composes the wall maps through
+    ``PosRatFunc.evaluate``, where the walk applies each step directly to
+    the current Y-variables.  The family's coefficients are the c-matrix
+    columns of its cone records, where the walk's come from the tropical
+    coefficient walk ``mutate_coeff_tuple``."""
     fam = Family(ed)
     n = ed.n
     p0 = tuple(TropMonomial(fam.tnames,

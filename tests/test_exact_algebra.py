@@ -5,6 +5,7 @@ import pytest
 from fractions import Fraction
 from hypothesis import assume, example, given, settings, strategies as st
 
+from cluster_forge import exact_algebra
 from cluster_forge.exact_algebra import (
     ExactAlgebraError,
     Grading,
@@ -15,6 +16,7 @@ from cluster_forge.exact_algebra import (
     PosRatFunc,
     PositivityError,
     RatPair,
+    TermBudgetExceeded,
     VariableSetMismatch,
     degree_of,
     limit_t_zero,
@@ -31,6 +33,27 @@ XT = ("X1", "X2", "t1", "t2")
 
 def lp(vars, terms):
     return LaurentPoly(vars, terms)
+
+
+def test_term_budget_is_checked_before_each_product(monkeypatch):
+    """A product of 3 by 4 terms takes 12 term products: it runs under a
+    budget of 13 (one above it) and of 12, and under a budget of 11 (one
+    below it) raises before multiplying.  ``power`` goes through the same
+    check."""
+    a = lp(XY, {(0, 0): 1, (1, 0): 1, (2, 0): 1})
+    b = lp(XY, {(0, 0): 1, (0, 1): 1, (0, 2): 1, (0, 3): 1})
+    for budget in (13, 12):
+        monkeypatch.setattr(exact_algebra, "TERM_BUDGET", budget)
+        assert (a * b).num_terms() == 12
+    monkeypatch.setattr(exact_algebra, "TERM_BUDGET", 11)
+    with pytest.raises(TermBudgetExceeded, match="a product of 3 by 4 terms "
+                       "is over the budget of 11 term products"):
+        a * b
+    assert a.power(2).num_terms() == 5
+    with pytest.raises(TermBudgetExceeded, match="3 by 5 terms"):
+        a.power(3)
+    # a check that reports arithmetic failures must not take it for one
+    assert not issubclass(TermBudgetExceeded, ExactAlgebraError)
 
 
 def test_poly_product_binomials():
@@ -391,6 +414,27 @@ def test_inexact_division_in_three_and_four_variables(qb, m, k):
     else:
         assert poly_exact_div(a, b.scale(k)) == LaurentPoly(
             q.vars, {e: c // k for e, c in q.terms.items()})
+
+
+def test_exact_division_through_the_heap():
+    """The division takes its leading terms from a heap of the remainder's
+    keys, skipping keys whose terms cancelled.  It finds the quotient, also
+    where the remainder grows, and fails with the right message."""
+    q = lp(XYZ, {(1, 0, 0): 1, (0, 1, 0): -2, (0, 0, -1): 3,
+                 (0, 0, 0): 1}).power(3)
+    b = lp(XYZ, {(1, 1, 0): 1, (0, 0, 1): -1, (0, 0, 0): 2})
+    a = q * b
+    assert poly_exact_div(a, b) == q
+    for qh, bh in (HOMOGENEOUS, HOMOGENEOUS[::-1]):
+        assert poly_exact_div(qh * bh, bh) == qh
+    # (1 - x^8) / (1 + x + ... + x^7): the remainder grows from 2 terms to 8
+    geometric = lp(XYZ, {(k, 0, 0): 1 for k in range(8)})
+    assert poly_exact_div(lp(XYZ, {(0, 0, 0): 1, (8, 0, 0): -1}),
+                          geometric) == lp(XYZ, {(0, 0, 0): 1, (1, 0, 0): -1})
+    with pytest.raises(InexactDivision, match="leading term not divisible"):
+        poly_exact_div(a + LaurentPoly.monomial(XYZ, (0, 0, 5)), b)
+    with pytest.raises(InexactDivision, match="non-integer coefficient"):
+        poly_exact_div(a, b.scale(2))
 
 
 @settings(max_examples=100, deadline=None)

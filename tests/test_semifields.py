@@ -35,7 +35,6 @@ def test_plus_minus_split():
 def test_bracket_selects_by_sign():
     p = TropMonomial(P, (2, -3))
     assert bracket(p, 5) == TropMonomial(P, (2, 0))
-    assert bracket(p, 0) == TropMonomial.one(P)
     assert bracket(p, -1) == TropMonomial(P, (0, 3))
 
 
