@@ -147,8 +147,8 @@ def _budget(what):
     the term budget; ``what`` names the command and the stage.  Every
     command runs in it under its own name (``_Command``), and the stages
     whose terms grow with the input (a mutation step and printing the
-    result in ``mutate``, one path in ``verify separation``) run in it
-    again under theirs."""
+    result in ``mutate``, one path in ``verify separation``, every other
+    ``verify`` suite) run in it again under theirs."""
     try:
         yield
     except TermBudgetExceeded as exc:
@@ -309,6 +309,70 @@ def _random_paths(ed, paths_arg, max_len, rng_seed, source):
     return [_parse_directions(p, ed, source) for p in paths_arg.split(";")]
 
 
+def _cone_suite(ed, seed_path, check):
+    """``verify duality`` or ``signcoherence``: one result per cone."""
+    results = []
+    atlas = _walk(ed, seed_path)
+    eye = mat_identity(ed.n)
+    seeds_by_prefix = {}
+    for rec in atlas.cones:
+        label = "cone " + (",".join(str(k + 1) for k in rec.path)
+                           or "(initial)")
+        try:
+            if check == "signcoherence":
+                ok = check_sign_coherence(rec.C)
+                results.append((label, ok,
+                                "" if ok else "mixed-sign column"))
+                continue
+            G = g_matrix_degrees(ed, rec.path, seeds_by_prefix)
+            if mat_mul(mat_transpose(G), rec.Cd) != eye:
+                results.append((label, False, "duality identity failed"))
+            elif abs(mat_det(G)) != 1:
+                results.append((label, False, "degree matrix not unimodular"))
+            else:
+                results.append((label, True, ""))
+        except (CheckFailed, ExactAlgebraError) as exc:
+            results.append((label, False, str(exc)))
+    return results
+
+
+def _family_suite(ed, seed_path, check, max_len):
+    """A ``verify`` suite over the glued family: one result per part."""
+    results = []
+    fam = Family(ed, atlas=_walk(ed, seed_path))
+    named = {
+        "degree": lambda: degree_check(fam),
+        "limit": lambda: limit_check(fam),
+    }
+    try:
+        if check == "cocycle":
+            closed, skipped = two_faces(fam.atlas, max_len)
+            if skipped:
+                _echo(f"verify cocycle: {skipped} of "
+                      f"{len(closed) + skipped} faces longer than "
+                      f"--max-len {max_len} were not checked", err=True)
+            cocycle_check(fam, max_len=max_len)
+            results.append((check, True, ""))
+        elif check in named:
+            named[check]()
+            results.append((check, True, ""))
+            if check == "limit":
+                central_fiber_toric_check(fam)
+                results.append(("central fiber", True, ""))
+        elif check == "glue":
+            for free, label in ((True, "coefficient-free"),
+                                (False, "with coefficients")):
+                glue_ring_check_all(fam, coefficient_free=free)
+                results.append((label, True, ""))
+        elif check == "strata":
+            for ray in fam.atlas.rays:
+                strata_consistency_check(fam, [ray])
+                results.append((f"ray {ray}", True, ""))
+    except (CheckFailed, ExactAlgebraError) as exc:
+        results.append((check, False, str(exc)))
+    return results
+
+
 @main.command()
 @click.argument("check", type=click.Choice([
     "separation", "duality", "signcoherence", "cocycle", "degree", "limit",
@@ -327,7 +391,6 @@ def verify(check, seed_path, paths_spec, max_len, rng_seed, as_json):
         _fail(EXIT_INPUT, f"--max-len {max_len}: walks and random paths "
                           "need a length of at least 1")
     ed, p_file = _load_seed(seed_path)
-    results = []
 
     if check == "separation":
         _need_mutable(ed, seed_path, "verify separation", Y_SEED_NEEDS_MUTABLE)
@@ -347,62 +410,14 @@ def verify(check, seed_path, paths_spec, max_len, rng_seed, as_json):
         results = [one(path) for path in paths]
 
     elif check in ("duality", "signcoherence"):
-        atlas = _walk(ed, seed_path)
-        eye = mat_identity(ed.n)
-        seeds_by_prefix = {}
-        for rec in atlas.cones:
-            label = "cone " + (",".join(str(k + 1) for k in rec.path)
-                               or "(initial)")
-            try:
-                if check == "signcoherence":
-                    ok = check_sign_coherence(rec.C)
-                    results.append((label, ok,
-                                    "" if ok else "mixed-sign column"))
-                    continue
-                G = g_matrix_degrees(ed, rec.path, seeds_by_prefix)
-                if mat_mul(mat_transpose(G), rec.Cd) != eye:
-                    results.append((label, False, "duality identity failed"))
-                elif abs(mat_det(G)) != 1:
-                    results.append((label, False, "degree matrix not unimodular"))
-                else:
-                    results.append((label, True, ""))
-            except (CheckFailed, ExactAlgebraError) as exc:
-                results.append((label, False, str(exc)))
+        with _budget(f"verify {check}"):
+            results = _cone_suite(ed, seed_path, check)
 
     else:
         _need_mutable(ed, seed_path, f"verify {check}",
                       "this check needs a fully mutable seed")
-        fam = Family(ed, atlas=_walk(ed, seed_path))
-        named = {
-            "degree": lambda: degree_check(fam),
-            "limit": lambda: limit_check(fam),
-        }
-        try:
-            if check == "cocycle":
-                closed, skipped = two_faces(fam.atlas, max_len)
-                if skipped:
-                    _echo(f"verify cocycle: {skipped} of "
-                          f"{len(closed) + skipped} faces longer than "
-                          f"--max-len {max_len} were not checked", err=True)
-                cocycle_check(fam, max_len=max_len)
-                results.append((check, True, ""))
-            elif check in named:
-                named[check]()
-                results.append((check, True, ""))
-                if check == "limit":
-                    central_fiber_toric_check(fam)
-                    results.append(("central fiber", True, ""))
-            elif check == "glue":
-                for free, label in ((True, "coefficient-free"),
-                                    (False, "with coefficients")):
-                    glue_ring_check_all(fam, coefficient_free=free)
-                    results.append((label, True, ""))
-            elif check == "strata":
-                for ray in fam.atlas.rays:
-                    strata_consistency_check(fam, [ray])
-                    results.append((f"ray {ray}", True, ""))
-        except (CheckFailed, ExactAlgebraError) as exc:
-            results.append((check, False, str(exc)))
+        with _budget(f"verify {check}"):
+            results = _family_suite(ed, seed_path, check, max_len)
 
     results.sort(key=lambda r: r[0])
     ok = all(r[1] for r in results)
@@ -455,9 +470,8 @@ def degenerate(seed_path, at_text, as_json):
     """Print the wall transition maps of the family specialized at a base
     point; the zero point gives the toric gluing of the central fiber."""
     ed, _ = _load_seed(seed_path)
-    if ed.m:
-        _fail(EXIT_INPUT, f"degenerate: seed file {seed_path} has frozen "
-              "directions; the family needs a fully mutable seed")
+    _need_mutable(ed, seed_path, "degenerate",
+                  "the family needs a fully mutable seed")
     try:
         u = [_rational(piece) for piece in at_text.split(",")]
     except _ExponentTooLarge:

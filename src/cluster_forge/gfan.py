@@ -1,6 +1,6 @@
 """Enumeration of the fan of g-vector cones and of the 2-faces of its
-exchange graph, exact fan-axiom checking, stars of faces, and the rank-2
-polytope attached to a complete fan.
+exchange graph, stars of faces, and the rank-2 polytope attached to a
+complete fan.
 
 Cones are simplicial, generated by the columns of the running g-matrix; the
 inward facet normals are the columns of the c-matrix of the negated-transpose
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from math import gcd
 
-from .invariants import CheckFailed, c_matrix_step, mat_det, mat_identity
+from .invariants import CheckFailed, c_matrix_step, mat_identity
 from .seeds import ExchangeData, json_int, mutate_matrix, seed_from_json
 
 
@@ -58,12 +58,6 @@ def dot(a, b):
     return sum(x * y for x, y in zip(a, b))
 
 
-def cross3(a, b):
-    return (a[1] * b[2] - a[2] * b[1],
-            a[2] * b[0] - a[0] * b[2],
-            a[0] * b[1] - a[1] * b[0])
-
-
 class ConeRecord:
     """One maximal cone and the seed at it: a representative path, the
     exchange matrix ``B``, the c-matrix ``C``, the generator (g-)matrix
@@ -93,24 +87,6 @@ class ConeRecord:
 
     def key(self):
         return frozenset(self.generators())
-
-    def contains(self, x):
-        return all(dot(nrm, x) >= 0 for nrm in self.normals())
-
-    def support_indices(self, points):
-        """Generator positions carrying any of the points: j such that some
-        point has a positive j-th barycentric coordinate."""
-        idx = set()
-        for p in points:
-            for j, nrm in enumerate(self.normals()):
-                if dot(nrm, p) > 0:
-                    idx.add(j)
-        return idx
-
-    def minimal_face(self, points):
-        """Generators of the smallest face containing the points."""
-        gens = self.generators()
-        return frozenset(gens[j] for j in self.support_indices(points))
 
 
 class GFanAtlas:
@@ -264,74 +240,6 @@ def two_faces(atlas, max_len):
                 else:
                     skipped += 1
     return closed, skipped
-
-
-# -- fan axioms ----------------------------------------------------------------
-
-def _intersection_candidates(a, b):
-    """Primitive candidate rays of the intersection of two simplicial cones:
-    generators of each lying in the other, plus (in three dimensions) the
-    pairwise facet-plane intersections.  Complete for dimension <= 3."""
-    n = len(a.G)
-    cands = set()
-    for g in a.generators():
-        if b.contains(g):
-            cands.add(primitive(g))
-    for g in b.generators():
-        if a.contains(g):
-            cands.add(primitive(g))
-    if n == 3:
-        for na in a.normals():
-            for nb in b.normals():
-                r = cross3(na, nb)
-                p = primitive(r)
-                if p is None:
-                    continue
-                for q in (p, tuple(-x for x in p)):
-                    if a.contains(q) and b.contains(q):
-                        cands.add(q)
-    cands.discard(None)
-    return cands
-
-
-def check_fan(atlas, require_complete=True):
-    """Exact fan-axiom verification.
-
-    Every cone must be unimodular simplicial; every pairwise intersection
-    must be a common face (computed via candidate extreme rays and minimal
-    containing faces); every wall must be shared by exactly two cones when
-    the fan is required to be complete, at most two otherwise.
-    """
-    n = atlas.ed.n
-    for c in atlas.cones:
-        d = mat_det(c.G)
-        if abs(d) != 1:
-            raise CheckFailed(f"cone {c.index} is not unimodular (det {d})")
-        prod = [[dot(nrm, g) for g in c.generators()] for nrm in c.normals()]
-        if tuple(tuple(r) for r in prod) != mat_identity(n):
-            raise CheckFailed(f"cone {c.index}: normals do not invert generators")
-    for i, a in enumerate(atlas.cones):
-        for b in atlas.cones[i + 1:]:
-            cands = _intersection_candidates(a, b)
-            fa = a.minimal_face(cands)
-            fb = b.minimal_face(cands)
-            if fa != fb:
-                raise CheckFailed(
-                    f"cones {a.index} and {b.index} do not meet in a common "
-                    f"face: {sorted(fa)} vs {sorted(fb)}")
-    walls = {}
-    for c in atlas.cones:
-        gens = c.generators()
-        for j in range(n):
-            wall = frozenset(gens[:j] + gens[j + 1:])
-            walls[wall] = walls.get(wall, 0) + 1
-    if n > 1:
-        bad = {w: m for w, m in walls.items() if m > 2}
-        if bad:
-            raise CheckFailed("a wall is shared by more than two cones")
-        if require_complete and any(m != 2 for m in walls.values()):
-            raise CheckFailed("fan is not complete: some wall is on the boundary")
-    return True
 
 
 # -- stars ----------------------------------------------------------------------

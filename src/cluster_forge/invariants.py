@@ -4,18 +4,21 @@ sign coherence, and separation of additions.
 All invariants are computed by at least two logically independent routes and
 cross-checked in the test suite:
 
-* c-vectors: tropical Y-dynamics (defining route) vs the direct integer
-  recurrence on columns.
+* c-vectors: the direct integer recurrence on columns here vs the tropical
+  Y-dynamics, the defining route, in the tests.
 * g-vectors: inverse-transpose duality against the c-matrix of the negated
   transpose pattern vs multi-degrees of the principal-coefficient cluster
   variables.
+* F-polynomials: their own recurrence in the coefficient variables,
+  Cluster algebras IV Prop. 5.1, here vs the principal-coefficient cluster
+  variables with every cluster coordinate set to 1, in the tests.
 
 The g-fan walk uses neither: ``gfan.g_cone_step`` steps g-vectors by the
 integer recurrence of Cluster algebras IV (6.12), and the two routes here,
-with ``c_matrix`` and ``c_matrix_tropical`` for its c-matrices, are what
-the walk is checked against.  The degree route may share path prefixes
-through its memo, but it reads only a walked cone's path, never its
-matrices, so it stays independent of the walk.
+with ``c_matrix`` and the tests' tropical route for its c-matrices, are
+what the walk is checked against.  The degree route may share path
+prefixes through its memo, but it reads only a walked cone's path, never
+its matrices, so it stays independent of the walk.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from fractions import Fraction
 
 from .exact_algebra import (
     Grading,
+    LaurentPoly,
     PosRatFunc,
     degree_of,
     poly_exact_div,
@@ -38,7 +42,6 @@ from .seeds import (
     YSeedCoeff,
     langlands_dual,
     mutate_cluster_seed,
-    mutate_coeff_tuple,
     mutate_matrix,
     mutate_y_seed,
     p_vars,
@@ -121,19 +124,6 @@ def mat_inverse_integer(M):
 
 
 # -- c-vectors -----------------------------------------------------------------
-
-def c_matrix_tropical(ed, path):
-    """Defining route: exponent vectors of the tropical Y-dynamics started at
-    the coordinate generators.  Column j is the j-th vector."""
-    n = ed.n
-    tv = y_vars(n)
-    p = tuple(TropMonomial.variable(tv, v) for v in tv)
-    B = ed.B
-    for k in path:
-        p = mutate_coeff_tuple(p, B, k)
-        B = mutate_matrix(B, k)
-    return tuple(tuple(p[j].exps[i] for j in range(n)) for i in range(n))
-
 
 def c_matrix_step(C, B, k):
     """One step of the column recurrence: negate column k, add the
@@ -227,25 +217,37 @@ def g_matrix_degrees(ed, path, memo=None):
 # -- F-polynomials ---------------------------------------------------------------
 
 def f_polynomials(ed, path):
-    """Principal-coefficient cluster variables with all coordinates set to 1:
-    honest polynomials in the coefficient variables with constant term 1."""
+    """F-polynomials by their own recurrence in the coefficient variables
+    p1..pn, Cluster algebras IV Prop. 5.1: every F starts at 1, and a step
+    in direction k replaces F_k by
+
+        (p^[c_k]+ prod_i F_i^[b_ik]+ + p^[-c_k]+ prod_i F_i^[-b_ik]+) / F_k,
+
+    divided exactly, with c_k column k of the c-matrix and b_ik the entries
+    of the exchange matrix before the step.  Each is an honest polynomial
+    with constant term 1."""
     n = ed.n
-    seed = ClusterSeedCoeff.initial_principal(ed)
-    for k in path:
-        seed = mutate_cluster_seed(seed, k)
     pv = p_vars(n)
-    kill = {f"x{i + 1}": (0,) * n for i in range(n)}
-    out = []
-    for j in range(n):
-        num, den = seed.x[j].expand()
-        f = poly_exact_div(num.substitute_monomials(kill, pv),
-                           den.substitute_monomials(kill, pv))
+    F = [LaurentPoly.one(pv)] * n
+    B, C = ed.B, mat_identity(n)
+    for k in path:
+        plus = LaurentPoly.monomial(pv, [max(row[k], 0) for row in C])
+        minus = LaurentPoly.monomial(pv, [max(-row[k], 0) for row in C])
+        for i in range(n):
+            b = B[i][k]
+            if b > 0:
+                plus = plus * F[i].power(b)
+            elif b < 0:
+                minus = minus * F[i].power(-b)
+        F[k] = poly_exact_div(plus + minus, F[k])
+        C = c_matrix_step(C, B, k)
+        B = mutate_matrix(B, k)
+    for j, f in enumerate(F):
         if f.constant_coef() != 1:
             raise CheckFailed(f"constant term of F_{j + 1} is not 1: {f.to_text()}")
         if any(x < 0 for e in f.terms for x in e):
             raise CheckFailed(f"F_{j + 1} has a negative exponent")
-        out.append(f)
-    return out
+    return F
 
 
 def trop_eval_poly(poly, args):

@@ -123,7 +123,7 @@ class YSeedCoeff:
     """Y-seed with coefficients: Y-variables in the subtraction-free field on
     y1..yn and p1..pr, plus a coefficient tuple in the tropical semifield."""
 
-    __slots__ = ("exchange", "y", "p", "yv", "pv", "vars")
+    __slots__ = ("exchange", "y", "p", "vars")
 
     def __init__(self, exchange, y, p):
         self.exchange = exchange
@@ -134,9 +134,7 @@ class YSeedCoeff:
             raise ValueError("Y-seed dynamics use a fully mutable matrix")
         if len(self.y) != n or len(self.p) != n:
             raise ValueError("need n Y-variables and n coefficients")
-        self.pv = self.p[0].vars
         self.vars = self.y[0].vars
-        self.yv = tuple(v for v in self.vars if v not in self.pv)
 
     @classmethod
     def initial(cls, exchange, p):
@@ -226,7 +224,7 @@ class ClusterSeedCoeff:
     subtraction-free field on x1..xN and p1..pr (frozen cluster variables,
     when present, sit at the frozen indices of the exchange matrix)."""
 
-    __slots__ = ("exchange", "x", "p", "pv", "vars")
+    __slots__ = ("exchange", "x", "p", "vars")
 
     def __init__(self, exchange, x, p):
         self.exchange = exchange
@@ -236,7 +234,6 @@ class ClusterSeedCoeff:
             raise ValueError("need one cluster variable per matrix index")
         if len(self.p) != exchange.n:
             raise ValueError("need one coefficient per mutable index")
-        self.pv = self.p[0].vars if self.p else ()
         self.vars = self.x[0].vars
 
     @classmethod

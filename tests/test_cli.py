@@ -428,13 +428,14 @@ A2_SEED = ("--seed", fixture("a2.json"))
 ], ids=lambda args: "-".join(a for a in args if a not in A2_SEED))
 def test_every_command_maps_the_term_budget_to_exit_4(monkeypatch, args):
     """Under a budget of one term product, commands that multiply
-    polynomials exit 4 naming themselves, and no verify suite reports the
-    budget as a failed check."""
+    polynomials exit 4 naming themselves, verify also its suite, and no
+    verify suite reports the budget as a failed check."""
     monkeypatch.setattr(exact_algebra, "TERM_BUDGET", 1)
     res = run(*args)
     assert res.exit_code == 4
     assert res.stdout == ""
-    assert re.fullmatch(f"error: {args[0]}.* cannot finish: a product of .* "
+    named = " ".join(args[:2]) if args[0] == "verify" else args[0]
+    assert re.fullmatch(f"error: {named}.* cannot finish: a product of .* "
                         "term products\n", res.stderr)
 
 

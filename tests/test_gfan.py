@@ -6,11 +6,11 @@ from math import gcd
 
 import pytest
 
-from cluster_forge.invariants import CheckFailed, mat_identity
+from cluster_forge.invariants import CheckFailed, mat_det, mat_identity
 from cluster_forge.gfan import (
     ConeRecord,
     InfiniteType,
-    check_fan,
+    dot,
     enumerate_gfan,
     fan_to_json,
     g_cone_step,
@@ -153,6 +153,93 @@ def test_a2_rays_and_cones():
 def test_b2_rays():
     atlas = enumerate_gfan(B2)
     assert atlas.rays == B2_RAYS
+
+
+# -- fan axioms ----------------------------------------------------------------
+
+
+def _contains(cone, x):
+    return all(dot(nrm, x) >= 0 for nrm in cone.normals())
+
+
+def _minimal_face(cone, points):
+    """Generators of the smallest face of the cone containing the points:
+    those at a position j where some point has a positive j-th barycentric
+    coordinate."""
+    gens = cone.generators()
+    return frozenset(gens[j] for j, nrm in enumerate(cone.normals())
+                     if any(dot(nrm, p) > 0 for p in points))
+
+
+def _cross3(a, b):
+    return (a[1] * b[2] - a[2] * b[1],
+            a[2] * b[0] - a[0] * b[2],
+            a[0] * b[1] - a[1] * b[0])
+
+
+def _intersection_candidates(a, b):
+    """Primitive candidate rays of the intersection of two simplicial cones:
+    generators of each lying in the other, plus (in three dimensions) the
+    pairwise facet-plane intersections.  Complete for dimension <= 3."""
+    n = len(a.G)
+    cands = set()
+    for g in a.generators():
+        if _contains(b, g):
+            cands.add(primitive(g))
+    for g in b.generators():
+        if _contains(a, g):
+            cands.add(primitive(g))
+    if n == 3:
+        for na in a.normals():
+            for nb in b.normals():
+                p = primitive(_cross3(na, nb))
+                if p is None:
+                    continue
+                for q in (p, tuple(-x for x in p)):
+                    if _contains(a, q) and _contains(b, q):
+                        cands.add(q)
+    cands.discard(None)
+    return cands
+
+
+def check_fan(atlas, require_complete=True):
+    """Exact fan-axiom verification.
+
+    Every cone must be unimodular simplicial; every pairwise intersection
+    must be a common face (computed via candidate extreme rays and minimal
+    containing faces); every wall must be shared by exactly two cones when
+    the fan is required to be complete, at most two otherwise.
+    """
+    n = atlas.ed.n
+    for c in atlas.cones:
+        d = mat_det(c.G)
+        if abs(d) != 1:
+            raise CheckFailed(f"cone {c.index} is not unimodular (det {d})")
+        prod = [[dot(nrm, g) for g in c.generators()] for nrm in c.normals()]
+        if tuple(tuple(r) for r in prod) != mat_identity(n):
+            raise CheckFailed(f"cone {c.index}: normals do not invert generators")
+    for i, a in enumerate(atlas.cones):
+        for b in atlas.cones[i + 1:]:
+            cands = _intersection_candidates(a, b)
+            fa = _minimal_face(a, cands)
+            fb = _minimal_face(b, cands)
+            if fa != fb:
+                raise CheckFailed(
+                    f"cones {a.index} and {b.index} do not meet in a common "
+                    f"face: {sorted(fa)} vs {sorted(fb)}")
+    walls = {}
+    for c in atlas.cones:
+        gens = c.generators()
+        for j in range(n):
+            wall = frozenset(gens[:j] + gens[j + 1:])
+            walls[wall] = walls.get(wall, 0) + 1
+    if n > 1:
+        bad = {w: m for w, m in walls.items() if m > 2}
+        if bad:
+            raise CheckFailed("a wall is shared by more than two cones")
+        if require_complete and any(m != 2 for m in walls.values()):
+            raise CheckFailed("fan is not complete: some wall is on the boundary")
+    return True
 
 
 def test_fan_axioms_hold():

@@ -151,16 +151,19 @@ def test_every_defaulted_parameter_is_passed_somewhere():
     assert not unused, f"defaulted but never passed: {', '.join(unused)}"
 
 
-def _cli_options():
-    """(command, option) for every click option of every command in
-    cli.py, the option by its first name."""
-    with open(os.path.join(PACKAGE, "cli.py"), encoding="utf-8") as fh:
-        tree = ast.parse(fh.read(), filename="cli.py")
+def _cli_options(tree):
+    """(command, option) for every click option of every command in the
+    parsed module, the option by its first name.  A decorator that is not
+    an attribute call, such as ``@staticmethod`` or ``@wrap("x")``, is
+    neither."""
     for fn in tree.body:
         if not _is_click_command(fn):
             continue
         command, options = fn.name, []
         for d in fn.decorator_list:
+            if not (isinstance(d, ast.Call)
+                    and isinstance(d.func, ast.Attribute)):
+                continue
             if d.func.attr == "command":
                 command = next((k.value.value for k in d.keywords
                                 if k.arg == "name"), fn.name)
@@ -192,10 +195,23 @@ def _invocations():
                 yield words
 
 
+def test_cli_options_skip_plain_decorators():
+    tree = ast.parse(
+        '@main.command(name="run")\n'
+        '@_budget("x")\n'
+        '@staticmethod\n'
+        '@click.option("--fast", is_flag=True)\n'
+        'def run_cmd(fast):\n'
+        '    pass\n')
+    assert list(_cli_options(tree)) == [("run", "--fast")]
+
+
 def test_every_cli_option_is_passed_somewhere():
     """A click option that no test or bench/ invocation passes together
     with its command's name is a knob nobody turns."""
+    with open(os.path.join(PACKAGE, "cli.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename="cli.py")
     invocations = list(_invocations())
-    unused = [f"{command} {option}" for command, option in _cli_options()
+    unused = [f"{command} {option}" for command, option in _cli_options(tree)
               if not any({command, option} <= words for words in invocations)]
     assert not unused, f"options never passed: {', '.join(unused)}"

@@ -10,7 +10,6 @@ from cluster_forge.gfan import ConeRecord, enumerate_gfan, g_cone_step
 from cluster_forge.invariants import (
     CheckFailed,
     c_matrix,
-    c_matrix_tropical,
     check_sign_coherence,
     f_polynomials,
     g_matrix,
@@ -24,7 +23,18 @@ from cluster_forge.invariants import (
     mat_transpose,
     separation_check,
 )
-from cluster_forge.seeds import ExchangeData, langlands_dual, seed_from_json
+from cluster_forge.exact_algebra import poly_exact_div
+from cluster_forge.seeds import (
+    ClusterSeedCoeff,
+    ExchangeData,
+    langlands_dual,
+    mutate_cluster_seed,
+    mutate_coeff_tuple,
+    mutate_matrix,
+    p_vars,
+    seed_from_json,
+    y_vars,
+)
 from cluster_forge.semifields import TropMonomial
 
 A2 = ExchangeData(((0, 1), (-1, 0)), 2)
@@ -84,6 +94,19 @@ F_WALK = [
 
 def prefixes(path):
     return [path[:i] for i in range(len(path) + 1)]
+
+
+def c_matrix_tropical(ed, path):
+    """Defining route: exponent vectors of the tropical Y-dynamics started at
+    the coordinate generators.  Column j is the j-th vector."""
+    n = ed.n
+    tv = y_vars(n)
+    p = tuple(TropMonomial.variable(tv, v) for v in tv)
+    B = ed.B
+    for k in path:
+        p = mutate_coeff_tuple(p, B, k)
+        B = mutate_matrix(B, k)
+    return tuple(tuple(p[j].exps[i] for j in range(n)) for i in range(n))
 
 
 def test_c_matrix_walk_matches_frozen_values():
@@ -393,3 +416,43 @@ def test_f_polynomial_recurrence_of_cluster_algebras_iv(sympy, name):
         got = f_polynomials(ed, path)
         for l in range(n):
             assert _eval(got[l], ys, R.one) == F[l], (name, path, l)
+
+
+# -- second route to F: principal-coefficient cluster seeds ---------------------
+#
+# The cluster variables with principal coefficients, computed as factored
+# rational functions in x1..xn, p1..pn, give the F-polynomials when every x
+# is set to 1 (Cluster algebras IV, Definition 3.3).  This route keeps the
+# Prop. 5.1 recurrence of ``f_polynomials`` from being compared only with a
+# copy of itself.
+
+def f_polynomials_from_cluster_seed(seed):
+    """Reference route to the F-polynomials: the principal-coefficient
+    cluster variables of ``seed``, rational functions in x1..xn and
+    p1..pn, expanded, with every x set to 1 and divided exactly."""
+    n = seed.exchange.n
+    pv = p_vars(n)
+    kill = {f"x{i + 1}": (0,) * n for i in range(n)}
+    out = []
+    for x in seed.x[:n]:
+        num, den = x.expand()
+        out.append(poly_exact_div(num.substitute_monomials(kill, pv),
+                                  den.substitute_monomials(kill, pv)))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(FZ_TYPES))
+def test_f_polynomials_match_principal_cluster_variables(name):
+    """The recurrence of ``f_polynomials`` against the principal-coefficient
+    cluster seed, mutated by the exchange relation in 2n variables, along
+    every path of length up to 5.  The two routes share only polynomial
+    multiplication and exact division."""
+    ed = FZ_TYPES[name]
+    start = ClusterSeedCoeff.initial_principal(ed)
+    count = 0
+    for path, _, seed in _fz_walk(ed, start,
+                                  lambda seed, _, k: mutate_cluster_seed(seed, k)):
+        want = f_polynomials_from_cluster_seed(seed)
+        assert f_polynomials(ed, path) == want, (name, path)
+        count += 1
+    assert count == 1 + sum(ed.n * (ed.n - 1) ** i for i in range(FZ_MAX_LEN))
