@@ -25,7 +25,7 @@ from cluster_forge.seeds import (
 )
 from cluster_forge import degeneration
 from cluster_forge.invariants import CheckFailed
-from cluster_forge.gfan import g_cone_step, two_faces
+from cluster_forge.gfan import g_cone_step, star, two_faces
 from cluster_forge.degeneration import (
     Family,
     column,
@@ -42,6 +42,7 @@ from cluster_forge.degeneration import (
     specialize_fiber,
     strata_consistency_check,
     wall_binomial,
+    wall_key,
     _in_glue_ring,
 )
 
@@ -286,7 +287,7 @@ def test_cocycle_rejects_a_face_that_does_not_come_back(monkeypatch):
 def _wall_key(rec, k):
     """The ``Family.wall_images`` cache key of a record's wall in direction
     k."""
-    return (tuple(rec.B[k]), k, column(rec.C, k))
+    return wall_key(rec.B, k, column(rec.C, k))
 
 
 def _face_keys(start, i, j, max_len):
@@ -484,6 +485,56 @@ def test_strata_rejects_non_face():
         strata_consistency_check(Family(A3), [(5, 7, 11)])
 
 
+@pytest.mark.parametrize("carrier", ["unit", "factor"])
+def test_strata_rejects_a_transverse_image_with_a_face_variable(carrier):
+    """A transverse image multiplied by the face coordinate, or by a factor
+    that involves it, no longer lives on the stratum.  The image is changed
+    on the first wall the check walks: from the star's base cone in its
+    first transverse direction."""
+    fam = Family(A3)
+    ray = fam.atlas.rays[0]
+    st = star(fam.atlas, [ray])
+    k, i, face = st.dropped[0], st.dropped[-1], st.kept[0]
+    one = [0] * len(fam.vars)
+    e = list(one)
+    e[face] = 1
+    if carrier == "unit":
+        extra = PosRatFunc.monomial(fam.vars, e)
+    else:
+        extra = PosRatFunc.from_poly(
+            LaurentPoly(fam.vars, {tuple(one): 1, tuple(e): 1}))
+    _corrupt_wall(fam, st.base, k, i, extra)
+    with pytest.raises(CheckFailed) as err:
+        strata_consistency_check(fam, [ray])
+    assert str(err.value) == (
+        f"stratum wall in direction {k}: transverse coordinate {i + 1} "
+        f"image involves a face variable")
+
+
+def test_strata_rejects_a_restricted_family_that_disagrees(monkeypatch):
+    """The restricted exchange data's own wall images, built in the star's
+    variables, are the second route: changing them breaks the
+    comparison on the first wall the check walks."""
+    fam = Family(A3)
+    ray = fam.atlas.rays[0]
+    k = star(fam.atlas, [ray]).dropped[0]
+    build = degeneration.family_wall_images
+
+    def skewed(B, k, c_k, xnames, tnames):
+        images = build(B, k, c_k, xnames, tnames)
+        if xnames == fam.xnames:
+            return images
+        t1 = PosRatFunc.variable(xnames + tnames, tnames[0])
+        return (images[0].mul(t1),) + images[1:]
+
+    monkeypatch.setattr(degeneration, "family_wall_images", skewed)
+    with pytest.raises(CheckFailed) as err:
+        strata_consistency_check(fam, [ray])
+    assert str(err.value) == (
+        f"stratum wall in direction {k}: ambient transition disagrees "
+        f"with the restricted family at coordinate {k + 1}")
+
+
 def test_family_rejects_frozen_directions():
     ed = ExchangeData(((0, 1, -1), (-1, 0, 0), (1, 0, 0)), 2)
     with pytest.raises(ValueError):
@@ -530,19 +581,21 @@ def _a3_fixture_family():
         return Family(seed_from_json(json.load(fh))[0])
 
 
-@pytest.mark.parametrize("check, calls", [
-    # 42 walls there and back, three coordinates each (126), and on the nine
-    # faces of A3 the 42 face steps less the first of each, whose images
-    # are taken as they are (99)
-    (lambda fam: cocycle_check(fam, max_len=5), 225),
-    (glue_ring_check_all, 126),
+COUNTED_CHECKS = [
+    # cocycle: 42 walls there and back over 34 distinct pairs of wall keys,
+    # three coordinates each (102), and on the nine faces of A3 the 42 face
+    # steps less the first of each, whose images are taken as they are
+    # (99); glue: 21 walls there and back and back and there, again over 34
+    # distinct pairs of wall keys (102)
+    (lambda fam: cocycle_check(fam, max_len=5), 201),
+    (glue_ring_check_all, 102),
     (degree_check, 39),
-], ids=["cocycle", "glue", "degree"])
-def test_checks_evaluate_through_posratfunc_evaluate(monkeypatch, check,
-                                                     calls):
-    """Every composition in the checks goes through PosRatFunc.evaluate,
-    the boundary the benchmark's tracer counts; the caches change what one
-    call computes, never how many calls there are."""
+]
+
+
+def _counted_evaluate(monkeypatch):
+    """Route PosRatFunc.evaluate through a counter; returns the list each
+    call appends its receiver to."""
     seen = []
     evaluate = PosRatFunc.evaluate
 
@@ -550,7 +603,83 @@ def test_checks_evaluate_through_posratfunc_evaluate(monkeypatch, check,
         seen.append(self)
         return evaluate(self, *args, **kwargs)
 
-    fam = _a3_fixture_family()
     monkeypatch.setattr(PosRatFunc, "evaluate", counted)
+    return seen
+
+
+@pytest.mark.parametrize("check, calls", COUNTED_CHECKS,
+                         ids=["cocycle", "glue", "degree"])
+def test_checks_evaluate_through_posratfunc_evaluate(monkeypatch, check,
+                                                     calls):
+    """Every composition in the checks goes through PosRatFunc.evaluate,
+    the boundary the benchmark's tracer counts.  A wall round trip is
+    composed once per pair of wall keys in a Family, so a check pays one
+    composition per distinct pair, not one per wall."""
+    fam = _a3_fixture_family()
+    seen = _counted_evaluate(monkeypatch)
     assert check(fam)
     assert len(seen) == calls
+
+
+@pytest.mark.parametrize("check, calls", COUNTED_CHECKS,
+                         ids=["cocycle", "glue", "degree"])
+def test_a_second_family_pays_as_much_as_the_first(monkeypatch, check,
+                                                   calls):
+    """No memo outlives its Family: a second Family on the same atlas
+    composes as often as the first."""
+    first = _a3_fixture_family()
+    seen = _counted_evaluate(monkeypatch)
+    assert check(first)
+    assert check(Family(first.ed, atlas=first.atlas))
+    assert len(seen) == 2 * calls
+
+
+# -- verdict memos shared between checks -------------------------------------------
+
+def _corrupt_wall(fam, rec, k, i, by):
+    """Replace image i of a record's wall in direction k, in the family's
+    wall cache, by its product with ``by``."""
+    key = _wall_key(rec, k)
+    images = list(fam.wall_images(rec.B, k, key[2]))
+    images[i] = images[i].mul(by)
+    fam._walls[key] = tuple(images)
+
+
+@pytest.mark.parametrize("cocycle_first", [True, False],
+                         ids=["cocycle-first", "glue-first"])
+def test_shared_round_trip_verdicts_keep_each_checks_failure(cocycle_first):
+    """A wall image scaled by t1 stays in its wall ring, so both checks
+    reach the round trip of that wall, which the Family decides once; each
+    check still fails, with its own message, in either order."""
+    fam = Family(A2)
+    t1 = PosRatFunc.variable(fam.vars, "t1")
+    _corrupt_wall(fam, fam.atlas.cones[0], 0, 1, t1)
+    checks = [
+        (lambda: cocycle_check(fam),
+         "wall (0,0): there-and-back composite moves coordinate 2"),
+        (lambda: glue_ring_check(fam, 0, 0),
+         "wall (0,0): composite is not the identity"),
+    ]
+    for check, message in (checks if cocycle_first else checks[::-1]):
+        with pytest.raises(CheckFailed) as err:
+            check()
+        assert str(err.value) == message
+
+
+@pytest.mark.parametrize("near_i, far_i, message", [
+    (1, 0, "reverse image of coordinate 1 leaves the far wall ring"),
+    (0, 1, "image of coordinate 1 leaves the near wall ring"),
+    (1, 1, "image of coordinate 2 leaves the near wall ring"),
+], ids=["far-lower", "near-lower", "tie"])
+def test_ring_exits_report_the_lowest_coordinate_near_first(near_i, far_i,
+                                                           message):
+    """When images on both sides of a wall leave their rings, the lowest
+    coordinate is named, and the near side at a tie."""
+    fam = Family(A2)
+    near = fam.atlas.cones[0]
+    x2_inv_sq = PosRatFunc.variable(fam.vars, "X2").power(-2)
+    _corrupt_wall(fam, near, 0, near_i, x2_inv_sq)
+    _corrupt_wall(fam, g_cone_step(near, 0), 0, far_i, x2_inv_sq)
+    with pytest.raises(CheckFailed) as err:
+        glue_ring_check(fam, 0, 0)
+    assert str(err.value) == f"wall (0,0): {message}"

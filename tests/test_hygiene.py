@@ -215,3 +215,54 @@ def test_every_cli_option_is_passed_somewhere():
     unused = [f"{command} {option}" for command, option in _cli_options(tree)
               if not any({command, option} <= words for words in invocations)]
     assert not unused, f"options never passed: {', '.join(unused)}"
+
+
+def _process_wide_state(tree):
+    """(line, what) for every ``global`` statement and every use of
+    ``functools.cache`` or ``lru_cache`` in the parsed module: state that
+    outlives the objects a caller creates and discards."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Global):
+            yield node.lineno, f"global {', '.join(node.names)}"
+        elif (isinstance(node, ast.Attribute)
+              and isinstance(node.value, ast.Name)
+              and node.value.id == "functools"
+              and node.attr in ("cache", "lru_cache")):
+            yield node.lineno, f"functools.{node.attr}"
+        elif isinstance(node, ast.ImportFrom) and node.module == "functools":
+            for alias in node.names:
+                if alias.name in ("cache", "lru_cache"):
+                    yield node.lineno, f"from functools import {alias.name}"
+        elif isinstance(node, ast.Name) and node.id == "lru_cache":
+            yield node.lineno, "lru_cache"
+
+
+def test_process_wide_state_is_detected():
+    tree = ast.parse(
+        "import functools\n"
+        "from functools import lru_cache, reduce\n"
+        "TABLE = {1: 2}\n"
+        "@functools.cache\n"
+        "def f():\n"
+        "    global TABLE\n"
+        "    return TABLE\n")
+    assert sorted(_process_wide_state(tree)) == [
+        (2, "from functools import lru_cache"),
+        (4, "functools.cache"),
+        (6, "global TABLE"),
+    ]
+
+
+def test_no_process_wide_caches_in_src():
+    """Every memo in src/ is owned by an object its caller discards, such
+    as a ``Family``, so no cached value outlives the work it served.
+    Module-level constant tables are not memos and are allowed."""
+    found = []
+    for dirpath, _, files in os.walk(os.path.join(ROOT, "src")):
+        for f in sorted(files):
+            if f.endswith(".py"):
+                with open(os.path.join(dirpath, f), encoding="utf-8") as fh:
+                    tree = ast.parse(fh.read(), filename=f)
+                found += [f"{f}:{line}: {what}"
+                          for line, what in _process_wide_state(tree)]
+    assert not found, f"process-wide state in src/: {', '.join(found)}"
