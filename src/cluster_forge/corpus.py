@@ -22,7 +22,6 @@ that consumes them; everything is exact integer arithmetic.
 import os
 
 from .exact_algebra import (
-    Grading,
     LaurentPoly,
     PosRatFunc,
     degree_of,
@@ -45,7 +44,7 @@ from .seeds import (
     principal_extension,
     y_vars,
 )
-from .invariants import CheckFailed
+from .invariants import CheckFailed, mat_identity, principal_grading
 from .gfan import (
     ConeRecord,
     enumerate_gfan,
@@ -61,11 +60,6 @@ from .degeneration import column, composer, family_vars, family_wall_images
 def a2_exchange():
     """Rank-2 pattern with a single arrow 1 -> 2."""
     return ExchangeData(((0, 1), (-1, 0)), 2)
-
-
-def a2_flipped_exchange():
-    """The same rank-2 pattern with the arrow reversed."""
-    return ExchangeData(((0, -1), (1, 0)), 2)
 
 
 def b2_exchange():
@@ -534,22 +528,28 @@ def principal_homogenization(poly, directions, tnames):
     return LaurentPoly(out_vars, terms)
 
 
+def pentagon_cluster_walk(seed):
+    """The three new cluster variables of the pentagon walk 1,2,1,2,1 from
+    a rank-2 cluster seed, in the order the walk makes them.  The last two
+    steps must bring back the two initial variables, exchanged; otherwise
+    raises ``CheckFailed`` naming the variable that did not return."""
+    x = seed.x
+    new = []
+    for step, k in enumerate((0, 1, 0, 1, 0)):
+        seed = mutate_cluster_seed(seed, k)
+        if step < 3:
+            new.append(seed.x[k])
+        elif not rat_equal(seed.x[k], x[1 - k]):
+            raise CheckFailed("pentagon walk did not return the initial "
+                              f"variable {seed.vars[1 - k]}")
+    return new
+
+
 def gr25_engine_pluckers():
     """Walk the pentagon on the Pluecker seed and name the three new cluster
-    variables; the walk must return the two initial ones at the end."""
-    seed = gr25_seed()
-    names = ("p24", "p25", "p35", "p13", "p14")
+    variables p24, p25 and p35."""
     out = {v: PosRatFunc.variable(GR25_VARS, v) for v in GR25_VARS}
-    path = (0, 1, 0, 1, 0)
-    for step, k in enumerate(path):
-        seed = mutate_cluster_seed(seed, k)
-        new = seed.x[k]
-        name = names[step]
-        if step < 3:
-            out[name] = new
-        elif not rat_equal(new, out[name]):
-            raise CheckFailed(
-                f"pentagon walk did not return the initial variable {name}")
+    out.update(zip(("p24", "p25", "p35"), pentagon_cluster_walk(gr25_seed())))
     return out
 
 
@@ -612,11 +612,7 @@ def run_gr25():
     # (b) torus representatives, homogenizations, degrees
     all_ones = LaurentPoly.monomial(GR25_XVARS, (1,) * N)
     tnames = ("t13", "t14")
-    grading = Grading(
-        {v: tuple(1 if i == j else 0 for i in range(N))
-         for j, v in enumerate(GR25_XVARS)}
-        | {t: tuple(-1 if i == j else 0 for i in range(N))
-           for j, t in enumerate(tnames)})
+    grading = principal_grading(GR25_XVARS, tnames, mat_identity(N))
     for name in ("p24", "p25", "p35"):
         flow = LaurentPoly(FLOW_VARS, GR25_FLOW[name])
         in_torus = flow.substitute_monomials(GR25_DICT, GR25_XVARS)
@@ -700,7 +696,8 @@ DP5_RELATIONS = (
 
 
 def dp5_exchange():
-    return a2_flipped_exchange()
+    """The rank-2 pattern with the arrow reversed, 2 -> 1."""
+    return ExchangeData(((0, -1), (1, 0)), 2)
 
 
 def dp5_thetas():
@@ -711,29 +708,14 @@ def dp5_thetas():
     names = ("a1", "a2", "t1", "t2")
     x = tuple(PosRatFunc.variable(names, v) for v in names)
     seed = ClusterSeedCoeff(ed, x, (TropMonomial.one(()),) * 2)
-    th = {1: x[0], 2: x[1]}
-    path = (0, 1, 0, 1, 0)
-    for step, k in enumerate(path):
-        seed = mutate_cluster_seed(seed, k)
-        if step < 3:
-            th[3 + step] = seed.x[k]
-        elif not rat_equal(seed.x[k], x[1 - k]):
-            # the five-step walk restores the initial cluster with the two
-            # positions exchanged
-            raise CheckFailed("pentagon walk did not return the initial "
-                              f"variable a{2 - k}")
-    return th
+    return dict(enumerate(x[:2] + tuple(pentagon_cluster_walk(seed)), 1))
 
 
 def dp5_grading():
     """Degrees on the generator chart: chart variables at the unit vectors,
     coefficients at minus the matrix columns."""
-    B = dp5_exchange().B
-    return Grading({
-        "a1": (1, 0), "a2": (0, 1),
-        "t1": (-B[0][0], -B[1][0]),
-        "t2": (-B[0][1], -B[1][1]),
-    })
+    return principal_grading(("a1", "a2"), ("t1", "t2"),
+                             tuple(zip(*dp5_exchange().B)))
 
 
 def run_dp5():

@@ -17,7 +17,6 @@ from .exact_algebra import (
     LaurentPoly,
     LimitError,
     PosRatFunc,
-    Grading,
     degree_of,
     limit_t_zero,
     poly_exact_div,
@@ -32,7 +31,7 @@ from .seeds import (
     sign,
     t_vars,
 )
-from .invariants import CheckFailed
+from .invariants import CheckFailed, mat_identity, principal_grading
 from .gfan import enumerate_gfan, g_cone_step, star, two_faces
 
 
@@ -120,7 +119,7 @@ class Family:
 
     A patch's coefficient vectors are the c-vectors of its cone record.
     Caches, in dicts it owns and that live exactly as long as it does, wall
-    transitions (keyed on cone index, direction and coefficient-freeness),
+    transitions (keyed on cone index and direction, like the adjacency),
     pullbacks of patch coordinates to the initial patch (keyed on cone
     index), and wall images (keyed by ``wall_key`` on row k of the exchange
     matrix, k and the coefficient vector, everything ``family_wall_images``
@@ -192,14 +191,13 @@ class Family:
                  if not _in_glue_ring(f, k, W, self.n)), None)
         return self._ring_exits[key]
 
-    def transition(self, cone_index, k, coefficient_free=False):
-        key = (cone_index, k, coefficient_free)
+    def transition(self, cone_index, k):
+        key = (cone_index, k)
         if key not in self._trans:
             near = self.atlas.cones[cone_index]
-            c_k = (0,) * self.n if coefficient_free else column(near.C, k)
             self._trans[key] = TransitionMap(
-                cone_index, self.atlas.adjacency[(cone_index, k)], k, near,
-                self.wall_images(near.B, k, c_k))
+                cone_index, self.atlas.adjacency[key], k, near,
+                self.wall_images(near.B, k, column(near.C, k)))
         return self._trans[key]
 
     def pullback_to_initial(self, cone_index):
@@ -218,17 +216,6 @@ class Family:
                 self._pull[cone_index] = composer(self.xnames, base)(T.images)
         return self._pull[cone_index]
 
-    def standard_grading(self):
-        """Coordinates graded by unit vectors, base parameters by their
-        negatives."""
-        n = self.n
-        degs = {self.xnames[i]: tuple(1 if j == i else 0 for j in range(n))
-                for i in range(n)}
-        degs.update({self.tnames[i]: tuple(-1 if j == i else 0
-                                           for j in range(n))
-                     for i in range(n)})
-        return Grading(degs)
-
 
 # -- special-fibre checks ---------------------------------------------------------
 
@@ -236,7 +223,7 @@ class Family:
 def degree_check(fam, cone_indices=None):
     """Every pullback to the initial patch is homogeneous, of degree equal to
     the corresponding coefficient vector of its cone."""
-    grading = fam.standard_grading()
+    grading = principal_grading(fam.xnames, fam.tnames, mat_identity(fam.n))
     idxs = (range(len(fam.atlas.cones)) if cone_indices is None
             else cone_indices)
     for idx in idxs:
@@ -401,14 +388,17 @@ def _in_glue_ring(f, k, W, n):
 def glue_ring_check(fam, src, k, coefficient_free=False):
     """Both transition maps across a wall land inside the opposite wall
     rings, the two sides carry the same wall data, and the two composites
-    are the identity."""
+    are the identity.  With ``coefficient_free`` both sides take their
+    images from the family's wall-image cache at zero coefficient
+    vectors."""
     n = fam.n
-    T = fam.transition(src, k, coefficient_free)
+    T = fam.transition(src, k)
     Bs, Bfar = T.near.B, T.far.B
     if coefficient_free:
         ck = ck_far = (0,) * n
     else:
         ck, ck_far = column(T.near.C, k), column(T.far.C, k)
+    images = fam.wall_images(Bs, k, ck)
     R = fam.wall_images(Bfar, k, ck_far)
     for i in range(n):
         if i == k or not Bs[k][i]:
@@ -420,7 +410,7 @@ def glue_ring_check(fam, src, k, coefficient_free=False):
                 f"wall ({src},{k}): the two sides disagree on the wall "
                 f"data at coordinate {i + 1}")
     near_key, far_key = wall_key(Bs, k, ck), wall_key(Bfar, k, ck_far)
-    near_exit = fam.ring_exit(near_key, T.images)
+    near_exit = fam.ring_exit(near_key, images)
     far_exit = fam.ring_exit(far_key, R)
     if near_exit is not None and (far_exit is None or near_exit <= far_exit):
         raise CheckFailed(
@@ -433,11 +423,11 @@ def glue_ring_check(fam, src, k, coefficient_free=False):
     exps = [0] * len(fam.vars)
     exps[k] = -1
     inv_k = PosRatFunc.monomial(fam.vars, exps)
-    if T.images[k] != inv_k or R[k] != inv_k:
+    if images[k] != inv_k or R[k] != inv_k:
         raise CheckFailed(
             f"wall ({src},{k}): wall coordinate does not invert")
-    there_back = fam.round_trip((near_key, T.images), (far_key, R))
-    back_there = fam.round_trip((far_key, R), (near_key, T.images))
+    there_back = fam.round_trip((near_key, images), (far_key, R))
+    back_there = fam.round_trip((far_key, R), (near_key, images))
     if there_back is not None and (back_there is None
                                    or there_back <= back_there):
         raise CheckFailed(

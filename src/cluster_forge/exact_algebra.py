@@ -277,14 +277,19 @@ class LaurentPoly:
         """Replace each variable by a monomial.
 
         ``images`` maps a variable name to an exponent vector over
-        ``target_vars`` (default: same variable set).  Variables absent from
+        ``target_vars`` (default: same variable set); an image of another
+        length raises ``VariableSetMismatch``.  Variables absent from
         ``images`` must exist in the target set and map to themselves.
         """
         tv = tuple(target_vars) if target_vars is not None else self.vars
         cols = []
         for i, v in enumerate(self.vars):
             if v in images:
-                cols.append(tuple(images[v]))
+                col = tuple(images[v])
+                if len(col) != len(tv):
+                    raise VariableSetMismatch(
+                        f"image of {v} has {len(col)} slots for {tv}")
+                cols.append(col)
             else:
                 e = [0] * len(tv)
                 e[tv.index(v)] = 1
@@ -721,13 +726,17 @@ def prf_sum(parts):
 
     Expands each part over the least common factored denominator, adds the
     positive numerator polynomials, and divides the denominator back out.
+    Parts over different variable sets raise ``VariableSetMismatch``.
     """
     parts = [(c, f) for c, f in parts if c]
     if not parts:
         raise PositivityError("empty sum is zero, not representable")
     if any(c < 0 for c, _ in parts):
         raise PositivityError("negative multiplicity in subtraction-free sum")
-    vars = parts[0][1].vars
+    first = parts[0][1]
+    for _, f in parts:
+        _check_same_vars(first, f)
+    vars = first.vars
     splits = [f.num_den_split() for _, f in parts]
     # least common denominator over factored forms
     den_unit = [0] * len(vars)

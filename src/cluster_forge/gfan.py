@@ -19,7 +19,13 @@ from __future__ import annotations
 from math import gcd
 
 from .invariants import CheckFailed, c_matrix_step, mat_identity
-from .seeds import ExchangeData, json_int, mutate_matrix, seed_from_json
+from .seeds import (
+    ExchangeData,
+    json_int,
+    mutate_matrix,
+    replay,
+    seed_from_json,
+)
 
 
 class FanDepthExceeded(Exception):
@@ -250,13 +256,11 @@ class StarData:
     (None for the zero-dimensional star of a whole maximal cone).
     """
 
-    __slots__ = ("atlas", "tau", "base", "kept", "dropped", "quotient_rows",
-                 "proj_cones", "restricted")
+    __slots__ = ("base", "kept", "dropped", "quotient_rows", "proj_cones",
+                 "restricted")
 
-    def __init__(self, atlas, tau, base, kept, dropped, quotient_rows,
-                 proj_cones, restricted):
-        self.atlas = atlas
-        self.tau = tau
+    def __init__(self, base, kept, dropped, quotient_rows, proj_cones,
+                 restricted):
         self.base = base
         self.kept = kept          # generator positions spanning tau at base
         self.dropped = dropped    # complementary positions (the star's rank)
@@ -304,11 +308,11 @@ def star(atlas, tau_rays):
         tuple(tuple(base.B[i][j] for j in dropped) for i in dropped),
         len(dropped),
         tuple(atlas.ed.d[i] for i in dropped)) if dropped else None
-    return StarData(atlas, tuple(tau), base, tuple(kept), tuple(dropped),
-                    tuple(rows), tuple(proj), restricted)
+    return StarData(base, tuple(kept), tuple(dropped), tuple(rows),
+                    tuple(proj), restricted)
 
 
-# -- rank <= 2 polytopes -----------------------------------------------------------
+# -- rank-2 polytopes --------------------------------------------------------------
 
 def _hull_2d(points):
     """Convex hull, counterclockwise, integer arithmetic (monotone chain)."""
@@ -354,7 +358,7 @@ def _interior_lattice_points(hull):
 
 
 def polytope_P(atlas):
-    """Convex hull of the primitive rays of a complete fan of rank <= 2.
+    """Convex hull of the primitive rays of a complete fan of rank 2.
 
     Returns the hull vertices (counterclockwise), reflexivity (every facet at
     integral distance 1 from the origin), the interior lattice points, the
@@ -364,21 +368,8 @@ def polytope_P(atlas):
     """
     n = atlas.ed.n
     rays = [primitive(r) for r in atlas.rays]
-    if n == 1:
-        verts = sorted(set(rays))
-        if verts != [(-1,), (1,)]:
-            raise CheckFailed("rank-1 fan must have the two unit rays")
-        atlas_fan = {frozenset(c.generators()) for c in atlas.cones}
-        return {
-            "vertices": verts,
-            "reflexive": True,
-            "interior_points": [(0,)],
-            "polar_vertices": verts,
-            "face_fan_matches": atlas_fan == {frozenset({(1,)}),
-                                              frozenset({(-1,)})},
-        }
     if n != 2:
-        raise CheckFailed("polytope construction implemented for rank <= 2")
+        raise CheckFailed("polytope construction implemented for rank 2")
     hull = _hull_2d(rays)
     if set(hull) != set(rays):
         raise CheckFailed("some ray is not a vertex of the hull")
@@ -600,13 +591,7 @@ def _certify_star(ed, allowed, rays, cones, paths, tau):
     for key, i in cones.items():
         if ray not in key:
             continue
-        path = paths[i]
-        j = len(path)
-        while path[:j] not in replayed:
-            j -= 1
-        rec = replayed[path[:j]]
-        for j in range(j, len(path)):
-            rec = replayed[path[:j + 1]] = g_cone_step(rec, path[j])
+        rec = replay(replayed, paths[i], g_cone_step)
         gens = rec.generators()
         if rec.key() != key:
             raise CheckFailed(f"paths[{i}] leads the stored seed to a cone "

@@ -36,7 +36,7 @@ from .exact_algebra import (
     poly_exact_div,
     rat_equal,
 )
-from .semifields import TropMonomial, trop_sum
+from .semifields import TropMonomial, tropicalize_poly
 from .seeds import (
     ClusterSeedCoeff,
     YSeedCoeff,
@@ -45,7 +45,9 @@ from .seeds import (
     mutate_matrix,
     mutate_y_seed,
     p_vars,
+    replay,
     sign,
+    x_vars,
     y_vars,
 )
 
@@ -176,16 +178,15 @@ def g_matrix(ed, path):
     return mat_transpose(mat_inverse_integer(C))
 
 
-def principal_grading(n, B0):
-    """Multi-degrees making the principal-coefficient cluster dynamics
-    homogeneous: mutable coordinate i gets the i-th unit vector, every
-    frozen coordinate degree zero, coefficient j the negated j-th column of
-    the initial matrix restricted to the mutable rows."""
-    degs = {}
-    for i in range(len(B0)):
-        degs[f"x{i + 1}"] = tuple(int(i == j) for j in range(n))
-    for j in range(n):
-        degs[f"p{j + 1}"] = tuple(-B0[i][j] for i in range(n))
+def principal_grading(xnames, tnames, cols):
+    """Multi-degrees in Z^r, r the length of the columns, making principal
+    coefficient dynamics homogeneous (Cluster algebras IV, Prop. 6.1):
+    coordinate i gets the i-th unit vector (zero past r), and parameter j
+    the negated ``cols[j]``."""
+    r = len(cols[0])
+    degs = {x: tuple(int(i == j) for j in range(r))
+            for i, x in enumerate(xnames)}
+    degs.update((t, tuple(-c for c in col)) for t, col in zip(tnames, cols))
     return Grading(degs)
 
 
@@ -194,24 +195,21 @@ def g_matrix_degrees(ed, path, memo=None):
     variables; column j is the degree vector of the j-th variable.
 
     ``memo``, when given, is a dict from path prefix to the principal
-    cluster seed at it; it is read and filled here, so a caller walking
-    many paths that share prefixes, such as the cones of a breadth-first
-    atlas, mutates once per new prefix.  It is keyed on the path alone, so
-    it must live no longer than one ``ed``.
+    cluster seed at it; it is read and filled by ``replay``, so a caller
+    walking many paths that share prefixes, such as the cones of a
+    breadth-first atlas, mutates once per new prefix.  It is keyed on the
+    path alone, so it must live no longer than one ``ed``.
     """
-    path = tuple(path)
     memo = {} if memo is None else memo
-    start = len(path)
-    while start and path[:start] not in memo:
-        start -= 1
-    seed = memo.get(path[:start])
-    if seed is None:
-        seed = memo[()] = ClusterSeedCoeff.initial_principal(ed)
-    for i in range(start, len(path)):
-        seed = memo[path[:i + 1]] = mutate_cluster_seed(seed, path[i])
-    grading = principal_grading(ed.n, ed.B)
+    if () not in memo:
+        memo[()] = ClusterSeedCoeff.initial_principal(ed)
+    seed = replay(memo, tuple(path), mutate_cluster_seed)
+    n = ed.n
+    grading = principal_grading(x_vars(ed.size), p_vars(n),
+                                [tuple(row[j] for row in ed.B[:n])
+                                 for j in range(n)])
     cols = [degree_of(x, grading) for x in seed.x]
-    return tuple(tuple(cols[j][i] for j in range(ed.n)) for i in range(ed.n))
+    return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
 
 
 # -- F-polynomials ---------------------------------------------------------------
@@ -250,19 +248,6 @@ def f_polynomials(ed, path):
     return F
 
 
-def trop_eval_poly(poly, args):
-    """Tropical evaluation of a positive polynomial: semifield sum over terms
-    of the monomial products of the arguments."""
-    parts = []
-    for e in poly.terms:
-        m = TropMonomial.one(args[0].vars)
-        for a, x in zip(args, e):
-            if x:
-                m = m.mul(a.power(x))
-        parts.append(m)
-    return trop_sum(parts)
-
-
 # -- separation of additions -----------------------------------------------------
 
 def separation_check(ed, p0, path):
@@ -294,7 +279,8 @@ def separation_check(ed, p0, path):
     Bv = with_coeff.exchange.B
     C = c_matrix(ed, path)
     F = f_polynomials(ed, path)
-    trop_F = [trop_eval_poly(f, p0) for f in F]
+    at_p0 = {f"p{i + 1}": p0[i].exps for i in range(n)}
+    trop_F = [tropicalize_poly(f.substitute_monomials(at_p0, pv)) for f in F]
 
     # substitution "i-th slot -> p_i y_i", keyed for the coefficient-free
     # Y-variables (y-names) and for the F-polynomial slots (p-names)

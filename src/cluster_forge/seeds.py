@@ -1,6 +1,6 @@
 """Seed mutation: exchange matrices, coefficient tuples in a tropical
-semifield, Y-variables, cluster variables, and extended (frozen-variable)
-seeds.
+semifield, Y-variables, cluster variables, the principal extension with
+frozen coefficient directions, and prefix replay along mutation paths.
 
 Conventions, used consistently everywhere:
 
@@ -274,43 +274,31 @@ def mutate_cluster_seed(seed, k):
                             if seed.p else ())
 
 
-def build_extended_seed(B, n, coeff_exps, d=None):
-    """Exchange data on mutable plus frozen indices from coefficient
-    exponents.
-
-    ``coeff_exps[j]`` is the exponent vector (length r) of the j-th
-    coefficient monomial; it becomes column j of the lower-left block.  The
-    upper-right block is its negated transpose, the frozen-frozen block is
-    zero.
-    """
-    n = int(n)
-    r = len(coeff_exps[0]) if coeff_exps else 0
-    for e in coeff_exps:
-        if len(e) != r:
-            raise ValueError("coefficient exponent vectors have mixed lengths")
-    N = n + r
-    full = [[0] * N for _ in range(N)]
-    for i in range(n):
-        for j in range(n):
-            full[i][j] = B[i][j]
-    for l in range(r):
-        for j in range(n):
-            a = coeff_exps[j][l]
-            full[n + l][j] = a
-            full[j][n + l] = -a
-    dd = tuple(d) + (1,) * r if d is not None else None
-    return ExchangeData(full, n, dd)
-
-
 def principal_extension(ed):
-    """Extended exchange data for one private coefficient per direction,
-    with matching multipliers on the frozen copy."""
+    """Extended exchange data [[B, -I], [I, 0]]: one private coefficient
+    per direction, frozen, with matching multipliers on the frozen copy."""
     n = ed.n
     if ed.m:
         raise ValueError("principal extension starts from a fully mutable matrix")
-    eye = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
-    ext = build_extended_seed(ed.B, n, eye, d=ed.d)
-    return ExchangeData(ext.B, n, ed.d + ed.d)
+    full = [row + tuple(-int(i == j) for j in range(n))
+            for i, row in enumerate(ed.B)]
+    full += [tuple(int(i == j) for j in range(n)) + (0,) * n
+             for i in range(n)]
+    return ExchangeData(full, n, ed.d + ed.d)
+
+
+def replay(memo, path, step):
+    """The value at the end of ``path``, stepped by ``step(value, k)`` from
+    the longest prefix of the path that ``memo`` holds; every new prefix is
+    stored on the way.  ``memo`` maps path prefixes to values and must hold
+    the empty path."""
+    j = len(path)
+    while path[:j] not in memo:
+        j -= 1
+    value = memo[path[:j]]
+    for i in range(j, len(path)):
+        value = memo[path[:i + 1]] = step(value, path[i])
+    return value
 
 
 def p_star_pullback(ed, vars=None):

@@ -44,9 +44,6 @@ class TropMonomial:
     def power(self, k):
         return TropMonomial(self.vars, [x * k for x in self.exps])
 
-    def is_one(self):
-        return not any(self.exps)
-
     def _check(self, other):
         if self.vars != other.vars:
             raise VariableSetMismatch("tropical variable sets differ")
@@ -78,14 +75,6 @@ def trop_add(a, b):
     return TropMonomial(a.vars, [min(x, y) for x, y in zip(a.exps, b.exps)])
 
 
-def trop_sum(monomials):
-    it = iter(monomials)
-    out = next(it)
-    for m in it:
-        out = trop_add(out, m)
-    return out
-
-
 def bracket(p, sign_source):
     """Sign-selected part of a tropical monomial: the plus part for a
     positive selector, the minus part otherwise.  The plus and minus parts
@@ -95,19 +84,15 @@ def bracket(p, sign_source):
 
 
 def tropicalize_poly(poly, trop_vars=None):
-    """Tropical sum over the terms of a positive polynomial."""
+    """Tropical sum over the terms of a positive polynomial: its minimum
+    exponent vector, projected to ``trop_vars``.  Evaluating a polynomial
+    P at tropical monomials m_i is ``tropicalize_poly`` of P with each
+    variable substituted by the exponents of its m_i."""
     if poly.is_zero() or not poly.all_coefs_positive():
         raise ValueError("tropicalization needs a positive polynomial")
     tv = tuple(trop_vars) if trop_vars is not None else poly.vars
-    idx = [poly.vars.index(v) for v in tv]
-    mins = None
-    for e in poly.terms:
-        proj = [e[i] for i in idx]
-        if mins is None:
-            mins = proj
-        else:
-            mins = [min(a, b) for a, b in zip(mins, proj)]
-    return TropMonomial(tv, mins)
+    mins = poly.min_exponents()
+    return TropMonomial(tv, [mins[poly.vars.index(v)] for v in tv])
 
 
 def tropicalize(f, trop_vars=None):

@@ -3,6 +3,7 @@ fan round-trip."""
 
 import functools
 import gc
+import hashlib
 import io
 import json
 import os
@@ -87,6 +88,108 @@ def test_table_json_rows():
 def test_table_gr25_csv_is_input_error():
     res = run("table", "gr25", "--format", "csv")
     assert res.exit_code == 2
+
+
+# -- pinned output --------------------------------------------------------------
+
+#: The sha256 of stdout and the exit code of fixed commands: every table
+#: format, three verify suites on each fixture, and the fibres over zero and
+#: over one rational point.  A fixture name stands for its path.  A change
+#: meant to keep every output byte-identical must leave these as they are.
+PINNED = {
+    "table a2 --format text":
+        ("03890024c3ec13397336875f24b685708318d91326f44b743811ffb1b20b2f6c", 0),
+    "table a2 --format csv":
+        ("b3f397f628f66cec3181c4ed9787d4a56b20e1994c0051c069e3686ae75f7024", 0),
+    "table a2 --format json":
+        ("842c8f00895b469594368023ae756a1a03a05cdc3b4e19139938e6d5d286b2c6", 0),
+    "table a2-principal --format text":
+        ("9259e379fb6d91777e9f54035fcc5344c17d9f4e2fd40f724c34dfd5d6e9bd72", 0),
+    "table a2-principal --format csv":
+        ("b3f397f628f66cec3181c4ed9787d4a56b20e1994c0051c069e3686ae75f7024", 0),
+    "table a2-principal --format json":
+        ("842c8f00895b469594368023ae756a1a03a05cdc3b4e19139938e6d5d286b2c6", 0),
+    "table gr25 --format text":
+        ("f5f736f8c51a7d70d5e960040f9ff8c867a5ceadf592bf375dc83d251a834251", 0),
+    "table gr25 --format csv":
+        ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2),
+    "table gr25 --format json":
+        ("c380fdd81accbb8f802820daab04c30fb7ba270309992ba37eadd34d47185a78", 0),
+    "table dp5 --format text":
+        ("3b420a52418683bb0c5019cc85bdcf9587bf8e0618413489951750cf1e0ea3aa", 0),
+    "table dp5 --format csv":
+        ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2),
+    "table dp5 --format json":
+        ("623ed2d300c4be80a906bc7d0c2ab130d74f9a9557057e80f624adf99094eafa", 0),
+    "verify duality --seed a2.json":
+        ("0bc1d6359d8d3517db6b281a32568aab060f33c4b6be0d4cb4aac0f87dca695b", 0),
+    "verify signcoherence --seed a2.json":
+        ("05f401150252090f800df7f3da488dfbca4bade2f9398fd7868028b47976cd25", 0),
+    "verify separation --seed a2.json --json":
+        ("eb4d6af87825b2469a20e934959ad30cab51d8145183d7fe7481755956d4d0a5", 0),
+    "degenerate --seed a2.json --at 0,0":
+        ("cff8163f663ce03ded976a48b7de7ecf1c7cdb017377e8a53cf352d8e06c5b4c", 0),
+    "degenerate --seed a2.json --at 1/2,-3":
+        ("b0629fc07bfb770b5ad6576a5b7c2485b57424b8a7190ade0da0606056d6fe7d", 0),
+    "verify duality --seed a3.json":
+        ("77f0b2227931d76612af35767f4f9fd20be96d059a861d60d02bda01e832b2f4", 0),
+    "verify signcoherence --seed a3.json":
+        ("a46331978a3a734eeef299f7240bdea38bc42a7e5e306196ec2737ff82b44bee", 0),
+    "verify separation --seed a3.json --json":
+        ("f1f108bd028b07ac80f661892eb5bd76e93941c57c091aa17a4dff01d5a2162e", 0),
+    "degenerate --seed a3.json --at 0,0,0":
+        ("667bbc4512ddae3231bffd0b1c46dd6df07acb22d34d05fa3cd49b6f58140c53", 0),
+    "degenerate --seed a3.json --at 1/2,-3,5/7":
+        ("0ef8e7a3b45a1b260c1e9295317f6d8b55f1b38b1b8b2ecc09e9d45ba8bad3f0", 0),
+    "verify duality --seed a3_rev.json":
+        ("77f0b2227931d76612af35767f4f9fd20be96d059a861d60d02bda01e832b2f4", 0),
+    "verify signcoherence --seed a3_rev.json":
+        ("a46331978a3a734eeef299f7240bdea38bc42a7e5e306196ec2737ff82b44bee", 0),
+    "verify separation --seed a3_rev.json --json":
+        ("f1f108bd028b07ac80f661892eb5bd76e93941c57c091aa17a4dff01d5a2162e", 0),
+    "degenerate --seed a3_rev.json --at 0,0,0":
+        ("bce7a8e144352d61099854d87725edbcc800fa43bc2ed51459684866cfe20bbb", 0),
+    "degenerate --seed a3_rev.json --at 1/2,-3,5/7":
+        ("c51e0982cc2ab007a7b596473e9169902df0e97b6595f658099354216f2f9c82", 0),
+    "verify duality --seed b2.json":
+        ("15d102988358f6a20c74d30621a192842b5ff1382b01abcf716862d8386b07bb", 0),
+    "verify signcoherence --seed b2.json":
+        ("a3d59547973cae70997bd09dce493fa98de5e9ecf3eecbca03a7c47947e74cae", 0),
+    "verify separation --seed b2.json --json":
+        ("eb4d6af87825b2469a20e934959ad30cab51d8145183d7fe7481755956d4d0a5", 0),
+    "degenerate --seed b2.json --at 0,0":
+        ("118badd83ee51d2219c918e4ff1a12db0aa2a0242238ed6ecc0004830162f8b1", 0),
+    "degenerate --seed b2.json --at 1/2,-3":
+        ("065ec163b071302b88230a05f7a10e4eed429498d4840fe6fca906dd36ba1923", 0),
+    "verify duality --seed dp5.json":
+        ("0bc1d6359d8d3517db6b281a32568aab060f33c4b6be0d4cb4aac0f87dca695b", 0),
+    "verify signcoherence --seed dp5.json":
+        ("05f401150252090f800df7f3da488dfbca4bade2f9398fd7868028b47976cd25", 0),
+    "verify separation --seed dp5.json --json":
+        ("eb4d6af87825b2469a20e934959ad30cab51d8145183d7fe7481755956d4d0a5", 0),
+    "degenerate --seed dp5.json --at 0,0":
+        ("79b760b2a54e95b9f117353af61497cb106a4349288d81894cc403b121dbd2d9", 0),
+    "degenerate --seed dp5.json --at 1/2,-3":
+        ("0e13c4a477261ea4a96e775dec3f3328441db3600b1e883afaabbd5e356a7090", 0),
+    "verify duality --seed gr25.json":
+        ("0bc1d6359d8d3517db6b281a32568aab060f33c4b6be0d4cb4aac0f87dca695b", 0),
+    "verify signcoherence --seed gr25.json":
+        ("05f401150252090f800df7f3da488dfbca4bade2f9398fd7868028b47976cd25", 0),
+    "verify separation --seed gr25.json --json":
+        ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2),
+    "degenerate --seed gr25.json --at 0,0":
+        ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2),
+    "degenerate --seed gr25.json --at 1/2,-3":
+        ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2),
+}
+
+
+@pytest.mark.parametrize("command", list(PINNED))
+def test_pinned_command_output(command):
+    args = [fixture(a) if a.endswith(".json") else a for a in command.split()]
+    res = run(*args)
+    digest = hashlib.sha256(res.stdout.encode("utf-8")).hexdigest()
+    assert (digest, res.exit_code) == PINNED[command]
 
 
 # -- mutate ---------------------------------------------------------------------

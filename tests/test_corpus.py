@@ -1,6 +1,9 @@
 """Worked-example verifiers: pentagon tables, the Grassmannian Pluecker
 fixture, and the del Pezzo pentagon algebra, against stored expectations."""
 
+import pytest
+
+from cluster_forge import corpus
 from cluster_forge.corpus import (
     A2_PRINCIPAL_TABLE,
     A2_TABLE,
@@ -33,7 +36,14 @@ from cluster_forge.exact_algebra import (
     prf_sum,
     rat_equal,
 )
-from cluster_forge.seeds import YSeedCoeff, mutate_y_seed, p_vars
+from cluster_forge.invariants import CheckFailed
+from cluster_forge.seeds import (
+    ClusterSeedCoeff,
+    YSeedCoeff,
+    mutate_cluster_seed,
+    mutate_y_seed,
+    p_vars,
+)
 from cluster_forge.semifields import tropicalize
 
 
@@ -202,3 +212,29 @@ def test_dp5_report():
     assert report["ok"]
     assert report["relations"] == 5
     assert set(report["vertices"]) == set(DP5_VERTICES)
+
+
+@pytest.mark.parametrize("walk, bad, name", [
+    (gr25_engine_pluckers, 3, "p13"), (gr25_engine_pluckers, 4, "p14"),
+    (dp5_thetas, 3, "a1"), (dp5_thetas, 4, "a2")])
+def test_pentagon_walk_names_the_variable_that_does_not_return(
+        monkeypatch, walk, bad, name):
+    """The walk squares the variable that one of its last two steps makes;
+    the check names the initial variable that step should bring back."""
+    calls = []
+
+    def mutate(seed, k):
+        out = mutate_cluster_seed(seed, k)
+        calls.append(k)
+        if len(calls) - 1 != bad:
+            return out
+        x = list(out.x)
+        x[k] = x[k].mul(x[k])
+        return ClusterSeedCoeff(out.exchange, x, out.p)
+
+    monkeypatch.setattr(corpus, "mutate_cluster_seed", mutate)
+    with pytest.raises(CheckFailed) as exc:
+        walk()
+    assert str(exc.value) == (
+        f"pentagon walk did not return the initial variable {name}")
+    assert calls == [0, 1, 0, 1, 0][:bad + 1]

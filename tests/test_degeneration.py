@@ -266,7 +266,7 @@ def test_cocycle(ed):
 def test_cocycle_rejects_tampered_transition():
     fam = Family(A2)
     T = fam.transition(0, 0)
-    fam._trans[(0, 0, False)] = type(T)(
+    fam._trans[(0, 0)] = type(T)(
         T.src, T.dst, T.k, T.near, (T.images[0].power(2), T.images[1]))
     with pytest.raises(CheckFailed):
         cocycle_check(fam)
@@ -426,7 +426,7 @@ def test_fiber_iso_rejects_tampered_transition(tamper):
         images[0] = images[0].power(2)
     else:
         images.reverse()
-    fam._trans[(1, 1, False)] = type(T)(T.src, T.dst, T.k, T.near, images)
+    fam._trans[(1, 1)] = type(T)(T.src, T.dst, T.k, T.near, images)
     with pytest.raises(CheckFailed):
         fiber_iso_check(fam, u, u2)
     with pytest.raises(CheckFailed):

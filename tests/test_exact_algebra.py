@@ -278,6 +278,33 @@ def test_public_constructors_validate():
     assert f == PosRatFunc.one(XY) and f.factors == {}
 
 
+def test_sums_over_different_variable_sets_raise():
+    """A sum reads its variables from every part: either order of a part
+    over (x, y, z) and one over (x, y) raises, as ``mul``, ``+`` and
+    ``rat_equal`` do."""
+    z = PosRatFunc.variable(("x", "y", "z"), "z")
+    x = PosRatFunc.variable(XY, "x")
+    for f, g in ((z, x), (x, z)):
+        with pytest.raises(VariableSetMismatch):
+            prf_add(f, g)
+        with pytest.raises(VariableSetMismatch):
+            prf_sum([(1, PosRatFunc.one(f.vars)), (2, f), (1, g)])
+
+
+@pytest.mark.parametrize("image", [(1,), (1, 0, 0)])
+def test_substituted_images_need_one_slot_per_target_variable(image):
+    """An image shorter or longer than the target variable set raises
+    instead of being read as padded or cut (a + 2b is not x + 2y)."""
+    p = lp(("a", "b"), {(1, 0): 1, (0, 1): 2})
+    images = {"a": image, "b": (0, 1)}
+    with pytest.raises(VariableSetMismatch):
+        p.substitute_monomials(images, XY)
+    with pytest.raises(VariableSetMismatch):
+        PosRatFunc.from_poly(p).substitute_monomials(images, XY)
+    assert (p.substitute_monomials({"a": (1, 0), "b": (0, 1)}, XY)
+            == lp(XY, {(1, 0): 1, (0, 1): 2}))
+
+
 # -- property tests ---------------------------------------------------------
 
 def positive_polys(vars=XY, max_terms=4, max_exp=2):

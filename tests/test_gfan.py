@@ -438,14 +438,6 @@ def test_polytope_rank_2():
     assert nf == {c.key() for c in atlas.cones}
 
 
-def test_polytope_rank_1():
-    atlas = enumerate_gfan(A1)
-    P = polytope_P(atlas)
-    assert P["vertices"] == [(-1,), (1,)]
-    assert P["reflexive"] and P["face_fan_matches"]
-    assert P["interior_points"] == [(0,)]
-
-
 def test_polytope_rejects_non_vertex_rays():
     # rank-2 fan whose rays are not in convex position does not arise here,
     # but the hull check must also reject a non-interior origin

@@ -21,8 +21,10 @@ from cluster_forge.invariants import (
     mat_inverse_integer,
     mat_mul,
     mat_transpose,
+    principal_grading,
     separation_check,
 )
+from cluster_forge.corpus import GR25_XVARS, dp5_grading
 from cluster_forge.exact_algebra import poly_exact_div
 from cluster_forge.seeds import (
     ClusterSeedCoeff,
@@ -33,6 +35,7 @@ from cluster_forge.seeds import (
     mutate_matrix,
     p_vars,
     seed_from_json,
+    x_vars,
     y_vars,
 )
 from cluster_forge.semifields import TropMonomial
@@ -162,6 +165,32 @@ def test_g_matrix_degrees_with_a_shared_memo():
         path = (0, 1, 0, 1, 0, 1, 0)
         assert g_matrix_degrees(ed, path, memo) == g_matrix(ed, path)
         assert path in memo
+
+
+def test_principal_grading_gives_each_former_builder_map():
+    """The one principal grading, called as each of its call sites calls
+    it, gives the degree maps that four separate builders wrote out: the
+    principal seed of a matrix with frozen directions (the degree route to
+    G), the family's standard grading at n = 3, the dp5 chart and the
+    Pluecker extensions."""
+    gr25 = fixture_exchange("gr25.json")
+    n = gr25.n
+    cols = [tuple(row[j] for row in gr25.B[:n]) for j in range(n)]
+    assert principal_grading(x_vars(7), p_vars(2), cols).degrees == {
+        "x1": (1, 0), "x2": (0, 1), "x3": (0, 0), "x4": (0, 0),
+        "x5": (0, 0), "x6": (0, 0), "x7": (0, 0),
+        "p1": (0, -1), "p2": (1, 0)}
+    assert principal_grading(("X1", "X2", "X3"), ("t1", "t2", "t3"),
+                             mat_identity(3)).degrees == {
+        "X1": (1, 0, 0), "X2": (0, 1, 0), "X3": (0, 0, 1),
+        "t1": (-1, 0, 0), "t2": (0, -1, 0), "t3": (0, 0, -1)}
+    assert dp5_grading().degrees == {
+        "a1": (1, 0), "a2": (0, 1), "t1": (0, -1), "t2": (1, 0)}
+    unit = [tuple(int(i == j) for j in range(7)) for i in range(7)]
+    assert principal_grading(GR25_XVARS, ("t13", "t14"),
+                             mat_identity(7)).degrees == {
+        **dict(zip(GR25_XVARS, unit)),
+        "t13": (-1, 0, 0, 0, 0, 0, 0), "t14": (0, -1, 0, 0, 0, 0, 0)}
 
 
 def test_duality_of_c_and_g():

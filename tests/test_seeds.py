@@ -10,13 +10,13 @@ from cluster_forge.seeds import (
     ClusterSeedCoeff,
     ExchangeData,
     YSeedCoeff,
-    build_extended_seed,
     langlands_dual,
     mutate_cluster_seed,
     mutate_matrix,
     mutate_y_seed,
     p_star_pullback,
     principal_extension,
+    replay,
     seed_from_json,
 )
 
@@ -161,13 +161,41 @@ def test_extended_seed_blocks():
         (1, 0, 0, 0),
         (0, 1, 0, 0),
     )
-    assert ext.n == 2 and ext.m == 2
-    # general coefficient exponents go in as columns of the lower-left block
-    ext2 = build_extended_seed(A2, 2, [(2, -1), (0, 3)])
-    assert ext2.B[2][0] == 2 and ext2.B[3][0] == -1
-    assert ext2.B[2][1] == 0 and ext2.B[3][1] == 3
-    assert ext2.B[0][2] == -2 and ext2.B[0][3] == 1
-    assert ext2.B[1][2] == 0 and ext2.B[1][3] == -3
+    assert ext.n == 2 and ext.m == 2 and ext.d == (1, 1, 1, 1)
+    # the frozen copy repeats the multipliers
+    ext2 = principal_extension(ExchangeData(B2, 2, (2, 1)))
+    assert ext2.B == (
+        (0, -1, -1, 0),
+        (2, 0, 0, -1),
+        (1, 0, 0, 0),
+        (0, 1, 0, 0),
+    )
+    assert ext2.d == (2, 1, 2, 1)
+
+
+def test_replay_steps_once_per_new_prefix_from_the_longest_stored_one():
+    steps = []
+
+    def step(value, k):
+        steps.append((value, k))
+        return value + (k,)
+
+    memo = {(): ()}
+    assert replay(memo, (0, 1, 2), step) == (0, 1, 2)
+    assert steps == [((), 0), ((0,), 1), ((0, 1), 2)]
+    assert set(memo) == {(), (0,), (0, 1), (0, 1, 2)}
+    steps.clear()
+    assert replay(memo, (0, 1, 2), step) == (0, 1, 2)
+    assert replay(memo, (0,), step) == (0,)
+    assert steps == []
+    assert replay(memo, (0, 1, 0, 2), step) == (0, 1, 0, 2)
+    assert steps == [((0, 1), 0), ((0, 1, 0), 2)]
+    # the walk continues from the stored value itself
+    steps.clear()
+    memo[(2,)] = ("stored",)
+    assert replay(memo, (2, 1), step) == ("stored", 1)
+    assert steps == [(("stored",), 1)]
+    assert memo[(2, 1)] == ("stored", 1)
 
 
 def test_frozen_variables_reproduce_tropical_coefficients():

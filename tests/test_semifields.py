@@ -102,3 +102,34 @@ def test_tropicalize_is_a_morphism(a, b):
     num, den = fa.mul(fb.inv()).expand()
     expanded = tropicalize_poly(num).mul(tropicalize_poly(den).inv())
     assert tropicalize(fa.mul(fb.inv())) == expanded
+
+
+def trop_evaluate(poly, args):
+    """Tropical evaluation as ``separation_check`` computes it: P at the
+    tropical monomials ``args``, one per variable of P."""
+    images = {v: a.exps for v, a in zip(poly.vars, args)}
+    return tropicalize_poly(poly.substitute_monomials(images, args[0].vars))
+
+
+Q = ("q1", "q2", "q3")
+
+
+def test_tropical_evaluation_of_fixed_polynomials():
+    a = TropMonomial(Q, (1, 0, -2))
+    b = TropMonomial(Q, (0, 2, 1))
+    # p1^2 + 3*p1*p2^-1 at (a, b): min of (2, 0, -4) and (1, -2, -3)
+    poly = LaurentPoly(P, {(2, 0): 1, (1, -1): 3})
+    assert trop_evaluate(poly, (a, b)) == TropMonomial(Q, (1, -2, -4))
+    assert trop_evaluate(LaurentPoly.one(P), (a, b)) == TropMonomial.one(Q)
+
+
+@settings(max_examples=50, deadline=None)
+@given(positive_polys(), positive_polys(),
+       st.lists(st.tuples(*[st.integers(-3, 3)] * 3), min_size=2,
+                max_size=2))
+def test_tropical_evaluation_sends_sums_to_trop_add_and_products_to_mul(
+        a, b, args):
+    args = [TropMonomial(Q, e) for e in args]
+    ea, eb = trop_evaluate(a, args), trop_evaluate(b, args)
+    assert trop_evaluate(a + b, args) == trop_add(ea, eb)
+    assert trop_evaluate(a * b, args) == ea.mul(eb)
