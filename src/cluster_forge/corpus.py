@@ -26,7 +26,6 @@ from .exact_algebra import (
     PosRatFunc,
     degree_of,
     poly_exact_div,
-    prf_add,
     prf_sum,
     rat_equal,
 )
@@ -36,9 +35,7 @@ from .seeds import (
     ExchangeData,
     YSeedCoeff,
     mutate_cluster_seed,
-    mutate_matrix,
     mutate_y_seed,
-    mutate_y_tuple,
     p_star_pullback,
     p_vars,
     principal_extension,
@@ -78,55 +75,23 @@ PENTAGON_PATH = (1, 0, 1, 0, 1)
 
 # -- coefficient mutation in the subtraction-free rational functions ----------
 
-def universal_bracket(p, selector):
-    """Sign-selected part of a subtraction-free coefficient: p/(p+1) for a
-    positive selector, 1/(p+1) for a negative one."""
-    denom_inv = prf_add(p, PosRatFunc.one(p.vars)).inv()
-    return p.mul(denom_inv) if selector > 0 else denom_inv
-
-
-def universal_y_step(B, p, y, k):
-    """One Y-seed mutation with coefficients kept in the subtraction-free
-    rational functions; returns the new (coefficients, Y-variables).  Both
-    go through ``mutate_y_tuple``: the Y-variables with p_k's parts
-    embedded, the coefficients with both parts one."""
-    names = y[k].vars
-    embed = {v: _unit_vector(names, v) for v in p[k].vars}
-    plus, minus = (universal_bracket(p[k], s).substitute_monomials(
-        embed, names) for s in (1, -1))
-    one = PosRatFunc.one(p[k].vars)
-
-    def settle(fs):
-        return tuple(f.reduced() if j != k and B[k][j] else f
-                     for j, f in enumerate(fs))
-
-    return (settle(mutate_y_tuple(p, B, k, one, one)),
-            settle(mutate_y_tuple(y, B, k, plus, minus)))
-
-
-def _unit_vector(names, v):
-    e = [0] * len(names)
-    e[names.index(v)] = 1
-    return tuple(e)
-
-
 def universal_y_walk(ed, path):
     """Rows (matrix, coefficients, Y-variables) along a mutation walk, with
     the coefficients living in the subtraction-free rational functions on
-    the initial coefficient tuple."""
-    n = ed.n
-    if ed.m:
-        raise ValueError("the coefficient walk needs fully mutable data")
-    pv = p_vars(n)
-    names = y_vars(n) + pv
-    p = tuple(PosRatFunc.variable(pv, v) for v in pv)
-    y = tuple(PosRatFunc.variable(names, v) for v in y_vars(n))
-    B = ed.B
-    rows = [(B, p, y)]
+    the initial coefficient tuple.  Each step is ``mutate_y_seed``; the
+    entries it multiplied by a binomial are then ``reduced()``.  Exchange
+    data with frozen directions raise ``ValueError``, as for any Y-seed."""
+    pv = p_vars(ed.n)
+    seed = YSeedCoeff.initial(ed, tuple(PosRatFunc.variable(pv, v)
+                                        for v in pv))
+    rows = [(ed.B, seed.p, seed.y)]
     for k in path:
-        p, y = universal_y_step(B, p, y, k)
-        B = mutate_matrix(B, k)
-        rows.append((B, p, y))
+        row = seed.exchange.B[k]
+        seed = mutate_y_seed(seed, k)
+        seed = YSeedCoeff(seed.exchange, *(
+            tuple(f.reduced() if j != k and row[j] else f
+                  for j, f in enumerate(fs)) for fs in (seed.y, seed.p)))
+        rows.append((seed.exchange.B, seed.p, seed.y))
     return rows
 
 
@@ -761,7 +726,7 @@ def run_dp5():
     a_cycle = [th[i].evaluate(at_one) for i in range(1, 6)]
     for i in range(5):
         lhs = a_cycle[i - 1].mul(a_cycle[(i + 1) % 5])
-        rhs = prf_add(a_cycle[i], one)
+        rhs = a_cycle[i].add(one)
         if not rat_equal(lhs, rhs):
             raise CheckFailed(f"t=1 recurrence at {i + 1} fails")
 

@@ -25,7 +25,6 @@ from .exact_algebra import (
 )
 from .semifields import TropMonomial
 from .seeds import (
-    mutate_coeff_tuple,
     mutate_matrix,
     mutate_y_tuple,
     sign,
@@ -550,6 +549,7 @@ def strata_consistency_check(fam, tau_rays):
     root = (st.base, st.restricted.B if st.restricted else (),
             tuple(TropMonomial(fam.tnames, column(st.base.C, i))
                   for i in trans_pos))
+    one = TropMonomial.one(fam.tnames)
     seen = {st.base.key()}
     frontier = [root]
     while frontier:
@@ -619,7 +619,7 @@ def strata_consistency_check(fam, tau_rays):
                 if key not in seen:
                     seen.add(key)
                     nxt.append((ncone, mutate_matrix(Bb, l),
-                                mutate_coeff_tuple(pb, Bb, l)))
+                                mutate_y_tuple(pb, Bb, l, one, one)))
         frontier = nxt
     if len(seen) != node_count:
         raise CheckFailed("stratum walk did not reach every cone of the "

@@ -522,6 +522,10 @@ class PosRatFunc:
         return PosRatFunc._new(self.vars, tuple(x * k for x in self.unit),
                                {p: e * k for p, e in self.factors.items()})
 
+    def add(self, other):
+        """Semifield sum: the ordinary sum, through ``prf_sum``."""
+        return prf_sum([(1, self), (1, other)])
+
     # -- expansion --------------------------------------------------------
     def num_den_split(self):
         """Split into ([unit]+ exps, positive factor dict, [unit]- exps,
@@ -629,6 +633,10 @@ class PosRatFunc:
         return PosRatFunc(self.vars, unit, fac)
 
     # -- substitution ---------------------------------------------------------
+    def to_posrat(self, target_vars):
+        """The same function on ``target_vars``, a superset of its own."""
+        return self.substitute_monomials({}, target_vars)
+
     def substitute_monomials(self, images, target_vars=None):
         """Replace variables by monomials (exponent vectors), exactly."""
         tv = tuple(target_vars) if target_vars is not None else self.vars
@@ -761,10 +769,6 @@ def prf_sum(parts):
     out = out.mul(PosRatFunc(vars, tuple(-x for x in den_unit),
                              {p: -e for p, e in den_factors.items()}))
     return out.reduced()
-
-
-def prf_add(f, g):
-    return prf_sum([(1, f), (1, g)])
 
 
 def rat_equal(f, g):

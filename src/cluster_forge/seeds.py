@@ -1,6 +1,6 @@
-"""Seed mutation: exchange matrices, coefficient tuples in a tropical
-semifield, Y-variables, cluster variables, the principal extension with
-frozen coefficient directions, and prefix replay along mutation paths.
+"""Seed mutation: exchange matrices, coefficient tuples in a semifield,
+Y-variables, cluster variables, the principal extension with frozen
+coefficient directions, and prefix replay along mutation paths.
 
 Conventions, used consistently everywhere:
 
@@ -10,16 +10,18 @@ Conventions, used consistently everywhere:
   direction ``k`` and row ``k`` for how direction ``k`` acts on the others.
 * ``d`` are positive integers with ``d[i]*B[i][j] == -d[j]*B[j][i]`` on the
   mutable block (row-scaled skewness).
-* Coefficient tuples live in the tropical semifield on ``p1..pr`` and mutate
-  by the tropical specialization of the Y-variable rule.
+* Coefficient tuples live in any semifield with the interface of
+  ``semifields``: the tropical one on ``p1..pr`` (``TropMonomial``) or the
+  subtraction-free rational functions (``PosRatFunc``).  They mutate by the
+  one Y-pattern rule ``mutate_y_tuple``, with both parts of p_k equal to one.
 """
 
 from __future__ import annotations
 
 from math import lcm
 
-from .exact_algebra import PosRatFunc, prf_add
-from .semifields import TropMonomial, bracket, trop_add
+from .exact_algebra import PosRatFunc
+from .semifields import TropMonomial, bracket
 
 
 def sign(x):
@@ -56,6 +58,12 @@ def p_vars(r):
 
 def t_vars(n):
     return tuple(f"t{i + 1}" for i in range(n))
+
+
+def principal_coefficients(n):
+    """One private tropical coefficient p_i per direction."""
+    pv = p_vars(n)
+    return tuple(TropMonomial.variable(pv, v) for v in pv)
 
 
 class ExchangeData:
@@ -121,7 +129,9 @@ def langlands_dual(ed):
 
 class YSeedCoeff:
     """Y-seed with coefficients: Y-variables in the subtraction-free field on
-    y1..yn and p1..pr, plus a coefficient tuple in the tropical semifield."""
+    y1..yn and the coefficient variables, plus a coefficient tuple in any
+    semifield (tropical monomials, or subtraction-free functions of
+    p1..pr).  Both mutate by the one rule ``mutate_y_tuple``."""
 
     __slots__ = ("exchange", "y", "p", "vars")
 
@@ -139,7 +149,7 @@ class YSeedCoeff:
     @classmethod
     def initial(cls, exchange, p):
         """Initial seed: y_i are the coordinate variables, p the given
-        tropical coefficient tuple."""
+        coefficient tuple."""
         n = exchange.n
         pv = p[0].vars
         vars = y_vars(n) + tuple(pv)
@@ -149,10 +159,7 @@ class YSeedCoeff:
     @classmethod
     def initial_principal(cls, exchange):
         """Initial seed with one private coefficient variable per direction."""
-        n = exchange.n
-        pv = p_vars(n)
-        p = tuple(TropMonomial.variable(pv, f"p{i + 1}") for i in range(n))
-        return cls.initial(exchange, p)
+        return cls.initial(exchange, principal_coefficients(exchange.n))
 
     @classmethod
     def initial_trivial(cls, exchange):
@@ -162,61 +169,45 @@ class YSeedCoeff:
         return cls.initial(exchange, p)
 
 
-def mutate_coeff_tuple(p, B, k):
-    """Tropical coefficient mutation: invert the k-th entry, multiply the
-    rest by (1 (+) p_k^{-sgn b_kj})^{-b_kj}."""
-    n = len(p)
-    one = TropMonomial.one(p[k].vars)
-    out = list(p)
-    out[k] = p[k].inv()
-    for j in range(n):
-        if j == k:
-            continue
-        b = B[k][j]
-        if b:
-            out[j] = p[j].mul(trop_add(one, p[k].power(-sign(b))).power(-b))
-    return tuple(out)
-
-
 def mutate_y_tuple(y, B, k, plus, minus):
-    """The Y-seed mutation rule in direction k on subtraction-free
-    functions ``y``, with the coefficient p_k = plus / minus given by its
-    two parts as functions on the same variables.
+    """The Y-pattern rule in direction k on a tuple ``y`` in a semifield,
+    with p_k = plus / minus given by its two parts ``bracket(p_k)`` in the
+    same semifield, or plus = minus = 1 for the coefficients themselves.
 
-    For p_k in a semifield with sum (+), plus = p_k / (p_k (+) 1) and
-    minus = 1 / (p_k (+) 1): the plus and minus parts [p_k]+ and [p_k]- of
-    a tropical monomial, and plus = minus = 1 for the coefficient-free
-    rule.  y_k inverts; every other y_j with b = B[k][j] != 0 is multiplied
-    by (plus + minus * y_k^-1)^-b when b > 0 and by (minus + plus * y_k)^-b
-    when b < 0.  Each binomial is built once for each sign of row k.
+    y_k inverts; every other y_j with b = B[k][j] != 0 is multiplied by
+    (plus (+) minus * y_k^-1)^-b when b > 0 and by (minus (+) plus * y_k)^-b
+    when b < 0, each binomial built once per sign.  Only the first len(y)
+    entries of row k are read, so rows over frozen directions may be passed.
     """
     yk = y[k]
     inv = yk.inv()
     bases = {}
     out = list(y)
     out[k] = inv
-    for j, b in enumerate(B[k]):
+    for j, b in enumerate(B[k][:len(y)]):
         if j == k or not b:
             continue
         s = b > 0
         if s not in bases:
-            bases[s] = (prf_add(plus, minus.mul(inv)) if s
-                        else prf_add(minus, plus.mul(yk)))
+            bases[s] = (plus.add(minus.mul(inv)) if s
+                        else minus.add(plus.mul(yk)))
         out[j] = y[j].mul(bases[s].power(-b))
     return tuple(out)
 
 
 def mutate_y_seed(seed, k):
     """One Y-seed mutation with coefficients in direction k: the
-    Y-variables by ``mutate_y_tuple`` with the plus and minus parts of the
-    tropical p_k embedded as monomials, the coefficient tuple by
-    ``mutate_coeff_tuple`` and the matrix by its exchange mutation."""
+    Y-variables by ``mutate_y_tuple`` with the two parts of p_k embedded
+    among their variables, the coefficient tuple by the same rule with both
+    parts one, and the matrix by its exchange mutation."""
     B = seed.exchange.B
     pk = seed.p[k]
-    ys = mutate_y_tuple(seed.y, B, k, bracket(pk, 1).to_posrat(seed.vars),
-                        bracket(pk, -1).to_posrat(seed.vars))
+    one = pk.one(pk.vars)
+    plus, minus = bracket(pk)
+    ys = mutate_y_tuple(seed.y, B, k, plus.to_posrat(seed.vars),
+                        minus.to_posrat(seed.vars))
     return YSeedCoeff(seed.exchange.mutate(k), ys,
-                      mutate_coeff_tuple(seed.p, B, k))
+                      mutate_y_tuple(seed.p, B, k, one, one))
 
 
 class ClusterSeedCoeff:
@@ -246,21 +237,18 @@ class ClusterSeedCoeff:
 
     @classmethod
     def initial_principal(cls, exchange):
-        n = exchange.n
-        pv = p_vars(n)
-        p = tuple(TropMonomial.variable(pv, f"p{i + 1}") for i in range(n))
-        return cls.initial(exchange, p)
+        return cls.initial(exchange, principal_coefficients(exchange.n))
 
 
 def mutate_cluster_seed(seed, k):
     """One cluster mutation with coefficients in direction k: the exchange
-    binomial takes the sign-split column k of the matrix over all indices
-    (frozen included) with the sign-selected coefficient parts in front."""
+    binomial takes the sign-split column k over all indices (frozen
+    included) with the two parts of p_k in front; p follows the Y rule."""
     B = seed.exchange.B
     N = seed.exchange.size
     pk = seed.p[k]
-    plus = bracket(pk, 1).to_posrat(seed.vars)
-    minus = bracket(pk, -1).to_posrat(seed.vars)
+    one = pk.one(pk.vars)
+    plus, minus = (part.to_posrat(seed.vars) for part in bracket(pk))
     for i in range(N):
         b = B[i][k]
         if b > 0:
@@ -268,10 +256,9 @@ def mutate_cluster_seed(seed, k):
         elif b < 0:
             minus = minus.mul(seed.x[i].power(-b))
     xs = list(seed.x)
-    xs[k] = prf_add(minus, plus).mul(seed.x[k].inv())
+    xs[k] = minus.add(plus).mul(seed.x[k].inv())
     return ClusterSeedCoeff(seed.exchange.mutate(k), xs,
-                            mutate_coeff_tuple(seed.p, B[: seed.exchange.n], k)
-                            if seed.p else ())
+                            mutate_y_tuple(seed.p, B, k, one, one))
 
 
 def principal_extension(ed):
@@ -322,7 +309,10 @@ def json_int(x, field, lo=None, hi=None):
     anything else raises ``ValueError`` naming the field."""
     if isinstance(x, bool) or not isinstance(x, int):
         raise ValueError(f"{field} must be an integer, not {x!r}")
-    if lo is not None and not lo <= x <= hi:
+    if hi is None:
+        if lo is not None and x < lo:
+            raise ValueError(f"{field} = {x} must be at least {lo}")
+    elif not lo <= x <= hi:
         raise ValueError(f"{field} = {x} is out of range {lo}..{hi}")
     return x
 
@@ -342,7 +332,7 @@ def seed_from_json(obj):
     d = obj.get("d")
     if d is not None:
         d = [json_int(x, f"d[{i}]") for i, x in enumerate(d)]
-    r = json_int(obj.get("coeff_rank", 0), "coeff_rank")
+    r = json_int(obj.get("coeff_rank", 0), "coeff_rank", 0)
     p = obj.get("p", [])
     if len(p) not in (0, n):
         raise ValueError(f"p has {len(p)} tuples, not 0 or n = {n}")

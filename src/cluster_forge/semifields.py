@@ -5,6 +5,9 @@ Laurent monomial; semifield addition takes the componentwise minimum of
 exponent vectors, multiplication adds them.  The tropicalization map sends a
 subtraction-free rational function to the semifield by evaluating its
 factored form with + replaced by the tropical sum.
+``TropMonomial`` and ``PosRatFunc`` share one semifield interface (``one``,
+``mul``, ``inv``, ``power``, ``add`` for the sum, ``to_posrat``), and it is
+all that ``bracket`` and the coefficient rule read.
 """
 
 from __future__ import annotations
@@ -44,6 +47,11 @@ class TropMonomial:
     def power(self, k):
         return TropMonomial(self.vars, [x * k for x in self.exps])
 
+    def add(self, other):
+        """Semifield sum: componentwise minimum of exponent vectors."""
+        self._check(other)
+        return TropMonomial(self.vars, map(min, self.exps, other.exps))
+
     def _check(self, other):
         if self.vars != other.vars:
             raise VariableSetMismatch("tropical variable sets differ")
@@ -69,18 +77,12 @@ class TropMonomial:
         return f"TropMonomial({self.to_text()})"
 
 
-def trop_add(a, b):
-    """Semifield sum: componentwise minimum of exponent vectors."""
-    a._check(b)
-    return TropMonomial(a.vars, [min(x, y) for x, y in zip(a.exps, b.exps)])
-
-
-def bracket(p, sign_source):
-    """Sign-selected part of a tropical monomial: the plus part for a
-    positive selector, the minus part otherwise.  The plus and minus parts
-    are coprime and nonnegative, with p == plus / minus."""
-    s = 1 if sign_source > 0 else -1
-    return TropMonomial(p.vars, [max(s * x, 0) for x in p.exps])
+def bracket(p):
+    """The two parts (p / (p (+) 1), 1 / (p (+) 1)) of a semifield element,
+    from one semifield sum; their quotient is p.  For a tropical monomial
+    they are the coprime nonnegative parts ([p]+, [p]-)."""
+    minus = p.add(p.one(p.vars)).inv()
+    return p.mul(minus), minus
 
 
 def tropicalize_poly(poly, trop_vars=None):

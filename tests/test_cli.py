@@ -93,8 +93,9 @@ def test_table_gr25_csv_is_input_error():
 # -- pinned output --------------------------------------------------------------
 
 #: The sha256 of stdout and the exit code of fixed commands: every table
-#: format, three verify suites on each fixture, and the fibres over zero and
-#: over one rational point.  A fixture name stands for its path.  A change
+#: format, three verify suites on each fixture, the fibres over zero and
+#: over one rational point, and a mutation path on each fully mutable
+#: fixture in every coefficient mode, as text and as JSON.  A fixture name stands for its path.  A change
 #: meant to keep every output byte-identical must leave these as they are.
 PINNED = {
     "table a2 --format text":
@@ -181,6 +182,78 @@ PINNED = {
         ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2),
     "degenerate --seed gr25.json --at 1/2,-3":
         ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2),
+    "mutate --seed a2.json --path 2,1,2,1,2":
+        ("a8580c4488df3c75730110b7001c947f32856f2984bfd2b7b174980389debe3b", 0),
+    "mutate --seed a2.json --path 2,1,2,1,2 --json":
+        ("2a03f40438ab8132b5f4445854b6d1dacd0e609a8666bb914d9d60271f25529a", 0),
+    "mutate --seed a2.json --path 2,1,2,1,2 --with-coeffs principal":
+        ("a8580c4488df3c75730110b7001c947f32856f2984bfd2b7b174980389debe3b", 0),
+    "mutate --seed a2.json --path 2,1,2,1,2 --with-coeffs principal --json":
+        ("2a03f40438ab8132b5f4445854b6d1dacd0e609a8666bb914d9d60271f25529a", 0),
+    "mutate --seed a2.json --path 2,1,2,1,2 --with-coeffs none":
+        ("f9320ceec74ea885b20633db4c970766bc53276438ce4542186ccd403a0943c7", 0),
+    "mutate --seed a2.json --path 2,1,2,1,2 --with-coeffs none --json":
+        ("e8689359fcd14b850f32162169bae122d6aaa6fa05ab0c1b4b4847a87b63eacf", 0),
+    "mutate --seed a2.json --path 2,1,2,1,2 --with-coeffs trop:2":
+        ("a8580c4488df3c75730110b7001c947f32856f2984bfd2b7b174980389debe3b", 0),
+    "mutate --seed a2.json --path 2,1,2,1,2 --with-coeffs trop:2 --json":
+        ("2a03f40438ab8132b5f4445854b6d1dacd0e609a8666bb914d9d60271f25529a", 0),
+    "mutate --seed b2.json --path 1,2,1,2,1,2":
+        ("bf1e4666ec4a955135924dbf072c3fedee13dc0dfd174a059bb5684e8cfdc5fa", 0),
+    "mutate --seed b2.json --path 1,2,1,2,1,2 --json":
+        ("ae6e9d19806d41733310cb08daf824a22e263ce31202bc39470888c3a1543949", 0),
+    "mutate --seed b2.json --path 1,2,1,2,1,2 --with-coeffs principal":
+        ("bf1e4666ec4a955135924dbf072c3fedee13dc0dfd174a059bb5684e8cfdc5fa", 0),
+    "mutate --seed b2.json --path 1,2,1,2,1,2 --with-coeffs principal --json":
+        ("ae6e9d19806d41733310cb08daf824a22e263ce31202bc39470888c3a1543949", 0),
+    "mutate --seed b2.json --path 1,2,1,2,1,2 --with-coeffs none":
+        ("4349636fe87ec2c07234fbf23d02d67fa540827deef9e90a87199a70ef98950c", 0),
+    "mutate --seed b2.json --path 1,2,1,2,1,2 --with-coeffs none --json":
+        ("e5ede7c54d036ea598fce5366035318a3d4251e6e6b468f1f29c880c2e03e927", 0),
+    "mutate --seed b2.json --path 1,2,1,2,1,2 --with-coeffs trop:2":
+        ("bf1e4666ec4a955135924dbf072c3fedee13dc0dfd174a059bb5684e8cfdc5fa", 0),
+    "mutate --seed b2.json --path 1,2,1,2,1,2 --with-coeffs trop:2 --json":
+        ("ae6e9d19806d41733310cb08daf824a22e263ce31202bc39470888c3a1543949", 0),
+    "mutate --seed a3.json --path 1,2,3,2,1":
+        ("cdd28b27501e11e5e3a79dbafd4d4bf8c83fb79bf6df216ffb1c38c668d95bd1", 0),
+    "mutate --seed a3.json --path 1,2,3,2,1 --json":
+        ("04f69e1bcd796f7a6cf02618ee12e880699523eb1c8b691cba44c386b59ddae4", 0),
+    "mutate --seed a3.json --path 1,2,3,2,1 --with-coeffs principal":
+        ("cdd28b27501e11e5e3a79dbafd4d4bf8c83fb79bf6df216ffb1c38c668d95bd1", 0),
+    "mutate --seed a3.json --path 1,2,3,2,1 --with-coeffs principal --json":
+        ("04f69e1bcd796f7a6cf02618ee12e880699523eb1c8b691cba44c386b59ddae4", 0),
+    "mutate --seed a3.json --path 1,2,3,2,1 --with-coeffs none":
+        ("0cf741b7487876a2c4ee02ef6c6b5e61b661bcb115fe01bbdc2561c3b0ae15be", 0),
+    "mutate --seed a3.json --path 1,2,3,2,1 --with-coeffs none --json":
+        ("a15f279c7b7a4aca7f25983eccac000fcccde868376348be2688cb096bfe7e7d", 0),
+    "mutate --seed a3.json --path 1,2,3,2,1 --with-coeffs trop:3":
+        ("cdd28b27501e11e5e3a79dbafd4d4bf8c83fb79bf6df216ffb1c38c668d95bd1", 0),
+    "mutate --seed a3.json --path 1,2,3,2,1 --with-coeffs trop:3 --json":
+        ("04f69e1bcd796f7a6cf02618ee12e880699523eb1c8b691cba44c386b59ddae4", 0),
+    "mutate --seed a3_rev.json --path 3,2,1,2":
+        ("b619ac96ef50f633b562937d804751b3e5140fce4663cf554044c67e1ccf2981", 0),
+    "mutate --seed a3_rev.json --path 3,2,1,2 --json":
+        ("0a7f627a0b42f5ce7db4d2ab20b3bceb86d830c21236e0cafaa5621f2d5b1577", 0),
+    "mutate --seed a3_rev.json --path 3,2,1,2 --with-coeffs principal":
+        ("2ff46c82f55f41b689e75ec59a6e7b70f6404182eb65457eab1638752adbb80d", 0),
+    "mutate --seed a3_rev.json --path 3,2,1,2 --with-coeffs principal --json":
+        ("4c2f60df2b965b1af56f9ad7f8bea2b8fe316d4d6b28e574fab3b98584c37f84", 0),
+    "mutate --seed a3_rev.json --path 3,2,1,2 --with-coeffs none":
+        ("b619ac96ef50f633b562937d804751b3e5140fce4663cf554044c67e1ccf2981", 0),
+    "mutate --seed a3_rev.json --path 3,2,1,2 --with-coeffs none --json":
+        ("0a7f627a0b42f5ce7db4d2ab20b3bceb86d830c21236e0cafaa5621f2d5b1577", 0),
+    "mutate --seed dp5.json --path 1,2,1":
+        ("d7adfb1c25036dc9f1c99c0e1b63b2f070875f03570ecb7dd145d6858fd2de3b", 0),
+    "mutate --seed dp5.json --path 1,2,1 --json":
+        ("7467d5d99486c60d12c5783802c86354bf88a0871e6fb70a0631e9b8ec2854fa", 0),
+    "mutate --seed dp5.json --path 1,2,1 --with-coeffs principal":
+        ("fd6006dd05108dc1d241a6c4b441ba08a1cb3fb2d05e581c846739e4d9a51a00", 0),
+    "mutate --seed dp5.json --path 1,2,1 --with-coeffs principal --json":
+        ("79c83b5081531f0fd7dba3e722ac12efa648644309188cddd7efffb797e0b52c", 0),
+    "mutate --seed dp5.json --path 1,2,1 --with-coeffs none":
+        ("d7adfb1c25036dc9f1c99c0e1b63b2f070875f03570ecb7dd145d6858fd2de3b", 0),
+    "mutate --seed dp5.json --path 1,2,1 --with-coeffs none --json":
+        ("7467d5d99486c60d12c5783802c86354bf88a0871e6fb70a0631e9b8ec2854fa", 0),
 }
 
 
@@ -243,7 +316,9 @@ def test_mutate_malformed_seed_exit_2():
     ({"B": [[0, 1], [-1, 0]], "n": 2, "coeff_rank": 2, "p": [[1], [2]]},
      "coeff_rank"),
     ({"B": [[0, 1], [-1, 0]], "n": True}, "n must"),
-], ids=["float-B", "float-p", "p-count", "p-tuple-length", "bool-n"])
+    ({"B": [[0, 1], [-1, 0]], "n": 2, "coeff_rank": -1}, "coeff_rank"),
+], ids=["float-B", "float-p", "p-count", "p-tuple-length", "bool-n",
+        "negative-coeff-rank"])
 def test_mutate_non_integer_or_misshaped_seed_exit_2(seed, field):
     runner = CliRunner()
     with runner.isolated_filesystem():

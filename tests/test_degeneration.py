@@ -13,7 +13,6 @@ from cluster_forge.exact_algebra import (
     PosRatFunc,
     RatPair,
     limit_t_zero,
-    prf_add,
     rat_equal,
 )
 from cluster_forge.semifields import TropMonomial
@@ -182,8 +181,8 @@ def test_pullback_matches_coefficient_dynamics(ed):
     coefficients come from.  The pullback composes the wall maps through
     ``PosRatFunc.evaluate``, where the walk applies each step directly to
     the current Y-variables.  The family's coefficients are the c-matrix
-    columns of its cone records, where the walk's come from the tropical
-    coefficient walk ``mutate_coeff_tuple``."""
+    columns of its cone records, where the walk's come from the same rule
+    applied to the tropical coefficient tuple with both parts one."""
     fam = Family(ed)
     n = ed.n
     p0 = tuple(TropMonomial(fam.tnames,
@@ -233,10 +232,10 @@ def test_coordinate_limit_needs_a_coordinate_monomial():
     with coefficient one and no residual t-exponent."""
     fam = Family(A2)
     X1, X2, t1 = (PosRatFunc.variable(V, v) for v in ("X1", "X2", "t1"))
-    assert coordinate_limit(fam, X1.mul(prf_add(t1, X2)), "f") == (1, 1)
+    assert coordinate_limit(fam, X1.mul(t1.add(X2)), "f") == (1, 1)
     two_plus_t1 = PosRatFunc.from_poly(
         LaurentPoly(V, {(0, 0, 0, 0): 2, (0, 0, 1, 0): 1}))
-    for bad in (X1.mul(two_plus_t1), X1.mul(t1.inv()), prf_add(X1, X2)):
+    for bad in (X1.mul(two_plus_t1), X1.mul(t1.inv()), X1.add(X2)):
         with pytest.raises(CheckFailed, match="^f "):
             coordinate_limit(fam, bad, "f")
 

@@ -21,7 +21,6 @@ from cluster_forge.exact_algebra import (
     degree_of,
     limit_t_zero,
     poly_exact_div,
-    prf_add,
     prf_sum,
     rat_equal,
     substitute_values,
@@ -156,7 +155,7 @@ def test_posrat_mul_inverse_cancels_structurally():
 def test_posrat_add_matches_expand():
     one_plus_x = PosRatFunc.from_poly(lp(XY, {(0, 0): 1, (1, 0): 1}))
     y = PosRatFunc.variable(XY, "y")
-    s = prf_add(one_plus_x.inv(), y)
+    s = one_plus_x.inv().add(y)
     # y + 1/(1+x) == (y + xy + 1)/(1+x)
     num, den = s.expand()
     assert num == lp(XY, {(0, 1): 1, (1, 1): 1, (0, 0): 1})
@@ -167,7 +166,7 @@ def test_posrat_add_reduces_common_factor():
     # x/(1+x) + 1/(1+x) == 1
     one_plus_x = PosRatFunc.from_poly(lp(XY, {(0, 0): 1, (1, 0): 1}))
     x = PosRatFunc.variable(XY, "x")
-    s = prf_add(x.mul(one_plus_x.inv()), one_plus_x.inv())
+    s = x.mul(one_plus_x.inv()).add(one_plus_x.inv())
     assert rat_equal(s, PosRatFunc.one(XY))
     assert not s.factors and s.unit == (0, 0)
 
@@ -188,7 +187,7 @@ def test_posrat_evaluate_composes():
     f = f.mul(PosRatFunc.variable(XV, "x1").inv())            # (1+x2)/x1
     sub = {
         "x1": PosRatFunc.variable(XV, "x2"),
-        "x2": prf_add(PosRatFunc.variable(XV, "x1"), PosRatFunc.one(XV)),
+        "x2": PosRatFunc.variable(XV, "x1").add(PosRatFunc.one(XV)),
     }
     g = f.evaluate(sub)  # (2 + x1)/x2 -- but 2+x1 has content 1, fine
     num, den = g.expand()
@@ -200,7 +199,7 @@ def test_rat_equal_cross_multiplies():
     x = PosRatFunc.variable(XY, "x")
     one_plus_x = PosRatFunc.from_poly(lp(XY, {(0, 0): 1, (1, 0): 1}))
     lhs = one_plus_x.mul(x.inv())
-    rhs = prf_add(x.inv(), PosRatFunc.one(XY))
+    rhs = x.inv().add(PosRatFunc.one(XY))
     assert rat_equal(lhs, rhs)
     assert not rat_equal(lhs, x)
 
@@ -286,7 +285,7 @@ def test_sums_over_different_variable_sets_raise():
     x = PosRatFunc.variable(XY, "x")
     for f, g in ((z, x), (x, z)):
         with pytest.raises(VariableSetMismatch):
-            prf_add(f, g)
+            f.add(g)
         with pytest.raises(VariableSetMismatch):
             prf_sum([(1, PosRatFunc.one(f.vars)), (2, f), (1, g)])
 
@@ -601,7 +600,7 @@ def test_prf_add_agrees_with_expanded_arithmetic(f, g):
     # a sum whose total integer content exceeds 1 has no subtraction-free
     # factored form with unit coefficient +1; such sums fail loudly instead
     assume(num.integer_content() == 1)
-    s = prf_add(f, g)
+    s = f.add(g)
     ns, ds = s.expand()
     assert ns * (df * dg) == num * ds
 

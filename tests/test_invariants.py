@@ -31,8 +31,8 @@ from cluster_forge.seeds import (
     ExchangeData,
     langlands_dual,
     mutate_cluster_seed,
-    mutate_coeff_tuple,
     mutate_matrix,
+    mutate_y_tuple,
     p_vars,
     seed_from_json,
     x_vars,
@@ -105,9 +105,10 @@ def c_matrix_tropical(ed, path):
     n = ed.n
     tv = y_vars(n)
     p = tuple(TropMonomial.variable(tv, v) for v in tv)
+    one = TropMonomial.one(tv)
     B = ed.B
     for k in path:
-        p = mutate_coeff_tuple(p, B, k)
+        p = mutate_y_tuple(p, B, k, one, one)
         B = mutate_matrix(B, k)
     return tuple(tuple(p[j].exps[i] for j in range(n)) for i in range(n))
 

@@ -3,6 +3,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cluster_forge.exact_algebra import LaurentPoly, PosRatFunc, rat_equal
 from cluster_forge.semifields import TropMonomial
@@ -14,6 +15,7 @@ from cluster_forge.seeds import (
     mutate_cluster_seed,
     mutate_matrix,
     mutate_y_seed,
+    mutate_y_tuple,
     p_star_pullback,
     principal_extension,
     replay,
@@ -121,6 +123,44 @@ def test_y_seed_mutation_is_an_involution():
             assert back.p == seed.p
             for j in range(n):
                 assert rat_equal(back.y[j], seed.y[j])
+
+
+def tropical_closed_form(p, B, k):
+    """Reference for the coefficient rule on tropical exponent vectors:
+    p_k inverts, and p_j becomes p_j * (1 (+) p_k^(-sgn b))^(-b) with
+    b = B[k][j], where (+) is the componentwise minimum."""
+    out = []
+    for j, pj in enumerate(p):
+        if j == k:
+            out.append(tuple(-x for x in pj))
+            continue
+        b = B[k][j]
+        s = (b > 0) - (b < 0)
+        base = tuple(min(0, -s * x) for x in p[k])
+        out.append(tuple(x - b * y for x, y in zip(pj, base)))
+    return out
+
+
+def coefficient_rule_cases():
+    """A tuple of n tropical exponent vectors, a matrix whose rows run on
+    over two frozen directions, and a direction."""
+    def case(n):
+        row = st.tuples(*[st.integers(-3, 3)] * (n + 2))
+        vec = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+        return st.tuples(st.tuples(*[vec] * n), st.tuples(*[row] * n),
+                         st.integers(0, n - 1))
+    return st.integers(1, 4).flatmap(case)
+
+
+@settings(max_examples=80, deadline=None)
+@given(coefficient_rule_cases())
+def test_coefficient_rule_matches_the_tropical_closed_form(case):
+    exps, B, k = case
+    pv = ("p1", "p2")
+    one = TropMonomial.one(pv)
+    p = tuple(TropMonomial(pv, e) for e in exps)
+    got = mutate_y_tuple(p, B, k, one, one)
+    assert [m.exps for m in got] == tropical_closed_form(exps, B, k)
 
 
 def test_cluster_seed_coefficient_free_five_cycle():

@@ -2,11 +2,10 @@
 
 from hypothesis import assume, given, settings, strategies as st
 
-from cluster_forge.exact_algebra import LaurentPoly, PosRatFunc, prf_add
+from cluster_forge.exact_algebra import LaurentPoly, PosRatFunc, rat_equal
 from cluster_forge.semifields import (
     TropMonomial,
     bracket,
-    trop_add,
     tropicalize,
     tropicalize_poly,
 )
@@ -17,16 +16,16 @@ P = ("p1", "p2")
 def test_trop_add_componentwise_min():
     a = TropMonomial(P, (1, -2))
     b = TropMonomial(P, (0, 3))
-    assert trop_add(a, b) == TropMonomial(P, (0, -2))
+    assert a.add(b) == TropMonomial(P, (0, -2))
     one = TropMonomial.one(P)
     # p1 (+) 1 == 1 and p1^-1 (+) 1 == p1^-1
-    assert trop_add(TropMonomial(P, (1, 0)), one) == one
-    assert trop_add(TropMonomial(P, (-1, 0)), one) == TropMonomial(P, (-1, 0))
+    assert TropMonomial(P, (1, 0)).add(one) == one
+    assert TropMonomial(P, (-1, 0)).add(one) == TropMonomial(P, (-1, 0))
 
 
 def test_plus_minus_split():
     p = TropMonomial(P, (2, -3))
-    plus, minus = bracket(p, 1), bracket(p, -1)
+    plus, minus = bracket(p)
     assert plus == TropMonomial(P, (2, 0))
     assert minus == TropMonomial(P, (0, 3))
     assert plus.mul(minus.inv()) == p
@@ -34,8 +33,8 @@ def test_plus_minus_split():
 
 def test_bracket_selects_by_sign():
     p = TropMonomial(P, (2, -3))
-    assert bracket(p, 5) == TropMonomial(P, (2, 0))
-    assert bracket(p, -1) == TropMonomial(P, (0, 3))
+    assert bracket(p)[0] == TropMonomial(P, (2, 0))
+    assert bracket(p)[1] == TropMonomial(P, (0, 3))
 
 
 def test_tropicalize_poly_takes_min_exponents():
@@ -66,10 +65,10 @@ def trop_monomials():
 @settings(max_examples=50, deadline=None)
 @given(trop_monomials(), trop_monomials(), trop_monomials())
 def test_semifield_axioms(a, b, c):
-    assert trop_add(a, b) == trop_add(b, a)
-    assert trop_add(trop_add(a, b), c) == trop_add(a, trop_add(b, c))
+    assert a.add(b) == b.add(a)
+    assert a.add(b).add(c) == a.add(b.add(c))
     # multiplication distributes over semifield addition
-    assert a.mul(trop_add(b, c)) == trop_add(a.mul(b), a.mul(c))
+    assert a.mul(b.add(c)) == a.mul(b).add(a.mul(c))
 
 
 def positive_polys():
@@ -96,8 +95,7 @@ def test_tropicalize_is_a_morphism(a, b):
     assert tropicalize(fa.inv()) == tropicalize(fa).inv()
     # additive: trop(f + g) == trop(f) (+) trop(g)
     assume((a + b).integer_content() == 1)
-    assert tropicalize(prf_add(fa, fb)) == trop_add(tropicalize(fa),
-                                                    tropicalize(fb))
+    assert tropicalize(fa.add(fb)) == tropicalize(fa).add(tropicalize(fb))
     # representation independence: factored vs expanded
     num, den = fa.mul(fb.inv()).expand()
     expanded = tropicalize_poly(num).mul(tropicalize_poly(den).inv())
@@ -131,5 +129,27 @@ def test_tropical_evaluation_sends_sums_to_trop_add_and_products_to_mul(
         a, b, args):
     args = [TropMonomial(Q, e) for e in args]
     ea, eb = trop_evaluate(a, args), trop_evaluate(b, args)
-    assert trop_evaluate(a + b, args) == trop_add(ea, eb)
+    assert trop_evaluate(a + b, args) == ea.add(eb)
     assert trop_evaluate(a * b, args) == ea.mul(eb)
+
+
+@settings(max_examples=50, deadline=None)
+@given(trop_monomials())
+def test_bracket_of_a_tropical_monomial_is_its_sign_split(p):
+    plus, minus = bracket(p)
+    assert plus.exps == tuple(max(x, 0) for x in p.exps)
+    assert minus.exps == tuple(max(-x, 0) for x in p.exps)
+
+
+@settings(max_examples=40, deadline=None)
+@given(positive_polys(), positive_polys())
+def test_bracket_of_a_rational_function_is_p_over_p_plus_one(a, b):
+    """With p = a / b, the parts are a / (a + b) and b / (a + b), built here
+    from the polynomial sum a + b rather than the semifield sum."""
+    assume((a + b).integer_content() == 1)
+    p = PosRatFunc.from_poly(a).mul(PosRatFunc.from_poly(b).inv())
+    plus, minus = bracket(p)
+    total = PosRatFunc.from_poly(a + b).inv()
+    assert rat_equal(plus, PosRatFunc.from_poly(a).mul(total))
+    assert rat_equal(minus, PosRatFunc.from_poly(b).mul(total))
+    assert rat_equal(plus.mul(minus.inv()), p)
