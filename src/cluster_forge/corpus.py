@@ -78,19 +78,15 @@ PENTAGON_PATH = (1, 0, 1, 0, 1)
 def universal_y_walk(ed, path):
     """Rows (matrix, coefficients, Y-variables) along a mutation walk, with
     the coefficients living in the subtraction-free rational functions on
-    the initial coefficient tuple.  Each step is ``mutate_y_seed``; the
-    entries it multiplied by a binomial are then ``reduced()``.  Exchange
+    the initial coefficient tuple.  Each step is ``mutate_y_seed``, which
+    leaves the entries it multiplied by a binomial ``reduced()``.  Exchange
     data with frozen directions raise ``ValueError``, as for any Y-seed."""
     pv = p_vars(ed.n)
     seed = YSeedCoeff.initial(ed, tuple(PosRatFunc.variable(pv, v)
                                         for v in pv))
     rows = [(ed.B, seed.p, seed.y)]
     for k in path:
-        row = seed.exchange.B[k]
         seed = mutate_y_seed(seed, k)
-        seed = YSeedCoeff(seed.exchange, *(
-            tuple(f.reduced() if j != k and row[j] else f
-                  for j, f in enumerate(fs)) for fs in (seed.y, seed.p)))
         rows.append((seed.exchange.B, seed.p, seed.y))
     return rows
 

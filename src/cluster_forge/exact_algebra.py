@@ -12,8 +12,9 @@ Two layers:
   positive form: a unit monomial (coefficient +1) times a product of integer
   powers of canonical positive polynomials.  Mutation dynamics only ever
   multiply/divide by known factors, so cancellation is exponent arithmetic on
-  the factor dictionary plus trial exact division; no general multivariate
-  GCD is needed.  Equality cancels shared factors first, then compares the
+  the factor dictionary plus trial exact division, skipped when the keys'
+  integer values at (1, ..., 1) do not divide; no general multivariate GCD
+  is needed.  Equality cancels shared factors first, then compares the
   expanded numerator and denominator of the residual quotient.
 
 Exact division (``poly_exact_div``) keys terms by the negated ``(total
@@ -588,8 +589,10 @@ class PosRatFunc:
         """Cancel opposite-signed factor keys by trial exact division,
         keeping only subtraction-free quotients.  Either key of a pair may
         be the composite one: a^k / (a*q)^k and (b*q)^k / b^k both rewrite
-        to the quotient power.  A no-op when nothing divides; correctness
-        never depends on this."""
+        to the quotient power.  A pair is skipped when the smaller key's
+        value at (1, ..., 1) does not divide the larger one's: keys are
+        positive, and a = b*q gives a(1) = b(1)*q(1) with b(1) > 0.  A no-op
+        when nothing divides; correctness never depends on this."""
         if not any(e > 0 for e in self.factors.values()) or \
                 not any(e < 0 for e in self.factors.values()):
             return self
@@ -613,6 +616,8 @@ class PosRatFunc:
                         continue
                     big, small = (a, b) if a.num_terms() >= b.num_terms() \
                         else (b, a)
+                    if sum(big.terms.values()) % sum(small.terms.values()):
+                        continue
                     try:
                         q = poly_exact_div(big, small)
                     except InexactDivision:

@@ -176,8 +176,9 @@ def mutate_y_tuple(y, B, k, plus, minus):
 
     y_k inverts; every other y_j with b = B[k][j] != 0 is multiplied by
     (plus (+) minus * y_k^-1)^-b when b > 0 and by (minus (+) plus * y_k)^-b
-    when b < 0, each binomial built once per sign.  Only the first len(y)
-    entries of row k are read, so rows over frozen directions may be passed.
+    when b < 0, each binomial built once per sign; each product is
+    ``reduced()``.  Only the first len(y) entries of row k are read, so rows
+    over frozen directions may be passed.
     """
     yk = y[k]
     inv = yk.inv()
@@ -191,7 +192,7 @@ def mutate_y_tuple(y, B, k, plus, minus):
         if s not in bases:
             bases[s] = (plus.add(minus.mul(inv)) if s
                         else minus.add(plus.mul(yk)))
-        out[j] = y[j].mul(bases[s].power(-b))
+        out[j] = y[j].mul(bases[s].power(-b)).reduced()
     return tuple(out)
 
 

@@ -6,8 +6,8 @@ exponent vectors, multiplication adds them.  The tropicalization map sends a
 subtraction-free rational function to the semifield by evaluating its
 factored form with + replaced by the tropical sum.
 ``TropMonomial`` and ``PosRatFunc`` share one semifield interface (``one``,
-``mul``, ``inv``, ``power``, ``add`` for the sum, ``to_posrat``), and it is
-all that ``bracket`` and the coefficient rule read.
+``mul``, ``inv``, ``power``, ``add`` for the sum, ``reduced``,
+``to_posrat``), and it is all that ``bracket`` and the coefficient rule read.
 """
 
 from __future__ import annotations
@@ -46,6 +46,9 @@ class TropMonomial:
 
     def power(self, k):
         return TropMonomial(self.vars, [x * k for x in self.exps])
+
+    def reduced(self):
+        return self
 
     def add(self, other):
         """Semifield sum: componentwise minimum of exponent vectors."""

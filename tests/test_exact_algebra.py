@@ -759,6 +759,19 @@ def test_reduced_agrees_with_sympy(sympy, polys, data):
     assert _sympy_equal(sympy, r, _sympy_value(sympy, f))
 
 
+@settings(max_examples=60, deadline=None)
+@given(positive_polys(max_terms=3), positive_polys(max_terms=3))
+@example(lp(XY, {(1, 0): 1, (0, 0): 2}), lp(XY, {(1, 0): 1, (0, 0): 1}))
+def test_reduced_cancels_a_factor_of_either_side(a, q):
+    """(a*q) / a reduces to q and a / (a*q) to 1/q: the test on the keys'
+    values at (1, ..., 1) never skips a pair where one key divides the
+    other.  In the example the largest coefficients, 3 and 2, do not
+    divide, so a test on them would skip the pair."""
+    aq, a = PosRatFunc.from_poly(a * q), PosRatFunc.from_poly(a)
+    assert aq.mul(a.inv()).reduced() == PosRatFunc.from_poly(q)
+    assert a.mul(aq.inv()).reduced() == PosRatFunc.from_poly(q).inv()
+
+
 def _outcome(fn):
     try:
         return fn()
