@@ -17,6 +17,7 @@ from .exact_algebra import (
     LaurentPoly,
     LimitError,
     PosRatFunc,
+    RatPair,
     degree_of,
     limit_t_zero,
     poly_exact_div,
@@ -368,15 +369,16 @@ def cocycle_check(fam, max_len=8):
 def _in_glue_ring(f, k, W, n):
     """Membership in the near patch's wall ring: Laurent only in the wall
     coordinate, polynomial in the others and in t, localized at the wall
-    binomial.  Certified by dividing the binomial out of the denominator."""
+    binomial.  Certified by dividing the binomial out of the denominator
+    while it has more than one term: a Laurent monomial is a unit and the
+    binomial W is not, so no monomial is a multiple of W, and a failed
+    division leaves a denominator that is not a monomial."""
     num, den = f.expand()
-    while True:
+    while not den.is_monomial():
         try:
             den = poly_exact_div(den, W)
         except InexactDivision:
-            break
-    if not den.is_monomial():
-        return False
+            return False
     (dexps, _), = den.terms.items()
     if any(x for j, x in enumerate(dexps) if j != k):
         return False
@@ -450,10 +452,16 @@ def glue_ring_check_all(fam, coefficient_free=False):
 def at_base_point(num_den, assign, scales=None):
     """An expanded image, a (numerator, denominator) pair, with the base
     parameters at the values ``assign`` and the coordinates optionally
-    rescaled by ``scales``; an exact rational pair."""
+    rescaled by ``scales``; an exact rational pair.
+
+    Each side specializes to a polynomial over a constant, n / cn and
+    d / cd, so the quotient is n * cd / (d * cn): the two polynomials are
+    scaled by the constants, not multiplied by constant polynomials."""
     num, den = num_den
-    return (substitute_values(num, assign, scales)
-            .mul(substitute_values(den, assign, scales).inv()))
+    n = substitute_values(num, assign, scales)
+    d = substitute_values(den, assign, scales)
+    return RatPair(n.num.scale(d.den.constant_coef()),
+                   d.num.scale(n.den.constant_coef()))
 
 
 def specialize_fiber(images, tnames, u):
@@ -532,6 +540,10 @@ def strata_consistency_check(fam, tau_rays):
     restricted exchange data with the ambient coefficient vectors as
     geometric coefficients; and the t = 0 exponents express the far
     coefficient vectors integrally in the near transverse ones.
+
+    The walk steps its own cones with ``g_cone_step`` and builds the
+    restricted family's wall images itself, once per ``wall_key`` of the
+    restricted data, in a dict that lives for this call only.
     """
     st = star(fam.atlas, tau_rays)
     n = fam.n
@@ -551,6 +563,7 @@ def strata_consistency_check(fam, tau_rays):
                   for i in trans_pos))
     one = TropMonomial.one(fam.tnames)
     seen = {st.base.key()}
+    star_walls = {}
     frontier = [root]
     while frontier:
         nxt = []
@@ -582,8 +595,11 @@ def strata_consistency_check(fam, tau_rays):
                             f"stratum wall in direction {k}: face "
                             f"coordinate {j + 1} does not divide its own "
                             f"image")
-                star_images = family_wall_images(Bb, l, pb[l].exps, star_x,
-                                                 fam.tnames)
+                skey = wall_key(Bb, l, pb[l].exps)
+                if skey not in star_walls:
+                    star_walls[skey] = family_wall_images(
+                        Bb, l, pb[l].exps, star_x, fam.tnames)
+                star_images = star_walls[skey]
                 for ll, i in enumerate(trans_pos):
                     on_star = _restrict(T[i], star_pos, star_vars)
                     if on_star is None:

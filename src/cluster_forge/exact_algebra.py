@@ -258,7 +258,8 @@ class LaurentPoly:
     def scale(self, c):
         if not c:
             return LaurentPoly.zero(self.vars)
-        return LaurentPoly(self.vars, {e: c * v for e, v in self.terms.items()})
+        return LaurentPoly._new(self.vars,
+                                {e: c * v for e, v in self.terms.items()})
 
     def power(self, k):
         if k < 0:
@@ -779,12 +780,17 @@ def prf_sum(parts):
 def rat_equal(f, g):
     """Exact equality of rational functions, decided from the quotient.
 
-    Factor keys shared by ``f`` and ``g`` cancel in ``f * g^-1`` as exponent
-    arithmetic (a key cancels only against a literally equal canonical
-    polynomial); only the residual is expanded, and it is 1 exactly when its
-    expanded numerator equals its expanded denominator.
+    Equal factored forms, the same unit and the same factor dict, are equal
+    at once: their quotient is the unit with no factors, which the route
+    below would expand to 1 over 1.  Otherwise factor keys shared by ``f``
+    and ``g`` cancel in ``f * g^-1`` as exponent arithmetic (a key cancels
+    only against a literally equal canonical polynomial); only the residual
+    is expanded, and it is 1 exactly when its expanded numerator equals its
+    expanded denominator.
     """
     _check_same_vars(f, g)
+    if f.unit == g.unit and f.factors == g.factors:
+        return True
     num, den = f.mul(g.inv()).expand()
     return num == den
 
@@ -944,22 +950,32 @@ def substitute_values(poly, assignment, scales=None):
     to exponent zero) in lowest terms: the numerator's coefficients share no
     factor with the constant denominator, which ``degenerate`` prints.
 
-    The arithmetic is in integers.  Each value a/b is read once; with hi and
-    lo the largest positive and negative exponents of its variable,
-    d = b^hi * |a|^lo makes every (a/b)^x * d an integer.  Terms are summed
-    as integers over the product of these d, and the sums and that product
-    are divided by their gcd at the end.
+    The arithmetic is in integers.  Each slot's exponents are read once,
+    and an assigned or scaled slot whose exponents are all zero is skipped:
+    its value enters every term as (a/b)^0 = 1, and the slot is already at
+    exponent zero.  When every slot is skipped, the polynomial itself comes
+    back over 1.  For every other value a/b, with hi and lo the largest
+    positive and negative exponents of its variable, d = b^hi * |a|^lo
+    makes every (a/b)^x * d an integer.  Terms are summed as integers over
+    the product of these d, and the sums and that product are divided by
+    their gcd at the end.
     """
     scales = scales or {}
-    pinned = [i for i, v in enumerate(poly.vars) if v in assignment]
-    values = ([(i, assignment[poly.vars[i]]) for i in pinned]
-              + [(i, scales[v]) for i, v in enumerate(poly.vars)
-                 if v in scales])
     terms = poly.terms
+    columns = list(zip(*terms)) or [()] * len(poly.vars)  # exponents by slot
+    values = ([(i, assignment[v], True) for i, v in enumerate(poly.vars)
+               if v in assignment]
+              + [(i, scales[v], False) for i, v in enumerate(poly.vars)
+                 if v in scales])
+    pinned = []
     powers = []   # (slot i, {exponent x: (a/b)^x * d})
     denom = 1
-    for i, q in values:
-        xs = {e[i] for e in terms} or {0}
+    for i, q, pin in values:
+        xs = set(columns[i])
+        if not any(xs):
+            continue
+        if pin:
+            pinned.append(i)
         hi, lo = max(max(xs), 0), max(-min(xs), 0)
         a, b = q.numerator, q.denominator
         d = b ** hi * abs(a) ** lo
@@ -967,6 +983,8 @@ def substitute_values(poly, assignment, scales=None):
         # exact floor divisions: b^x and a^-x divide d
         powers.append((i, {x: a ** x * d // b ** x if x >= 0
                            else b ** -x * d // a ** -x for x in xs}))
+    if not powers:
+        return RatPair(poly, LaurentPoly.constant(poly.vars, 1))
     sums = {}
     for e, c in terms.items():
         for i, mult in powers:

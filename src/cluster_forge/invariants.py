@@ -72,24 +72,30 @@ def mat_mul(A, B):
 
 
 def mat_det(M):
-    """Determinant by fraction-free Gaussian elimination over Fractions."""
+    """Determinant of an integer matrix by Bareiss elimination in integers.
+
+    After the step on column c, every entry below and right of the pivot is
+    a minor of M divided by the previous pivot, and that division is exact
+    (Bareiss, Math. Comp. 22, 1968); a row swap flips the sign.
+    """
     n = len(M)
-    A = [[Fraction(x) for x in row] for row in M]
-    det = Fraction(1)
+    A = [list(row) for row in M]
+    det_sign = 1
+    prev = 1
     for c in range(n):
         piv = next((r for r in range(c, n) if A[r][c]), None)
         if piv is None:
-            return Fraction(0)
+            return 0
         if piv != c:
             A[c], A[piv] = A[piv], A[c]
-            det = -det
-        det *= A[c][c]
-        inv = 1 / A[c][c]
+            det_sign = -det_sign
+        p, top = A[c][c], A[c]
         for r in range(c + 1, n):
-            f = A[r][c] * inv
-            if f:
-                A[r] = [x - f * y for x, y in zip(A[r], A[c])]
-    return det
+            row, f = A[r], A[r][c]
+            A[r] = [0] * (c + 1) + [(p * row[j] - f * top[j]) // prev
+                                    for j in range(c + 1, n)]
+        prev = p
+    return det_sign * prev
 
 
 def mat_inverse(M):

@@ -8,12 +8,15 @@ from fractions import Fraction
 
 import pytest
 
+from cluster_forge import exact_algebra
 from cluster_forge.exact_algebra import (
+    InexactDivision,
     LaurentPoly,
     PosRatFunc,
     RatPair,
     limit_t_zero,
     rat_equal,
+    substitute_values,
 )
 from cluster_forge.semifields import TropMonomial
 from cluster_forge.seeds import (
@@ -27,6 +30,7 @@ from cluster_forge.invariants import CheckFailed
 from cluster_forge.gfan import g_cone_step, star, two_faces
 from cluster_forge.degeneration import (
     Family,
+    at_base_point,
     column,
     composer,
     central_fiber_toric_check,
@@ -378,6 +382,23 @@ def test_glue_ring_membership_certificates():
     assert not _in_glue_ring(PosRatFunc.monomial(V, (0, -1, 0, 0)), 0, W, 2)
 
 
+def test_glue_ring_reads_the_denominator_left_after_the_binomial():
+    """The binomial is divided out only while the denominator has more than
+    one term; the monomial left must then be a power of the wall coordinate
+    alone."""
+    W = wall_binomial(V, 0, (1, 0), 2)
+    over = lambda poly, *shifts: PosRatFunc.from_poly(poly, -1).mul(
+        PosRatFunc.monomial(V, shifts))
+    assert _in_glue_ring(over(W * W, -2, 0, 0, 0), 0, W, 2)
+    assert not _in_glue_ring(over(W, 0, -1, 0, 0), 0, W, 2)
+    assert not _in_glue_ring(over(W * W, -1, -1, 0, 0), 0, W, 2)
+    assert not _in_glue_ring(over(W, 0, 0, -1, 0), 0, W, 2)
+    assert not _in_glue_ring(over(W, 1, -1, 0, 0), 0, W, 2)
+    # a binomial factor that is not W stops the division
+    other = LaurentPoly(V, {(0, 0, 0, 0): 1, (0, 1, 0, 0): 1})
+    assert not _in_glue_ring(over(W * other, 0, 0, 0, 0), 0, W, 2)
+
+
 def test_specialize_fiber_at_one():
     fam = Family(A2)
     T = fam.transition(0, 1)
@@ -403,6 +424,28 @@ def test_specialize_fiber_at_one():
         "a3-signed"])
 def test_fiber_isomorphisms(ed, u, u2):
     assert fiber_iso_check(Family(ed), u, u2)
+
+
+def test_at_base_point_equals_the_product_of_the_specialized_sides():
+    """Scaling the two specialized sides by each other's constant
+    denominator gives the exact terms of their quotient as a product of
+    rational pairs, on every A3 wall image at seeded base points and
+    coordinate scales."""
+    rng = random.Random(5)
+    fam = Family(A3)
+    point = lambda: Fraction(rng.choice([-3, -2, -1, 1, 2, 5]),
+                             rng.randint(1, 4))
+    for src, k in sorted(fam.atlas.adjacency):
+        assign = {t: point() for t in fam.tnames}
+        scales = {x: point() for x in fam.xnames if rng.random() < 0.5}
+        for f in fam.transition(src, k).images:
+            num, den = f.expand()
+            for sc in (None, scales):
+                got = at_base_point((num, den), assign, sc)
+                want = substitute_values(num, assign, sc).mul(
+                    substitute_values(den, assign, sc).inv())
+                assert got.num.terms == want.num.terms
+                assert got.den.terms == want.den.terms
 
 
 def test_fiber_iso_rejects_zero_base_point():
@@ -534,6 +577,35 @@ def test_strata_rejects_a_restricted_family_that_disagrees(monkeypatch):
         f"with the restricted family at coordinate {k + 1}")
 
 
+def test_strata_builds_each_star_wall_once_per_call(monkeypatch):
+    """The restricted family's wall images are built once per wall key of
+    the restricted data (row, direction and coefficient vector) within a
+    call, and again by the next call: over the nine rays of A3 that is 72
+    builds in the star's variables for the 84 walls walked, since the
+    walls of an A1 x A1 star share their images in pairs."""
+    fam = Family(A3)
+    build = degeneration.family_wall_images
+    keys = []
+
+    def counted(B, k, c_k, xnames, tnames):
+        if xnames != fam.xnames:
+            keys.append(wall_key(B, k, c_k))
+        return build(B, k, c_k, xnames, tnames)
+
+    monkeypatch.setattr(degeneration, "family_wall_images", counted)
+    per_ray = []
+    for ray in A3_STAR_SIZES:
+        del keys[:]
+        strata_consistency_check(fam, [ray])
+        assert len(set(keys)) == len(keys)
+        per_ray.append(len(keys))
+    assert sum(per_ray) == 72
+    for ray, builds in zip(A3_STAR_SIZES, per_ray):
+        del keys[:]
+        strata_consistency_check(fam, [ray])
+        assert len(keys) == builds
+
+
 def test_family_rejects_frozen_directions():
     ed = ExchangeData(((0, 1, -1), (-1, 0, 0), (1, 0, 0)), 2)
     with pytest.raises(ValueError):
@@ -631,6 +703,51 @@ def test_a_second_family_pays_as_much_as_the_first(monkeypatch, check,
     assert check(first)
     assert check(Family(first.ed, atlas=first.atlas))
     assert len(seen) == 2 * calls
+
+
+def test_family_checks_on_a3_make_pinned_counts(monkeypatch):
+    """Exact work counts over one fixed A3 case list: every check of the
+    glued family on the a3 fixture's atlas.  Expansions, exact divisions
+    (and how many fail) and wall-image builds are counted through wrappers;
+    each count is the same for every hash seed.  A change that moves a
+    count re-records it here on purpose."""
+    counts = dict.fromkeys(["expand", "divisions", "inexact", "walls"], 0)
+    expand = PosRatFunc.expand
+    divide = exact_algebra.poly_exact_div
+    build = degeneration.family_wall_images
+
+    def counted_expand(self):
+        counts["expand"] += 1
+        return expand(self)
+
+    def counted_divide(a, b):
+        counts["divisions"] += 1
+        try:
+            return divide(a, b)
+        except InexactDivision:
+            counts["inexact"] += 1
+            raise
+
+    def counted_build(*args):
+        counts["walls"] += 1
+        return build(*args)
+
+    monkeypatch.setattr(PosRatFunc, "expand", counted_expand)
+    monkeypatch.setattr(exact_algebra, "poly_exact_div", counted_divide)
+    monkeypatch.setattr(degeneration, "poly_exact_div", counted_divide)
+    monkeypatch.setattr(degeneration, "family_wall_images", counted_build)
+    fam = _a3_fixture_family()
+    assert degree_check(fam) and limit_check(fam)
+    assert glue_ring_check_all(fam)
+    assert glue_ring_check_all(fam, coefficient_free=True)
+    assert fiber_iso_check(fam, (1, 2, -3), (Fraction(1, 2), 5,
+                                             Fraction(-7, 3)))
+    for ray in fam.atlas.rays:
+        strata_consistency_check(fam, [ray])
+    assert central_fiber_toric_check(fam)
+    assert cocycle_check(fam, max_len=5)
+    assert counts == {"expand": 288, "divisions": 59, "inexact": 9,
+                      "walls": 151}
 
 
 # -- verdict memos shared between checks -------------------------------------------

@@ -519,6 +519,23 @@ def test_substitute_values_normal_form(p, assignment, scales):
     assert r.den.terms == den
 
 
+def test_substitute_values_reads_a_slot_with_some_zero_exponents():
+    """Only a slot whose exponents are all zero is skipped: t1 appears in
+    some terms and not in others, t2 in none, and X2 is scaled in one term
+    of three."""
+    p = lp(XT, {(0, 0, 0, 0): 1, (1, 0, 1, 0): 2, (0, 1, -1, 0): 3})
+    r = substitute_values(p, {"t1": Fraction(2, 3), "t2": 5},
+                          {"X2": Fraction(1, 2)})
+    # 1 + (4/3) X1 + (9/4) X2 over the common denominator 12
+    assert r.num.terms == {(0, 0, 0, 0): 12, (1, 0, 0, 0): 16,
+                           (0, 1, 0, 0): 27}
+    assert r.den.terms == {(0, 0, 0, 0): 12}
+    # no term uses an assigned or scaled slot: the polynomial over 1
+    q = lp(XT, {(1, 0, 0, 0): 2, (0, 1, 0, 0): -3})
+    r = substitute_values(q, {"t1": Fraction(2, 3), "t2": 5})
+    assert r.num == q and r.den.terms == {(0, 0, 0, 0): 1}
+
+
 @settings(max_examples=60, deadline=None)
 @given(positive_polys(), positive_polys(), positive_polys())
 def test_poly_ring_axioms(a, b, c):
@@ -676,6 +693,28 @@ def test_rat_equal_square_against_expanded_square():
         PosRatFunc.from_poly(one_plus_x * y, -1))
     assert rat_equal(lhs, rhs)
     assert not rat_equal(lhs, rhs.mul(PosRatFunc.from_poly(y)))
+
+
+def test_rat_equal_on_equal_units_decides_by_the_factors():
+    """Equal factored forms are equal before any expansion, but an equal
+    unit alone decides nothing: with unit 0 on both sides, (1+x)/(1+y)
+    differs from its inverse and 1+x differs from 1.  An equal factor dict
+    with another unit differs too, and one value under two factor dicts is
+    still equal."""
+    one_plus_x = lp(XY, {(0, 0): 1, (1, 0): 1})
+    one_plus_y = lp(XY, {(0, 0): 1, (0, 1): 1})
+    f = PosRatFunc.from_poly(one_plus_x).mul(
+        PosRatFunc.from_poly(one_plus_y, -1))
+    assert f.unit == f.inv().unit
+    assert not rat_equal(f, f.inv())
+    assert not rat_equal(PosRatFunc.from_poly(one_plus_x), PosRatFunc.one(XY))
+    assert not rat_equal(f, f.mul(PosRatFunc.variable(XY, "y")))
+    twin = PosRatFunc(XY, (0, 0), {lp(XY, {(1, 0): 1, (0, 0): 1}): 1,
+                                   lp(XY, {(0, 1): 1, (0, 0): 1}): -1})
+    assert twin is not f and rat_equal(twin, f)
+    merged = PosRatFunc.from_poly(one_plus_x * one_plus_x).mul(
+        PosRatFunc.from_poly(one_plus_x * one_plus_y, -1))
+    assert merged.factors != f.factors and rat_equal(merged, f)
 
 
 # -- sympy route for the factored arithmetic --------------------------------------

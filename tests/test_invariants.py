@@ -5,6 +5,7 @@ import json
 import os
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cluster_forge.gfan import ConeRecord, enumerate_gfan, g_cone_step
 from cluster_forge.invariants import (
@@ -243,6 +244,31 @@ def test_separation_identities_general_coefficients():
     p0a3 = (TropMonomial(pva, (1, 0)), TropMonomial(pva, (0, -1)),
             TropMonomial(pva, (1, 1)))
     assert separation_check(A3, p0a3, [0, 2, 1, 0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 6).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, -3, 5]),
+                      min_size=n, max_size=n), min_size=n, max_size=n),
+    st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0)),
+    st.booleans())))
+def test_mat_det_agrees_with_sympy(sympy, drawn):
+    """Bareiss elimination in integers against sympy's determinant, on
+    sparse matrices (zero pivots force row swaps), and with row a copied
+    over row b to make singular inputs."""
+    M, a, b, copy = drawn
+    if copy and a != b:
+        M[b] = list(M[a])
+    want = sympy.Matrix(M).det() if M else 1
+    got = mat_det(M)
+    assert type(got) is int and got == want
+
+
+def test_mat_det_swaps_rows_and_stops_at_a_zero_column():
+    assert mat_det(((0, 1), (1, 0))) == -1
+    assert mat_det(((0, 0, 2), (0, 3, 1), (5, 1, 1))) == -30
+    assert mat_det(((1, 2, 3), (0, 0, 4), (0, 0, 5))) == 0
+    assert mat_det(()) == 1
 
 
 def test_matrix_helpers():
