@@ -372,18 +372,16 @@ def _in_glue_ring(f, k, W, n):
     binomial.  Certified by dividing the binomial out of the denominator
     while it has more than one term: a Laurent monomial is a unit and the
     binomial W is not, so no monomial is a multiple of W, and a failed
-    division leaves a denominator that is not a monomial."""
-    num, den = f.expand()
+    division leaves a denominator that is not a monomial.  The numerator
+    needs no test: ``expand`` returns one with no negative exponent."""
+    _, den = f.expand()
     while not den.is_monomial():
         try:
             den = poly_exact_div(den, W)
         except InexactDivision:
             return False
     (dexps, _), = den.terms.items()
-    if any(x for j, x in enumerate(dexps) if j != k):
-        return False
-    mins = num.min_exponents()
-    return all(x >= 0 for j, x in enumerate(mins) if j != k)
+    return not any(x for j, x in enumerate(dexps) if j != k)
 
 
 def glue_ring_check(fam, src, k, coefficient_free=False):

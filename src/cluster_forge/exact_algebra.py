@@ -17,6 +17,10 @@ Two layers:
   is needed.  Equality cancels shared factors first, then compares the
   expanded numerator and denominator of the residual quotient.
 
+A product with a one-term side is a shift and a scaling of the other
+side's terms, and a sum of monomials (``prf_sum`` over parts with no
+factors) adds their coefficients without a common denominator.
+
 Exact division (``poly_exact_div``) keys terms by the negated ``(total
 degree,) + exponents``: plain tuple order on such keys is reversed
 graded-lex, and since degree is linear in the exponents the keys still add
@@ -47,8 +51,9 @@ variable set, factors must share it, and factors equal to one are dropped.
 ``LaurentPoly._new`` and ``PosRatFunc._new`` are trusted: they set the slots
 without checks, and only this module's own arithmetic calls them, on results
 it has built clean (sums, negations and products of polynomials, exact
-quotients, products and nonzero powers of rational functions, and the
-monomials, zeros and ones its own algorithms start from).
+quotients, products and nonzero powers of rational functions, sums of
+monomials, and the monomials, zeros and ones its own algorithms start
+from).
 """
 
 from __future__ import annotations
@@ -237,11 +242,23 @@ class LaurentPoly:
         return self + (-other)
 
     def __mul__(self, other):
+        """Product, under ``TERM_BUDGET``.  When one side has one term the
+        product shifts and scales the other side's terms, and a side equal
+        to one returns the other operand itself."""
         _check_same_vars(self, other)
-        if len(self.terms) * len(other.terms) > TERM_BUDGET:
+        na, nb = len(self.terms), len(other.terms)
+        if na * nb > TERM_BUDGET:
             raise TermBudgetExceeded(
-                f"a product of {len(self.terms)} by {len(other.terms)} terms "
+                f"a product of {na} by {nb} terms "
                 f"is over the budget of {TERM_BUDGET} term products")
+        if na == 1 or nb == 1:
+            one, rest = (self, other) if na == 1 else (other, self)
+            ((m, c),) = one.terms.items()
+            if c == 1 and not any(m):
+                return rest
+            # a shift is injective, so no two terms merge
+            return LaurentPoly._new(self.vars, {tuple(map(add, e, m)): c * v
+                                                for e, v in rest.terms.items()})
         terms = {}
         get = terms.get
         items2 = list(other.terms.items())
@@ -262,16 +279,23 @@ class LaurentPoly:
                                 {e: c * v for e, v in self.terms.items()})
 
     def power(self, k):
+        """``self ** k`` for k >= 0 by repeated squaring, starting from the
+        lowest set bit of k, so no product is by one."""
         if k < 0:
             raise ExactAlgebraError("negative power of a polynomial")
-        r = LaurentPoly._new(self.vars, {(0,) * len(self.vars): 1})
+        if not k:
+            return LaurentPoly._new(self.vars, {(0,) * len(self.vars): 1})
         b = self
+        while not k & 1:
+            b = b * b
+            k >>= 1
+        r = b
+        k >>= 1
         while k:
+            b = b * b
             if k & 1:
                 r = r * b
             k >>= 1
-            if k:
-                b = b * b
         return r
 
     # -- substitution ----------------------------------------------------
@@ -519,6 +543,8 @@ class PosRatFunc:
         return self.power(-1)
 
     def power(self, k):
+        if k == 1:
+            return self
         if not k:
             return PosRatFunc.one(self.vars)
         return PosRatFunc._new(self.vars, tuple(x * k for x in self.unit),
@@ -740,6 +766,9 @@ def prf_sum(parts):
 
     Expands each part over the least common factored denominator, adds the
     positive numerator polynomials, and divides the denominator back out.
+    When no part has factors the parts are monomials: their units, shifted
+    by the componentwise minimum, key the coefficients of one polynomial,
+    with no common denominator and nothing for ``reduced`` to cancel.
     Parts over different variable sets raise ``VariableSetMismatch``.
     """
     parts = [(c, f) for c, f in parts if c]
@@ -751,6 +780,15 @@ def prf_sum(parts):
     for _, f in parts:
         _check_same_vars(first, f)
     vars = first.vars
+    if not any(f.factors for _, f in parts):
+        low = tuple(map(min, zip(*(f.unit for _, f in parts))))
+        terms = {}
+        for c, f in parts:
+            e = tuple(map(sub, f.unit, low))
+            terms[e] = terms.get(e, 0) + c
+        # the sum's minimal exponent is 0, so the key's shift is 0
+        _, key = _canonical_factor(LaurentPoly._new(vars, terms))
+        return PosRatFunc._new(vars, low, {} if key.is_one() else {key: 1})
     splits = [f.num_den_split() for _, f in parts]
     # least common denominator over factored forms
     den_unit = [0] * len(vars)

@@ -708,13 +708,18 @@ def test_a_second_family_pays_as_much_as_the_first(monkeypatch, check,
 def test_family_checks_on_a3_make_pinned_counts(monkeypatch):
     """Exact work counts over one fixed A3 case list: every check of the
     glued family on the a3 fixture's atlas.  Expansions, exact divisions
-    (and how many fail) and wall-image builds are counted through wrappers;
-    each count is the same for every hash seed.  A change that moves a
-    count re-records it here on purpose."""
-    counts = dict.fromkeys(["expand", "divisions", "inexact", "walls"], 0)
+    (and how many fail), wall-image builds, polynomial products (and how
+    many have a one-term side) and sums whose parts are all monomials are
+    counted through wrappers; each count is the same for every hash seed.
+    A change that moves a count re-records it here on purpose."""
+    counts = dict.fromkeys(["expand", "divisions", "inexact", "walls",
+                            "products", "one_term_products",
+                            "monomial_sums"], 0)
     expand = PosRatFunc.expand
     divide = exact_algebra.poly_exact_div
     build = degeneration.family_wall_images
+    multiply = LaurentPoly.__mul__
+    add_up = exact_algebra.prf_sum
 
     def counted_expand(self):
         counts["expand"] += 1
@@ -732,7 +737,19 @@ def test_family_checks_on_a3_make_pinned_counts(monkeypatch):
         counts["walls"] += 1
         return build(*args)
 
+    def counted_multiply(a, b):
+        counts["products"] += 1
+        counts["one_term_products"] += len(a.terms) == 1 or len(b.terms) == 1
+        return multiply(a, b)
+
+    def counted_add_up(parts):
+        parts = list(parts)
+        counts["monomial_sums"] += not any(f.factors for _, f in parts)
+        return add_up(parts)
+
     monkeypatch.setattr(PosRatFunc, "expand", counted_expand)
+    monkeypatch.setattr(LaurentPoly, "__mul__", counted_multiply)
+    monkeypatch.setattr(exact_algebra, "prf_sum", counted_add_up)
     monkeypatch.setattr(exact_algebra, "poly_exact_div", counted_divide)
     monkeypatch.setattr(degeneration, "poly_exact_div", counted_divide)
     monkeypatch.setattr(degeneration, "family_wall_images", counted_build)
@@ -747,7 +764,8 @@ def test_family_checks_on_a3_make_pinned_counts(monkeypatch):
     assert central_fiber_toric_check(fam)
     assert cocycle_check(fam, max_len=5)
     assert counts == {"expand": 288, "divisions": 59, "inexact": 9,
-                      "walls": 151}
+                      "walls": 151, "products": 422, "one_term_products": 422,
+                      "monomial_sums": 245}
 
 
 # -- verdict memos shared between checks -------------------------------------------

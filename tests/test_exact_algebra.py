@@ -332,12 +332,53 @@ def test_exact_div_round_trips(a, b):
     assert poly_exact_div(a * b, b) == a
 
 
+def schoolbook_product(a, b):
+    """Reference product: every term of a times every term of b, summed."""
+    terms = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            terms[e] = terms.get(e, 0) + c1 * c2
+    return LaurentPoly(a.vars, terms)
+
+
+def one_term_polys(vars=XY, max_exp=2):
+    """Single terms with Laurent exponents and coefficients of either
+    sign, the constant one among them."""
+    exps = st.tuples(*[st.integers(-max_exp, max_exp)] * len(vars))
+    coefs = st.integers(-3, 3).filter(bool)
+    return st.one_of(st.just(LaurentPoly.one(vars)),
+                     st.builds(lambda e, c: LaurentPoly(vars, {e: c}),
+                               exps, coefs))
+
+
+def product_operands():
+    return st.one_of(signed_polys(), one_term_polys(),
+                     st.just(LaurentPoly.zero(XY)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(product_operands(), product_operands())
+@example(LaurentPoly.one(XY), lp(XY, {(1, -1): -2, (0, 2): 3}))
+@example(lp(XY, {(1, -1): -2, (0, 2): 3}), LaurentPoly.one(XY))
+@example(lp(XY, {(-1, 2): -3}), lp(XY, {(1, 0): 1, (0, -1): -1}))
+@example(LaurentPoly.zero(XY), lp(XY, {(-2, 0): 2}))
+@example(lp(XY, {(-2, 0): 2}), LaurentPoly.zero(XY))
+def test_product_agrees_with_the_schoolbook_reference(a, b):
+    """Products with a one-term side, the constant one or zero on either
+    side, and general products all equal the double loop."""
+    for p, q in ((a, b), (b, a)):
+        prod = p * q
+        assert prod == schoolbook_product(p, q)
+        _assert_clean_poly(prod)
+
+
 @settings(max_examples=60, deadline=None)
-@given(signed_polys(), st.integers(0, 6))
+@given(st.one_of(signed_polys(), one_term_polys()), st.integers(0, 6))
 def test_power_is_repeated_product(p, k):
     prod = LaurentPoly.one(XY)
     for _ in range(k):
-        prod = prod * p
+        prod = schoolbook_product(prod, p)
     assert p.power(k) == prod
 
 
@@ -608,6 +649,30 @@ def test_num_den_split_parts(unit, f, g, k):
     assert {**nf, **{p: -e for p, e in df.items()}} == h.factors
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.lists(posrats(max_terms=3), min_size=1, max_size=3),
+       st.lists(st.tuples(st.sampled_from(["mul", "inv", "add"]),
+                          st.integers(0, 8), st.integers(0, 8)), max_size=6))
+def test_expansions_have_no_negative_exponent(leaves, ops):
+    """``expand`` of any function built by from_poly, mul, inv and add
+    returns a numerator and a denominator with no negative exponent."""
+    values = list(leaves)
+    for op, i, j in ops:
+        f, g = values[i % len(values)], values[j % len(values)]
+        if op == "mul":
+            values.append(f.mul(g))
+        elif op == "inv":
+            values.append(f.inv())
+        else:
+            try:
+                values.append(f.add(g))
+            except PositivityError:   # a sum of integer content != 1
+                pass
+    for f in values:
+        for side in f.expand():
+            assert min(side.min_exponents()) >= 0
+
+
 @settings(max_examples=40, deadline=None)
 @given(posrats(), posrats())
 def test_prf_add_agrees_with_expanded_arithmetic(f, g):
@@ -774,6 +839,39 @@ def test_prf_sum_agrees_with_sympy(sympy, parts):
             prf_sum(parts)
         return
     assert _sympy_equal(sympy, prf_sum(parts), expr)
+
+
+def _monomial_parts():
+    units = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+    return st.lists(st.tuples(st.integers(1, 3),
+                              units.map(lambda e: PosRatFunc.monomial(XY, e))),
+                    min_size=1, max_size=4)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_monomial_parts())
+@example([(1, PosRatFunc.monomial(XY, (-1, 2)))])                   # one part
+@example([(2, PosRatFunc.monomial(XY, (1, -1)))])                   # content 2
+@example([(1, PosRatFunc.variable(XY, "x"))] * 2)                   # x + x
+@example([(3, PosRatFunc.one(XY)), (2, PosRatFunc.variable(XY, "y"))])
+@example([(1, PosRatFunc.monomial(XY, (2, -1))),
+          (1, PosRatFunc.monomial(XY, (-1, 1)))])
+def test_prf_sum_of_monomials_agrees_with_sympy(sympy, parts):
+    """A sum whose parts are all monomials is the cancelled sum, with one
+    canonical factor at most, of exponent 1; it fails exactly when the sum
+    has an integer content other than 1, as for two equal monomials."""
+    expr = sum((c * _sympy_value(sympy, f) for c, f in parts),
+               sympy.Integer(0))
+    if _sympy_content(sympy, expr) != 1:
+        with pytest.raises(PositivityError):
+            prf_sum(parts)
+        return
+    s = prf_sum(parts)
+    assert _sympy_equal(sympy, s, expr)
+    _assert_clean_prf(s)
+    assert list(s.factors.values()) in ([], [1])
+    for p in s.factors:
+        assert p.integer_content() == 1 and not any(p.min_exponents())
 
 
 @settings(max_examples=40, deadline=None)

@@ -26,7 +26,8 @@ from cluster_forge.invariants import (
     separation_check,
 )
 from cluster_forge.corpus import GR25_XVARS, dp5_grading
-from cluster_forge.exact_algebra import poly_exact_div
+from cluster_forge import exact_algebra
+from cluster_forge.exact_algebra import LaurentPoly, poly_exact_div
 from cluster_forge.seeds import (
     ClusterSeedCoeff,
     ExchangeData,
@@ -84,6 +85,7 @@ G_WALK = [
 ]
 
 PV = ("p1", "p2")
+PV4 = ("p1", "p2", "p3", "p4")
 
 # Frozen F-polynomials (per direction) along the same prefixes.
 F_WALK = [
@@ -244,6 +246,46 @@ def test_separation_identities_general_coefficients():
     p0a3 = (TropMonomial(pva, (1, 0)), TropMonomial(pva, (0, -1)),
             TropMonomial(pva, (1, 1)))
     assert separation_check(A3, p0a3, [0, 2, 1, 0])
+
+
+def test_separation_on_fixed_paths_makes_pinned_counts(monkeypatch):
+    """Exact kernel work over a fixed list of separation checks: polynomial
+    products, how many of them have a one-term side, and sums whose parts
+    are all monomials, counted through wrappers; each count is the same for
+    every hash seed.  A change that moves a count re-records it here on
+    purpose."""
+    counts = dict.fromkeys(["products", "one_term_products",
+                            "monomial_sums"], 0)
+    multiply = LaurentPoly.__mul__
+    add_up = exact_algebra.prf_sum
+
+    def counted_multiply(a, b):
+        counts["products"] += 1
+        counts["one_term_products"] += len(a.terms) == 1 or len(b.terms) == 1
+        return multiply(a, b)
+
+    def counted_add_up(parts):
+        parts = list(parts)
+        counts["monomial_sums"] += not any(f.factors for _, f in parts)
+        return add_up(parts)
+
+    monkeypatch.setattr(LaurentPoly, "__mul__", counted_multiply)
+    monkeypatch.setattr(exact_algebra, "prf_sum", counted_add_up)
+    pv3 = ("p1", "p2", "p3")
+    cases = [
+        (A2, tuple(TropMonomial.variable(PV, v) for v in PV), WALK),
+        (B2, (TropMonomial(pv3, (1, 1, 0)), TropMonomial(pv3, (-1, 0, 1))),
+         [0, 1, 0, 1]),
+        (A3, tuple(TropMonomial(pv3, e) for e in
+                   [(1, 0, 0), (0, -1, 0), (1, 1, -1)]),
+         [0, 2, 1, 0, 1, 2, 0]),
+        (D4, tuple(TropMonomial.variable(PV4, v) for v in PV4),
+         [0, 1, 2, 3, 1, 0, 2]),
+    ]
+    for ed, p0, path in cases:
+        assert separation_check(ed, p0, path)
+    assert counts == {"products": 104, "one_term_products": 91,
+                      "monomial_sums": 12}
 
 
 @settings(max_examples=200, deadline=None)
