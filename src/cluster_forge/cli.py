@@ -501,7 +501,7 @@ def degenerate(seed_path, at_text, as_json):
         at = [str(x) for x in u]
         walls = [{"src": src, "direction": k + 1, "dst": dst,
                   "images": [f.to_text() if all(zeros)
-                             else ratio_text(f.num, f.den) for f in images]}
+                             else ratio_text(*f) for f in images]}
                  for src, k, dst, images in maps]
     except ValueError:
         _fail(EXIT_INPUT, f"--at {at_text!r}: the specialized maps have "

@@ -13,11 +13,11 @@ of the atlas fan, stratum by stratum.
 from fractions import Fraction
 
 from .exact_algebra import (
+    ExactAlgebraError,
     InexactDivision,
     LaurentPoly,
     LimitError,
     PosRatFunc,
-    RatPair,
     degree_of,
     limit_t_zero,
     poly_exact_div,
@@ -188,7 +188,7 @@ class Family:
             W = wall_binomial(self.vars, k, c_k, self.n)
             self._ring_exits[key] = next(
                 (i for i, f in enumerate(images)
-                 if not _in_glue_ring(f, k, W, self.n)), None)
+                 if not _in_glue_ring(f, k, W)), None)
         return self._ring_exits[key]
 
     def transition(self, cone_index, k):
@@ -366,7 +366,7 @@ def cocycle_check(fam, max_len=8):
     return True
 
 
-def _in_glue_ring(f, k, W, n):
+def _in_glue_ring(f, k, W):
     """Membership in the near patch's wall ring: Laurent only in the wall
     coordinate, polynomial in the others and in t, localized at the wall
     binomial.  Certified by dividing the binomial out of the denominator
@@ -450,21 +450,23 @@ def glue_ring_check_all(fam, coefficient_free=False):
 def at_base_point(num_den, assign, scales=None):
     """An expanded image, a (numerator, denominator) pair, with the base
     parameters at the values ``assign`` and the coordinates optionally
-    rescaled by ``scales``; an exact rational pair.
+    rescaled by ``scales``; an exact pair of integer polynomials.
 
-    Each side specializes to a polynomial over a constant, n / cn and
-    d / cd, so the quotient is n * cd / (d * cn): the two polynomials are
-    scaled by the constants, not multiplied by constant polynomials."""
+    Each side specializes to a polynomial over a positive integer, n / cn
+    and d / cd, so the quotient is n * cd / (d * cn).  Raises
+    ``ExactAlgebraError`` when the denominator vanishes at the point."""
     num, den = num_den
-    n = substitute_values(num, assign, scales)
-    d = substitute_values(den, assign, scales)
-    return RatPair(n.num.scale(d.den.constant_coef()),
-                   d.num.scale(n.den.constant_coef()))
+    n, cn = substitute_values(num, assign, scales)
+    d, cd = substitute_values(den, assign, scales)
+    if d.is_zero():
+        raise ExactAlgebraError("zero denominator")
+    return n.scale(cd), d.scale(cn)
 
 
 def specialize_fiber(images, tnames, u):
     """Evaluate the base parameters at a rational point, keeping the
-    coordinates symbolic; returns exact rational pairs."""
+    coordinates symbolic; returns (numerator, denominator) pairs of integer
+    polynomials."""
     assign = dict(zip(tnames, u))
     return tuple(at_base_point(f.expand(), assign) for f in images)
 
@@ -500,10 +502,11 @@ def fiber_iso_check(fam, u, u2, walls=None):
                   for j in range(n)}
         for i in range(n):
             num_den = T.images[i].expand()
-            lhs = at_base_point(num_den, assign_u, scales)
-            rhs = (at_base_point(num_den, assign_u2)
-                   .scale(ratio(column(T.far.C, i))))
-            if not lhs.equals(rhs):
+            a, b = at_base_point(num_den, assign_u, scales)
+            c, d = at_base_point(num_den, assign_u2)
+            q = ratio(column(T.far.C, i))
+            # a / b == (c * q) / d, cross-multiplied
+            if a * d.scale(q.denominator) != c.scale(q.numerator) * b:
                 raise CheckFailed(
                     f"wall ({src},{k}): fibre rescaling does not intertwine "
                     f"coordinate {i + 1}")

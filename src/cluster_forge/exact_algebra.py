@@ -26,8 +26,8 @@ degree,) + exponents``: plain tuple order on such keys is reversed
 graded-lex, and since degree is linear in the exponents the keys still add
 componentwise.
 
-``RatPair`` is a signed numerator/denominator pair used where subtraction or
-rational scalars are unavoidable (fiber specialization at rational points).
+Rationals enter only at base points (``substitute_values``), as an integer
+polynomial over a positive int; callers carry plain (num, den) pairs.
 
 The t -> 0 limit (``limit_t_zero``), the degree (``degree_of``) and the
 exponent bounds (``PosRatFunc.exponent_bounds``) of a rational function are
@@ -58,7 +58,6 @@ from).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd
 from operator import add, sub
@@ -153,10 +152,6 @@ class LaurentPoly:
     @classmethod
     def one(cls, vars):
         return cls(vars, {tuple([0] * len(vars)): 1})
-
-    @classmethod
-    def constant(cls, vars, c):
-        return cls(vars, {tuple([0] * len(vars)): c} if c else {})
 
     @classmethod
     def monomial(cls, vars, exps):
@@ -944,49 +939,16 @@ def limit_t_zero(f, t_vars):
     return LaurentPoly._new(f.vars, {tuple(exps): an // ad})
 
 
-class RatPair:
-    """Signed rational function as a numerator/denominator pair.
-
-    Used where subtraction-free form is impossible (specializing deformation
-    parameters at arbitrary nonzero rationals).  Equality is exact, by
-    cross-multiplication; no reduction is attempted.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den):
-        if den.is_zero():
-            raise ExactAlgebraError("zero denominator")
-        _check_same_vars(num, den)
-        self.num = num
-        self.den = den
-
-    def mul(self, other):
-        return RatPair(self.num * other.num, self.den * other.den)
-
-    def inv(self):
-        return RatPair(self.den, self.num)
-
-    def scale(self, q):
-        q = Fraction(q)
-        return RatPair(self.num.scale(q.numerator), self.den.scale(q.denominator))
-
-    def equals(self, other):
-        return self.num * other.den == other.num * self.den
-
-    def __repr__(self):
-        return f"RatPair(({self.num.to_text()}) / ({self.den.to_text()}))"
-
-
 def substitute_values(poly, assignment, scales=None):
     """Evaluate some variables of an integer polynomial at rational values
     (ints or Fractions), optionally also scaling other variables by rational
     constants (the variable stays, its coefficient picks up
     scale**exponent).
 
-    Returns a RatPair over the same variable set (substituted slots pinned
-    to exponent zero) in lowest terms: the numerator's coefficients share no
-    factor with the constant denominator, which ``degenerate`` prints.
+    Returns ``(numerator, denominator)``: an integer polynomial over the
+    same variable set (substituted slots pinned to exponent zero) and a
+    positive int, in lowest terms: the numerator's coefficients share no
+    factor with the denominator, which ``degenerate`` prints.
 
     The arithmetic is in integers.  Each slot's exponents are read once,
     and an assigned or scaled slot whose exponents are all zero is skipped:
@@ -1022,7 +984,7 @@ def substitute_values(poly, assignment, scales=None):
         powers.append((i, {x: a ** x * d // b ** x if x >= 0
                            else b ** -x * d // a ** -x for x in xs}))
     if not powers:
-        return RatPair(poly, LaurentPoly.constant(poly.vars, 1))
+        return poly, 1
     sums = {}
     for e, c in terms.items():
         for i, mult in powers:
@@ -1036,5 +998,5 @@ def substitute_values(poly, assignment, scales=None):
     g = denom
     for c in sums.values():
         g = gcd(g, c)
-    return RatPair(LaurentPoly(poly.vars, {e: c // g for e, c in sums.items()}),
-                   LaurentPoly.constant(poly.vars, denom // g))
+    return (LaurentPoly(poly.vars, {e: c // g for e, c in sums.items()}),
+            denom // g)

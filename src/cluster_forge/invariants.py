@@ -26,7 +26,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-from fractions import Fraction
 
 from .exact_algebra import (
     Grading,
@@ -56,7 +55,7 @@ class CheckFailed(Exception):
     """An exact verification did not hold; the message says where."""
 
 
-# -- small integer/rational matrix helpers -----------------------------------
+# -- small integer matrix helpers -------------------------------------------
 
 def mat_identity(n):
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
@@ -71,64 +70,52 @@ def mat_mul(A, B):
                        for col in zip(*B)) for row in A)
 
 
-def mat_det(M):
-    """Determinant of an integer matrix by Bareiss elimination in integers.
-
-    After the step on column c, every entry below and right of the pivot is
-    a minor of M divided by the previous pivot, and that division is exact
-    (Bareiss, Math. Comp. 22, 1968); a row swap flips the sign.
-    """
+def _bareiss(M, right=None):
+    """Fraction-free Gauss-Jordan elimination of the square integer matrix
+    M with the rows of ``right`` carried along; returns (sign, p, rows).
+    Column c's first nonzero entry from the diagonal down is swapped up
+    (flipping ``sign``) as the pivot, and every other row r becomes
+    (pivot * r - r[c] * pivot row) / previous pivot, exactly, since every
+    entry is a minor of [M | right] up to sign (Bareiss, Math. Comp. 22,
+    1968).  The last pivot p is sign * det M, or 0 when M is singular, and
+    the carried rows end as p * M^-1 * right."""
     n = len(M)
-    A = [list(row) for row in M]
-    det_sign = 1
-    prev = 1
+    rows = [list(row) + list(right[i]) if right else list(row)
+            for i, row in enumerate(M)]
+    sign = prev = 1
     for c in range(n):
-        piv = next((r for r in range(c, n) if A[r][c]), None)
+        piv = next((r for r in range(c, n) if rows[r][c]), None)
         if piv is None:
-            return 0
+            return sign, 0, rows
         if piv != c:
-            A[c], A[piv] = A[piv], A[c]
-            det_sign = -det_sign
-        p, top = A[c][c], A[c]
-        for r in range(c + 1, n):
-            row, f = A[r], A[r][c]
-            A[r] = [0] * (c + 1) + [(p * row[j] - f * top[j]) // prev
-                                    for j in range(c + 1, n)]
-        prev = p
-    return det_sign * prev
-
-
-def mat_inverse(M):
-    """Exact inverse over Fractions; raises on singular input."""
-    n = len(M)
-    A = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0)
-                                       for j in range(n)]
-         for i, row in enumerate(M)]
-    for c in range(n):
-        piv = next((r for r in range(c, n) if A[r][c]), None)
-        if piv is None:
-            raise CheckFailed("matrix is singular")
-        A[c], A[piv] = A[piv], A[c]
-        inv = 1 / A[c][c]
-        A[c] = [x * inv for x in A[c]]
+            rows[c], rows[piv] = rows[piv], rows[c]
+            sign = -sign
+        p, top = rows[c][c], rows[c]
         for r in range(n):
-            if r != c and A[r][c]:
-                f = A[r][c]
-                A[r] = [x - f * y for x, y in zip(A[r], A[c])]
-    return tuple(tuple(row[n:]) for row in A)
+            if r != c:
+                f = rows[r][c]
+                rows[r] = [(p * x - f * y) // prev
+                           for x, y in zip(rows[r], top)]
+        prev = p
+    return sign, prev, rows
+
+
+def mat_det(M):
+    """Determinant of an integer matrix by ``_bareiss``, in integers."""
+    sign, p, _ = _bareiss(M)
+    return sign * p
 
 
 def mat_inverse_integer(M):
-    inv = mat_inverse(M)
-    out = []
-    for row in inv:
-        r = []
-        for x in row:
-            if x.denominator != 1:
-                raise CheckFailed("inverse is not an integer matrix")
-            r.append(int(x))
-        out.append(tuple(r))
-    return tuple(out)
+    """Inverse of an integer matrix by ``_bareiss`` on [M | I]; raises
+    ``CheckFailed`` when M is singular or the inverse is not integral."""
+    n = len(M)
+    _, p, rows = _bareiss(M, mat_identity(n))
+    if not p:
+        raise CheckFailed("matrix is singular")
+    if any(x % p for row in rows for x in row[n:]):
+        raise CheckFailed("inverse is not an integer matrix")
+    return tuple(tuple(x // p for x in row[n:]) for row in rows)
 
 
 # -- c-vectors -----------------------------------------------------------------

@@ -16,7 +16,14 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from cluster_forge import cli, exact_algebra, gfan, invariants
+from cluster_forge import (
+    cli,
+    corpus,
+    degeneration,
+    exact_algebra,
+    gfan,
+    invariants,
+)
 from cluster_forge.cli import main
 from cluster_forge.corpus import (
     a2_principal_table_text,
@@ -25,6 +32,7 @@ from cluster_forge.corpus import (
     gr25_table_text,
     read_golden,
 )
+from cluster_forge.exact_algebra import LaurentPoly, PosRatFunc
 from cluster_forge.gfan import enumerate_gfan
 from cluster_forge.seeds import seed_from_json
 
@@ -94,9 +102,11 @@ def test_table_gr25_csv_is_input_error():
 
 #: The sha256 of stdout and the exit code of fixed commands: every table
 #: format, three verify suites on each fixture, the fibres over zero and
-#: over one rational point, and a mutation path on each fully mutable
-#: fixture in every coefficient mode, as text and as JSON.  A fixture name stands for its path.  A change
-#: meant to keep every output byte-identical must leave these as they are.
+#: over one rational point, a mutation path on each fully mutable fixture
+#: in every coefficient mode, as text and as JSON, and the family suites
+#: degree, limit and glue run to success on a2, b2 and a3, as text and as
+#: JSON.  A fixture name stands for its path.  A change meant to keep every
+#: output byte-identical must leave these as they are.
 PINNED = {
     "table a2 --format text":
         ("03890024c3ec13397336875f24b685708318d91326f44b743811ffb1b20b2f6c", 0),
@@ -254,6 +264,42 @@ PINNED = {
         ("8e923db55c727515f9119ac3a2f886782155cffe6d44272cc94420ae8d1c83dd", 0),
     "mutate --seed dp5.json --path 1,2,1 --with-coeffs none --json":
         ("df368444756b21543218b8546925b15b61c1c9c3f028e5d0a4095d63f350525a", 0),
+    "verify degree --seed a2.json":
+        ("c51039f7185cb42ae18206ee1f7e725f523bf0e96c19070c17c5c3025a6072a6", 0),
+    "verify degree --seed a2.json --json":
+        ("87df6308f409eac552c2a89feff88d67405f92aed884d104925d1903d9da8c59", 0),
+    "verify degree --seed b2.json":
+        ("c51039f7185cb42ae18206ee1f7e725f523bf0e96c19070c17c5c3025a6072a6", 0),
+    "verify degree --seed b2.json --json":
+        ("87df6308f409eac552c2a89feff88d67405f92aed884d104925d1903d9da8c59", 0),
+    "verify degree --seed a3.json":
+        ("c51039f7185cb42ae18206ee1f7e725f523bf0e96c19070c17c5c3025a6072a6", 0),
+    "verify degree --seed a3.json --json":
+        ("87df6308f409eac552c2a89feff88d67405f92aed884d104925d1903d9da8c59", 0),
+    "verify limit --seed a2.json":
+        ("aab6f1a5d4d81bc8c15305f0009dcb7a68ed48d78eeedc06eaa1b6100ff08ef1", 0),
+    "verify limit --seed a2.json --json":
+        ("9c64699dab22e689b5218d3401e446053e07f871353b9ea39326270c59999729", 0),
+    "verify limit --seed b2.json":
+        ("aab6f1a5d4d81bc8c15305f0009dcb7a68ed48d78eeedc06eaa1b6100ff08ef1", 0),
+    "verify limit --seed b2.json --json":
+        ("9c64699dab22e689b5218d3401e446053e07f871353b9ea39326270c59999729", 0),
+    "verify limit --seed a3.json":
+        ("aab6f1a5d4d81bc8c15305f0009dcb7a68ed48d78eeedc06eaa1b6100ff08ef1", 0),
+    "verify limit --seed a3.json --json":
+        ("9c64699dab22e689b5218d3401e446053e07f871353b9ea39326270c59999729", 0),
+    "verify glue --seed a2.json":
+        ("ed8896840f76fb0d34e47b2715f1824513fc0350e454252b2d7fab83b7736041", 0),
+    "verify glue --seed a2.json --json":
+        ("93b3a2fdb0958d132dd79d473e48d6d8a42591896576a6fa170cc07a1a6626f9", 0),
+    "verify glue --seed b2.json":
+        ("ed8896840f76fb0d34e47b2715f1824513fc0350e454252b2d7fab83b7736041", 0),
+    "verify glue --seed b2.json --json":
+        ("93b3a2fdb0958d132dd79d473e48d6d8a42591896576a6fa170cc07a1a6626f9", 0),
+    "verify glue --seed a3.json":
+        ("ed8896840f76fb0d34e47b2715f1824513fc0350e454252b2d7fab83b7736041", 0),
+    "verify glue --seed a3.json --json":
+        ("93b3a2fdb0958d132dd79d473e48d6d8a42591896576a6fa170cc07a1a6626f9", 0),
 }
 
 
@@ -1203,3 +1249,37 @@ def test_degenerate_rational_point():
 def test_degenerate_mixed_zero_is_input_error():
     res = run("degenerate", "--seed", fixture("a2.json"), "--at", "0,1")
     assert res.exit_code == 2
+
+
+@pytest.mark.parametrize("command, want", [
+    ("degenerate --seed a3.json --at 1/2,-3,5/3",
+     {"products": 60, "expand": 126, "divisions": 0, "substitutions": 252}),
+    ("table a2 --format json",
+     {"products": 15, "expand": 0, "divisions": 15, "substitutions": 0}),
+], ids=["degenerate", "table"])
+def test_fixed_commands_make_pinned_counts(monkeypatch, command, want):
+    """Exact work counts of two fixed commands: polynomial products,
+    expansions, exact divisions and base-point substitutions, counted
+    through wrappers; each count is the same for every hash seed.  A
+    change that moves a count re-records it here on purpose."""
+    counts = dict.fromkeys(want, 0)
+
+    def counted(key, fn):
+        def wrapper(*args):
+            counts[key] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(LaurentPoly, "__mul__",
+                        counted("products", LaurentPoly.__mul__))
+    monkeypatch.setattr(PosRatFunc, "expand",
+                        counted("expand", PosRatFunc.expand))
+    divide = counted("divisions", exact_algebra.poly_exact_div)
+    for module in (exact_algebra, degeneration, invariants, corpus):
+        monkeypatch.setattr(module, "poly_exact_div", divide)
+    monkeypatch.setattr(degeneration, "substitute_values",
+                        counted("substitutions",
+                                degeneration.substitute_values))
+    args = [fixture(a) if a.endswith(".json") else a for a in command.split()]
+    assert run(*args).exit_code == 0
+    assert counts == want

@@ -10,10 +10,10 @@ import pytest
 
 from cluster_forge import exact_algebra
 from cluster_forge.exact_algebra import (
+    ExactAlgebraError,
     InexactDivision,
     LaurentPoly,
     PosRatFunc,
-    RatPair,
     limit_t_zero,
     rat_equal,
     substitute_values,
@@ -372,14 +372,14 @@ def test_glue_ring_membership_certificates():
     W = wall_binomial(V, 0, (1, 0), 2)
     assert W == LaurentPoly(V, {(0, 0, 0, 0): 1, (1, 0, 1, 0): 1})
     # the localized binomial and the wall coordinate are units
-    assert _in_glue_ring(PosRatFunc.from_poly(W, -1), 0, W, 2)
-    assert _in_glue_ring(PosRatFunc.monomial(V, (-3, 0, 0, 0)), 0, W, 2)
-    assert _in_glue_ring(PosRatFunc.from_poly(W, 2), 0, W, 2)
+    assert _in_glue_ring(PosRatFunc.from_poly(W, -1), 0, W)
+    assert _in_glue_ring(PosRatFunc.monomial(V, (-3, 0, 0, 0)), 0, W)
+    assert _in_glue_ring(PosRatFunc.from_poly(W, 2), 0, W)
     # a non-wall binomial denominator is not
     other = LaurentPoly(V, {(0, 0, 0, 0): 1, (1, 0, 0, 0): 1})
-    assert not _in_glue_ring(PosRatFunc.from_poly(other, -1), 0, W, 2)
+    assert not _in_glue_ring(PosRatFunc.from_poly(other, -1), 0, W)
     # a negative power of a non-wall coordinate is not
-    assert not _in_glue_ring(PosRatFunc.monomial(V, (0, -1, 0, 0)), 0, W, 2)
+    assert not _in_glue_ring(PosRatFunc.monomial(V, (0, -1, 0, 0)), 0, W)
 
 
 def test_glue_ring_reads_the_denominator_left_after_the_binomial():
@@ -389,25 +389,23 @@ def test_glue_ring_reads_the_denominator_left_after_the_binomial():
     W = wall_binomial(V, 0, (1, 0), 2)
     over = lambda poly, *shifts: PosRatFunc.from_poly(poly, -1).mul(
         PosRatFunc.monomial(V, shifts))
-    assert _in_glue_ring(over(W * W, -2, 0, 0, 0), 0, W, 2)
-    assert not _in_glue_ring(over(W, 0, -1, 0, 0), 0, W, 2)
-    assert not _in_glue_ring(over(W * W, -1, -1, 0, 0), 0, W, 2)
-    assert not _in_glue_ring(over(W, 0, 0, -1, 0), 0, W, 2)
-    assert not _in_glue_ring(over(W, 1, -1, 0, 0), 0, W, 2)
+    assert _in_glue_ring(over(W * W, -2, 0, 0, 0), 0, W)
+    assert not _in_glue_ring(over(W, 0, -1, 0, 0), 0, W)
+    assert not _in_glue_ring(over(W * W, -1, -1, 0, 0), 0, W)
+    assert not _in_glue_ring(over(W, 0, 0, -1, 0), 0, W)
+    assert not _in_glue_ring(over(W, 1, -1, 0, 0), 0, W)
     # a binomial factor that is not W stops the division
     other = LaurentPoly(V, {(0, 0, 0, 0): 1, (0, 1, 0, 0): 1})
-    assert not _in_glue_ring(over(W * other, 0, 0, 0, 0), 0, W, 2)
+    assert not _in_glue_ring(over(W * other, 0, 0, 0, 0), 0, W)
 
 
 def test_specialize_fiber_at_one():
     fam = Family(A2)
     T = fam.transition(0, 1)
-    fib = specialize_fiber(T.images, fam.tnames, (1, 1))
-    want0 = RatPair(LaurentPoly(V, {(1, 0, 0, 0): 1, (1, 1, 0, 0): 1}),
-                    LaurentPoly.one(V))
-    want1 = RatPair(LaurentPoly.one(V), LaurentPoly(V, X2))
-    assert fib[0].equals(want0)
-    assert fib[1].equals(want1)
+    assert specialize_fiber(T.images, fam.tnames, (1, 1)) == (
+        (LaurentPoly(V, {(1, 0, 0, 0): 1, (1, 1, 0, 0): 1}),
+         LaurentPoly.one(V)),
+        (LaurentPoly.one(V), LaurentPoly(V, X2)))
 
 
 @pytest.mark.parametrize("ed,u,u2", [
@@ -428,11 +426,12 @@ def test_fiber_isomorphisms(ed, u, u2):
 
 def test_at_base_point_equals_the_product_of_the_specialized_sides():
     """Scaling the two specialized sides by each other's constant
-    denominator gives the exact terms of their quotient as a product of
-    rational pairs, on every A3 wall image at seeded base points and
-    coordinate scales."""
+    denominator gives the exact terms of their quotient: each side's
+    numerator times the other side's denominator as a constant polynomial,
+    on every A3 wall image at seeded base points and coordinate scales."""
     rng = random.Random(5)
     fam = Family(A3)
+    const = lambda c: LaurentPoly(fam.vars, {(0,) * len(fam.vars): c})
     point = lambda: Fraction(rng.choice([-3, -2, -1, 1, 2, 5]),
                              rng.randint(1, 4))
     for src, k in sorted(fam.atlas.adjacency):
@@ -441,11 +440,21 @@ def test_at_base_point_equals_the_product_of_the_specialized_sides():
         for f in fam.transition(src, k).images:
             num, den = f.expand()
             for sc in (None, scales):
-                got = at_base_point((num, den), assign, sc)
-                want = substitute_values(num, assign, sc).mul(
-                    substitute_values(den, assign, sc).inv())
-                assert got.num.terms == want.num.terms
-                assert got.den.terms == want.den.terms
+                n, cn = substitute_values(num, assign, sc)
+                d, cd = substitute_values(den, assign, sc)
+                assert at_base_point((num, den), assign, sc) == (
+                    n * const(cd), d * const(cn))
+
+
+def test_at_base_point_refuses_a_vanishing_denominator():
+    """X1 / (1 + t1) at t1 = -1."""
+    den = LaurentPoly(V, {(0, 0, 0, 0): 1, (0, 0, 1, 0): 1})
+    with pytest.raises(ExactAlgebraError, match="zero denominator"):
+        at_base_point((LaurentPoly(V, {(1, 0, 0, 0): 1}), den),
+                      {"t1": -1, "t2": 2})
+    assert at_base_point((LaurentPoly(V, {(1, 0, 0, 0): 1}), den),
+                         {"t1": Fraction(-1, 2), "t2": 2}) == (
+        LaurentPoly(V, {(1, 0, 0, 0): 2}), LaurentPoly.one(V))
 
 
 def test_fiber_iso_rejects_zero_base_point():

@@ -266,3 +266,39 @@ def test_no_process_wide_caches_in_src():
                 found += [f"{f}:{line}: {what}"
                           for line, what in _process_wide_state(tree)]
     assert not found, f"process-wide state in src/: {', '.join(found)}"
+
+
+def _imported_modules(tree):
+    """The top-level package of every import statement anywhere in the
+    parsed module, function bodies included; relative imports name none."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name.split(".")[0]
+        elif (isinstance(node, ast.ImportFrom) and node.module
+              and not node.level):
+            yield node.module.split(".")[0]
+
+
+def test_imported_modules_are_detected():
+    tree = ast.parse(
+        "import os.path\n"
+        "from .exact_algebra import LaurentPoly\n"
+        "def f():\n"
+        "    from fractions import Fraction\n"
+        "    import fractions as fr\n")
+    assert list(_imported_modules(tree)) == ["os", "fractions", "fractions"]
+
+
+#: The engine computes in integers; rationals enter only at the base-point
+#: boundary: the ``--at`` option and the points of ``fiber_iso_check``.
+FRACTIONS_ALLOWED = {"cli.py", "degeneration.py"}
+
+
+@pytest.mark.parametrize("module", sorted(set(MODULES) - FRACTIONS_ALLOWED))
+def test_only_the_base_point_boundary_imports_fractions(module):
+    with open(os.path.join(PACKAGE, module), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename=module)
+    assert "fractions" not in set(_imported_modules(tree)), (
+        f"{module} imports fractions; only "
+        f"{', '.join(sorted(FRACTIONS_ALLOWED))} may")

@@ -18,7 +18,6 @@ from cluster_forge.invariants import (
     invariant_report,
     mat_det,
     mat_identity,
-    mat_inverse,
     mat_inverse_integer,
     mat_mul,
     mat_transpose,
@@ -318,10 +317,56 @@ def test_matrix_helpers():
     assert mat_det(M) == 1
     assert mat_inverse_integer(M) == ((1, -1), (-1, 2))
     assert mat_mul(M, mat_inverse_integer(M)) == mat_identity(2)
-    with pytest.raises(CheckFailed):
-        mat_inverse(((1, 1), (1, 1)))
-    with pytest.raises(CheckFailed):
+    # one row swap: the last pivot is 1 and the determinant -1
+    assert mat_inverse_integer(((0, 1), (1, 0))) == ((0, 1), (1, 0))
+    assert mat_inverse_integer(((0, 1), (1, 3))) == ((-3, 1), (1, 0))
+    assert mat_inverse_integer(()) == ()
+    with pytest.raises(CheckFailed, match="matrix is singular"):
+        mat_inverse_integer(((1, 1), (1, 1)))
+    with pytest.raises(CheckFailed, match="inverse is not an integer"):
         mat_inverse_integer(((2, 0), (0, 1)))
+
+
+def _unimodular(data, n):
+    """A permutation matrix times integer row additions, drawn: a random
+    unimodular matrix whose elimination swaps rows."""
+    perm = data.draw(st.permutations(range(n)))
+    M = [[int(j == perm[i]) for j in range(n)] for i in range(n)]
+    for _ in range(data.draw(st.integers(0, 8)) if n > 1 else 0):
+        i, j = data.draw(st.lists(st.integers(0, n - 1), min_size=2,
+                                  max_size=2, unique=True))
+        f = data.draw(st.sampled_from([-2, -1, 1, 2]))
+        M[i] = [x + f * y for x, y in zip(M[i], M[j])]
+    return M
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 5), st.booleans(), st.data())
+def test_mat_inverse_integer_agrees_with_sympy(sympy, n, unimodular, data):
+    """The Bareiss inverse against sympy's on unimodular matrices, with row
+    swaps, and on sparse matrices (zero pivots force row swaps) that are
+    mostly singular or not unimodular, where it raises the matching
+    message."""
+    if unimodular:
+        M = _unimodular(data, n)
+    else:
+        M = data.draw(st.lists(st.lists(
+            st.sampled_from([0, 0, 0, 1, -1, 2, -3]), min_size=n,
+            max_size=n), min_size=n, max_size=n))
+    S = sympy.Matrix(n, n, [x for row in M for x in row])
+    if n and S.det() == 0:
+        with pytest.raises(CheckFailed, match="^matrix is singular$"):
+            mat_inverse_integer(M)
+        return
+    want = S.inv() if n else S
+    if not all(x.is_integer for x in want):
+        with pytest.raises(CheckFailed,
+                           match="^inverse is not an integer matrix$"):
+            mat_inverse_integer(M)
+        return
+    got = mat_inverse_integer(M)
+    assert all(type(x) is int for row in got for x in row)
+    assert sympy.Matrix(n, n, [x for row in got for x in row]) == want
 
 
 def test_invariant_report_structure():
