@@ -14,6 +14,7 @@ import random
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
+from functools import partial
 
 import click
 
@@ -47,7 +48,6 @@ from .invariants import (
     CheckFailed,
     check_sign_coherence,
     g_matrix_degrees,
-    mat_det,
     mat_identity,
     mat_mul,
     mat_transpose,
@@ -130,6 +130,11 @@ def _parse_directions(text, ed, source):
     return tuple(out)
 
 
+def _joined(path):
+    """0-based directions as 1-based, comma-separated."""
+    return ",".join(str(k + 1) for k in path)
+
+
 def _walk(ed, seed_path, allowed=None, depth=None):
     """``enumerate_gfan`` for a seed file; exit 4, naming the matrix pair
     and the mutation path to it, when the walk finds the seed is of
@@ -147,8 +152,8 @@ def _budget(what):
     the term budget; ``what`` names the command and the stage.  Every
     command runs in it under its own name (``_Command``), and the stages
     whose terms grow with the input (a mutation step and printing the
-    result in ``mutate``, one path in ``verify separation``, every other
-    ``verify`` suite) run in it again under theirs."""
+    result in ``mutate``, each part of a ``verify`` suite) run in it again
+    under theirs."""
     try:
         yield
     except TermBudgetExceeded as exc:
@@ -226,8 +231,8 @@ def mutate(seed_path, path_text, coeffs, as_json):
     else:
         _fail(EXIT_INPUT, f"unknown --with-coeffs value {coeffs!r}")
     for step, k in enumerate(path, 1):
-        prefix = ",".join(str(j + 1) for j in path[:step])
-        with _budget(f"mutate: mutation step {step} (path {prefix})"):
+        with _budget(f"mutate: mutation step {step} "
+                     f"(path {_joined(path[:step])})"):
             seed = mutate_y_seed(seed, k)
     with _budget("mutate: printing the result"):
         ys = [f.to_text() for f in seed.y]
@@ -309,68 +314,57 @@ def _random_paths(ed, paths_arg, max_len, rng_seed, source):
     return [_parse_directions(p, ed, source) for p in paths_arg.split(";")]
 
 
-def _cone_suite(ed, seed_path, check):
-    """``verify duality`` or ``signcoherence``: one result per cone."""
-    results = []
-    atlas = _walk(ed, seed_path)
-    eye = mat_identity(ed.n)
-    seeds_by_prefix = {}
-    for rec in atlas.cones:
-        label = "cone " + (",".join(str(k + 1) for k in rec.path)
-                           or "(initial)")
-        try:
+def _suite(check, ed, p_file, seed_path, paths_spec, max_len, rng_seed):
+    """The parts of a ``verify`` suite as (label, run) pairs, in the order
+    they run.  A part fails when ``run()`` returns a string, the failure
+    detail, or raises ``CheckFailed`` or ``ExactAlgebraError``.  Input
+    errors, and the walk's exit on a seed of infinite type, come here,
+    before any part runs."""
+    if check == "separation":
+        _need_mutable(ed, seed_path, "verify separation", Y_SEED_NEEDS_MUTABLE)
+        p0 = (p_file if len(p_file) == ed.n
+              else YSeedCoeff.initial_principal(ed).p)
+        paths = _random_paths(ed, paths_spec, max_len, rng_seed, "--paths")
+        return [("path " + (_joined(path) or "(empty)"),
+                 partial(separation_check, ed, p0, path)) for path in paths]
+
+    if check in ("duality", "signcoherence"):
+        atlas = _walk(ed, seed_path)
+        eye = mat_identity(ed.n)
+        seeds_by_prefix = {}
+
+        def cone(rec):
             if check == "signcoherence":
-                ok = check_sign_coherence(rec.C)
-                results.append((label, ok,
-                                "" if ok else "mixed-sign column"))
-                continue
+                return (None if check_sign_coherence(rec.C)
+                        else "mixed-sign column")
             G = g_matrix_degrees(ed, rec.path, seeds_by_prefix)
-            if mat_mul(mat_transpose(G), rec.Cd) != eye:
-                results.append((label, False, "duality identity failed"))
-            elif abs(mat_det(G)) != 1:
-                results.append((label, False, "degree matrix not unimodular"))
-            else:
-                results.append((label, True, ""))
-        except (CheckFailed, ExactAlgebraError) as exc:
-            results.append((label, False, str(exc)))
-    return results
+            return (None if mat_mul(mat_transpose(G), rec.Cd) == eye
+                    else "duality identity failed")
 
+        return [("cone " + (_joined(rec.path) or "(initial)"),
+                 partial(cone, rec)) for rec in atlas.cones]
 
-def _family_suite(ed, seed_path, check, max_len):
-    """A ``verify`` suite over the glued family: one result per part."""
-    results = []
+    _need_mutable(ed, seed_path, f"verify {check}",
+                  "this check needs a fully mutable seed")
     fam = Family(ed, atlas=_walk(ed, seed_path))
-    named = {
-        "degree": lambda: degree_check(fam),
-        "limit": lambda: limit_check(fam),
-    }
-    try:
-        if check == "cocycle":
-            closed, skipped = two_faces(fam.atlas, max_len)
-            if skipped:
-                _echo(f"verify cocycle: {skipped} of "
-                      f"{len(closed) + skipped} faces longer than "
-                      f"--max-len {max_len} were not checked", err=True)
-            cocycle_check(fam, max_len=max_len)
-            results.append((check, True, ""))
-        elif check in named:
-            named[check]()
-            results.append((check, True, ""))
-            if check == "limit":
-                central_fiber_toric_check(fam)
-                results.append(("central fiber", True, ""))
-        elif check == "glue":
-            for free, label in ((True, "coefficient-free"),
-                                (False, "with coefficients")):
-                glue_ring_check_all(fam, coefficient_free=free)
-                results.append((label, True, ""))
-        elif check == "strata":
-            for ray in fam.atlas.rays:
-                strata_consistency_check(fam, [ray])
-                results.append((f"ray {ray}", True, ""))
-    except (CheckFailed, ExactAlgebraError) as exc:
-        results.append((check, False, str(exc)))
-    return results
+    if check == "cocycle":
+        closed, skipped = two_faces(fam.atlas, max_len)
+        if skipped:
+            _echo(f"verify cocycle: {skipped} of {len(closed) + skipped} "
+                  f"faces longer than --max-len {max_len} were not checked",
+                  err=True)
+        return [("cocycle", partial(cocycle_check, fam, max_len=max_len))]
+    if check == "strata":
+        return [(f"ray {ray}", partial(strata_consistency_check, fam, [ray]))
+                for ray in fam.atlas.rays]
+    return {
+        "degree": [("degree", partial(degree_check, fam))],
+        "limit": [("limit", partial(limit_check, fam)),
+                  ("central fiber", partial(central_fiber_toric_check, fam))],
+        "glue": [("coefficient-free", partial(glue_ring_check_all, fam,
+                                              coefficient_free=True)),
+                 ("with coefficients", partial(glue_ring_check_all, fam))],
+    }[check]
 
 
 @main.command()
@@ -391,34 +385,16 @@ def verify(check, seed_path, paths_spec, max_len, rng_seed, as_json):
         _fail(EXIT_INPUT, f"--max-len {max_len}: walks and random paths "
                           "need a length of at least 1")
     ed, p_file = _load_seed(seed_path)
-
-    if check == "separation":
-        _need_mutable(ed, seed_path, "verify separation", Y_SEED_NEEDS_MUTABLE)
-        p0 = (p_file if len(p_file) == ed.n
-              else YSeedCoeff.initial_principal(ed).p)
-        paths = _random_paths(ed, paths_spec, max_len, rng_seed, "--paths")
-
-        def one(path):
-            label = "path " + (",".join(str(k + 1) for k in path) or "(empty)")
-            try:
-                with _budget(f"verify separation: {label}"):
-                    separation_check(ed, p0, path)
-                return label, True, ""
-            except (CheckFailed, ExactAlgebraError) as exc:
-                return label, False, str(exc)
-
-        results = [one(path) for path in paths]
-
-    elif check in ("duality", "signcoherence"):
-        with _budget(f"verify {check}"):
-            results = _cone_suite(ed, seed_path, check)
-
-    else:
-        _need_mutable(ed, seed_path, f"verify {check}",
-                      "this check needs a fully mutable seed")
-        with _budget(f"verify {check}"):
-            results = _family_suite(ed, seed_path, check, max_len)
-
+    results = []
+    for label, run in _suite(check, ed, p_file, seed_path, paths_spec,
+                             max_len, rng_seed):
+        try:
+            with _budget(f"verify {check}: {label}"):
+                detail = run()
+        except (CheckFailed, ExactAlgebraError) as exc:
+            detail = str(exc)
+        failed = isinstance(detail, str)
+        results.append((label, not failed, detail if failed else ""))
     results.sort(key=lambda r: r[0])
     ok = all(r[1] for r in results)
     if as_json:

@@ -157,14 +157,6 @@ class LaurentPoly:
     def monomial(cls, vars, exps):
         return cls(vars, {tuple(exps): 1})
 
-    @classmethod
-    def variable(cls, vars, name):
-        vars = tuple(vars)
-        i = vars.index(name)
-        e = [0] * len(vars)
-        e[i] = 1
-        return cls(vars, {tuple(e): 1})
-
     # -- basic queries -------------------------------------------------
     def is_zero(self):
         return not self.terms

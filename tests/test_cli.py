@@ -667,6 +667,14 @@ def test_exploding_terms_exit_4(tmp_path, args, stage):
 
 A2_SEED = ("--seed", fixture("a2.json"))
 
+#: The first part of each A2 suite to multiply polynomials, with the
+#: default options; its label names the stage of the budget's exit 4.
+FIRST_PART_TO_MULTIPLY = {
+    "separation": "path 2,1,2,2,2,2,2", "duality": "cone 1,2",
+    "cocycle": "cocycle", "degree": "degree", "limit": "limit",
+    "glue": "coefficient-free",
+}
+
 
 @pytest.mark.parametrize("args", [
     ("mutate", "--path", "1,2", *A2_SEED),
@@ -677,14 +685,19 @@ A2_SEED = ("--seed", fixture("a2.json"))
 ], ids=lambda args: "-".join(a for a in args if a not in A2_SEED))
 def test_every_command_maps_the_term_budget_to_exit_4(monkeypatch, args):
     """Under a budget of one term product, commands that multiply
-    polynomials exit 4 naming themselves, verify also its suite, and no
-    verify suite reports the budget as a failed check."""
+    polynomials exit 4 naming themselves, verify also its suite and the
+    part that went over, and no verify suite reports the budget as a
+    failed check."""
     monkeypatch.setattr(exact_algebra, "TERM_BUDGET", 1)
     res = run(*args)
     assert res.exit_code == 4
     assert res.stdout == ""
-    named = " ".join(args[:2]) if args[0] == "verify" else args[0]
-    assert re.fullmatch(f"error: {named}.* cannot finish: a product of .* "
+    if args[0] == "verify":
+        named = re.escape(
+            f"verify {args[1]}: {FIRST_PART_TO_MULTIPLY[args[1]]}")
+    else:
+        named = args[0] + ".*"
+    assert re.fullmatch(f"error: {named} cannot finish: a product of .* "
                         "term products\n", res.stderr)
 
 
@@ -1205,6 +1218,66 @@ def test_verify_separation_gr25_needs_mutable_seed():
     assert "gr25.json" in res.stderr and "fully mutable" in res.stderr
 
 
+def _planted(real, hit):
+    """``real``, except that it raises ``CheckFailed("planted failure")``
+    when ``hit`` holds for its arguments."""
+    def check(*args, **kw):
+        if hit(*args, **kw):
+            raise invariants.CheckFailed("planted failure")
+        return real(*args, **kw)
+    return check
+
+
+def _negated_g_at(path):
+    """``g_matrix_degrees`` with a wrong G, its negative, at ``path``."""
+    real = invariants.g_matrix_degrees
+
+    def g_matrix(ed, at, memo):
+        G = real(ed, at, memo)
+        return tuple(tuple(-x for x in row) for row in G) if at == path else G
+    return g_matrix
+
+
+@pytest.mark.parametrize("args, name, planted, label, detail, total", [
+    (("separation", "--paths", "1;2,1;1,2,1"), "separation_check",
+     _planted(invariants.separation_check, lambda ed, p0, path: path == (1, 0)),
+     "path 2,1", "planted failure", 3),
+    (("duality",), "g_matrix_degrees", _negated_g_at((0,)),
+     "cone 1", "duality identity failed", 5),
+    (("strata",), "strata_consistency_check",
+     _planted(degeneration.strata_consistency_check,
+              lambda fam, rays: rays == [(-1, 1)]),
+     "ray (-1, 1)", "planted failure", 5),
+    (("glue",), "glue_ring_check_all",
+     _planted(degeneration.glue_ring_check_all,
+              lambda fam, coefficient_free=False: not coefficient_free),
+     "with coefficients", "planted failure", 2),
+], ids=["separation", "duality", "strata", "glue"])
+def test_a_failing_part_does_not_stop_its_suite(monkeypatch, args, name,
+                                                planted, label, detail,
+                                                total):
+    """A failure planted in one part of an A2 suite is reported under that
+    part's label, every other part still runs and holds, the count covers
+    every part, and the suite exits 1, in text and in JSON."""
+    monkeypatch.setattr(cli, name, planted)
+    check = args[0]
+    res = run("verify", *args, *A2_SEED)
+    assert res.exit_code == 1
+    lines = res.stdout.splitlines()
+    assert lines[-1] == f"verify {check}: {total - 1}/{total} ok"
+    assert len(lines) == total + 1
+    assert f"{check} {label}: FAIL  [{detail}]" in lines
+    assert all(line.endswith(": ok") for line in lines[:-1]
+               if not line.startswith(f"{check} {label}:"))
+    res = run("verify", *args, *A2_SEED, "--json")
+    assert res.exit_code == 1
+    data = json.loads(res.stdout)
+    assert data["ok"] is False
+    assert len(data["results"]) == total
+    assert [r for r in data["results"] if not r["ok"]] == [
+        {"label": label, "ok": False, "detail": detail}]
+
+
 # -- degenerate ---------------------------------------------------------------------
 
 def test_degenerate_central_fiber_is_monomial():
@@ -1256,9 +1329,20 @@ def test_degenerate_mixed_zero_is_input_error():
      {"products": 60, "expand": 126, "divisions": 0, "substitutions": 252}),
     ("table a2 --format json",
      {"products": 15, "expand": 0, "divisions": 15, "substitutions": 0}),
-], ids=["degenerate", "table"])
+    ("verify separation --seed a2.json --paths random:5 --rng-seed 3",
+     {"products": 18, "expand": 0, "divisions": 14, "substitutions": 0}),
+    ("verify duality --seed a3.json",
+     {"products": 10, "expand": 0, "divisions": 0, "substitutions": 0}),
+    ("verify strata --seed a3.json",
+     {"products": 0, "expand": 0, "divisions": 0, "substitutions": 0}),
+    ("verify cocycle --seed a3.json",
+     {"products": 18, "expand": 0, "divisions": 11, "substitutions": 0}),
+    ("mutate --seed a3.json --path 1,2,3,2,1",
+     {"products": 14, "expand": 3, "divisions": 10, "substitutions": 0}),
+], ids=["degenerate", "table", "verify-separation", "verify-duality",
+        "verify-strata", "verify-cocycle", "mutate"])
 def test_fixed_commands_make_pinned_counts(monkeypatch, command, want):
-    """Exact work counts of two fixed commands: polynomial products,
+    """Exact work counts of fixed commands: polynomial products,
     expansions, exact divisions and base-point substitutions, counted
     through wrappers; each count is the same for every hash seed.  A
     change that moves a count re-records it here on purpose."""

@@ -1,6 +1,7 @@
 """Source hygiene checks that need nothing beyond the standard library."""
 
 import ast
+import importlib.util
 import os
 
 import pytest
@@ -302,3 +303,25 @@ def test_only_the_base_point_boundary_imports_fractions(module):
     assert "fractions" not in set(_imported_modules(tree)), (
         f"{module} imports fractions; only "
         f"{', '.join(sorted(FRACTIONS_ALLOWED))} may")
+
+
+def _mutants():
+    path = os.path.join(os.path.dirname(__file__), "mutants.py")
+    spec = importlib.util.spec_from_file_location("mutants", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.MUTANTS
+
+
+def test_each_mutant_site_occurs_once():
+    """Every committed mutant's old text occurs exactly once in its file,
+    and every test named to kill it is defined where its id says."""
+    for path, old, new, tests in _mutants():
+        assert old != new
+        with open(os.path.join(ROOT, path), encoding="utf-8") as fh:
+            count = fh.read().count(old)
+        assert count == 1, f"{path}: {old.strip()!r} occurs {count} times"
+        for test in tests:
+            test_file, name = test.split("::")
+            with open(os.path.join(ROOT, test_file), encoding="utf-8") as fh:
+                assert f"\ndef {name}(" in fh.read(), f"{test} is not defined"
