@@ -661,8 +661,7 @@ class PosRatFunc:
         tv = tuple(target_vars) if target_vars is not None else self.vars
         unit_poly = LaurentPoly.monomial(self.vars, self.unit).substitute_monomials(
             images, tv)
-        e, c = unit_poly.monomial_parts()
-        assert c == 1
+        e, _ = unit_poly.monomial_parts()
         out = PosRatFunc.monomial(tv, e)
         for p, k in self.factors.items():
             out = out.mul(PosRatFunc.from_poly(p.substitute_monomials(images, tv), k))

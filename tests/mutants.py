@@ -8,9 +8,21 @@ must fail once it is replaced.  ``tests/test_hygiene.py`` checks, in every
 test run, that each old text still occurs exactly once, so a change that
 rewrites a guarded site has to update its entry here on purpose.
 
+``CHECK_SITES`` has one entry per ``raise CheckFailed(`` in ``src/``, keyed
+by (file, enclosing function, message text) as ``check_sites`` reads them;
+the message text is the literal text of the message, each replacement
+field written ``{expression}``.  Its value is either the ids of tests that
+kill the site's raise-deletion mutant, which turns ``raise CheckFailed(...)``
+into the bare expression so that the run goes on past the failed check, or
+a string giving the reason the site has none.  ``tests/test_hygiene.py``
+checks that the keys are exactly the sites in ``src/``, so a new check
+arrives with its entry.
+
 Run from anywhere, standard library and pytest only:
 
-    python tests/mutants.py
+    python tests/mutants.py            # both kinds
+    python tests/mutants.py written    # only MUTANTS
+    python tests/mutants.py sites      # only the raise deletions
 
 For each mutant in turn the runner copies the tree, ``bench/`` included, to
 a temporary directory, applies the one patch there and runs ``pytest -x -q``
@@ -19,9 +31,12 @@ exit 1), or when the tests run past ``TIMEOUT_S``; any other exit, all
 passing included, leaves it not killed.  Before the mutants, the named
 tests must pass on an unpatched copy, so that a kill means the patch, not
 a broken test.  The runner exits 1 when a mutant is not killed, and 2 when
-the unpatched copy fails or an old text does not occur exactly once.
+the unpatched copy fails, an old text does not occur exactly once, or a
+``CHECK_SITES`` key names no site.  The sites that give a reason instead
+of tests are counted, not run.
 """
 
+import ast
 import os
 import shutil
 import subprocess
@@ -36,6 +51,8 @@ _EA = "src/cluster_forge/exact_algebra.py"
 _DG = "src/cluster_forge/degeneration.py"
 _IV = "src/cluster_forge/invariants.py"
 _CLI = "src/cluster_forge/cli.py"
+_CO = "src/cluster_forge/corpus.py"
+_GF = "src/cluster_forge/gfan.py"
 
 MUTANTS = [
     # rat_equal decides on the unit alone
@@ -90,10 +107,294 @@ MUTANTS = [
 ]
 
 
+NO_TEST = "no planted-fault test yet"
+
+CHECK_SITES = {
+    (_CO, "run_a2_tables",
+     "coefficient walk has the wrong number of rows"): NO_TEST,
+    (_CO, "run_a2_tables", "row {idx}: matrix mismatch"): NO_TEST,
+    (_CO, "run_a2_tables", "row {idx}: coefficient {j + 1} mismatch"): NO_TEST,
+    (_CO, "run_a2_tables", "row {idx}: Y-variable {j + 1} mismatch"): NO_TEST,
+    (_CO, "run_a2_tables", "row {idx}: tropical coefficient {j + 1}"): NO_TEST,
+    (_CO, "run_a2_tables", "row {idx}: tropical Y-variable {j + 1}"): NO_TEST,
+    (_CO, "run_a2_tables",
+     "closing row is not the swapped opening row"): NO_TEST,
+    (_CO, "run_a2_tables", "family row {idx}: matrix mismatch"): NO_TEST,
+    (_CO, "run_a2_tables",
+     "family row {idx}: coefficient matrix mismatch"): NO_TEST,
+    (_CO, "run_a2_tables", "family row {idx}: coordinate {j + 1}"): NO_TEST,
+    (_CO, "run_a2_tables",
+     "family walk does not close up to the swap"): NO_TEST,
+    (_CO, "run_a2_tables", "golden file {name} out of date"): NO_TEST,
+    (_CO, "pentagon_cluster_walk",
+     "pentagon walk did not return the initial variable {seed.vars[1 - k]}"):
+        ["tests/test_corpus.py::"
+         "test_pentagon_walk_names_the_variable_that_does_not_return"],
+    (_CO, "run_gr25", "frozen block of the quiver matrix is nonzero"): NO_TEST,
+    (_CO, "run_gr25", "pullback of {GR25_XVARS[i]} is not row {i}"): NO_TEST,
+    (_CO, "run_gr25",
+     "lift of {GR25_XVARS[i]} changes a mutable exponent"): NO_TEST,
+    (_CO, "run_gr25", "pullback monomials do not multiply to 1"): NO_TEST,
+    (_CO, "run_gr25", "flow of {name} does not match the engine"): NO_TEST,
+    (_CO, "run_gr25", "relation {a}*{b} failed"): NO_TEST,
+    (_CO, "run_gr25", "torus representative of {name} mismatch"): NO_TEST,
+    (_CO, "run_gr25", "homogenization of {name} mismatch"): NO_TEST,
+    (_CO, "run_gr25", "degree of the extension of {name} mismatch"): NO_TEST,
+    (_CO, "run_gr25", "flow ratio for {xname} mismatch"): NO_TEST,
+    (_CO, "run_gr25", "boundary function at {xname} mismatch"): NO_TEST,
+    (_CO, "run_gr25", "dictionary route at {xname} mismatch"): NO_TEST,
+    (_CO, "run_dp5", "relation {a},{b} fails"): NO_TEST,
+    (_CO, "run_dp5", "relation {a},{b} is not degree homogeneous"): NO_TEST,
+    (_CO, "run_dp5", "generator {i} degree mismatch"): NO_TEST,
+    (_CO, "run_dp5", "t=1 recurrence at {i + 1} fails"): NO_TEST,
+    (_CO, "run_dp5", "polygon vertices mismatch"): NO_TEST,
+    (_CO, "run_dp5", "polygon is not reflexive"): NO_TEST,
+    (_CO, "run_dp5",
+     "interior lattice points are not just the origin"): NO_TEST,
+    (_CO, "run_dp5", "polar dual vertices mismatch"): NO_TEST,
+    (_CO, "run_dp5", "face fan of the polygon is not the fan"): NO_TEST,
+    (_CO, "run_dp5", "normal fan of the polar dual is not the fan"): NO_TEST,
+    (_DG, "degree_check",
+     "cone {idx} coordinate {i + 1}: degree {got}, expected {want}"):
+        ["tests/test_degeneration.py::"
+         "test_degree_check_rejects_tampered_pullback"],
+    (_DG, "coordinate_limit", "{where} has no monomial limit ({exc})"):
+        ["tests/test_degeneration.py::"
+         "test_coordinate_limit_needs_a_coordinate_monomial",
+         "tests/test_degeneration.py::"
+         "test_limit_check_rejects_tampered_pullback"],
+    (_DG, "coordinate_limit",
+     "{where} limit not a coordinate monomial: {lim.to_text()}"):
+        ["tests/test_degeneration.py::"
+         "test_coordinate_limit_needs_a_coordinate_monomial"],
+    (_DG, "limit_check",
+     "{where}: limit exponents {got}, expected {want}"): NO_TEST,
+    (_DG, "central_fiber_toric_check",
+     "wall ({src},{k}): coordinate {i + 1} degenerates to {tuple(a)}, "
+     "expected {tuple(want)}"): NO_TEST,
+    (_DG, "central_fiber_toric_check",
+     "wall ({src},{k}): exponents of coordinate {i + 1} do not relate the "
+     "coefficient vectors integrally"): NO_TEST,
+    (_DG, "cocycle_check",
+     "wall ({src},{k}): there-and-back composite moves coordinate "
+     "{moved + 1}"):
+        ["tests/test_degeneration.py::"
+         "test_cocycle_rejects_tampered_transition",
+         "tests/test_degeneration.py::"
+         "test_shared_round_trip_verdicts_keep_each_checks_failure"],
+    (_DG, "cocycle_check",
+     "{where}: the coefficient vectors do not come back permuted"):
+        ["tests/test_degeneration.py::"
+         "test_cocycle_rejects_a_face_that_does_not_come_back"],
+    (_DG, "cocycle_check",
+     "{where}: the composite sends coordinate {c + 1} to "
+     "{images[c].to_text()}, expected a coordinate permutation"):
+        ["tests/test_degeneration.py::"
+         "test_cocycle_rejects_a_tampered_wall_off_the_base_faces"],
+    (_DG, "glue_ring_check",
+     "wall ({src},{k}): image of coordinate {near_exit + 1} leaves the near "
+     "wall ring"):
+        ["tests/test_degeneration.py::"
+         "test_ring_exits_report_the_lowest_coordinate_near_first"],
+    (_DG, "glue_ring_check",
+     "wall ({src},{k}): reverse image of coordinate {far_exit + 1} leaves "
+     "the far wall ring"):
+        ["tests/test_degeneration.py::"
+         "test_ring_exits_report_the_lowest_coordinate_near_first"],
+    (_DG, "glue_ring_check",
+     "wall ({src},{k}): composite is not the identity"):
+        ["tests/test_degeneration.py::"
+         "test_shared_round_trip_verdicts_keep_each_checks_failure"],
+    (_DG, "glue_ring_check",
+     "wall ({src},{k}): reverse composite is not the identity"): NO_TEST,
+    (_DG, "fiber_iso_check",
+     "wall ({src},{k}): fibre rescaling does not intertwine coordinate "
+     "{i + 1}"):
+        ["tests/test_degeneration.py::"
+         "test_fiber_iso_rejects_tampered_transition"],
+    (_DG, "strata_consistency_check",
+     "restricted coefficients drift from the ambient coefficient vectors"):
+        NO_TEST,
+    (_DG, "strata_consistency_check",
+     "stratum wall in direction {k}: face coordinate {j + 1} image has a "
+     "face variable in its denominator"): NO_TEST,
+    (_DG, "strata_consistency_check",
+     "stratum wall in direction {k}: face coordinate {j + 1} does not "
+     "divide its own image"): NO_TEST,
+    (_DG, "strata_consistency_check",
+     "stratum wall in direction {k}: transverse coordinate {i + 1} image "
+     "involves a face variable"):
+        ["tests/test_degeneration.py::"
+         "test_strata_rejects_a_transverse_image_with_a_face_variable"],
+    (_DG, "strata_consistency_check",
+     "stratum wall in direction {k}: ambient transition disagrees with the "
+     "restricted family at coordinate {i + 1}"):
+        ["tests/test_degeneration.py::"
+         "test_strata_rejects_a_restricted_family_that_disagrees"],
+    (_DG, "strata_consistency_check",
+     "stratum wall in direction {k}: stratum exponents of coordinate "
+     "{i + 1} do not express the far coefficient vector in the transverse "
+     "near ones"): NO_TEST,
+    (_DG, "strata_consistency_check",
+     "transverse mutation left the enumerated atlas"): NO_TEST,
+    (_DG, "strata_consistency_check",
+     "stratum walk did not reach every cone of the star"): NO_TEST,
+    (_GF, "g_vector_step",
+     "cone at path {path}: c-vector {k + 1} {col} is not sign-coherent"):
+        ["tests/test_gfan.py::"
+         "test_g_cone_step_needs_a_sign_coherent_column"],
+    (_GF, "star", "no maximal cone contains the requested face"):
+        ["tests/test_degeneration.py::"
+         "test_strata_rejects_non_face"],
+    (_GF, "polytope_P", "polytope construction implemented for rank 2"):
+        ["tests/test_gfan.py::"
+         "test_polytope_rejects_non_vertex_rays"],
+    (_GF, "polytope_P", "some ray is not a vertex of the hull"):
+        ["tests/test_gfan.py::"
+         "test_polytope_rejects_non_vertex_rays"],
+    (_GF, "polytope_P", "origin is not interior to the hull"):
+        ["tests/test_gfan.py::"
+         "test_polytope_rejects_non_vertex_rays"],
+    (_GF, "_certify_star",
+     "a facet of maximal_cones[{i}] lies in {count} maximal cones"):
+        ["tests/test_cli.py::"
+         "test_fan_tampered_file_is_input_error"],
+    (_GF, "_certify_star",
+     "maximal_cones[{i}] shares {shared} of its facets with other maximal "
+     "cones, not one per allowed direction ({len(allowed)})"):
+        ["tests/test_cli.py::"
+         "test_star_on_a_truncated_file_marked_complete"],
+    (_GF, "_certify_star", "rays[{i}] lies in no maximal cone"):
+        ["tests/test_cli.py::"
+         "test_fan_tampered_file_is_input_error"],
+    (_GF, "_certify_star",
+     "paths[{i}] leads the stored seed to a cone with generators "
+     "{sorted(gens)}, not maximal_cones[{i}]"):
+        ["tests/test_cli.py::"
+         "test_star_names_an_infinite_type_seed_without_walking",
+         "tests/test_cli.py::"
+         "test_star_on_a_complete_file_whose_seed_never_closes",
+         "tests/test_cli.py::"
+         "test_star_tampered_cone_of_the_star_is_input_error"],
+    (_GF, "_certify_star",
+     "maximal_cones[{i}] holds rays[{tau}], but the cone across its wall "
+     "{k + 1} is not stored"):
+        ["tests/test_cli.py::"
+         "test_star_needs_every_transverse_neighbour"],
+    (_IV, "mat_inverse_integer", "matrix is singular"):
+        ["tests/test_invariants.py::"
+         "test_matrix_helpers"],
+    (_IV, "mat_inverse_integer", "inverse is not an integer matrix"):
+        ["tests/test_invariants.py::"
+         "test_matrix_helpers"],
+    (_IV, "f_polynomials",
+     "constant term of F_{j + 1} is not 1: {f.to_text()}"):
+        ["tests/test_invariants.py::"
+         "test_f_polynomials_reject_a_constant_term_other_than_one"],
+    (_IV, "f_polynomials", "F_{j + 1} has a negative exponent"):
+        ["tests/test_invariants.py::"
+         "test_f_polynomials_reject_a_negative_exponent"],
+    (_IV, "separation_check", "separation (shift form) fails at j={j + 1}"):
+        ["tests/test_invariants.py::"
+         "test_separation_shift_form_rejects_a_wrong_coefficient_free_walk"],
+    (_IV, "separation_check",
+     "separation (F-product form) fails at j={j + 1}"):
+        ["tests/test_invariants.py::"
+         "test_separation_f_product_form_rejects_a_wrong_f_polynomial"],
+    (_IV, "separation_check",
+     "separation (coefficient form) fails at j={j + 1}"):
+        ["tests/test_invariants.py::"
+         "test_separation_coefficient_form_rejects_a_wrong_tropical_one"],
+}
+
+
+def _message_text(node):
+    """The literal text of a message: a string constant as it is, an
+    f-string with each replacement field written ``{expression}``."""
+    if isinstance(node, ast.Constant):
+        return node.value
+    if isinstance(node, ast.JoinedStr):
+        return "".join(v.value if isinstance(v, ast.Constant)
+                       else "{" + ast.unparse(v.value) + "}"
+                       for v in node.values)
+    return ast.unparse(node)
+
+
+def sites_in(tree):
+    """(enclosing function, message text, line, column) for every
+    ``raise CheckFailed(...)`` in a parsed module.  A method's function is
+    ``Class.method``, and a nested definition is dotted the same way."""
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                yield from walk(child, scope + (child.name,))
+                continue
+            if (isinstance(child, ast.Raise)
+                    and isinstance(child.exc, ast.Call)
+                    and getattr(child.exc.func, "id", None) == "CheckFailed"):
+                yield (".".join(scope), _message_text(child.exc.args[0]),
+                       child.lineno, child.col_offset)
+            yield from walk(child, scope)
+    return list(walk(tree, ()))
+
+
+def check_sites():
+    """((file, function, message text), line, column) for every
+    ``raise CheckFailed(`` in ``src/``, the file relative to the root."""
+    out = []
+    for dirpath, _, files in os.walk(os.path.join(ROOT, "src")):
+        for f in sorted(files):
+            if f.endswith(".py"):
+                path = os.path.join(dirpath, f)
+                with open(path, encoding="utf-8") as fh:
+                    tree = ast.parse(fh.read(), filename=f)
+                rel = os.path.relpath(path, ROOT).replace(os.sep, "/")
+                out += [((rel, fn, msg), line, col)
+                        for fn, msg, line, col in sites_in(tree)]
+    return out
+
+
+def _replace_once(old, new):
+    """A patch replacing ``old`` by ``new``; None unless ``old`` occurs
+    exactly once."""
+    return lambda text: (text.replace(old, new) if text.count(old) == 1
+                         else None)
+
+
+def _delete_raise(line, col):
+    """A patch dropping the ``raise `` at a line and column (in bytes, as
+    ``ast`` counts them); None when it is not there."""
+    def patch(text):
+        lines = text.splitlines(keepends=True)
+        b = lines[line - 1].encode("utf-8")
+        if b[col:col + 6] != b"raise ":
+            return None
+        lines[line - 1] = (b[:col] + b[col + 6:]).decode("utf-8")
+        return "".join(lines)
+    return patch
+
+
 def _first_change(old, new):
     """The first line of the new text that the old text does not have."""
     return next(line.strip() for line in new.splitlines()
                 if line not in old.splitlines())
+
+
+def _written_mutants():
+    """(file, patch, tests, label) for each entry of ``MUTANTS``."""
+    return [(path, _replace_once(old, new), tests, _first_change(old, new))
+            for path, old, new, tests in MUTANTS]
+
+
+def _site_mutants():
+    """(file, patch, tests, label) for the raise-deletion mutant of each
+    ``CHECK_SITES`` entry that names killing tests.  Raises KeyError on an
+    entry whose site is not in ``src/``."""
+    where = {key: (line, col) for key, line, col in check_sites()}
+    return [(key[0], _delete_raise(*where[key]), tests,
+             f"{key[1]}: raise CheckFailed({key[2]!r})")
+            for key, tests in CHECK_SITES.items()
+            if not isinstance(tests, str)]
 
 
 def _copy_tree(dest):
@@ -115,42 +416,57 @@ def _pytest(tree, tests):
         return None
 
 
-def main():
+def main(kinds):
     start = time.perf_counter()
+    mutants = []
+    if "written" in kinds:
+        mutants += _written_mutants()
+    if "sites" in kinds:
+        try:
+            mutants += _site_mutants()
+        except KeyError as exc:
+            print(f"CHECK_SITES names a site that is not in src/: {exc}")
+            return 2
     with tempfile.TemporaryDirectory() as tmp:
         tree = os.path.join(tmp, "tree")
         _copy_tree(tree)
-        named = sorted({t for *_, tests in MUTANTS for t in tests})
+        named = sorted({t for _, _, tests, _ in mutants for t in tests})
         code = _pytest(tree, named)
         if code != 0:
             print(f"the named tests do not pass unpatched (pytest exit "
                   f"{code}); no mutant was run")
             return 2
         survivors = 0
-        for i, (path, old, new, tests) in enumerate(MUTANTS, 1):
+        for i, (path, patch, tests, label) in enumerate(mutants, 1):
             t0 = time.perf_counter()
             tree = os.path.join(tmp, f"mutant{i}")
             _copy_tree(tree)
             target = os.path.join(tree, path)
             with open(target, encoding="utf-8") as fh:
-                text = fh.read()
-            if text.count(old) != 1:
-                print(f"{i}: {path}: the old text occurs "
-                      f"{text.count(old)} times, not once")
+                text = patch(fh.read())
+            if text is None:
+                print(f"{i}: {path}: the patch does not apply: {label}")
                 return 2
             with open(target, "w", encoding="utf-8") as fh:
-                fh.write(text.replace(old, new))
+                fh.write(text)
             code = _pytest(tree, tests)
             shutil.rmtree(tree)
             verdict = {1: "killed", None: "killed (timeout)"}.get(
                 code, f"NOT KILLED (pytest exit {code})")
             survivors += not verdict.startswith("killed")
             print(f"{i}: {verdict} in {time.perf_counter() - t0:.1f}s  "
-                  f"{path}: {_first_change(old, new)}")
-    print(f"{len(MUTANTS) - survivors}/{len(MUTANTS)} mutants killed in "
+                  f"{path}: {label}")
+    print(f"{len(mutants) - survivors}/{len(mutants)} mutants killed in "
           f"{time.perf_counter() - start:.1f}s")
+    if "sites" in kinds:
+        reasons = sum(isinstance(v, str) for v in CHECK_SITES.values())
+        print(f"{len(CHECK_SITES) - reasons} of {len(CHECK_SITES)} check "
+              f"sites name killing tests; {reasons} give a reason instead")
     return 1 if survivors else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    kinds = sys.argv[1:] or ["written", "sites"]
+    if not set(kinds) <= {"written", "sites"}:
+        sys.exit(f"usage: python tests/mutants.py [written] [sites]")
+    sys.exit(main(kinds))

@@ -142,6 +142,19 @@ def test_g_vector_step_is_the_new_column_of_the_full_step(ed):
             assert g_vector_step(cone, k) == tuple(row[k] for row in G)
 
 
+@pytest.mark.parametrize("ed", FINITE, ids=FINITE_IDS)
+def test_g_cone_step_changes_only_column_k_of_g(ed):
+    """A step keeps every generator but the k-th, so the walks key a
+    stepped cone by one new g-vector, and a face stays put under a step
+    transverse to it.  The depth cap keeps the walk finite when a step
+    goes wrong."""
+    for cone in enumerate_gfan(ed, depth=3).cones:
+        gens = cone.generators()
+        for k in range(ed.n):
+            stepped = g_cone_step(cone, k).generators()
+            assert stepped[:k] + stepped[k + 1:] == gens[:k] + gens[k + 1:]
+
+
 def test_a2_rays_and_cones():
     atlas = enumerate_gfan(A2)
     assert atlas.rays == A2_RAYS
@@ -439,11 +452,17 @@ def test_polytope_rank_2():
 
 
 def test_polytope_rejects_non_vertex_rays():
-    # rank-2 fan whose rays are not in convex position does not arise here,
-    # but the hull check must also reject a non-interior origin
-    atlas = enumerate_gfan(A2, allowed=(0,))
-    with pytest.raises(CheckFailed):
-        polytope_P(atlas)
+    # (0, -1) and (1, -1) are rays of B2 and of G2 but not hull vertices
+    for ed in (B2, G2):
+        with pytest.raises(CheckFailed,
+                           match="some ray is not a vertex of the hull"):
+            polytope_P(enumerate_gfan(ed))
+    with pytest.raises(CheckFailed,
+                       match="polytope construction implemented for rank 2"):
+        polytope_P(enumerate_gfan(A3))
+    # the walk in direction 1 alone leaves the origin on the hull
+    with pytest.raises(CheckFailed, match="origin is not interior to the hull"):
+        polytope_P(enumerate_gfan(A2, allowed=(0,)))
 
 
 def test_primitive_vectors():

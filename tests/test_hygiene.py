@@ -310,18 +310,78 @@ def _mutants():
     spec = importlib.util.spec_from_file_location("mutants", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.MUTANTS
+    return module
+
+
+def _assert_defined(test):
+    test_file, name = test.split("::")
+    with open(os.path.join(ROOT, test_file), encoding="utf-8") as fh:
+        assert f"\ndef {name}(" in fh.read(), f"{test} is not defined"
 
 
 def test_each_mutant_site_occurs_once():
     """Every committed mutant's old text occurs exactly once in its file,
     and every test named to kill it is defined where its id says."""
-    for path, old, new, tests in _mutants():
+    for path, old, new, tests in _mutants().MUTANTS:
         assert old != new
         with open(os.path.join(ROOT, path), encoding="utf-8") as fh:
             count = fh.read().count(old)
         assert count == 1, f"{path}: {old.strip()!r} occurs {count} times"
         for test in tests:
-            test_file, name = test.split("::")
-            with open(os.path.join(ROOT, test_file), encoding="utf-8") as fh:
-                assert f"\ndef {name}(" in fh.read(), f"{test} is not defined"
+            _assert_defined(test)
+
+
+def test_check_sites_are_detected():
+    tree = ast.parse(
+        "def f(x):\n"
+        "    if x:\n"
+        "        raise CheckFailed(f'x is {x + 1}, not {0}')\n"
+        "    raise ValueError('not a check')\n"
+        "class C:\n"
+        "    def m(self):\n"
+        "        def inner():\n"
+        "            raise CheckFailed('a' 'b')\n"
+        "        raise CheckFailed('c')\n")
+    assert _mutants().sites_in(tree) == [
+        ("f", "x is {x + 1}, not {0}", 3, 8),
+        ("C.m.inner", "ab", 8, 12),
+        ("C.m", "c", 9, 8),
+    ]
+
+
+def test_every_check_site_has_one_entry():
+    """``CHECK_SITES`` has one entry for each ``raise CheckFailed(`` in
+    src/, written once, and each names defined killing tests or gives a
+    reason to survive, so a new check arrives with its entry."""
+    mutants = _mutants()
+    sites = [key for key, _, _ in mutants.check_sites()]
+    assert len(sites) == len(set(sites)), "two sites share a key"
+    missing = sorted(set(sites) - set(mutants.CHECK_SITES))
+    stale = sorted(set(mutants.CHECK_SITES) - set(sites))
+    assert not missing, f"sites without an entry: {missing}"
+    assert not stale, f"entries without a site: {stale}"
+    with open(os.path.join(ROOT, "tests", "mutants.py"),
+              encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    literal, = (node.value for node in tree.body
+                if isinstance(node, ast.Assign)
+                and getattr(node.targets[0], "id", None) == "CHECK_SITES")
+    assert len(literal.keys) == len(mutants.CHECK_SITES), "a key is repeated"
+    for key, tests in mutants.CHECK_SITES.items():
+        assert tests, f"{key}: no killing test and no reason"
+        if not isinstance(tests, str):
+            for test in tests:
+                _assert_defined(test)
+
+
+def test_no_assert_statements_in_src():
+    """``python -O`` strips an assert, so a check in src/ raises instead."""
+    found = []
+    for dirpath, _, files in os.walk(os.path.join(ROOT, "src")):
+        for f in sorted(files):
+            if f.endswith(".py"):
+                with open(os.path.join(dirpath, f), encoding="utf-8") as fh:
+                    tree = ast.parse(fh.read(), filename=f)
+                found += [f"{f}:{node.lineno}" for node in ast.walk(tree)
+                          if isinstance(node, ast.Assert)]
+    assert not found, f"assert statements in src/: {', '.join(found)}"

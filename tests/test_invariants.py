@@ -25,11 +25,12 @@ from cluster_forge.invariants import (
     separation_check,
 )
 from cluster_forge.corpus import GR25_XVARS, dp5_grading
-from cluster_forge import exact_algebra
+from cluster_forge import exact_algebra, invariants
 from cluster_forge.exact_algebra import LaurentPoly, poly_exact_div
 from cluster_forge.seeds import (
     ClusterSeedCoeff,
     ExchangeData,
+    YSeedCoeff,
     langlands_dual,
     mutate_cluster_seed,
     mutate_matrix,
@@ -245,6 +246,75 @@ def test_separation_identities_general_coefficients():
     p0a3 = (TropMonomial(pva, (1, 0)), TropMonomial(pva, (0, -1)),
             TropMonomial(pva, (1, 1)))
     assert separation_check(A3, p0a3, [0, 2, 1, 0])
+
+
+# Planted faults: each replaces one name that ``invariants`` binds, so that
+# exactly one identity or guard sees a wrong route, and asserts its message.
+
+P0 = tuple(TropMonomial.variable(PV, v) for v in PV)
+
+
+def test_separation_shift_form_rejects_a_wrong_coefficient_free_walk(
+        monkeypatch):
+    """The coefficient-free walk runs on the opposite matrix; only the
+    shift form reads it."""
+    trivial = YSeedCoeff.initial_trivial.__func__
+
+    def opposite(cls, ed):
+        return trivial(cls, ExchangeData(
+            tuple(tuple(-b for b in row) for row in ed.B), ed.n))
+
+    monkeypatch.setattr(YSeedCoeff, "initial_trivial", classmethod(opposite))
+    with pytest.raises(CheckFailed, match=r"\(shift form\) fails at j=2"):
+        separation_check(A2, P0, [0])
+
+
+def test_separation_f_product_form_rejects_a_wrong_f_polynomial(monkeypatch):
+    """Every F-polynomial times 1 + p1: its tropical value at principal
+    coefficients stays the same, so the coefficient form still holds."""
+    route = invariants.f_polynomials
+
+    def times_one_plus_p1(ed, path):
+        F = route(ed, path)
+        one = LaurentPoly.one(PV)
+        return [f * (one + LaurentPoly.monomial(PV, (1, 0))) for f in F]
+
+    monkeypatch.setattr(invariants, "f_polynomials", times_one_plus_p1)
+    with pytest.raises(CheckFailed, match=r"\(F-product form\) fails at j=1"):
+        separation_check(A2, P0, WALK)
+
+
+def test_separation_coefficient_form_rejects_a_wrong_tropical_one(
+        monkeypatch):
+    """The coefficient form alone starts a product at the tropical one."""
+
+    class ShiftedOne(TropMonomial):
+        @classmethod
+        def one(cls, vars):
+            return TropMonomial(vars, (1,) + (0,) * (len(vars) - 1))
+
+    monkeypatch.setattr(invariants, "TropMonomial", ShiftedOne)
+    with pytest.raises(CheckFailed,
+                       match=r"\(coefficient form\) fails at j=1"):
+        separation_check(A2, P0, WALK)
+
+
+def test_f_polynomials_reject_a_constant_term_other_than_one(monkeypatch):
+    divide = invariants.poly_exact_div
+    monkeypatch.setattr(invariants, "poly_exact_div",
+                        lambda a, b: divide(a, b).scale(2))
+    with pytest.raises(CheckFailed,
+                       match=r"constant term of F_1 is not 1: 2\*p1 \+ 2"):
+        f_polynomials(A2, [0])
+
+
+def test_f_polynomials_reject_a_negative_exponent(monkeypatch):
+    """The quotient divided by p1: F_1 = 1 + p1^-1 keeps constant term 1."""
+    divide = invariants.poly_exact_div
+    monkeypatch.setattr(invariants, "poly_exact_div", lambda a, b: divide(
+        a, b) * LaurentPoly.monomial(PV, (-1, 0)))
+    with pytest.raises(CheckFailed, match="F_1 has a negative exponent"):
+        f_polynomials(A2, [0])
 
 
 def test_separation_on_fixed_paths_makes_pinned_counts(monkeypatch):

@@ -38,6 +38,25 @@ def test_matrix_mutation_oracles():
             assert mutate_matrix(mutate_matrix(B, k), k) == B
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+             min_size=n, max_size=n),
+    st.integers(0, n - 1), st.sets(st.integers(0, n - 1)))))
+def test_matrix_mutation_commutes_with_principal_submatrices(drawn):
+    """Entry (i, j) of the mutation in direction k reads only b_ij, b_ik
+    and b_kj, so mutating a principal submatrix that contains k gives the
+    submatrix of the mutation, for any square integer matrix."""
+    B, k, rest = drawn
+    keep = sorted(rest | {k})
+
+    def sub(M):
+        return tuple(tuple(M[i][j] for j in keep) for i in keep)
+
+    B = tuple(map(tuple, B))
+    assert mutate_matrix(sub(B), keep.index(k)) == sub(mutate_matrix(B, k))
+
+
 def test_exchange_data_validation():
     ExchangeData(B2, 2, (2, 1))
     with pytest.raises(ValueError):
