@@ -20,9 +20,7 @@ arrives with its entry.
 
 Run from anywhere, standard library and pytest only:
 
-    python tests/mutants.py            # both kinds
-    python tests/mutants.py written    # only MUTANTS
-    python tests/mutants.py sites      # only the raise deletions
+    python tests/mutants.py
 
 For each mutant in turn the runner copies the tree, ``bench/`` included, to
 a temporary directory, applies the one patch there and runs ``pytest -x -q``
@@ -416,17 +414,13 @@ def _pytest(tree, tests):
         return None
 
 
-def main(kinds):
+def main():
     start = time.perf_counter()
-    mutants = []
-    if "written" in kinds:
-        mutants += _written_mutants()
-    if "sites" in kinds:
-        try:
-            mutants += _site_mutants()
-        except KeyError as exc:
-            print(f"CHECK_SITES names a site that is not in src/: {exc}")
-            return 2
+    try:
+        mutants = _written_mutants() + _site_mutants()
+    except KeyError as exc:
+        print(f"CHECK_SITES names a site that is not in src/: {exc}")
+        return 2
     with tempfile.TemporaryDirectory() as tmp:
         tree = os.path.join(tmp, "tree")
         _copy_tree(tree)
@@ -458,15 +452,11 @@ def main(kinds):
                   f"{path}: {label}")
     print(f"{len(mutants) - survivors}/{len(mutants)} mutants killed in "
           f"{time.perf_counter() - start:.1f}s")
-    if "sites" in kinds:
-        reasons = sum(isinstance(v, str) for v in CHECK_SITES.values())
-        print(f"{len(CHECK_SITES) - reasons} of {len(CHECK_SITES)} check "
-              f"sites name killing tests; {reasons} give a reason instead")
+    reasons = sum(isinstance(v, str) for v in CHECK_SITES.values())
+    print(f"{len(CHECK_SITES) - reasons} of {len(CHECK_SITES)} check "
+          f"sites name killing tests; {reasons} give a reason instead")
     return 1 if survivors else 0
 
 
 if __name__ == "__main__":
-    kinds = sys.argv[1:] or ["written", "sites"]
-    if not set(kinds) <= {"written", "sites"}:
-        sys.exit(f"usage: python tests/mutants.py [written] [sites]")
-    sys.exit(main(kinds))
+    sys.exit(main())
