@@ -297,6 +297,10 @@ def fan(seed_path, freeze_text, depth, out_path, as_json):
 
 # -- verify ------------------------------------------------------------------
 
+# verify separation refuses random:N paths of up to --max-len steps when N
+# times --max-len is beyond this, before it draws a path
+SEPARATION_MAX_STEPS = 10 ** 5
+
 
 def _random_paths(ed, paths_arg, max_len, rng_seed, source):
     if paths_arg.startswith("random:"):
@@ -307,6 +311,10 @@ def _random_paths(ed, paths_arg, max_len, rng_seed, source):
         if count < 1:
             _fail(EXIT_INPUT, f"{source}: {paths_arg!r} asks for {count} "
                               "paths; N must be at least 1")
+        if count * max_len > SEPARATION_MAX_STEPS:
+            _fail(EXIT_INPUT, f"{source}: {paths_arg!r} with --max-len "
+                              f"{max_len} asks for up to {count * max_len} "
+                              f"steps, over the bound of {SEPARATION_MAX_STEPS}")
         rng = random.Random(rng_seed)
         return [tuple(rng.randrange(ed.n)
                       for _ in range(rng.randint(1, max_len)))
@@ -353,7 +361,7 @@ def _suite(check, ed, p_file, seed_path, paths_spec, max_len, rng_seed):
             _echo(f"verify cocycle: {skipped} of {len(closed) + skipped} "
                   f"faces longer than --max-len {max_len} were not checked",
                   err=True)
-        return [("cocycle", partial(cocycle_check, fam, max_len=max_len))]
+        return [("cocycle", partial(cocycle_check, fam, faces=closed))]
     if check == "strata":
         return [(f"ray {ray}", partial(strata_consistency_check, fam, [ray]))
                 for ray in fam.atlas.rays]

@@ -304,14 +304,14 @@ def central_fiber_toric_check(fam):
 # -- consistency of the gluing ----------------------------------------------------
 
 
-def cocycle_check(fam, max_len=8):
+def cocycle_check(fam, max_len=8, faces=None):
     """Composite transitions around every 2-face act as coordinate
     permutations that match the face's start-cone coefficient vectors.
 
     Checks the immediate there-and-back composite at every wall, then the
     composite around every 2-face of the exchange graph, the cycle of cones
     around a codimension-2 cone, that closes within ``max_len`` steps
-    (``gfan.two_faces``).
+    (``gfan.two_faces``; ``faces``, when given, are the closed ones it found).
     Each face is walked once, from its start cone, and must come back to
     that cone's own coefficient vectors, permuted, with the coordinates
     permuted the same way.
@@ -340,8 +340,9 @@ def cocycle_check(fam, max_len=8):
                 f"wall ({src},{k}): there-and-back composite moves "
                 f"coordinate {moved + 1}")
 
-    closed, _ = two_faces(fam.atlas, max_len)
-    for start, i, j, stepped in closed:
+    if faces is None:
+        faces, _ = two_faces(fam.atlas, max_len)
+    for start, i, j, stepped in faces:
         where = f"face at cone {start.index} in directions {i + 1},{j + 1}"
         cone, images = start, None
         for s, nxt in enumerate(stepped):

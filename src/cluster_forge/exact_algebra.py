@@ -49,11 +49,12 @@ The public constructors ``LaurentPoly(vars, terms)`` and
 coefficients and exponents are dropped, exponent vectors must match the
 variable set, factors must share it, and factors equal to one are dropped.
 ``LaurentPoly._new`` and ``PosRatFunc._new`` are trusted: they set the slots
-without checks, and only this module's own arithmetic calls them, on results
-it has built clean (sums, negations and products of polynomials, exact
-quotients, products and nonzero powers of rational functions, sums of
-monomials, and the monomials, zeros and ones its own algorithms start
-from).
+without checks, on values their caller has built clean.  Three modules call
+them (``tests/test_hygiene.py`` holds the list): this one, on the results of
+its own arithmetic and the ones and monomials it starts from, dropping zero
+sums and exponents and factors equal to one as they arise; ``semifields``,
+whose ``TropMonomial.to_posrat`` is a monomial; and ``degeneration``, whose
+``_restrict`` drops only slots that are zero in every term.
 """
 
 from __future__ import annotations
@@ -151,11 +152,11 @@ class LaurentPoly:
 
     @classmethod
     def one(cls, vars):
-        return cls(vars, {tuple([0] * len(vars)): 1})
+        return cls._new(tuple(vars), {(0,) * len(vars): 1})
 
     @classmethod
     def monomial(cls, vars, exps):
-        return cls(vars, {tuple(exps): 1})
+        return cls._new(tuple(vars), {tuple(exps): 1})
 
     # -- basic queries -------------------------------------------------
     def is_zero(self):
@@ -184,13 +185,10 @@ class LaurentPoly:
         return self.terms.get(tuple([0] * len(self.vars)), 0)
 
     def all_coefs_positive(self):
-        return all(c > 0 for c in self.terms.values())
+        return not self.terms or min(self.terms.values()) > 0
 
     def integer_content(self):
-        g = 0
-        for c in self.terms.values():
-            g = gcd(g, abs(c))
-        return g
+        return gcd(*self.terms.values())
 
     def min_exponents(self):
         """Componentwise minimum exponent vector (the monomial content)."""
@@ -321,7 +319,7 @@ class LaurentPoly:
                 terms[key] = s
             else:
                 terms.pop(key, None)
-        return LaurentPoly(tv, terms)
+        return LaurentPoly._new(tv, terms)
 
     # -- equality / hashing ----------------------------------------------
     def __eq__(self, other):
@@ -330,8 +328,7 @@ class LaurentPoly:
 
     def __hash__(self):
         if self._hash is None:
-            items = tuple(sorted(self.terms.items()))
-            self._hash = hash((self.vars, items))
+            self._hash = hash((self.vars, frozenset(self.terms.items())))
         return self._hash
 
     # -- text form ---------------------------------------------------------
@@ -491,11 +488,11 @@ class PosRatFunc:
     # -- constructors ---------------------------------------------------
     @classmethod
     def one(cls, vars):
-        return cls(vars, [0] * len(vars), {})
+        return cls._new(tuple(vars), (0,) * len(vars), {})
 
     @classmethod
     def monomial(cls, vars, exps):
-        return cls(vars, exps, {})
+        return cls._new(tuple(vars), tuple(exps), {})
 
     @classmethod
     def variable(cls, vars, name):
@@ -649,7 +646,7 @@ class PosRatFunc:
                     if not key.is_one():
                         bump(key, kq)
                     changed = True
-        return PosRatFunc(self.vars, unit, fac)
+        return PosRatFunc._new(self.vars, tuple(unit), fac)
 
     # -- substitution ---------------------------------------------------------
     def to_posrat(self, target_vars):
@@ -796,8 +793,8 @@ def prf_sum(parts):
                 piece = piece * p.power(extra)
         total = total + piece
     out = PosRatFunc.from_poly(total)
-    out = out.mul(PosRatFunc(vars, tuple(-x for x in den_unit),
-                             {p: -e for p, e in den_factors.items()}))
+    out = out.mul(PosRatFunc._new(vars, tuple(-x for x in den_unit),
+                                  {p: -e for p, e in den_factors.items()}))
     return out.reduced()
 
 
@@ -986,8 +983,7 @@ def substitute_values(poly, assignment, scales=None):
                 key[i] = 0
             e = tuple(key)
         sums[e] = sums.get(e, 0) + c
-    g = denom
-    for c in sums.values():
-        g = gcd(g, c)
-    return (LaurentPoly(poly.vars, {e: c // g for e, c in sums.items()}),
-            denom // g)
+    g = gcd(denom, *sums.values())
+    # terms at a signed point can cancel
+    return (LaurentPoly._new(poly.vars, {e: c // g for e, c in sums.items()
+                                         if c}), denom // g)

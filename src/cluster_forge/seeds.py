@@ -96,6 +96,13 @@ class ExchangeData:
                     raise ValueError(
                         f"matrix is not skew-symmetrizable by d at ({i},{j})")
 
+    @classmethod
+    def _new(cls, B, n, d):
+        """Trusted constructor: ``__init__`` would accept B, n and d as is."""
+        self = object.__new__(cls)
+        self.B, self.n, self.d = B, n, d
+        return self
+
     @property
     def size(self):
         return len(self.B)
@@ -107,7 +114,8 @@ class ExchangeData:
     def mutate(self, k):
         if not 0 <= k < self.n:
             raise ValueError(f"direction {k} is not mutable")
-        return ExchangeData(mutate_matrix(self.B, k), self.n, self.d)
+        # d*B stays skew, and b_ik * b_ki <= 0 keeps the diagonal zero
+        return ExchangeData._new(mutate_matrix(self.B, k), self.n, self.d)
 
     def __eq__(self, other):
         return (isinstance(other, ExchangeData) and self.B == other.B

@@ -12,6 +12,8 @@ factored form with + replaced by the tropical sum.
 
 from __future__ import annotations
 
+from operator import add, neg
+
 from .exact_algebra import LaurentPoly, PosRatFunc, VariableSetMismatch
 
 
@@ -27,8 +29,15 @@ class TropMonomial:
             raise ValueError("exponent vector length mismatch")
 
     @classmethod
+    def _new(cls, vars, exps):
+        """Trusted constructor: tuples ``vars`` and ``exps`` of one length."""
+        self = object.__new__(cls)
+        self.vars, self.exps = vars, exps
+        return self
+
+    @classmethod
     def one(cls, vars):
-        return cls(vars, [0] * len(vars))
+        return cls._new(tuple(vars), (0,) * len(vars))
 
     @classmethod
     def variable(cls, vars, name):
@@ -39,13 +48,13 @@ class TropMonomial:
 
     def mul(self, other):
         self._check(other)
-        return TropMonomial(self.vars, [a + b for a, b in zip(self.exps, other.exps)])
+        return TropMonomial._new(self.vars, tuple(map(add, self.exps, other.exps)))
 
     def inv(self):
-        return TropMonomial(self.vars, [-x for x in self.exps])
+        return TropMonomial._new(self.vars, tuple(map(neg, self.exps)))
 
     def power(self, k):
-        return TropMonomial(self.vars, [x * k for x in self.exps])
+        return TropMonomial._new(self.vars, tuple(x * k for x in self.exps))
 
     def reduced(self):
         return self
@@ -53,7 +62,7 @@ class TropMonomial:
     def add(self, other):
         """Semifield sum: componentwise minimum of exponent vectors."""
         self._check(other)
-        return TropMonomial(self.vars, map(min, self.exps, other.exps))
+        return TropMonomial._new(self.vars, tuple(map(min, self.exps, other.exps)))
 
     def _check(self, other):
         if self.vars != other.vars:
@@ -70,8 +79,9 @@ class TropMonomial:
         tv = tuple(target_vars) if target_vars is not None else self.vars
         e = [0] * len(tv)
         for v, x in zip(self.vars, self.exps):
-            e[tv.index(v)] += x
-        return PosRatFunc.monomial(tv, e)
+            if x:
+                e[tv.index(v)] += x
+        return PosRatFunc._new(tv, tuple(e), {})
 
     def to_text(self):
         return LaurentPoly.monomial(self.vars, self.exps).to_text()

@@ -34,7 +34,8 @@ from cluster_forge.corpus import (
 )
 from cluster_forge.exact_algebra import LaurentPoly, PosRatFunc
 from cluster_forge.gfan import enumerate_gfan
-from cluster_forge.seeds import seed_from_json
+from cluster_forge.seeds import ExchangeData, seed_from_json
+from cluster_forge.semifields import TropMonomial
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 FIXTURES = os.path.join(SRC, "cluster_forge", "fixtures")
@@ -1367,3 +1368,94 @@ def test_fixed_commands_make_pinned_counts(monkeypatch, command, want):
     args = [fixture(a) if a.endswith(".json") else a for a in command.split()]
     assert run(*args).exit_code == 0
     assert counts == want
+
+
+@pytest.mark.parametrize("command, want", [
+    ("mutate --seed a3.json --path 1,2,3,2,1",
+     {"LaurentPoly": 0, "PosRatFunc": 9, "TropMonomial": 3,
+      "ExchangeData": 1}),
+    ("verify separation --seed a2.json --paths random:5 --rng-seed 3",
+     {"LaurentPoly": 0, "PosRatFunc": 38, "TropMonomial": 12,
+      "ExchangeData": 1}),
+], ids=["mutate", "verify-separation"])
+def test_fixed_commands_make_pinned_validating_constructions(monkeypatch,
+                                                             command, want):
+    """Values the engine builds for itself go through the trusted
+    constructors; what is left on the validating ones is input, variables
+    and canonical factors.  A change that puts a hot path back on a
+    validating constructor moves a count here."""
+    counts = dict.fromkeys(want, 0)
+    for cls in (LaurentPoly, PosRatFunc, TropMonomial, ExchangeData):
+        def init(self, *args, _init=cls.__init__, _name=cls.__name__):
+            counts[_name] += 1
+            _init(self, *args)
+        monkeypatch.setattr(cls, "__init__", init)
+    args = [fixture(a) if a.endswith(".json") else a for a in command.split()]
+    assert run(*args).exit_code == 0
+    assert counts == want
+
+
+def test_verify_cocycle_walks_the_faces_once(monkeypatch):
+    """The suite walks the 2-faces to count the ones it skips, and the
+    check runs on the faces that walk found."""
+    calls = []
+
+    def counted(atlas, max_len):
+        calls.append(max_len)
+        return gfan.two_faces(atlas, max_len)
+
+    monkeypatch.setattr(cli, "two_faces", counted)
+    monkeypatch.setattr(degeneration, "two_faces", counted)
+    res = run("verify", "cocycle", "--seed", fixture("a3.json"))
+    assert res.exit_code == 0
+    assert res.stdout == "cocycle cocycle: ok\nverify cocycle: 1/1 ok\n"
+    assert calls == [8]
+
+
+def _steps_counted(monkeypatch):
+    counts = {"g_cone_step": 0, "g_vector_step": 0}
+    for name in counts:
+        def counted(*args, _fn=getattr(gfan, name), _name=name):
+            counts[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(gfan, name, counted)
+    return counts
+
+
+def test_fan_and_star_make_pinned_step_counts(monkeypatch, tmp_path):
+    """The g-fan walk of A3 steps once per new cone and computes each
+    candidate g-vector once; reading the file back for a star replays
+    every stored path, prefixes shared.  The counts are the same for every
+    hash seed."""
+    fan = tmp_path / "a3.json"
+    counts = _steps_counted(monkeypatch)
+    assert run("fan", "--seed", fixture("a3.json"),
+               "--out", str(fan)).exit_code == 0
+    assert counts == {"g_cone_step": 13, "g_vector_step": 55}
+    counts = _steps_counted(monkeypatch)
+    assert run("star", "--fan", str(fan), "--tau", "ray:1").exit_code == 0
+    assert counts == {"g_cone_step": 13, "g_vector_step": 23}
+
+
+def test_verify_separation_refuses_work_past_its_bound(monkeypatch):
+    """N random paths of up to --max-len steps each are refused, exit 2
+    naming both options, when N times --max-len is one past
+    ``SEPARATION_MAX_STEPS``, before a path is drawn; at the bound the
+    paths are drawn."""
+    class Drawn(Exception):
+        pass
+
+    def draw(seed):
+        raise Drawn
+
+    monkeypatch.setattr(cli.random, "Random", draw)
+    bound = cli.SEPARATION_MAX_STEPS
+    for count, max_len in ((bound + 1, 1), (1, bound + 1)):
+        res = run("verify", "separation", "--seed", fixture("a2.json"),
+                  "--paths", f"random:{count}", "--max-len", str(max_len))
+        assert res.exit_code == 2
+        assert "--paths" in res.stderr and "--max-len" in res.stderr
+        assert str(bound) in res.stderr
+    res = run("verify", "separation", "--seed", fixture("a2.json"),
+              "--paths", f"random:{bound // 4}", "--max-len", "4")
+    assert isinstance(res.exception, Drawn)

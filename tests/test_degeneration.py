@@ -286,6 +286,20 @@ def test_cocycle_rejects_a_face_that_does_not_come_back(monkeypatch):
         cocycle_check(fam)
 
 
+def test_cocycle_checks_the_faces_it_is_given(monkeypatch):
+    """Given the faces, the check walks none itself: it passes on the
+    closed faces ``two_faces`` found, and on none, and catches a face walk
+    cut one step short."""
+    fam = Family(A2)
+    closed, _ = two_faces(fam.atlas, 8)
+    monkeypatch.setattr(degeneration, "two_faces", None)
+    assert cocycle_check(fam, faces=closed) is True
+    assert cocycle_check(fam, faces=[]) is True
+    (start, i, j, stepped), = closed
+    with pytest.raises(CheckFailed, match="do not come back permuted"):
+        cocycle_check(fam, faces=[(start, i, j, stepped[:-1])])
+
+
 def _wall_key(rec, k):
     """The ``Family.wall_images`` cache key of a record's wall in direction
     k."""

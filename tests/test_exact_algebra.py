@@ -618,6 +618,83 @@ def test_trusted_results_equal_their_validated_copies(a, b, c, k, f, g, j):
 
 
 @settings(max_examples=80, deadline=None)
+@given(st.lists(positive_polys(max_terms=3, max_exp=1), min_size=1,
+                max_size=3), signed_polys(), st.data())
+def test_substitutions_sums_and_reductions_equal_their_validated_copies(
+        polys, a, data):
+    """``reduced``, ``prf_sum``, both ``substitute_monomials``, ``one`` and
+    ``monomial`` build their results without checks: on quotients of
+    products of shared polynomials, which often reduce, and on monomial
+    images that make terms meet and cancel, each result is what the
+    validating constructors make of it."""
+    idx = st.lists(st.integers(0, len(polys) - 1), max_size=3)
+    num, den = LaurentPoly.one(XY), LaurentPoly.one(XY)
+    for i in data.draw(idx):
+        num = num * polys[i]
+    for i in data.draw(idx):
+        den = den * polys[i]
+    unit = data.draw(st.tuples(st.integers(-2, 2), st.integers(-2, 2)))
+    f = (PosRatFunc.monomial(XY, unit).mul(PosRatFunc.from_poly(num))
+         .mul(PosRatFunc.from_poly(den, -1)))
+    slot = st.tuples(st.integers(-1, 1), st.integers(-1, 1))
+    images = {"x": data.draw(slot), "y": data.draw(slot)}
+    for p in (LaurentPoly.one(XY), LaurentPoly.monomial(XY, list(unit)),
+              a.substitute_monomials(images),
+              num.substitute_monomials({"x": (1, 0, 1)}, ("x", "z", "y"))):
+        _assert_clean_poly(p)
+    prfs = [f.reduced(), PosRatFunc.one(XY),
+            PosRatFunc.monomial(list(XY), list(unit)),
+            # either fails on a factor or sum of integer content != 1
+            _outcome(lambda: f.substitute_monomials(images)),
+            _outcome(lambda: prf_sum([(1, f), (2, PosRatFunc.from_poly(
+                polys[0]))]))]
+    for h in prfs:
+        if h is not PositivityError:
+            _assert_clean_prf(h)
+
+
+def test_substitutions_drop_terms_that_cancel():
+    """At a signed point terms can cancel: X1*t1 + 2*X1 is zero at t1 = -2,
+    and the numerator keeps only 3*X2*t2 at t2 = 1/3, over 1.  So can
+    terms that a monomial substitution sends to one exponent vector."""
+    p = lp(XT, {(1, 0, 1, 0): 1, (1, 0, 0, 0): 2, (0, 1, 0, 1): 3})
+    num, den = substitute_values(p, {"t1": -2, "t2": Fraction(1, 3)})
+    assert num.terms == {(0, 1, 0, 0): 1} and den == 1
+    _assert_clean_poly(num)
+    q = lp(XY, {(1, 0): 1, (0, 1): -1, (1, 1): 2})
+    r = q.substitute_monomials({"y": (1, 0)})
+    assert r.terms == {(2, 0): 2}
+    _assert_clean_poly(r)
+
+
+@settings(max_examples=80, deadline=None)
+@given(signed_polys(XT, max_terms=6, max_exp=3),
+       st.fixed_dictionaries({}, optional={v: _nonzero_rationals()
+                                           for v in ("t1", "t2")}),
+       st.fixed_dictionaries({}, optional={v: _nonzero_rationals()
+                                           for v in ("X1", "X2")}))
+def test_substituted_values_equal_their_validated_copies(p, assignment,
+                                                        scales):
+    num, den = substitute_values(p, assignment, scales)
+    _assert_clean_poly(num)
+
+
+@settings(max_examples=80, deadline=None)
+@given(signed_polys(max_terms=6))
+def test_term_reads_equal_their_term_by_term_definitions(p):
+    """Content, positivity and the hash read the terms as a whole; each
+    equals its definition term by term, and the hash does not depend on
+    the order the terms were inserted in."""
+    g = 0
+    for c in p.terms.values():
+        g = math.gcd(g, abs(c))
+    assert p.integer_content() == g
+    assert p.all_coefs_positive() == all(c > 0 for c in p.terms.values())
+    q = LaurentPoly(p.vars, dict(reversed(list(p.terms.items()))))
+    assert q == p and hash(q) == hash(p)
+
+
+@settings(max_examples=80, deadline=None)
 @given(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), posrats(),
        posrats(max_terms=3), st.integers(-3, 3))
 def test_num_den_split_parts(unit, f, g, k):

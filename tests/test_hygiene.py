@@ -291,6 +291,54 @@ def test_imported_modules_are_detected():
     assert list(_imported_modules(tree)) == ["os", "fractions", "fractions"]
 
 
+#: The modules that may call each trusted constructor, which sets the slots
+#: without the checks of the validating one.  The rule each caller relies on
+#: is in the docstrings of ``exact_algebra``, ``TropMonomial._new`` and
+#: ``ExchangeData._new``.
+TRUSTED_CALLERS = {
+    "LaurentPoly": {"exact_algebra.py", "degeneration.py"},
+    "PosRatFunc": {"exact_algebra.py", "degeneration.py", "semifields.py"},
+    "TropMonomial": {"semifields.py"},
+    "ExchangeData": {"seeds.py"},
+}
+
+
+def _trusted_calls(tree):
+    """The class of every ``_new`` call in the parsed module: the enclosing
+    class for ``cls._new``, otherwise the text it is called on."""
+    owner = {id(node): cls.name for cls in ast.walk(tree)
+             if isinstance(cls, ast.ClassDef) for node in ast.walk(cls)}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call)
+                and getattr(node.func, "attr", None) == "_new"):
+            on = ast.unparse(node.func.value)
+            yield owner[id(node)] if on == "cls" else on
+
+
+def test_trusted_calls_are_detected():
+    tree = ast.parse(
+        "class A:\n"
+        "    @classmethod\n"
+        "    def one(cls):\n"
+        "        return cls._new(())\n"
+        "def f(x):\n"
+        "    return B._new(x), x.y._new(), C(x)\n")
+    assert sorted(_trusted_calls(tree)) == ["A", "B", "x.y"]
+
+
+def test_trusted_constructors_are_called_only_where_allowed():
+    """Each trusted constructor is called from exactly the modules that
+    ``TRUSTED_CALLERS`` lists for it, so a new caller, or a new trusted
+    constructor, arrives with its entry and the rule it relies on."""
+    found = {}
+    for module in MODULES:
+        with open(os.path.join(PACKAGE, module), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=module)
+        for cls in _trusted_calls(tree):
+            found.setdefault(cls, set()).add(module)
+    assert found == TRUSTED_CALLERS
+
+
 #: The engine computes in integers; rationals enter only at the base-point
 #: boundary: the ``--at`` option and the points of ``fiber_iso_check``.
 FRACTIONS_ALLOWED = {"cli.py", "degeneration.py"}

@@ -1,6 +1,8 @@
 """Seed mutation dynamics: frozen small-rank oracles and exchange axioms."""
 
 import json
+from itertools import combinations
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -55,6 +57,49 @@ def test_matrix_mutation_commutes_with_principal_submatrices(drawn):
 
     B = tuple(map(tuple, B))
     assert mutate_matrix(sub(B), keep.index(k)) == sub(mutate_matrix(B, k))
+
+
+def skew_symmetrizable_data():
+    """Exchange data up to 5x5: a mutable block with d_i b_ij = -d_j b_ji
+    (b_ij = t lcm(d_i, d_j) / d_i for a drawn t), any integers elsewhere,
+    so frozen rows and columns are arbitrary; and a path of mutable
+    directions."""
+    def build(n, d, ts, rest, path):
+        B = [list(row) for row in rest]
+        for (i, j), t in zip(combinations(range(n), 2), ts):
+            L = lcm(d[i], d[j])
+            B[i][j], B[j][i] = t * L // d[i], -t * L // d[j]
+        for i in range(n):
+            B[i][i] = 0
+        return ExchangeData(B, n, d), [k % n for k in path]
+
+    def sized(nN):
+        n, N = nN
+        return st.builds(
+            build, st.just(n),
+            st.lists(st.integers(1, 3), min_size=N, max_size=N),
+            st.lists(st.integers(-2, 2), min_size=n * (n - 1) // 2,
+                     max_size=n * (n - 1) // 2),
+            st.lists(st.lists(st.integers(-3, 3), min_size=N, max_size=N),
+                     min_size=N, max_size=N),
+            st.lists(st.integers(0, 4), max_size=6))
+    return st.integers(1, 5).flatmap(
+        lambda N: st.tuples(st.integers(1, N), st.just(N))).flatmap(sized)
+
+
+@settings(max_examples=200, deadline=None)
+@given(skew_symmetrizable_data())
+def test_mutation_keeps_what_the_validating_constructor_checks(drawn):
+    """``ExchangeData.mutate`` builds its result without checks; the
+    validating constructor accepts every result along a path, and gives
+    back an equal value of int tuples."""
+    ed, path = drawn
+    for k in path:
+        ed = ed.mutate(k)
+        assert ExchangeData(ed.B, ed.n, ed.d) == ed
+        assert type(ed.B) is tuple and all(
+            type(row) is tuple and all(type(x) is int for x in row)
+            for row in ed.B)
 
 
 def test_exchange_data_validation():

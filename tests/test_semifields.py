@@ -71,6 +71,25 @@ def test_semifield_axioms(a, b, c):
     assert a.mul(b.add(c)) == a.mul(b).add(a.mul(c))
 
 
+@settings(max_examples=50, deadline=None)
+@given(trop_monomials(), trop_monomials(), st.integers(-3, 3),
+       st.permutations(("y1", "y2") + P))
+def test_trusted_results_equal_their_validated_copies(a, b, k, target):
+    """Tropical arithmetic builds its results without checks: each is what
+    the validating constructor makes of it, with tuple exponents of the
+    variables' length, and ``to_posrat`` onto a superset of the variables is
+    the validated monomial with each exponent in its variable's slot."""
+    for m in (a.mul(b), a.inv(), a.power(k), a.add(b), TropMonomial.one(P)):
+        assert m == TropMonomial(m.vars, m.exps)
+        assert type(m.vars) is tuple and type(m.exps) is tuple
+        assert len(m.exps) == len(P)
+    f = a.to_posrat(target)
+    e = dict(zip(P, a.exps))
+    assert f == PosRatFunc(target, [e.get(v, 0) for v in target], {})
+    assert type(f.unit) is tuple and f.factors == {}
+    assert a.to_posrat() == PosRatFunc(P, a.exps, {})
+
+
 def positive_polys():
     exps = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
 
