@@ -1423,10 +1423,11 @@ def _steps_counted(monkeypatch):
 
 
 def test_fan_and_star_make_pinned_step_counts(monkeypatch, tmp_path):
-    """The g-fan walk of A3 steps once per new cone and computes each
-    candidate g-vector once; reading the file back for a star replays
-    every stored path, prefixes shared.  The counts are the same for every
-    hash seed."""
+    """The g-fan walk of A3 takes one step per new cone (13), each computing
+    one g-vector, and computes one more per cone and direction (42).  The
+    star of ray 1 replays the stored paths of the 5 cones holding the ray,
+    prefixes shared (13 steps), and one g-vector across each of their 2
+    other walls (10).  The counts are the same for every hash seed."""
     fan = tmp_path / "a3.json"
     counts = _steps_counted(monkeypatch)
     assert run("fan", "--seed", fixture("a3.json"),
