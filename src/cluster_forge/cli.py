@@ -282,8 +282,7 @@ def fan(seed_path, freeze_text, depth, out_path, as_json):
     if out_path:
         try:
             with open(out_path, "w", encoding="utf-8") as fh:
-                json.dump(obj, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+                fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
         except OSError as exc:
             _fail(EXIT_INPUT, f"--out {out_path} cannot be written: "
                               f"{exc.strerror}")
@@ -303,6 +302,9 @@ SEPARATION_MAX_STEPS = 10 ** 5
 
 
 def _random_paths(ed, paths_arg, max_len, rng_seed, source):
+    """The paths of ``--paths``: random ones drawn one at a time as they
+    are consumed, after the bound is checked; explicit ones parsed at once,
+    so that an input error exits before any path is checked."""
     if paths_arg.startswith("random:"):
         try:
             count = int(paths_arg.split(":", 1)[1])
@@ -316,25 +318,26 @@ def _random_paths(ed, paths_arg, max_len, rng_seed, source):
                               f"{max_len} asks for up to {count * max_len} "
                               f"steps, over the bound of {SEPARATION_MAX_STEPS}")
         rng = random.Random(rng_seed)
-        return [tuple(rng.randrange(ed.n)
+        return (tuple(rng.randrange(ed.n)
                       for _ in range(rng.randint(1, max_len)))
-                for _ in range(count)]
+                for _ in range(count))
     return [_parse_directions(p, ed, source) for p in paths_arg.split(";")]
 
 
 def _suite(check, ed, p_file, seed_path, paths_spec, max_len, rng_seed):
     """The parts of a ``verify`` suite as (label, run) pairs, in the order
-    they run.  A part fails when ``run()`` returns a string, the failure
-    detail, or raises ``CheckFailed`` or ``ExactAlgebraError``.  Input
-    errors, and the walk's exit on a seed of infinite type, come here,
-    before any part runs."""
+    they run; random separation paths are drawn as their parts come up.
+    A part fails when ``run()`` returns a string, the failure detail, or
+    raises ``CheckFailed`` or ``ExactAlgebraError``.  Input errors, and the
+    walk's exit on a seed of infinite type, come here, before any part
+    runs."""
     if check == "separation":
         _need_mutable(ed, seed_path, "verify separation", Y_SEED_NEEDS_MUTABLE)
         p0 = (p_file if len(p_file) == ed.n
               else YSeedCoeff.initial_principal(ed).p)
         paths = _random_paths(ed, paths_spec, max_len, rng_seed, "--paths")
-        return [("path " + (_joined(path) or "(empty)"),
-                 partial(separation_check, ed, p0, path)) for path in paths]
+        return (("path " + (_joined(path) or "(empty)"),
+                 partial(separation_check, ed, p0, path)) for path in paths)
 
     if check in ("duality", "signcoherence"):
         atlas = _walk(ed, seed_path)
@@ -496,12 +499,13 @@ def degenerate(seed_path, at_text, as_json):
     else:
         kind = ("toric gluing of the central fiber" if all(zeros)
                 else "fiber transition maps")
-        _echo(f"{kind} at ({', '.join(at)})")
+        lines = [f"{kind} at ({', '.join(at)})"]
         for w in walls:
-            _echo(f"wall cone {w['src']} --{w['direction']}--> "
-                  f"cone {w['dst']}")
-            for i, img in enumerate(w["images"]):
-                _echo(f"  X{i + 1} -> {img}")
+            lines.append(f"wall cone {w['src']} --{w['direction']}--> "
+                         f"cone {w['dst']}")
+            lines += [f"  X{i + 1} -> {img}"
+                      for i, img in enumerate(w["images"])]
+        _echo("\n".join(lines))
     sys.exit(EXIT_OK)
 
 

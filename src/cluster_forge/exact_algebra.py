@@ -54,7 +54,13 @@ them (``tests/test_hygiene.py`` holds the list): this one, on the results of
 its own arithmetic and the ones and monomials it starts from, dropping zero
 sums and exponents and factors equal to one as they arise; ``semifields``,
 whose ``TropMonomial.to_posrat`` is a monomial; and ``degeneration``, whose
-``_restrict`` drops only slots that are zero in every term.
+``_restrict`` drops only slots that are zero in every term.  Here,
+``from_poly`` and the end of ``prf_sum`` take their key from
+``_canonical_factor``, which refuses a zero, nonpositive or contentful
+polynomial, and returns one whose minimal exponent is already 0 as its own
+key; they leave out a key equal to one and a zeroth power, and ``prf_sum``
+merges the sum's key into the denominator's factors, none equal to one,
+dropping an exponent that sums to zero.
 """
 
 from __future__ import annotations
@@ -436,7 +442,9 @@ def _canonical_factor(poly):
 
     The key has componentwise-minimal exponent 0 and integer content 1; fails
     loudly when the integer content is not 1 (the factored representation has
-    nowhere to put a constant).
+    nowhere to put a constant).  A polynomial whose minimal exponent is
+    already 0 is its own key, so its terms are rebuilt only for a nonzero
+    shift.
     """
     if poly.is_zero():
         raise PositivityError("zero cannot be a factor")
@@ -446,6 +454,8 @@ def _canonical_factor(poly):
     if poly.integer_content() != 1:
         raise PositivityError(
             f"factor has integer content != 1: {poly.to_text()}")
+    if not any(shift):
+        return shift, poly
     key = LaurentPoly._new(
         poly.vars, {tuple(map(sub, e, shift)): c for e, c in poly.terms.items()})
     return shift, key
@@ -506,9 +516,9 @@ class PosRatFunc:
         """Positive polynomial, canonicalized, raised to an integer power."""
         shift, key = _canonical_factor(poly)
         unit = tuple(x * power for x in shift)
-        if key.is_one():
-            return cls(poly.vars, unit, {})
-        return cls(poly.vars, unit, {key: power})
+        if not power or key.is_one():
+            return cls._new(poly.vars, unit, {})
+        return cls._new(poly.vars, unit, {key: power})
 
     # -- multiplicative structure ----------------------------------------
     def mul(self, other):
@@ -792,10 +802,17 @@ def prf_sum(parts):
             if extra:
                 piece = piece * p.power(extra)
         total = total + piece
-    out = PosRatFunc.from_poly(total)
-    out = out.mul(PosRatFunc._new(vars, tuple(-x for x in den_unit),
-                                  {p: -e for p, e in den_factors.items()}))
-    return out.reduced()
+    # total / den, the sum's key first: reduced() tries pairs in key order
+    shift, key = _canonical_factor(total)
+    factors = {} if key.is_one() else {key: 1}
+    for p, e in den_factors.items():
+        s = factors.get(p, 0) - e
+        if s:
+            factors[p] = s
+        else:
+            del factors[p]
+    return PosRatFunc._new(vars, tuple(map(sub, shift, den_unit)),
+                           factors).reduced()
 
 
 def rat_equal(f, g):

@@ -23,6 +23,7 @@ from .seeds import (
     ExchangeData,
     json_int,
     mutate_matrix,
+    mutate_rows,
     replay,
     seed_from_json,
 )
@@ -129,36 +130,40 @@ def g_vector_step(cone, k):
     Cluster algebras IV (6.12) under sign coherence: g'_k = -g_k +
     sum_l [-e*b_lk]_+ g_l, with e the sign of the k-th c-vector.  Raises
     ``CheckFailed`` when that c-vector is not sign-coherent."""
-    col = tuple(row[k] for row in cone.C)
+    col = [row[k] for row in cone.C]
     pos = max(col) > 0
     if pos == (min(col) < 0):
         path = ",".join(str(j + 1) for j in cone.path) or "(initial)"
+        col = tuple(col)
         raise CheckFailed(f"cone at path {path}: c-vector {k + 1} {col} is "
                           f"not sign-coherent")
     e = 1 if pos else -1
-    terms = [(l, a) for l, row in enumerate(cone.B[:len(col)])
-             if (a := -e * row[k]) > 0]
-    return tuple([sum([row[l] * a for l, a in terms]) - row[k]
-                  for row in cone.G])
+    G = cone.G
+    g = [-row[k] for row in G]
+    for l, row in enumerate(cone.B[:len(col)]):
+        a = -e * row[k]
+        if a > 0:
+            g = [x + r[l] * a for x, r in zip(g, G)]
+    return tuple(g)
 
 
 def g_cone_step(cone, k):
     """The cone across the wall in direction k, stepped in integers.
 
     B mutates; C and the dual c-matrix Cd step by the c-vector recurrence,
-    Cd for the negated-transpose pattern, which needs no matrix of its own
-    because matrix mutation commutes with negating the transpose.  Only
-    column k of G changes, to ``g_vector_step(cone, k)``.  The new record
-    has no atlas index.
+    Cd for the negated-transpose pattern through its row k, the negated
+    column k of B: that pattern needs no matrix of its own because matrix
+    mutation commutes with negating the transpose.  Only column k of G
+    changes, to ``g_vector_step(cone, k)``.  The new record has no atlas
+    index.
     """
-    n = len(cone.C)
     B = cone.B
     g = g_vector_step(cone, k)
-    G = tuple(row[:k] + (x,) + row[k + 1:] for row, x in zip(cone.G, g))
-    Bd = tuple(tuple(-B[j][i] for j in range(n)) for i in range(n))
+    G = tuple([row[:k] + (x,) + row[k + 1:] for row, x in zip(cone.G, g)])
     return ConeRecord(None, cone.path + (k,), mutate_matrix(B, k),
                       c_matrix_step(cone.C, B, k), G,
-                      c_matrix_step(cone.Cd, Bd, k))
+                      mutate_rows(cone.Cd, k,
+                                  [-row[k] for row in B[:len(cone.C)]]))
 
 
 def enumerate_gfan(ed, allowed=None, depth=None):

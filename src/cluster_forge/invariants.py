@@ -42,10 +42,10 @@ from .seeds import (
     langlands_dual,
     mutate_cluster_seed,
     mutate_matrix,
+    mutate_rows,
     mutate_y_seed,
     p_vars,
     replay,
-    sign,
     x_vars,
     y_vars,
 )
@@ -122,20 +122,10 @@ def mat_inverse_integer(M):
 
 def c_matrix_step(C, B, k):
     """One step of the column recurrence: negate column k, add the
-    sign-selected multiple of it to the others per row k of the matrix."""
-    n = len(C)
-    new = [list(row) for row in C]
-    for i in range(n):
-        new[i][k] = -C[i][k]
-    for j in range(n):
-        if j == k:
-            continue
-        b = B[k][j]
-        if b:
-            s = sign(b)
-            for i in range(n):
-                new[i][j] = C[i][j] + s * max(b * C[i][k], 0)
-    return tuple(tuple(row) for row in new)
+    sign-selected multiple of it to the others per row k of the matrix.
+    Entry (i, j) becomes c_ij + sign(b_kj) [b_kj c_ik]+, the rule by which
+    ``mutate_rows`` steps a row, read on the first n entries of row k."""
+    return mutate_rows(C, k, B[k][:len(C)])
 
 
 def c_matrix(ed, path):
@@ -188,21 +178,30 @@ def g_matrix_degrees(ed, path, memo=None):
     variables; column j is the degree vector of the j-th variable.
 
     ``memo``, when given, is a dict from path prefix to the principal
-    cluster seed at it; it is read and filled by ``replay``, so a caller
-    walking many paths that share prefixes, such as the cones of a
-    breadth-first atlas, mutates once per new prefix.  It is keyed on the
+    cluster seed at it, with the grading and the degrees of its n mutable
+    variables; it is read and filled by ``replay``, so a caller walking
+    many paths that share prefixes, such as the cones of a breadth-first
+    atlas, mutates once per new prefix and reads one degree there, since
+    a step in direction k changes variable k alone.  It is keyed on the
     path alone, so it must live no longer than one ``ed``.
     """
     memo = {} if memo is None else memo
     if () not in memo:
-        memo[()] = ClusterSeedCoeff.initial_principal(ed)
-    seed = replay(memo, tuple(path), mutate_cluster_seed)
-    n = ed.n
-    grading = principal_grading(x_vars(ed.size), p_vars(n),
-                                [tuple(row[j] for row in ed.B[:n])
-                                 for j in range(n)])
-    cols = [degree_of(x, grading) for x in seed.x]
-    return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
+        n = ed.n
+        grading = principal_grading(x_vars(ed.size), p_vars(n),
+                                    [tuple(row[j] for row in ed.B[:n])
+                                     for j in range(n)])
+        seed = ClusterSeedCoeff.initial_principal(ed)
+        memo[()] = (seed, grading,
+                    tuple(degree_of(x, grading) for x in seed.x[:n]))
+
+    def step(entry, k):
+        seed, grading, cols = entry
+        seed = mutate_cluster_seed(seed, k)
+        return (seed, grading,
+                cols[:k] + (degree_of(seed.x[k], grading),) + cols[k + 1:])
+
+    return tuple(zip(*replay(memo, tuple(path), step)[2]))
 
 
 # -- F-polynomials ---------------------------------------------------------------

@@ -28,19 +28,33 @@ def sign(x):
     return (x > 0) - (x < 0)
 
 
-def mutate_matrix(B, k):
-    """Matrix mutation in direction k: flip row/column k, adjust the rest by
-    the positive part of the product through k."""
-    N = len(B)
+def mutate_rows(rows, k, bk):
+    """Each row r of ``rows`` stepped through direction k by ``bk``, row k
+    of an exchange matrix: r_j + sign(r_k) [r_k bk_j]+ off column k, and
+    -r_k in it.  Only the entries where r_k bk_j > 0 move, by |r_k| bk_j,
+    so ``bk`` is split by sign once, and a row with r_k = 0 is returned
+    as it is."""
+    pos = [(j, b) for j, b in enumerate(bk) if b > 0]
+    neg = [(j, b) for j, b in enumerate(bk) if b < 0]
     out = []
-    for i in range(N):
-        row = []
-        for j in range(N):
-            if i == k or j == k:
-                row.append(-B[i][j])
-            else:
-                row.append(B[i][j] + sign(B[i][k]) * max(B[i][k] * B[k][j], 0))
-        out.append(tuple(row))
+    for row in rows:
+        a = row[k]
+        if a:
+            row = list(row)
+            m = abs(a)
+            for j, b in (pos if a > 0 else neg):
+                row[j] += m * b
+            row[k] = -a
+            row = tuple(row)
+        out.append(row)
+    return tuple(out)
+
+
+def mutate_matrix(B, k):
+    """Matrix mutation in direction k: row k negates, and every other row
+    steps by ``mutate_rows`` through row k."""
+    out = list(mutate_rows(B, k, B[k]))
+    out[k] = tuple([-x for x in B[k]])
     return tuple(out)
 
 

@@ -51,6 +51,7 @@ _IV = "src/cluster_forge/invariants.py"
 _CLI = "src/cluster_forge/cli.py"
 _CO = "src/cluster_forge/corpus.py"
 _GF = "src/cluster_forge/gfan.py"
+_SE = "src/cluster_forge/seeds.py"
 
 MUTANTS = [
     # rat_equal decides on the unit alone
@@ -102,6 +103,28 @@ MUTANTS = [
      '        results.append((label, not failed, detail if failed else ""))\n'
      "        if failed:\n            break\n",
      ["tests/test_cli.py::test_a_failing_part_does_not_stop_its_suite"]),
+    # matrix mutation drops the negative half of row k's sign split
+    (_SE,
+     "    neg = [(j, b) for j, b in enumerate(bk) if b < 0]\n",
+     "    neg = []\n",
+     ["tests/test_seeds.py::test_cluster_seed_mutation_is_an_involution",
+      "tests/test_seeds.py::"
+      "test_matrix_and_c_matrix_steps_equal_their_entry_by_entry_forms"]),
+    # the walk steps the dual c-matrix with row k of B, not the negated
+    # column k
+    (_GF,
+     "[-row[k] for row in B[:len(cone.C)]]",
+     "B[k][:len(cone.C)]",
+     ["tests/test_invariants.py::test_g_matrix_routes_agree",
+      "tests/test_seeds.py::"
+      "test_g_cone_step_equals_its_form_through_whole_matrices"]),
+    # prf_sum merges the sum's key into the denominator with exponent -1
+    (_EA,
+     "factors = {} if key.is_one() else {key: 1}",
+     "factors = {} if key.is_one() else {key: -1}",
+     ["tests/test_exact_algebra.py::test_posrat_add_matches_expand",
+      "tests/test_exact_algebra.py::"
+      "test_prf_sum_equals_its_sum_over_one_denominator"]),
 ]
 
 

@@ -1372,18 +1372,19 @@ def test_fixed_commands_make_pinned_counts(monkeypatch, command, want):
 
 @pytest.mark.parametrize("command, want", [
     ("mutate --seed a3.json --path 1,2,3,2,1",
-     {"LaurentPoly": 0, "PosRatFunc": 9, "TropMonomial": 3,
+     {"LaurentPoly": 0, "PosRatFunc": 3, "TropMonomial": 3,
       "ExchangeData": 1}),
     ("verify separation --seed a2.json --paths random:5 --rng-seed 3",
-     {"LaurentPoly": 0, "PosRatFunc": 38, "TropMonomial": 12,
+     {"LaurentPoly": 0, "PosRatFunc": 20, "TropMonomial": 12,
       "ExchangeData": 1}),
 ], ids=["mutate", "verify-separation"])
 def test_fixed_commands_make_pinned_validating_constructions(monkeypatch,
                                                              command, want):
     """Values the engine builds for itself go through the trusted
-    constructors; what is left on the validating ones is input, variables
-    and canonical factors.  A change that puts a hot path back on a
-    validating constructor moves a count here."""
+    constructors; what is left on the validating ones is input, the
+    initial Y-variables (one ``PosRatFunc`` each) and tropicalized
+    polynomials.  A change that puts a hot path back on a validating constructor
+    moves a count here."""
     counts = dict.fromkeys(want, 0)
     for cls in (LaurentPoly, PosRatFunc, TropMonomial, ExchangeData):
         def init(self, *args, _init=cls.__init__, _name=cls.__name__):
@@ -1460,3 +1461,40 @@ def test_verify_separation_refuses_work_past_its_bound(monkeypatch):
     res = run("verify", "separation", "--seed", fixture("a2.json"),
               "--paths", f"random:{bound // 4}", "--max-len", "4")
     assert isinstance(res.exception, Drawn)
+
+
+def test_verify_separation_draws_each_random_path_as_its_part_runs(
+        monkeypatch):
+    """random:N paths are drawn one at a time, each just before its check
+    runs, with the labels of the same paths drawn as one list first;
+    explicit paths are all parsed first, so a bad one exits 2 before any
+    check runs."""
+    events = []
+    Random = cli.random.Random
+
+    class Recording(Random):
+        def randint(self, a, b):
+            events.append("draw")
+            return super().randint(a, b)
+
+    def check(ed, p0, path):
+        events.append("check")
+        return invariants.separation_check(ed, p0, path)
+
+    monkeypatch.setattr(cli.random, "Random", Recording)
+    monkeypatch.setattr(cli, "separation_check", check)
+    res = run("verify", "separation", "--seed", fixture("a2.json"),
+              "--paths", "random:4", "--rng-seed", "3")
+    assert res.exit_code == 0
+    assert events == ["draw", "check"] * 4
+    rng = Random(3)
+    paths = [[rng.randrange(2) + 1 for _ in range(rng.randint(1, 8))]
+             for _ in range(4)]
+    labels = sorted("path " + ",".join(map(str, p)) for p in paths)
+    assert res.stdout.splitlines()[:-1] == [
+        f"separation {label}: ok" for label in labels]
+    events.clear()
+    res = run("verify", "separation", "--seed", fixture("a2.json"),
+              "--paths", "1;2,1;3")
+    assert res.exit_code == 2 and "direction 3 out of range" in res.stderr
+    assert events == []

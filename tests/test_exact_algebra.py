@@ -653,6 +653,79 @@ def test_substitutions_sums_and_reductions_equal_their_validated_copies(
             _assert_clean_prf(h)
 
 
+def _prf_sum_over_one_denominator(parts):
+    """The sum of positive multiples of PosRatFuncs, every part expanded
+    over the least common factored denominator: the numerator sum as a
+    PosRatFunc, times the inverse of that denominator, reduced."""
+    vars = parts[0][1].vars
+    splits = [f.num_den_split() for _, f in parts]
+    den_unit = [max(un[i] for _, _, un, _ in splits) for i in range(len(vars))]
+    den = {}
+    for _, _, _, df in splits:
+        for p, e in df.items():
+            den[p] = max(den.get(p, 0), e)
+    total = LaurentPoly.zero(vars)
+    for (c, f), (up, nf, un, df) in zip(parts, splits):
+        piece = LaurentPoly(vars, {tuple(a + b - x for a, b, x
+                                         in zip(up, den_unit, un)): c})
+        for p, e in list(nf.items()) + [(p, e - df.get(p, 0))
+                                        for p, e in den.items()]:
+            piece = piece * p.power(e)
+        total = total + piece
+    return PosRatFunc.from_poly(total).mul(
+        PosRatFunc(vars, den_unit, den).inv()).reduced()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(positive_polys(max_terms=3, max_exp=1), min_size=1,
+                max_size=3), st.data())
+def test_prf_sum_equals_its_sum_over_one_denominator(pool, data):
+    """``prf_sum`` merges the sum's key into the denominator's factors and
+    builds the result once; on parts with and without factors, drawn from
+    a shared pool so that keys meet, its unit and its factor dict, in
+    order, are those of the numerator sum times the inverse denominator,
+    reduced, and the result is what the validating constructor makes of
+    it.  A sum of integer content other than 1 fails with a
+    ``PositivityError``."""
+    exps = st.integers(-2, 2)
+    parts = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        f = PosRatFunc.monomial(XY, data.draw(st.tuples(exps, exps)))
+        if data.draw(st.booleans()):
+            for p in pool:
+                f = f.mul(PosRatFunc.from_poly(p, data.draw(exps)))
+        parts.append((data.draw(st.integers(1, 3)), f))
+
+    def outcome(fn):
+        try:
+            return fn(parts)
+        except PositivityError as exc:
+            return str(exc)
+
+    got = outcome(prf_sum)
+    want = outcome(_prf_sum_over_one_denominator)
+    if isinstance(want, str):
+        # a sum of monomials names its sum shifted to exponent 0
+        assert got == want or not any(f.factors for _, f in parts)
+        assert isinstance(got, str)
+        return
+    assert got.unit == want.unit
+    assert list(got.factors.items()) == list(want.factors.items())
+    _assert_clean_prf(got)
+
+
+def test_from_poly_builds_its_power():
+    """``from_poly`` builds its result without checks: the zeroth power is
+    one, and a monomial has no factor at any power."""
+    p = lp(XY, {(1, 0): 1, (2, 1): 2})
+    assert PosRatFunc.from_poly(p, 0) == PosRatFunc.one(XY)
+    assert PosRatFunc.from_poly(lp(XY, {(1, 2): 1}), -2) == \
+        PosRatFunc.monomial(XY, (-2, -4))
+    for k in (-3, -1, 0, 1, 2):
+        _assert_clean_prf(PosRatFunc.from_poly(p, k))
+        assert PosRatFunc.from_poly(p, k).unit == (k, 0)
+
+
 def test_substitutions_drop_terms_that_cancel():
     """At a signed point terms can cancel: X1*t1 + 2*X1 is zero at t1 = -2,
     and the numerator keeps only 3*X2*t2 at t2 = 1/3, over 1.  So can

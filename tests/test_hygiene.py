@@ -90,21 +90,41 @@ def test_module_level_definitions_are_used(module, names_used):
     assert not unused, f"{module} defines but nothing uses: {', '.join(unused)}"
 
 
-def _calls_by_name():
-    """For every call in the Python files of src/, tests/ and bench/, keyed
-    by the called name: the number of positional arguments, the keyword
-    names, and whether ``*args`` or ``**kwargs`` is passed."""
+def _called_name(func):
+    return getattr(func, "id", getattr(func, "attr", None))
+
+
+def _calls_by_name(trees):
+    """For every call in the parsed modules ``trees``, keyed by the called
+    name: the number of positional arguments, the keyword names, and
+    whether ``*args`` or ``**kwargs`` is passed.  ``partial(f, *args,
+    **kw)`` is also a call of ``f``, with the arguments after ``f``."""
     calls = {}
-    for tree in _source_trees():
+    for tree in trees:
         for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
                 continue
-            name = getattr(node.func, "id", getattr(node.func, "attr", None))
-            starred = (any(isinstance(a, ast.Starred) for a in node.args)
-                       or any(k.arg is None for k in node.keywords))
-            calls.setdefault(name, []).append(
-                (len(node.args), {k.arg for k in node.keywords}, starred))
+            name, args = _called_name(node.func), node.args
+            called = [(name, args)]
+            if name == "partial" and args:
+                called.append((_called_name(args[0]), args[1:]))
+            keywords = {k.arg for k in node.keywords}
+            for name, args in called:
+                starred = (any(isinstance(a, ast.Starred) for a in args)
+                           or None in keywords)
+                calls.setdefault(name, []).append(
+                    (len(args), keywords - {None}, starred))
     return calls
+
+
+def test_partial_is_read_as_a_call_of_its_function():
+    tree = ast.parse(
+        "partial(cocycle_check, fam, faces=closed)\n"
+        "functools.partial(obj.run, *rest, **kw)\n")
+    calls = _calls_by_name([tree])
+    assert calls["cocycle_check"] == [(1, {"faces"}, False)]
+    assert calls["run"] == [(1, set(), True)]
+    assert calls["partial"] == [(2, {"faces"}, False), (2, set(), True)]
 
 
 def _defaulted_parameters(tree):
@@ -138,7 +158,7 @@ def test_every_defaulted_parameter_is_passed_somewhere():
     by keyword or by position, is a knob nobody turns.  Calls are matched
     by function name, and one with ``*args`` or ``**kwargs`` passes every
     parameter."""
-    calls = _calls_by_name()
+    calls = _calls_by_name(_source_trees())
     unused = []
     for module in MODULES:
         with open(os.path.join(PACKAGE, module), encoding="utf-8") as fh:

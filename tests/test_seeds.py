@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cluster_forge.exact_algebra import LaurentPoly, PosRatFunc, rat_equal
+from cluster_forge.gfan import ConeRecord, g_cone_step
+from cluster_forge.invariants import c_matrix_step
 from cluster_forge.semifields import TropMonomial
 from cluster_forge.seeds import (
     ClusterSeedCoeff,
@@ -59,11 +61,11 @@ def test_matrix_mutation_commutes_with_principal_submatrices(drawn):
     assert mutate_matrix(sub(B), keep.index(k)) == sub(mutate_matrix(B, k))
 
 
-def skew_symmetrizable_data():
-    """Exchange data up to 5x5: a mutable block with d_i b_ij = -d_j b_ji
-    (b_ij = t lcm(d_i, d_j) / d_i for a drawn t), any integers elsewhere,
-    so frozen rows and columns are arbitrary; and a path of mutable
-    directions."""
+def skew_symmetrizable_data(size=5):
+    """Exchange data up to size x size: a mutable block with d_i b_ij =
+    -d_j b_ji (b_ij = t lcm(d_i, d_j) / d_i for a drawn t), any integers
+    elsewhere, so frozen rows and columns are arbitrary; and a path of
+    mutable directions."""
     def build(n, d, ts, rest, path):
         B = [list(row) for row in rest]
         for (i, j), t in zip(combinations(range(n), 2), ts):
@@ -82,8 +84,8 @@ def skew_symmetrizable_data():
                      max_size=n * (n - 1) // 2),
             st.lists(st.lists(st.integers(-3, 3), min_size=N, max_size=N),
                      min_size=N, max_size=N),
-            st.lists(st.integers(0, 4), max_size=6))
-    return st.integers(1, 5).flatmap(
+            st.lists(st.integers(0, size - 1), max_size=6))
+    return st.integers(1, size).flatmap(
         lambda N: st.tuples(st.integers(1, N), st.just(N))).flatmap(sized)
 
 
@@ -100,6 +102,83 @@ def test_mutation_keeps_what_the_validating_constructor_checks(drawn):
         assert type(ed.B) is tuple and all(
             type(row) is tuple and all(type(x) is int for x in row)
             for row in ed.B)
+
+
+# -- integer step kernels against their entry-by-entry forms -------------------
+
+def _sign(x):
+    return (x > 0) - (x < 0)
+
+
+def _mutate_matrix_by_entries(B, k):
+    """Matrix mutation read entry by entry over all N^2 entries."""
+    N = len(B)
+    return tuple(tuple(-B[i][j] if k in (i, j) else
+                       B[i][j] + _sign(B[i][k]) * max(B[i][k] * B[k][j], 0)
+                       for j in range(N)) for i in range(N))
+
+
+def _c_matrix_step_by_entries(C, B, k):
+    """The c-vector recurrence read entry by entry, rescanning row k of B
+    for every row of C."""
+    n = len(C)
+    return tuple(tuple(-C[i][k] if j == k else
+                       C[i][j] + _sign(B[k][j]) * max(B[k][j] * C[i][k], 0)
+                       for j in range(n)) for i in range(n))
+
+
+def _g_cone_step_by_matrices(cone, k):
+    """The walk step with the dual c-matrix stepped through the whole
+    negated transpose of B, and column k of G summed row by row."""
+    n = len(cone.C)
+    B = cone.B
+    col = tuple(row[k] for row in cone.C)
+    e = 1 if max(col) > 0 else -1
+    terms = [(l, -e * row[k]) for l, row in enumerate(B[:n])
+             if -e * row[k] > 0]
+    g = [sum(row[l] * a for l, a in terms) - row[k] for row in cone.G]
+    G = tuple(row[:k] + (x,) + row[k + 1:] for row, x in zip(cone.G, g))
+    Bd = tuple(tuple(-B[j][i] for j in range(n)) for i in range(n))
+    return ConeRecord(None, cone.path + (k,), _mutate_matrix_by_entries(B, k),
+                      _c_matrix_step_by_entries(cone.C, B, k), G,
+                      _c_matrix_step_by_entries(cone.Cd, Bd, k))
+
+
+@settings(max_examples=200, deadline=None)
+@given(skew_symmetrizable_data(size=6), st.data())
+def test_matrix_and_c_matrix_steps_equal_their_entry_by_entry_forms(drawn,
+                                                                     data):
+    """``mutate_matrix`` and ``c_matrix_step`` touch only the entries that
+    move; along a path, on exchange data up to 6x6 with frozen rows and
+    columns and on any integer n x n matrix C, each equals its form read
+    entry by entry, as a tuple of int tuples."""
+    ed, path = drawn
+    n = ed.n
+    C = tuple(tuple(row) for row in data.draw(st.lists(
+        st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+        min_size=n, max_size=n)))
+    B = ed.B
+    for k in path:
+        C, want = c_matrix_step(C, B, k), _c_matrix_step_by_entries(C, B, k)
+        assert C == want
+        B, want = mutate_matrix(B, k), _mutate_matrix_by_entries(B, k)
+        assert B == want
+        assert all(type(row) is tuple for row in B + C)
+
+
+@settings(max_examples=200, deadline=None)
+@given(skew_symmetrizable_data(size=6))
+def test_g_cone_step_equals_its_form_through_whole_matrices(drawn):
+    """``g_cone_step`` steps the dual c-matrix through the negated column k
+    of B alone and sums column k of G once per term; along a path from the
+    initial cone, frozen rows and columns included, every record's B, C,
+    G, dual C and path equal the step through whole matrices."""
+    ed, path = drawn
+    rec = ConeRecord.initial(ed)
+    for k in path:
+        rec, want = g_cone_step(rec, k), _g_cone_step_by_matrices(rec, k)
+        assert ((rec.B, rec.C, rec.G, rec.Cd, rec.path)
+                == (want.B, want.C, want.G, want.Cd, want.path))
 
 
 def test_exchange_data_validation():
