@@ -15,11 +15,16 @@ the engine and compares against the stored expectations:
   with principal coefficients, their homogenized form, and the reflexive
   polygon with its polar dual (``run_dp5``).
 
-Stored expected values are plain exponent dictionaries next to the code
-that consumes them; everything is exact integer arithmetic.
+The rendered pentagon and Pluecker tables are stored once, as the bytes of
+``golden/*.txt``, and their verifiers compare the engine's text with them
+line by line.  The fixture data the engine reads (flows, dictionary,
+pullbacks, boundary functions, relations, polygon) are plain exponent
+tuples and dictionaries next to the code that consumes them; everything is
+exact integer arithmetic.
 """
 
 import os
+from itertools import zip_longest
 
 from .exact_algebra import (
     LaurentPoly,
@@ -39,7 +44,6 @@ from .seeds import (
     p_star_pullback,
     p_vars,
     principal_extension,
-    y_vars,
 )
 from .invariants import CheckFailed, mat_identity, principal_grading
 from .gfan import (
@@ -130,89 +134,6 @@ def principal_family_walk(ed, path):
     return rows
 
 
-# -- stored pentagon tables ----------------------------------------------------
-# Exponent order (y1, y2, p1, p2) for the coefficient walk and
-# (X1, X2, t1, t2) for the family walk; each entry is (numerator terms,
-# denominator terms) with all coefficients 1.
-
-_EVEN = ((0, 1), (-1, 0))
-_ODD = ((0, -1), (1, 0))
-
-_ONE = {(0, 0, 0, 0): 1}
-
-A2_TABLE = (
-    (_EVEN,
-     (({(0, 0, 1, 0): 1}, _ONE), ({(0, 0, 0, 1): 1}, _ONE)),
-     (({(1, 0, 0, 0): 1}, _ONE), ({(0, 1, 0, 0): 1}, _ONE))),
-    (_ODD,
-     (({(0, 0, 1, 1): 1, (0, 0, 1, 0): 1}, _ONE),
-      (_ONE, {(0, 0, 0, 1): 1})),
-     (({(1, 1, 0, 1): 1, (1, 0, 0, 0): 1}, {(0, 0, 0, 1): 1, (0, 0, 0, 0): 1}),
-      (_ONE, {(0, 1, 0, 0): 1}))),
-    (_EVEN,
-     ((_ONE, {(0, 0, 1, 1): 1, (0, 0, 1, 0): 1}),
-      ({(0, 0, 1, 1): 1, (0, 0, 1, 0): 1, (0, 0, 0, 0): 1},
-       {(0, 0, 0, 1): 1})),
-     (({(0, 0, 0, 1): 1, (0, 0, 0, 0): 1},
-       {(1, 1, 0, 1): 1, (1, 0, 0, 0): 1}),
-      ({(1, 1, 1, 1): 1, (1, 0, 1, 0): 1, (0, 0, 0, 0): 1},
-       {(0, 1, 1, 1): 1, (0, 1, 1, 0): 1, (0, 1, 0, 0): 1}))),
-    (_ODD,
-     (({(0, 0, 1, 0): 1, (0, 0, 0, 0): 1}, {(0, 0, 1, 1): 1}),
-      ({(0, 0, 0, 1): 1},
-       {(0, 0, 1, 1): 1, (0, 0, 1, 0): 1, (0, 0, 0, 0): 1})),
-     (({(1, 0, 1, 0): 1, (0, 0, 0, 0): 1},
-       {(1, 1, 1, 0): 1, (1, 1, 0, 0): 1}),
-      ({(0, 1, 1, 1): 1, (0, 1, 1, 0): 1, (0, 1, 0, 0): 1},
-       {(1, 1, 1, 1): 1, (1, 0, 1, 0): 1, (0, 0, 0, 0): 1}))),
-    (_EVEN,
-     (({(0, 0, 1, 1): 1}, {(0, 0, 1, 0): 1, (0, 0, 0, 0): 1}),
-      (_ONE, {(0, 0, 1, 0): 1})),
-     (({(1, 1, 1, 0): 1, (1, 1, 0, 0): 1},
-       {(1, 0, 1, 0): 1, (0, 0, 0, 0): 1}),
-      (_ONE, {(1, 0, 0, 0): 1}))),
-    (_ODD,
-     (({(0, 0, 0, 1): 1}, _ONE), ({(0, 0, 1, 0): 1}, _ONE)),
-     (({(0, 1, 0, 0): 1}, _ONE), ({(1, 0, 0, 0): 1}, _ONE))),
-)
-
-A2_PRINCIPAL_TABLE = (
-    (_EVEN, ((1, 0), (0, 1)),
-     (({(1, 0, 0, 0): 1}, _ONE), ({(0, 1, 0, 0): 1}, _ONE))),
-    (_ODD, ((1, 0), (0, -1)),
-     (({(1, 1, 0, 1): 1, (1, 0, 0, 0): 1}, _ONE),
-      (_ONE, {(0, 1, 0, 0): 1}))),
-    (_EVEN, ((-1, 0), (0, -1)),
-     ((_ONE, {(1, 1, 0, 1): 1, (1, 0, 0, 0): 1}),
-      ({(1, 1, 1, 1): 1, (1, 0, 1, 0): 1, (0, 0, 0, 0): 1},
-       {(0, 1, 0, 0): 1}))),
-    (_ODD, ((-1, 0), (-1, 1)),
-     (({(1, 0, 1, 0): 1, (0, 0, 0, 0): 1}, {(1, 1, 0, 0): 1}),
-      ({(0, 1, 0, 0): 1},
-       {(1, 1, 1, 1): 1, (1, 0, 1, 0): 1, (0, 0, 0, 0): 1}))),
-    (_EVEN, ((1, -1), (1, 0)),
-     (({(1, 1, 0, 0): 1}, {(1, 0, 1, 0): 1, (0, 0, 0, 0): 1}),
-      (_ONE, {(1, 0, 0, 0): 1}))),
-    (_ODD, ((0, 1), (1, 0)),
-     (({(0, 1, 0, 0): 1}, _ONE), ({(1, 0, 0, 0): 1}, _ONE))),
-)
-
-
-def _stored_ratio(vars, pair):
-    num, den = pair
-    out = PosRatFunc.from_poly(LaurentPoly(vars, num))
-    dp = LaurentPoly(vars, den)
-    return out if dp.is_one() else out.mul(PosRatFunc.from_poly(dp).inv())
-
-
-def _restrict_exps(pair, positions):
-    """Project stored 4-slot exponent dicts onto the listed slots."""
-    num, den = pair
-    take = lambda terms: {tuple(e[i] for i in positions): c
-                          for e, c in terms.items()}
-    return take(num), take(den)
-
-
 # -- golden text ----------------------------------------------------------------
 
 def _golden_path(name):
@@ -230,9 +151,20 @@ def mat_text(M):
                            for row in M) + "]"
 
 
-def a2_table_text():
-    """Deterministic text of the pentagon coefficient walk."""
-    rows = universal_y_walk(a2_exchange(), PENTAGON_PATH)
+def check_golden(name, text):
+    """Compare a rendered table with its golden file line by line.  At the
+    first line that differs, or that one side lacks (shown as ``''``),
+    raises ``CheckFailed`` naming the file, the line number and both
+    lines, each with its line ending."""
+    want = read_golden(name).splitlines(keepends=True)
+    got = text.splitlines(keepends=True)
+    for i, (w, g) in enumerate(zip_longest(want, got, fillvalue=""), 1):
+        if w != g:
+            raise CheckFailed(
+                f"golden file {name} line {i}: expected {w!r}, got {g!r}")
+
+
+def _a2_text(rows):
     lines = ["pentagon walk with coefficients, directions 2,1,2,1,2", ""]
     for idx, (B, p, y) in enumerate(rows):
         lines.append(f"row {idx}")
@@ -244,10 +176,7 @@ def a2_table_text():
     return "\n".join(lines) + "\n"
 
 
-def a2_principal_table_text():
-    """Deterministic text of the pentagon family walk with one coefficient
-    per direction."""
-    rows = principal_family_walk(a2_exchange(), PENTAGON_PATH)
+def _a2_principal_text(rows):
     n = 2
     tn = family_vars(n)[1]
     lines = ["pentagon walk of the coordinate family, directions 2,1,2,1,2",
@@ -264,31 +193,30 @@ def a2_principal_table_text():
     return "\n".join(lines) + "\n"
 
 
+def a2_table_text():
+    """Deterministic text of the pentagon coefficient walk."""
+    return _a2_text(universal_y_walk(a2_exchange(), PENTAGON_PATH))
+
+
+def a2_principal_table_text():
+    """Deterministic text of the pentagon family walk with one coefficient
+    per direction."""
+    return _a2_principal_text(principal_family_walk(a2_exchange(),
+                                                    PENTAGON_PATH))
+
+
 def run_a2_tables():
-    """Recompute both pentagon tables and compare every entry against the
-    stored expectations, the tropical route, and the golden text."""
+    """Walk both pentagons once, check the coefficient walk against the
+    walk in the tropical semifield, and compare both rendered tables with
+    their golden files.  ``entries`` counts the coefficient, Y-variable and
+    coordinate lines compared."""
     ed = a2_exchange()
     pv = p_vars(2)
-    yv = y_vars(2) + pv
-
     rows = universal_y_walk(ed, PENTAGON_PATH)
-    if len(rows) != len(A2_TABLE):
-        raise CheckFailed("coefficient walk has the wrong number of rows")
+    # tropical route: collapsing the coefficient sums must reproduce the
+    # walk in the tropical semifield
     trop = YSeedCoeff.initial_principal(ed)
-    entry_checks = 0
-    for idx, ((B, p, y), (eB, ep, ey)) in enumerate(zip(rows, A2_TABLE)):
-        if B != eB:
-            raise CheckFailed(f"row {idx}: matrix mismatch")
-        for j in range(2):
-            want_p = _stored_ratio(pv, _restrict_exps(ep[j], (2, 3)))
-            if not rat_equal(p[j], want_p):
-                raise CheckFailed(f"row {idx}: coefficient {j + 1} mismatch")
-            want_y = _stored_ratio(yv, ey[j])
-            if not rat_equal(y[j], want_y):
-                raise CheckFailed(f"row {idx}: Y-variable {j + 1} mismatch")
-            entry_checks += 2
-        # tropical route: collapsing the coefficient sums must reproduce the
-        # walk in the tropical semifield
+    for idx, (_, p, y) in enumerate(rows):
         for j in range(2):
             if tropicalize(p[j], pv).exps != trop.p[j].exps:
                 raise CheckFailed(f"row {idx}: tropical coefficient {j + 1}")
@@ -296,38 +224,14 @@ def run_a2_tables():
                 raise CheckFailed(f"row {idx}: tropical Y-variable {j + 1}")
         if idx < len(PENTAGON_PATH):
             trop = mutate_y_seed(trop, PENTAGON_PATH[idx])
-    # the closing row is the opening row with the two indices swapped
-    B0, p0, y0 = rows[0]
-    B5, p5, y5 = rows[-1]
-    if not (rat_equal(p5[0], p0[1]) and rat_equal(p5[1], p0[0])
-            and rat_equal(y5[0], y0[1]) and rat_equal(y5[1], y0[0])):
-        raise CheckFailed("closing row is not the swapped opening row")
 
     fam_rows = principal_family_walk(ed, PENTAGON_PATH)
-    xv = ("X1", "X2", "t1", "t2")
-    for idx, ((B, C, images), (eEps, eC, eX)) in enumerate(
-            zip(fam_rows, A2_PRINCIPAL_TABLE)):
-        if B != eEps:
-            raise CheckFailed(f"family row {idx}: matrix mismatch")
-        if tuple(tuple(r) for r in C) != tuple(tuple(r) for r in eC):
-            raise CheckFailed(f"family row {idx}: coefficient matrix mismatch")
-        for j in range(2):
-            if not rat_equal(images[j], _stored_ratio(xv, eX[j])):
-                raise CheckFailed(f"family row {idx}: coordinate {j + 1}")
-            entry_checks += 1
-    (_, _, images5) = fam_rows[-1]
-    if not (rat_equal(images5[0], PosRatFunc.variable(xv, "X2"))
-            and rat_equal(images5[1], PosRatFunc.variable(xv, "X1"))):
-        raise CheckFailed("family walk does not close up to the swap")
-
-    golden = {}
-    for name, text in (("a2.txt", a2_table_text()),
-                       ("a2_principal.txt", a2_principal_table_text())):
-        golden[name] = read_golden(name) == text
-        if not golden[name]:
-            raise CheckFailed(f"golden file {name} out of date")
-    return {"ok": True, "rows": len(rows), "entries": entry_checks,
-            "golden": golden}
+    check_golden("a2.txt", _a2_text(rows))
+    check_golden("a2_principal.txt", _a2_principal_text(fam_rows))
+    entries = (sum(len(p) + len(y) for _, p, y in rows)
+               + sum(len(images) for _, _, images in fam_rows))
+    return {"ok": True, "rows": len(rows), "entries": entries,
+            "golden": {"a2.txt": True, "a2_principal.txt": True}}
 
 
 # -- the Grassmannian Pluecker fixture -------------------------------------------
@@ -435,34 +339,6 @@ GR25_FLOW_W = {
             (1, 1, 1, 0, 0, 0): 1},
 }
 
-#: Torus-chart representatives of the three non-monomial flows (the
-#: dictionary image times the product of all torus coordinates, which pulls
-#: back to 1), over GR25_XVARS.
-GR25_REP = {
-    "p24": {(-1, 0, 0, 0, 1, 1, 0): 1, (0, 0, 0, 0, 1, 1, 0): 1},
-    "p25": {(-1, -1, 0, 0, 0, 1, 0): 1, (0, -1, 0, 0, 0, 1, 0): 1,
-            (0, 0, 0, 0, 0, 1, 0): 1},
-    "p35": {(0, -1, -1, 0, 0, 1, 0): 1, (0, 0, -1, 0, 0, 1, 0): 1},
-}
-
-#: Their homogenizations over GR25_XVARS + (t13, t14), one coefficient per
-#: mutable direction.
-GR25_EXT = {
-    "p24": {(-1, 0, 0, 0, 1, 1, 0, 0, 0): 1, (0, 0, 0, 0, 1, 1, 0, 1, 0): 1},
-    "p25": {(-1, -1, 0, 0, 0, 1, 0, 0, 0): 1,
-            (0, -1, 0, 0, 0, 1, 0, 1, 0): 1,
-            (0, 0, 0, 0, 0, 1, 0, 1, 1): 1},
-    "p35": {(0, -1, -1, 0, 0, 1, 0, 0, 0): 1,
-            (0, 0, -1, 0, 0, 1, 0, 0, 1): 1},
-}
-
-#: Homogeneous degrees of the extensions (over GR25_XVARS slots).
-GR25_CVEC = {
-    "p24": (-1, 0, 0, 0, 1, 1, 0),
-    "p25": (-1, -1, 0, 0, 0, 1, 0),
-    "p35": (0, -1, -1, 0, 0, 1, 0),
-}
-
 #: Three-term Pluecker relations among the walk variables.
 GR25_RELATIONS = (
     ("p13", "p24", ("p12", "p34"), ("p14", "p23")),
@@ -487,6 +363,25 @@ def principal_homogenization(poly, directions, tnames):
         extra = tuple(e[i] - m for i, m in zip(idx, mins))
         terms[tuple(e) + extra] = c
     return LaurentPoly(out_vars, terms)
+
+
+def gr25_extensions():
+    """Each non-monomial flow, by name: its image under the dictionary,
+    times the product of all torus coordinates (which pulls back to 1),
+    homogenized by one coefficient per mutable direction, and the degree
+    of that extension over the GR25_XVARS slots."""
+    N = len(GR25_XVARS)
+    all_ones = LaurentPoly.monomial(GR25_XVARS, (1,) * N)
+    tnames = ("t13", "t14")
+    grading = principal_grading(GR25_XVARS, tnames, mat_identity(N))
+    out = {}
+    for name in sorted(GR25_FLOW):
+        if len(GR25_FLOW[name]) > 1:
+            flow = LaurentPoly(FLOW_VARS, GR25_FLOW[name])
+            rep = flow.substitute_monomials(GR25_DICT, GR25_XVARS) * all_ones
+            ext = principal_homogenization(rep, ("x13", "x14"), tnames)
+            out[name] = (ext, grading.poly_degree(ext))
+    return out
 
 
 def pentagon_cluster_walk(seed):
@@ -568,21 +463,9 @@ def run_gr25():
         if not rat_equal(lhs, rhs):
             raise CheckFailed(f"relation {a}*{b} failed")
 
-    # (b) torus representatives, homogenizations, degrees
-    all_ones = LaurentPoly.monomial(GR25_XVARS, (1,) * N)
-    tnames = ("t13", "t14")
-    grading = principal_grading(GR25_XVARS, tnames, mat_identity(N))
-    for name in ("p24", "p25", "p35"):
-        flow = LaurentPoly(FLOW_VARS, GR25_FLOW[name])
-        in_torus = flow.substitute_monomials(GR25_DICT, GR25_XVARS)
-        rep = LaurentPoly(GR25_XVARS, GR25_REP[name])
-        if in_torus * all_ones != rep:
-            raise CheckFailed(f"torus representative of {name} mismatch")
-        ext = principal_homogenization(rep, ("x13", "x14"), tnames)
-        if ext != LaurentPoly(GR25_XVARS + tnames, GR25_EXT[name]):
-            raise CheckFailed(f"homogenization of {name} mismatch")
-        if grading.poly_degree(ext) != GR25_CVEC[name]:
-            raise CheckFailed(f"degree of the extension of {name} mismatch")
+    # (b) the rendered artifacts, extensions and degrees included, are the
+    # golden text
+    check_golden("gr25.txt", gr25_table_text())
 
     # (c) boundary functions: flow ratios and pullbacks agree
     for xname, monos, (num, den) in GR25_BOUNDARY:
@@ -603,7 +486,7 @@ def run_gr25():
             raise CheckFailed(f"dictionary route at {xname} mismatch")
 
     return {"ok": True, "flows": flow_count,
-            "extensions": sorted(GR25_EXT),
+            "extensions": sorted(gr25_extensions()),
             "boundary": [b[0] for b in GR25_BOUNDARY]}
 
 
@@ -623,12 +506,9 @@ def gr25_table_text():
         m = PosRatFunc.monomial(GR25_VARS, GR25_PULLBACK[v])
         lines.append(f"  {v}: {m.to_text()}")
     lines.append("extensions")
-    tn = ("t13", "t14")
-    for name in sorted(GR25_EXT):
-        lines.append(f"  {name}: "
-                     f"{LaurentPoly(GR25_XVARS + tn, GR25_EXT[name]).to_text()}")
-        lines.append(f"  degree {name}: "
-                     + mat_text((GR25_CVEC[name],))[1:-1])
+    for name, (ext, degree) in gr25_extensions().items():
+        lines.append(f"  {name}: {ext.to_text()}")
+        lines.append(f"  degree {name}: " + mat_text((degree,))[1:-1])
     return "\n".join(lines) + "\n"
 
 

@@ -97,10 +97,9 @@ class TransitionMap:
     the near patch's coordinates), and the far record ``g_cone_step(near,
     k)``, its columns in the near record's order, stepped on first use."""
 
-    __slots__ = ("src", "k", "near", "images", "_far")
+    __slots__ = ("k", "near", "images", "_far")
 
-    def __init__(self, src, k, near, images):
-        self.src = src
+    def __init__(self, k, near, images):
         self.k = k
         self.near = near
         self.images = tuple(images)
@@ -195,8 +194,7 @@ class Family:
         if key not in self._trans:
             near = self.atlas.cones[cone_index]
             self._trans[key] = TransitionMap(
-                cone_index, k, near,
-                self.wall_images(near.B, k, column(near.C, k)))
+                k, near, self.wall_images(near.B, k, column(near.C, k)))
         return self._trans[key]
 
     def pullback_to_initial(self, cone_index):

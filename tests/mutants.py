@@ -31,7 +31,9 @@ tests must pass on an unpatched copy, so that a kill means the patch, not
 a broken test.  The runner exits 1 when a mutant is not killed, and 2 when
 the unpatched copy fails, an old text does not occur exactly once, or a
 ``CHECK_SITES`` key names no site.  The sites that give a reason instead
-of tests are counted, not run.
+of tests are counted, not run: before any mutant runs, the runner prints
+for each file in ``src/`` how many of its sites name killing tests and how
+many give a reason, then the same for all files.
 """
 
 import ast
@@ -131,22 +133,17 @@ MUTANTS = [
 NO_TEST = "no planted-fault test yet"
 
 CHECK_SITES = {
-    (_CO, "run_a2_tables",
-     "coefficient walk has the wrong number of rows"): NO_TEST,
-    (_CO, "run_a2_tables", "row {idx}: matrix mismatch"): NO_TEST,
-    (_CO, "run_a2_tables", "row {idx}: coefficient {j + 1} mismatch"): NO_TEST,
-    (_CO, "run_a2_tables", "row {idx}: Y-variable {j + 1} mismatch"): NO_TEST,
-    (_CO, "run_a2_tables", "row {idx}: tropical coefficient {j + 1}"): NO_TEST,
-    (_CO, "run_a2_tables", "row {idx}: tropical Y-variable {j + 1}"): NO_TEST,
-    (_CO, "run_a2_tables",
-     "closing row is not the swapped opening row"): NO_TEST,
-    (_CO, "run_a2_tables", "family row {idx}: matrix mismatch"): NO_TEST,
-    (_CO, "run_a2_tables",
-     "family row {idx}: coefficient matrix mismatch"): NO_TEST,
-    (_CO, "run_a2_tables", "family row {idx}: coordinate {j + 1}"): NO_TEST,
-    (_CO, "run_a2_tables",
-     "family walk does not close up to the swap"): NO_TEST,
-    (_CO, "run_a2_tables", "golden file {name} out of date"): NO_TEST,
+    (_CO, "run_a2_tables", "row {idx}: tropical coefficient {j + 1}"):
+        ["tests/test_corpus.py::"
+         "test_a2_tables_reject_a_wrong_tropical_coefficient"],
+    (_CO, "run_a2_tables", "row {idx}: tropical Y-variable {j + 1}"):
+        ["tests/test_corpus.py::"
+         "test_a2_tables_reject_a_wrong_tropical_y_variable"],
+    (_CO, "check_golden",
+     "golden file {name} line {i}: expected {w}, got {g}"):
+        ["tests/test_corpus.py::test_a2_tables_reject_a_changed_golden_line",
+         "tests/test_corpus.py::"
+         "test_a2_tables_reject_a_golden_file_missing_its_last_line"],
     (_CO, "pentagon_cluster_walk",
      "pentagon walk did not return the initial variable {seed.vars[1 - k]}"):
         ["tests/test_corpus.py::"
@@ -158,9 +155,6 @@ CHECK_SITES = {
     (_CO, "run_gr25", "pullback monomials do not multiply to 1"): NO_TEST,
     (_CO, "run_gr25", "flow of {name} does not match the engine"): NO_TEST,
     (_CO, "run_gr25", "relation {a}*{b} failed"): NO_TEST,
-    (_CO, "run_gr25", "torus representative of {name} mismatch"): NO_TEST,
-    (_CO, "run_gr25", "homogenization of {name} mismatch"): NO_TEST,
-    (_CO, "run_gr25", "degree of the extension of {name} mismatch"): NO_TEST,
     (_CO, "run_gr25", "flow ratio for {xname} mismatch"): NO_TEST,
     (_CO, "run_gr25", "boundary function at {xname} mismatch"): NO_TEST,
     (_CO, "run_gr25", "dictionary route at {xname} mismatch"): NO_TEST,
@@ -437,6 +431,14 @@ def _pytest(tree, tests):
         return None
 
 
+def _tally(sites):
+    """How many of ``sites``, a list of ``CHECK_SITES`` values, name killing
+    tests and how many give a reason instead."""
+    reasons = sum(isinstance(v, str) for v in sites)
+    return (f"{len(sites) - reasons} of {len(sites)} check sites name "
+            f"killing tests; {reasons} give a reason instead")
+
+
 def main():
     start = time.perf_counter()
     try:
@@ -444,6 +446,10 @@ def main():
     except KeyError as exc:
         print(f"CHECK_SITES names a site that is not in src/: {exc}")
         return 2
+    for path in sorted({key[0] for key in CHECK_SITES}):
+        print(f"{path}: " + _tally([v for k, v in CHECK_SITES.items()
+                                    if k[0] == path]))
+    print("all files: " + _tally(list(CHECK_SITES.values())))
     with tempfile.TemporaryDirectory() as tmp:
         tree = os.path.join(tmp, "tree")
         _copy_tree(tree)
@@ -475,9 +481,6 @@ def main():
                   f"{path}: {label}")
     print(f"{len(mutants) - survivors}/{len(mutants)} mutants killed in "
           f"{time.perf_counter() - start:.1f}s")
-    reasons = sum(isinstance(v, str) for v in CHECK_SITES.values())
-    print(f"{len(CHECK_SITES) - reasons} of {len(CHECK_SITES)} check "
-          f"sites name killing tests; {reasons} give a reason instead")
     return 1 if survivors else 0
 
 

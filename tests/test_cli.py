@@ -1439,6 +1439,26 @@ def test_fan_and_star_make_pinned_step_counts(monkeypatch, tmp_path):
     assert counts == {"g_cone_step": 13, "g_vector_step": 23}
 
 
+@pytest.mark.parametrize("small, huge", [
+    (("verify", "cocycle", "--max-len", "8"),
+     ("verify", "cocycle", "--max-len", "1000000000")),
+    (("fan",), ("fan", "--depth", "1000000000")),
+], ids=["cocycle-max-len", "fan-depth"])
+def test_a_huge_walk_cap_makes_the_same_work_on_a_complete_atlas(
+        monkeypatch, small, huge):
+    """On A3 every 2-face closes within 8 steps, and the g-fan walk stops
+    when its frontier is empty, so a cap of 10^9 makes the same steps and
+    stdout as --max-len 8 or no --depth: neither value sets the work."""
+    runs = []
+    for args in (small, huge):
+        counts = _steps_counted(monkeypatch)
+        res = run(*args, "--seed", fixture("a3.json"))
+        assert res.exit_code == 0
+        runs.append((res.stdout, dict(counts)))
+    assert runs[0][1]["g_cone_step"] > 0
+    assert runs[1] == runs[0]
+
+
 def test_verify_separation_refuses_work_past_its_bound(monkeypatch):
     """N random paths of up to --max-len steps each are refused, exit 2
     naming both options, when N times --max-len is one past

@@ -1,14 +1,12 @@
 """Worked-example verifiers: pentagon tables, the Grassmannian Pluecker
-fixture, and the del Pezzo pentagon algebra, against stored expectations."""
+fixture, and the del Pezzo pentagon algebra, against the engine's second
+routes and the golden files."""
 
 import pytest
 
 from cluster_forge import corpus
 from cluster_forge.corpus import (
-    A2_PRINCIPAL_TABLE,
-    A2_TABLE,
     DP5_VERTICES,
-    GR25_CVEC,
     GR25_FLOW,
     GR25_PULLBACK,
     PENTAGON_PATH,
@@ -20,6 +18,7 @@ from cluster_forge.corpus import (
     dp5_thetas,
     gr25_engine_pluckers,
     gr25_exchange,
+    gr25_extensions,
     gr25_table_text,
     principal_family_walk,
     read_golden,
@@ -88,14 +87,6 @@ def test_family_walk_coefficient_columns_are_tropical_coefficients():
             trop = mutate_y_seed(trop, PENTAGON_PATH[idx])
 
 
-def test_stored_tables_have_expected_shape():
-    assert len(A2_TABLE) == len(A2_PRINCIPAL_TABLE) == 6
-    for B, p, y in A2_TABLE:
-        assert len(p) == len(y) == 2
-    for B, C, x in A2_PRINCIPAL_TABLE:
-        assert len(C) == len(x) == 2
-
-
 def test_golden_a2_bytes():
     assert read_golden("a2.txt") == a2_table_text()
 
@@ -116,6 +107,62 @@ def test_table_text_is_deterministic():
     for fn in (a2_table_text, a2_principal_table_text, gr25_table_text,
                dp5_table_text):
         assert fn() == fn()
+
+
+def _faulty_at(fn, bad):
+    """``fn`` with its result inverted on call number ``bad`` (from 0)."""
+    calls = []
+
+    def faulty(*args):
+        out = fn(*args)
+        calls.append(None)
+        return out.inv() if len(calls) - 1 == bad else out
+    return faulty
+
+
+def test_a2_tables_reject_a_wrong_tropical_coefficient(monkeypatch):
+    """Coefficients are tropicalized row by row, two per row; the eighth
+    is coefficient 2 of row 3."""
+    monkeypatch.setattr(corpus, "tropicalize",
+                        _faulty_at(corpus.tropicalize, 7))
+    with pytest.raises(CheckFailed) as exc:
+        run_a2_tables()
+    assert str(exc.value) == "row 3: tropical coefficient 2"
+
+
+def test_a2_tables_reject_a_wrong_tropical_y_variable(monkeypatch):
+    """Y-variables are specialized row by row, two per row; the fifth is
+    Y-variable 1 of row 2."""
+    monkeypatch.setattr(corpus, "tropical_specialization",
+                        _faulty_at(corpus.tropical_specialization, 4))
+    with pytest.raises(CheckFailed) as exc:
+        run_a2_tables()
+    assert str(exc.value) == "row 2: tropical Y-variable 1"
+
+
+def test_a2_tables_reject_a_changed_golden_line(monkeypatch):
+    def golden(name):
+        return read_golden(name).replace("  p2: 1 / p2\n", "  p2: p2\n")
+
+    monkeypatch.setattr(corpus, "read_golden", golden)
+    with pytest.raises(CheckFailed) as exc:
+        run_a2_tables()
+    assert str(exc.value) == ("golden file a2.txt line 12: expected "
+                              "'  p2: p2\\n', got '  p2: 1 / p2\\n'")
+
+
+def test_a2_tables_reject_a_golden_file_missing_its_last_line(monkeypatch):
+    def golden(name):
+        text = read_golden(name)
+        if name != "a2_principal.txt":
+            return text
+        return text[:text.rindex("  X2: X1\n")]
+
+    monkeypatch.setattr(corpus, "read_golden", golden)
+    with pytest.raises(CheckFailed) as exc:
+        run_a2_tables()
+    assert str(exc.value) == ("golden file a2_principal.txt line 44: "
+                              "expected '', got '  X2: X1\\n'")
 
 
 # -- Grassmannian fixture ------------------------------------------------------
@@ -168,9 +215,12 @@ def test_gr25_flow_polynomials_are_positive():
 
 
 def test_gr25_extension_degree_vectors():
-    # each degree vector has a single positive slot and support only on the
-    # first two (mutable) plus frozen slots, never on the last coordinate
-    for name, vec in GR25_CVEC.items():
+    # each computed degree vector has a single positive slot and support
+    # only on the first two (mutable) plus frozen slots, never on the last
+    # coordinate
+    extensions = gr25_extensions()
+    assert list(extensions) == ["p24", "p25", "p35"]
+    for name, (_, vec) in extensions.items():
         assert len(vec) == 7
         assert vec[5] == 1
         assert vec[6] == 0

@@ -149,7 +149,7 @@ def test_wall_transitions_from_initial_patch():
     T1 = fam.transition(0, 1)
     assert rat_equal(T1.images[0], _prf(X1_ONE_T2X2))
     assert rat_equal(T1.images[1], _prf({(0, 0, 0, 0): 1}, X2))
-    assert T0.src == 0 and T0.k == 0
+    assert T0.near is fam.atlas.cones[0] and T0.k == 0
 
 
 def test_pullbacks_to_initial_patch():
@@ -269,7 +269,7 @@ def test_cocycle_rejects_tampered_transition():
     fam = Family(A2)
     T = fam.transition(0, 0)
     fam._trans[(0, 0)] = type(T)(
-        T.src, T.k, T.near, (T.images[0].power(2), T.images[1]))
+        T.k, T.near, (T.images[0].power(2), T.images[1]))
     with pytest.raises(CheckFailed):
         cocycle_check(fam)
 
@@ -490,7 +490,7 @@ def test_fiber_iso_rejects_tampered_transition(tamper):
         images[0] = images[0].power(2)
     else:
         images.reverse()
-    fam._trans[(1, 1)] = type(T)(T.src, T.k, T.near, images)
+    fam._trans[(1, 1)] = type(T)(T.k, T.near, images)
     with pytest.raises(CheckFailed):
         fiber_iso_check(fam, u, u2)
     with pytest.raises(CheckFailed):
