@@ -539,7 +539,10 @@ def table(which, fmt):
     if fmt == "csv":
         _fail(EXIT_INPUT, f"table {which}: csv rows are only defined for "
               "the pentagon tables (a2, a2-principal)")
-    report = corpus.run_gr25() if which == "gr25" else corpus.run_dp5()
+    try:
+        report = corpus.run_gr25() if which == "gr25" else corpus.run_dp5()
+    except (CheckFailed, ExactAlgebraError) as exc:
+        _fail(EXIT_VERIFY, f"table {which}: {exc}")
     _echo_json(report)
     sys.exit(EXIT_OK)
 

@@ -269,13 +269,15 @@ def central_fiber_toric_check(fam):
     """At t = 0 every wall transition collapses to a monomial map: the wall
     coordinate inverts, the others pick up the wall coordinate to the
     absolute exchange entry exactly when the exchange entry matches the sign
-    of the wall's coefficient vector.  The resulting exponent vectors must
-    also express the far cone's coefficient vectors integrally in the near
-    cone's."""
+    of the wall's coefficient vector.  These exponent vectors are the
+    c-vector recurrence itself: ``c_matrix_step`` makes the far cone's
+    coefficient vector i the near cone's c-matrix times exponent vector i,
+    because the walk's ``g_vector_step`` found column k sign-coherent, so
+    the far record is not read."""
     n = fam.n
     for src, k in sorted(fam.atlas.adjacency):
         T = fam.transition(src, k)
-        B, Csrc, Cfar = T.near.B, T.near.C, T.far.C
+        B, Csrc = T.near.B, T.near.C
         cs = sign(next(x for x in column(Csrc, k) if x))
         for i in range(n):
             a = list(coordinate_limit(fam, T.images[i],
@@ -291,11 +293,6 @@ def central_fiber_toric_check(fam):
                 raise CheckFailed(
                     f"wall ({src},{k}): coordinate {i + 1} degenerates to "
                     f"{tuple(a)}, expected {tuple(want)}")
-            for r in range(n):
-                if Cfar[r][i] != sum(Csrc[r][j] * a[j] for j in range(n)):
-                    raise CheckFailed(
-                        f"wall ({src},{k}): exponents of coordinate {i + 1} "
-                        f"do not relate the coefficient vectors integrally")
     return True
 
 
@@ -600,9 +597,6 @@ def strata_consistency_check(fam, tau_rays):
                                 f"express the far coefficient vector in "
                                 f"the transverse near ones")
                 key = ncone.key()
-                if fam.atlas.cone_by_key(key) is None:
-                    raise CheckFailed(
-                        "transverse mutation left the enumerated atlas")
                 if key not in seen:
                     seen.add(key)
                     nxt.append((ncone, mutate_matrix(Bb, l),

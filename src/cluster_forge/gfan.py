@@ -98,15 +98,16 @@ class ConeRecord:
 
 class GFanAtlas:
     """All maximal g-cones reachable from the initial seed (optionally only
-    through a subset of directions), with wall adjacency and the walk's own
-    index ``by_key`` from generator set to position in ``cones``.
-    ``complete`` is false when the walk was cut off at its ``depth``.
-    ``fan_from_json`` returns one holding only the cones of a star."""
+    through a subset of directions), with wall adjacency.  ``complete`` is
+    false when the walk was cut off at its ``depth``.  The walk steps every
+    cone it keeps in every allowed direction, so in a complete walk the
+    cone across any wall of an atlas cone is an atlas cone.
+    ``fan_from_json`` returns one holding only the cones of a star, with no
+    adjacency."""
 
-    def __init__(self, ed, cones, by_key, adjacency, allowed, complete=True):
+    def __init__(self, ed, cones, adjacency, allowed, complete=True):
         self.ed = ed
         self.cones = cones
-        self.by_key = by_key
         self.adjacency = adjacency
         self.allowed = tuple(allowed)
         self.complete = complete
@@ -117,12 +118,6 @@ class GFanAtlas:
         for c in self.cones:
             out.update(c.generators())
         return tuple(sorted(out))
-
-    def cone_by_key(self, key):
-        """The cone whose generator set is ``key``, or None; an atlas holds
-        one cone per key."""
-        index = self.by_key.get(key)
-        return None if index is None else self.cones[index]
 
 
 def g_vector_step(cone, k):
@@ -211,8 +206,7 @@ def enumerate_gfan(ed, allowed=None, depth=None):
                 adjacency[(src.index, k)] = index
         frontier = nxt
         level += 1
-    return GFanAtlas(ed, cones, seen, adjacency, allowed,
-                     complete=not frontier)
+    return GFanAtlas(ed, cones, adjacency, allowed, complete=not frontier)
 
 
 def two_faces(atlas, max_len):
@@ -343,33 +337,14 @@ def _hull_2d(points):
     return lower[:-1] + upper[:-1]
 
 
-def _interior_lattice_points(hull):
-    xs = [p[0] for p in hull]
-    ys = [p[1] for p in hull]
-    out = []
-    m = len(hull)
-    for x in range(min(xs), max(xs) + 1):
-        for y in range(min(ys), max(ys) + 1):
-            strict = True
-            for i in range(m):
-                a, b = hull[i], hull[(i + 1) % m]
-                crossv = (b[0] - a[0]) * (y - a[1]) - (b[1] - a[1]) * (x - a[0])
-                if crossv <= 0:
-                    strict = False
-                    break
-            if strict:
-                out.append((x, y))
-    return sorted(out)
-
-
 def polytope_P(atlas):
     """Convex hull of the primitive rays of a complete fan of rank 2.
 
     Returns the hull vertices (counterclockwise), reflexivity (every facet at
-    integral distance 1 from the origin), the interior lattice points, the
-    polar-dual vertices (the primitive outward facet normals, which are
-    lattice points exactly when reflexive), and whether the face fan of the
-    hull reproduces the atlas cones.
+    integral distance 1 from the origin), the polar-dual vertices (the
+    primitive outward facet normals, which are lattice points exactly when
+    reflexive), and whether the face fan of the hull reproduces the atlas
+    cones.
     """
     n = atlas.ed.n
     rays = [primitive(r) for r in atlas.rays]
@@ -398,7 +373,6 @@ def polytope_P(atlas):
     return {
         "vertices": hull,
         "reflexive": reflexive,
-        "interior_points": _interior_lattice_points(hull),
         "polar_vertices": polar,
         "face_fan_matches": face_fan == atlas_fan,
     }
@@ -535,8 +509,7 @@ def fan_from_json(obj, tau):
                 f"{len(atlas.cones)} cones its stored seed's walk reaches; "
                 "re-run fan with a larger --depth")
         raise
-    return GFanAtlas(ed, records, {c.key(): j for j, c in enumerate(records)},
-                     {}, allowed)
+    return GFanAtlas(ed, records, {}, allowed)
 
 
 def _read_paths(paths, count, n, allowed):

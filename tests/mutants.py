@@ -11,12 +11,13 @@ rewrites a guarded site has to update its entry here on purpose.
 ``CHECK_SITES`` has one entry per ``raise CheckFailed(`` in ``src/``, keyed
 by (file, enclosing function, message text) as ``check_sites`` reads them;
 the message text is the literal text of the message, each replacement
-field written ``{expression}``.  Its value is either the ids of tests that
-kill the site's raise-deletion mutant, which turns ``raise CheckFailed(...)``
-into the bare expression so that the run goes on past the failed check, or
-a string giving the reason the site has none.  ``tests/test_hygiene.py``
-checks that the keys are exactly the sites in ``src/``, so a new check
-arrives with its entry.
+field written ``{expression}``.  Its value is the list of ids of tests
+that kill the site's raise-deletion mutant, which turns ``raise
+CheckFailed(...)`` into the bare expression so that the run goes on past
+the failed check; a parametrized test may be named by one row's id.
+``tests/test_hygiene.py`` checks that the keys are exactly the sites in
+``src/`` and that each value names defined tests, so a new check arrives
+with its entry and a test that kills it.
 
 Run from anywhere, standard library and pytest only:
 
@@ -30,10 +31,9 @@ passing included, leaves it not killed.  Before the mutants, the named
 tests must pass on an unpatched copy, so that a kill means the patch, not
 a broken test.  The runner exits 1 when a mutant is not killed, and 2 when
 the unpatched copy fails, an old text does not occur exactly once, or a
-``CHECK_SITES`` key names no site.  The sites that give a reason instead
-of tests are counted, not run: before any mutant runs, the runner prints
-for each file in ``src/`` how many of its sites name killing tests and how
-many give a reason, then the same for all files.
+``CHECK_SITES`` key names no site.  Before any mutant runs, the runner
+prints how many check sites each file in ``src/`` has, then the number in
+all files.
 """
 
 import ast
@@ -129,9 +129,6 @@ MUTANTS = [
       "test_prf_sum_equals_its_sum_over_one_denominator"]),
 ]
 
-
-NO_TEST = "no planted-fault test yet"
-
 CHECK_SITES = {
     (_CO, "run_a2_tables", "row {idx}: tropical coefficient {j + 1}"):
         ["tests/test_corpus.py::"
@@ -148,27 +145,55 @@ CHECK_SITES = {
      "pentagon walk did not return the initial variable {seed.vars[1 - k]}"):
         ["tests/test_corpus.py::"
          "test_pentagon_walk_names_the_variable_that_does_not_return"],
-    (_CO, "run_gr25", "frozen block of the quiver matrix is nonzero"): NO_TEST,
-    (_CO, "run_gr25", "pullback of {GR25_XVARS[i]} is not row {i}"): NO_TEST,
+    (_CO, "run_gr25", "frozen block of the quiver matrix is nonzero"):
+        ["tests/test_corpus.py::"
+         "test_gr25_rejects_a_planted_fault[frozen-arrow]"],
+    (_CO, "run_gr25", "pullback of {GR25_XVARS[i]} is not row {i}"):
+        ["tests/test_corpus.py::"
+         "test_gr25_rejects_a_planted_fault[mutable-pullback]"],
     (_CO, "run_gr25",
-     "lift of {GR25_XVARS[i]} changes a mutable exponent"): NO_TEST,
-    (_CO, "run_gr25", "pullback monomials do not multiply to 1"): NO_TEST,
-    (_CO, "run_gr25", "flow of {name} does not match the engine"): NO_TEST,
-    (_CO, "run_gr25", "relation {a}*{b} failed"): NO_TEST,
-    (_CO, "run_gr25", "flow ratio for {xname} mismatch"): NO_TEST,
-    (_CO, "run_gr25", "boundary function at {xname} mismatch"): NO_TEST,
-    (_CO, "run_gr25", "dictionary route at {xname} mismatch"): NO_TEST,
-    (_CO, "run_dp5", "relation {a},{b} fails"): NO_TEST,
-    (_CO, "run_dp5", "relation {a},{b} is not degree homogeneous"): NO_TEST,
-    (_CO, "run_dp5", "generator {i} degree mismatch"): NO_TEST,
-    (_CO, "run_dp5", "t=1 recurrence at {i + 1} fails"): NO_TEST,
-    (_CO, "run_dp5", "polygon vertices mismatch"): NO_TEST,
-    (_CO, "run_dp5", "polygon is not reflexive"): NO_TEST,
-    (_CO, "run_dp5",
-     "interior lattice points are not just the origin"): NO_TEST,
-    (_CO, "run_dp5", "polar dual vertices mismatch"): NO_TEST,
-    (_CO, "run_dp5", "face fan of the polygon is not the fan"): NO_TEST,
-    (_CO, "run_dp5", "normal fan of the polar dual is not the fan"): NO_TEST,
+     "lift of {GR25_XVARS[i]} changes a mutable exponent"):
+        ["tests/test_corpus.py::"
+         "test_gr25_rejects_a_planted_fault[lift]"],
+    (_CO, "run_gr25", "pullback monomials do not multiply to 1"):
+        ["tests/test_corpus.py::"
+         "test_gr25_rejects_a_planted_fault[coset]"],
+    (_CO, "run_gr25", "flow of {name} does not match the engine"):
+        ["tests/test_corpus.py::"
+         "test_gr25_rejects_a_planted_fault[dictionary]"],
+    (_CO, "run_gr25", "relation {a}*{b} failed"):
+        ["tests/test_corpus.py::"
+         "test_gr25_rejects_a_planted_fault[relation]"],
+    (_CO, "run_gr25", "flow ratio for {xname} mismatch"):
+        ["tests/test_corpus.py::"
+         "test_gr25_rejects_a_planted_fault[flow-ratio]"],
+    (_CO, "run_gr25", "boundary function at {xname} mismatch"):
+        ["tests/test_corpus.py::"
+         "test_gr25_rejects_a_planted_fault[boundary]"],
+    (_CO, "run_dp5", "relation {a},{b} fails"):
+        ["tests/test_corpus.py::"
+         "test_dp5_rejects_a_planted_fault[relation]"],
+    (_CO, "run_dp5", "relation {a},{b} is not degree homogeneous"):
+        ["tests/test_corpus.py::"
+         "test_dp5_rejects_a_planted_fault[homogeneity]"],
+    (_CO, "run_dp5", "generator {i} degree mismatch"):
+        ["tests/test_corpus.py::"
+         "test_dp5_rejects_a_planted_fault[generator-degree]"],
+    (_CO, "run_dp5", "polygon vertices mismatch"):
+        ["tests/test_corpus.py::"
+         "test_dp5_rejects_a_planted_fault[vertices]"],
+    (_CO, "run_dp5", "polygon is not reflexive"):
+        ["tests/test_corpus.py::"
+         "test_dp5_rejects_a_planted_fault[reflexive]"],
+    (_CO, "run_dp5", "polar dual vertices mismatch"):
+        ["tests/test_corpus.py::"
+         "test_dp5_rejects_a_planted_fault[polar]"],
+    (_CO, "run_dp5", "face fan of the polygon is not the fan"):
+        ["tests/test_corpus.py::"
+         "test_dp5_rejects_a_planted_fault[face-fan]"],
+    (_CO, "run_dp5", "normal fan of the polar dual is not the fan"):
+        ["tests/test_corpus.py::"
+         "test_dp5_rejects_a_planted_fault[normal-fan]"],
     (_DG, "degree_check",
      "cone {idx} coordinate {i + 1}: degree {got}, expected {want}"):
         ["tests/test_degeneration.py::"
@@ -183,13 +208,14 @@ CHECK_SITES = {
         ["tests/test_degeneration.py::"
          "test_coordinate_limit_needs_a_coordinate_monomial"],
     (_DG, "limit_check",
-     "{where}: limit exponents {got}, expected {want}"): NO_TEST,
+     "{where}: limit exponents {got}, expected {want}"):
+        ["tests/test_degeneration.py::"
+         "test_limit_check_names_a_limit_on_the_wrong_coordinate"],
     (_DG, "central_fiber_toric_check",
      "wall ({src},{k}): coordinate {i + 1} degenerates to {tuple(a)}, "
-     "expected {tuple(want)}"): NO_TEST,
-    (_DG, "central_fiber_toric_check",
-     "wall ({src},{k}): exponents of coordinate {i + 1} do not relate the "
-     "coefficient vectors integrally"): NO_TEST,
+     "expected {tuple(want)}"):
+        ["tests/test_degeneration.py::"
+         "test_central_fiber_rejects_a_wall_that_keeps_the_coordinates"],
     (_DG, "cocycle_check",
      "wall ({src},{k}): there-and-back composite moves coordinate "
      "{moved + 1}"):
@@ -221,7 +247,10 @@ CHECK_SITES = {
         ["tests/test_degeneration.py::"
          "test_shared_round_trip_verdicts_keep_each_checks_failure"],
     (_DG, "glue_ring_check",
-     "wall ({src},{k}): reverse composite is not the identity"): NO_TEST,
+     "wall ({src},{k}): reverse composite is not the identity"):
+        ["tests/test_degeneration.py::"
+         "test_glue_ring_names_the_reverse_composite_first_when_it_moves_"
+         "less"],
     (_DG, "fiber_iso_check",
      "wall ({src},{k}): fibre rescaling does not intertwine coordinate "
      "{i + 1}"):
@@ -229,13 +258,18 @@ CHECK_SITES = {
          "test_fiber_iso_rejects_tampered_transition"],
     (_DG, "strata_consistency_check",
      "restricted coefficients drift from the ambient coefficient vectors"):
-        NO_TEST,
+        ["tests/test_degeneration.py::"
+         "test_strata_rejects_a_planted_fault[drift]"],
     (_DG, "strata_consistency_check",
      "stratum wall in direction {k}: face coordinate {j + 1} image has a "
-     "face variable in its denominator"): NO_TEST,
+     "face variable in its denominator"):
+        ["tests/test_degeneration.py::"
+         "test_strata_rejects_a_planted_fault[face-denominator]"],
     (_DG, "strata_consistency_check",
      "stratum wall in direction {k}: face coordinate {j + 1} does not "
-     "divide its own image"): NO_TEST,
+     "divide its own image"):
+        ["tests/test_degeneration.py::"
+         "test_strata_rejects_a_planted_fault[face-division]"],
     (_DG, "strata_consistency_check",
      "stratum wall in direction {k}: transverse coordinate {i + 1} image "
      "involves a face variable"):
@@ -249,11 +283,13 @@ CHECK_SITES = {
     (_DG, "strata_consistency_check",
      "stratum wall in direction {k}: stratum exponents of coordinate "
      "{i + 1} do not express the far coefficient vector in the transverse "
-     "near ones"): NO_TEST,
+     "near ones"):
+        ["tests/test_degeneration.py::"
+         "test_strata_rejects_a_planted_fault[far-c-matrix]"],
     (_DG, "strata_consistency_check",
-     "transverse mutation left the enumerated atlas"): NO_TEST,
-    (_DG, "strata_consistency_check",
-     "stratum walk did not reach every cone of the star"): NO_TEST,
+     "stratum walk did not reach every cone of the star"):
+        ["tests/test_degeneration.py::"
+         "test_strata_rejects_a_planted_fault[far-generators]"],
     (_GF, "g_vector_step",
      "cone at path {path}: c-vector {k + 1} {col} is not sign-coherent"):
         ["tests/test_gfan.py::"
@@ -403,13 +439,12 @@ def _written_mutants():
 
 def _site_mutants():
     """(file, patch, tests, label) for the raise-deletion mutant of each
-    ``CHECK_SITES`` entry that names killing tests.  Raises KeyError on an
-    entry whose site is not in ``src/``."""
+    ``CHECK_SITES`` entry.  Raises KeyError on an entry whose site is not
+    in ``src/``."""
     where = {key: (line, col) for key, line, col in check_sites()}
     return [(key[0], _delete_raise(*where[key]), tests,
              f"{key[1]}: raise CheckFailed({key[2]!r})")
-            for key, tests in CHECK_SITES.items()
-            if not isinstance(tests, str)]
+            for key, tests in CHECK_SITES.items()]
 
 
 def _copy_tree(dest):
@@ -431,14 +466,6 @@ def _pytest(tree, tests):
         return None
 
 
-def _tally(sites):
-    """How many of ``sites``, a list of ``CHECK_SITES`` values, name killing
-    tests and how many give a reason instead."""
-    reasons = sum(isinstance(v, str) for v in sites)
-    return (f"{len(sites) - reasons} of {len(sites)} check sites name "
-            f"killing tests; {reasons} give a reason instead")
-
-
 def main():
     start = time.perf_counter()
     try:
@@ -447,9 +474,9 @@ def main():
         print(f"CHECK_SITES names a site that is not in src/: {exc}")
         return 2
     for path in sorted({key[0] for key in CHECK_SITES}):
-        print(f"{path}: " + _tally([v for k, v in CHECK_SITES.items()
-                                    if k[0] == path]))
-    print("all files: " + _tally(list(CHECK_SITES.values())))
+        count = sum(key[0] == path for key in CHECK_SITES)
+        print(f"{path}: {count} check sites")
+    print(f"all files: {len(CHECK_SITES)} check sites")
     with tempfile.TemporaryDirectory() as tmp:
         tree = os.path.join(tmp, "tree")
         _copy_tree(tree)

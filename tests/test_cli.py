@@ -99,6 +99,23 @@ def test_table_gr25_csv_is_input_error():
     assert res.exit_code == 2
 
 
+@pytest.mark.parametrize("which, name, fault, message", [
+    ("gr25", "GR25_DICT", lambda d: {**d, "u33": (0, 0, -1, 0, 0, 0, 1)},
+     "flow of p13 does not match the engine"),
+    ("dp5", "DP5_RELATIONS",
+     lambda rels: ((1, 3, (0, 0), 2, (0, 0)),) + rels[1:],
+     "relation 1,3 fails"),
+], ids=["gr25", "dp5"])
+def test_table_json_exits_1_on_a_failed_check(monkeypatch, which, name,
+                                              fault, message):
+    monkeypatch.setattr(corpus, name, fault(getattr(corpus, name)))
+    res = run("table", which, "--format", "json")
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert res.stdout == ""
+    assert res.stderr == f"error: table {which}: {message}\n"
+
+
 # -- pinned output --------------------------------------------------------------
 
 #: The sha256 of stdout and the exit code of fixed commands: every table

@@ -288,3 +288,90 @@ def test_pentagon_walk_names_the_variable_that_does_not_return(
     assert str(exc.value) == (
         f"pentagon walk did not return the initial variable {name}")
     assert calls == [0, 1, 0, 1, 0][:bad + 1]
+
+
+# -- planted faults ------------------------------------------------------------
+
+def _report_with(**entries):
+    """A fault for ``polytope_P``: its report with ``entries`` changed."""
+    return lambda polytope: lambda atlas: {**polytope(atlas), **entries}
+
+
+#: One fault per check of ``run_gr25``: the name of ``corpus`` it replaces,
+#: the replacement as a function of the real value, and the full message of
+#: the one check that must catch it.
+GR25_FAULTS = [
+    pytest.param("GR25_ARROWS", lambda arrows: arrows + (("p12", "p23"),),
+                 "frozen block of the quiver matrix is nonzero",
+                 id="frozen-arrow"),
+    pytest.param("GR25_PULLBACK",
+                 lambda pb: {**pb, "x13": (0, -1, 1, -1, 1, 0, 1)},
+                 "pullback of x13 is not row 0", id="mutable-pullback"),
+    pytest.param("GR25_PULLBACK",
+                 lambda pb: {**pb, "x12": (0, 0, 1, 0, 0, 0, 0)},
+                 "lift of x12 changes a mutable exponent", id="lift"),
+    pytest.param("GR25_PULLBACK",
+                 lambda pb: {**pb, "x12": (-1, 0, 2, 0, 0, 0, 0)},
+                 "pullback monomials do not multiply to 1", id="coset"),
+    pytest.param("GR25_DICT",
+                 lambda d: {**d, "u33": (0, 0, -1, 0, 0, 0, 1)},
+                 "flow of p13 does not match the engine", id="dictionary"),
+    pytest.param("GR25_RELATIONS",
+                 lambda rels: ((rels[0][:3] + (("p14", "p25"),),)
+                               + rels[1:]),
+                 "relation p13*p24 failed", id="relation"),
+    pytest.param("GR25_FLOW_W",
+                 lambda w: {**w, "x12": {(0, 0, 0, 0, 0, 2): 1}},
+                 "flow ratio for x12 mismatch", id="flow-ratio"),
+    pytest.param("GR25_BOUNDARY",
+                 lambda bd: (("x12", ((0, 0, -2, 0, 0, 0, 0),),
+                              ("p13", "p12")),) + bd[1:],
+                 "boundary function at x12 mismatch", id="boundary"),
+]
+
+#: The same for ``run_dp5``.
+DP5_FAULTS = [
+    pytest.param("DP5_RELATIONS",
+                 lambda rels: ((1, 3, (0, 0), 2, (0, 0)),) + rels[1:],
+                 "relation 1,3 fails", id="relation"),
+    pytest.param("DP5_VERTICES", lambda vs: ((2, 0),) + vs[1:],
+                 "relation 1,3 is not degree homogeneous",
+                 id="homogeneity"),
+    pytest.param("degree_of",
+                 lambda degree: lambda f, grading: degree(f, grading)[::-1],
+                 "generator 1 degree mismatch", id="generator-degree"),
+    pytest.param("polytope_P",
+                 _report_with(vertices=[(1, 0), (0, 1), (-1, 0), (0, -1)]),
+                 "polygon vertices mismatch", id="vertices"),
+    pytest.param("polytope_P", _report_with(reflexive=False),
+                 "polygon is not reflexive", id="reflexive"),
+    pytest.param("polytope_P",
+                 _report_with(polar_vertices=[(-1, -1), (1, -1), (1, 1),
+                                              (0, 1), (-1, 0)]),
+                 "polar dual vertices mismatch", id="polar"),
+    pytest.param("polytope_P", _report_with(face_fan_matches=False),
+                 "face fan of the polygon is not the fan", id="face-fan"),
+    pytest.param("normal_fan_of_polygon",
+                 lambda normal_fan: lambda vertices: normal_fan(
+                     vertices[::-1]),
+                 "normal fan of the polar dual is not the fan",
+                 id="normal-fan"),
+]
+
+
+@pytest.mark.parametrize("name, fault, message", GR25_FAULTS)
+def test_gr25_rejects_a_planted_fault(monkeypatch, name, fault, message):
+    """Each fault is caught by its own check, with its own message."""
+    monkeypatch.setattr(corpus, name, fault(getattr(corpus, name)))
+    with pytest.raises(CheckFailed) as exc:
+        run_gr25()
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("name, fault, message", DP5_FAULTS)
+def test_dp5_rejects_a_planted_fault(monkeypatch, name, fault, message):
+    """Each fault is caught by its own check, with its own message."""
+    monkeypatch.setattr(corpus, name, fault(getattr(corpus, name)))
+    with pytest.raises(CheckFailed) as exc:
+        run_dp5()
+    assert str(exc.value) == message

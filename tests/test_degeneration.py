@@ -230,6 +230,18 @@ def test_limit_check_rejects_tampered_pullback():
         limit_check(fam)
 
 
+def test_limit_check_names_a_limit_on_the_wrong_coordinate():
+    """A pullback whose limit is another coordinate monomial has a limit,
+    with the wrong exponents."""
+    fam = Family(A2)
+    X1, X2 = fam.coordinates()
+    fam._pull[0] = (X2, X1)
+    with pytest.raises(CheckFailed) as err:
+        limit_check(fam)
+    assert str(err.value) == ("cone 0 coordinate 1: limit exponents (0, 1), "
+                              "expected (1, 0)")
+
+
 def test_coordinate_limit_needs_a_coordinate_monomial():
     """The t = 0 limit is read as exponents in X only when it is a monomial
     with coefficient one and no residual t-exponent."""
@@ -246,6 +258,18 @@ def test_coordinate_limit_needs_a_coordinate_monomial():
 @pytest.mark.parametrize("ed", [A2, B2, A3], ids=["a2", "b2", "a3"])
 def test_central_fiber_toric(ed):
     assert central_fiber_toric_check(Family(ed))
+
+
+def test_central_fiber_rejects_a_wall_that_keeps_the_coordinates():
+    """A transition that leaves every coordinate as it is does not invert
+    the wall coordinate at t = 0."""
+    fam = Family(A2)
+    T = fam.transition(0, 0)
+    fam._trans[(0, 0)] = type(T)(T.k, T.near, fam.coordinates())
+    with pytest.raises(CheckFailed) as err:
+        central_fiber_toric_check(fam)
+    assert str(err.value) == ("wall (0,0): coordinate 1 degenerates to "
+                              "(1, 0), expected (-1, 0)")
 
 
 def test_central_fiber_monomial_maps_frozen():
@@ -599,6 +623,77 @@ def test_strata_rejects_a_restricted_family_that_disagrees(monkeypatch):
         f"with the restricted family at coordinate {k + 1}")
 
 
+def _scale_face_image(by):
+    """Plant: the face coordinate's image on the first wall the strata walk
+    crosses, multiplied by ``by(x)`` for x that coordinate."""
+    def plant(fam, st, monkeypatch):
+        x = PosRatFunc.variable(fam.vars, fam.xnames[st.kept[0]])
+        _corrupt_wall(fam, st.base, st.dropped[0], st.kept[0], by(x))
+    return plant
+
+
+def _far_record_keeps(field):
+    """Plant: every record the strata walk steps keeps the near record's
+    ``field`` ("C" or "G")."""
+    def plant(fam, st, monkeypatch):
+        def step(cone, k):
+            far = g_cone_step(cone, k)
+            setattr(far, field, getattr(cone, field))
+            return far
+        monkeypatch.setattr(degeneration, "g_cone_step", step)
+    return plant
+
+
+def _drift_restricted_coefficients(fam, st, monkeypatch):
+    """Plant: each tropical step of the restricted coefficients inverts the
+    first one."""
+    mutate = degeneration.mutate_y_tuple
+
+    def drifted(y, B, k, plus, minus):
+        out = mutate(y, B, k, plus, minus)
+        if isinstance(plus, TropMonomial):
+            out = (out[0].inv(),) + out[1:]
+        return out
+    monkeypatch.setattr(degeneration, "mutate_y_tuple", drifted)
+
+
+@pytest.mark.parametrize("plant, message", [
+    pytest.param(_scale_face_image(
+                     lambda x: x.add(PosRatFunc.one(x.vars)).inv()),
+                 "stratum wall in direction {k}: face coordinate {face} "
+                 "image has a face variable in its denominator",
+                 id="face-denominator"),
+    pytest.param(_scale_face_image(lambda x: x.inv()),
+                 "stratum wall in direction {k}: face coordinate {face} "
+                 "does not divide its own image", id="face-division"),
+    pytest.param(_far_record_keeps("C"),
+                 "stratum wall in direction {k}: stratum exponents of "
+                 "coordinate {wall} do not express the far coefficient "
+                 "vector in the transverse near ones", id="far-c-matrix"),
+    pytest.param(_far_record_keeps("G"),
+                 "stratum walk did not reach every cone of the star",
+                 id="far-generators"),
+    pytest.param(_drift_restricted_coefficients,
+                 "restricted coefficients drift from the ambient "
+                 "coefficient vectors", id="drift"),
+])
+def test_strata_rejects_a_planted_fault(monkeypatch, plant, message):
+    """Each fault, planted on the star of the first A3 ray, is caught by its
+    own check: the two face checks and the far record's coefficients on the
+    first wall the walk crosses (from the base cone in its first transverse
+    direction), the count of cones the walk reaches when no step leaves the
+    base cone's generators, and the restricted coefficients one step on."""
+    fam = Family(A3)
+    ray = fam.atlas.rays[0]
+    st = star(fam.atlas, [ray])
+    plant(fam, st, monkeypatch)
+    k = st.dropped[0]
+    with pytest.raises(CheckFailed) as err:
+        strata_consistency_check(fam, [ray])
+    assert str(err.value) == message.format(k=k, face=st.kept[0] + 1,
+                                            wall=k + 1)
+
+
 def test_strata_builds_each_star_wall_once_per_call(monkeypatch):
     """The restricted family's wall images are built once per wall key of
     the restricted data (row, direction and coefficient vector) within a
@@ -820,6 +915,20 @@ def test_shared_round_trip_verdicts_keep_each_checks_failure(cocycle_first):
         with pytest.raises(CheckFailed) as err:
             check()
         assert str(err.value) == message
+
+
+def test_glue_ring_names_the_reverse_composite_first_when_it_moves_less():
+    """Scaling the far image of the wall coordinate X2 by t1 moves only X2
+    when crossing there and back, but X1 too when crossing back and there,
+    through X1's binomial in X2; the lower coordinate names the reverse
+    composite."""
+    fam = Family(A2)
+    t1 = PosRatFunc.variable(fam.vars, "t1")
+    _corrupt_wall(fam, g_cone_step(fam.atlas.cones[0], 1), 1, 1, t1)
+    with pytest.raises(CheckFailed) as err:
+        glue_ring_check(fam, 0, 1)
+    assert str(err.value) == (
+        "wall (0,1): reverse composite is not the identity")
 
 
 @pytest.mark.parametrize("near_i, far_i, message", [

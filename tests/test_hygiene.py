@@ -382,9 +382,14 @@ def _mutants():
 
 
 def _assert_defined(test):
+    """A test id names a test defined in its file, and a row id in brackets
+    is written there as a string."""
     test_file, name = test.split("::")
+    name, _, row = name.partition("[")
     with open(os.path.join(ROOT, test_file), encoding="utf-8") as fh:
-        assert f"\ndef {name}(" in fh.read(), f"{test} is not defined"
+        text = fh.read()
+    assert f"\ndef {name}(" in text, f"{test} is not defined"
+    assert not row or f'"{row[:-1]}"' in text, f"{test}: no such row id"
 
 
 def test_each_mutant_site_occurs_once():
@@ -419,8 +424,8 @@ def test_check_sites_are_detected():
 
 def test_every_check_site_has_one_entry():
     """``CHECK_SITES`` has one entry for each ``raise CheckFailed(`` in
-    src/, written once, and each names defined killing tests or gives a
-    reason to survive, so a new check arrives with its entry."""
+    src/, written once, and each is a list naming defined killing tests, so
+    a new check arrives with its entry and a test that kills it."""
     mutants = _mutants()
     sites = [key for key, _, _ in mutants.check_sites()]
     assert len(sites) == len(set(sites)), "two sites share a key"
@@ -436,10 +441,9 @@ def test_every_check_site_has_one_entry():
                 and getattr(node.targets[0], "id", None) == "CHECK_SITES")
     assert len(literal.keys) == len(mutants.CHECK_SITES), "a key is repeated"
     for key, tests in mutants.CHECK_SITES.items():
-        assert tests, f"{key}: no killing test and no reason"
-        if not isinstance(tests, str):
-            for test in tests:
-                _assert_defined(test)
+        assert isinstance(tests, list) and tests, f"{key}: no killing test"
+        for test in tests:
+            _assert_defined(test)
 
 
 @pytest.mark.parametrize("module", MODULES)
