@@ -63,16 +63,6 @@ def a2_exchange():
     return ExchangeData(((0, 1), (-1, 0)), 2)
 
 
-def b2_exchange():
-    """Rank-2 pattern with a doubled arrow and multipliers (2, 1)."""
-    return ExchangeData(((0, -1), (2, 0)), 2, (2, 1))
-
-
-def a3_exchange():
-    """Rank-3 path quiver 1 -> 2 -> 3."""
-    return ExchangeData(((0, 1, 0), (-1, 0, 1), (0, -1, 0)), 3)
-
-
 #: The pentagon mutation walk 2,1,2,1,2 (0-based directions).
 PENTAGON_PATH = (1, 0, 1, 0, 1)
 

@@ -10,8 +10,6 @@ isomorphic, and that the fibre over zero degenerates onto the toric variety
 of the atlas fan, stratum by stratum.
 """
 
-from fractions import Fraction
-
 from .exact_algebra import (
     ExactAlgebraError,
     InexactDivision,
@@ -45,12 +43,25 @@ def family_vars(n):
     return tuple(f"X{i + 1}" for i in range(n)), t_vars(n)
 
 
+def variables(vars, slots):
+    """The variables at the positions ``slots`` of ``vars``, as monomials
+    built by the trusted ``PosRatFunc.monomial``."""
+    zero = (0,) * len(vars)
+    return tuple(PosRatFunc.monomial(vars, zero[:i] + (1,) + zero[i + 1:])
+                 for i in slots)
+
+
 def composer(xnames, images):
     """Composition with the substitution X_i -> images[i]: the returned
     function maps a tuple of functions in the coordinates to their
     composites.  Every tuple it is given shares one factor memo, which is
-    valid for this one substitution only."""
-    subst = dict(zip(xnames, images))
+    valid for this one substitution only.  The other variables of the
+    images, the base parameters, map to themselves; their images are built
+    here once, not in every ``evaluate``."""
+    vars = images[0].vars
+    n = len(xnames)
+    subst = dict(zip(vars[n:], variables(vars, range(n, len(vars)))))
+    subst.update(zip(xnames, images))
     memo = {}
     return lambda fs: tuple(f.evaluate(subst, memo) for f in fs)
 
@@ -65,11 +76,13 @@ def family_wall_images(B, k, c_k, xnames, tnames):
     coordinate pulls back to the inverse of the near one, and every other
     coordinate picks up a power of a subtraction-free binomial.  Only row k
     of ``B``, ``k`` and ``c_k`` are read.  ``Family.wall_images`` caches
-    this per family.
+    this per family.  The coordinates and the two parts are monomials,
+    built without checks; ``mutate_y_tuple`` is the one route from them to
+    the images.
     """
     vars = xnames + tnames
     n = len(xnames)
-    xs = tuple(PosRatFunc.variable(vars, x) for x in xnames)
+    xs = variables(vars, range(n))
     plus = PosRatFunc.monomial(vars, [0] * n + [max(c, 0) for c in c_k])
     minus = PosRatFunc.monomial(vars, [0] * n + [max(-c, 0) for c in c_k])
     return mutate_y_tuple(xs, B, k, plus, minus)
@@ -125,12 +138,18 @@ class Family:
     stepped; the checks read it there.  Every check here that builds wall
     images in the family's own variables reads the wall-image cache.
 
-    Two verdict memos hold small ints keyed on wall keys: ``round_trip``
-    decides once per pair of wall keys which coordinate, if any, crossing
-    there and back moves, and ``ring_exit`` decides once per wall key which
-    image, if any, leaves its wall ring.  Expansions and composites are
-    deliberately not cached: holding expansions on the family raised the
-    ``family`` benchmark's peak RSS from 29.5 to 38.3 MB.
+    Three verdict memos hold small values: ``round_trip`` decides once per
+    pair of wall keys which coordinate, if any, crossing there and back
+    moves; ``ring_exit`` decides once per wall key which image, if any,
+    leaves its wall ring; and ``limit`` decides once per value of a
+    function its t = 0 limit, as exponents in X1..Xn or the reason it is no
+    coordinate monomial.  Expansions and composites are deliberately not
+    cached: holding expansions on the family raised the ``family``
+    benchmark's peak RSS from 29.5 to 38.3 MB.  A limit verdict is safe to
+    hold where an expansion is not: it is n small ints, or one reason, and
+    in every check here its key is a wall image or a pullback that the
+    family's caches already hold, so the memo keeps no value alive and adds
+    one dict entry per distinct value.
     """
 
     def __init__(self, ed, atlas=None):
@@ -146,13 +165,14 @@ class Family:
         self._walls = {}
         self._round_trips = {}
         self._ring_exits = {}
+        self._limits = {}
 
     @property
     def n(self):
         return self.ed.n
 
     def coordinates(self):
-        return tuple(PosRatFunc.variable(self.vars, v) for v in self.xnames)
+        return variables(self.vars, range(self.n))
 
     def wall_images(self, B, k, c_k):
         """``family_wall_images`` in this family's variables, computed once
@@ -188,6 +208,24 @@ class Family:
                 (i for i, f in enumerate(images)
                  if not _in_glue_ring(f, k, W)), None)
         return self._ring_exits[key]
+
+    def limit(self, f):
+        """The exponents in X1..Xn of the t = 0 limit of f when it is a
+        coordinate monomial with coefficient one; otherwise the reason it
+        is not: the ``LimitError`` of ``limit_t_zero``, or the limit
+        itself.  Decided once per value of f in this family."""
+        lim = self._limits.get(f)
+        if lim is None:
+            try:
+                lim = limit_t_zero(f, self.tnames)
+            except LimitError as exc:
+                lim = exc.with_traceback(None)
+            else:
+                (exps, coef), = lim.terms.items()
+                if coef == 1 and not any(exps[self.n:]):
+                    lim = exps[:self.n]
+            self._limits[f] = lim
+        return lim
 
     def transition(self, cone_index, k):
         key = (cone_index, k)
@@ -235,18 +273,16 @@ def degree_check(fam, cone_indices=None):
 
 
 def coordinate_limit(fam, f, where):
-    """Exponents in X1..Xn of the limit of f at t = 0.  The limit must be a
-    coordinate monomial with coefficient one; otherwise raises
-    ``CheckFailed`` naming ``where``."""
-    try:
-        lim = limit_t_zero(f, fam.tnames)
-    except LimitError as exc:
-        raise CheckFailed(f"{where} has no monomial limit ({exc})")
-    (exps, coef), = lim.terms.items()
-    if coef != 1 or any(exps[fam.n:]):
+    """Exponents in X1..Xn of the limit of f at t = 0, read from
+    ``fam.limit``.  The limit must be a coordinate monomial with
+    coefficient one; otherwise raises ``CheckFailed`` naming ``where``."""
+    lim = fam.limit(f)
+    if isinstance(lim, LimitError):
+        raise CheckFailed(f"{where} has no monomial limit ({lim})")
+    if isinstance(lim, LaurentPoly):
         raise CheckFailed(f"{where} limit not a coordinate monomial: "
                           f"{lim.to_text()}")
-    return exps[:fam.n]
+    return lim
 
 
 def limit_check(fam, cone_indices=None):
@@ -429,7 +465,8 @@ def glue_ring_check_all(fam, coefficient_free=False):
 def at_base_point(num_den, assign, scales=None):
     """An expanded image, a (numerator, denominator) pair, with the base
     parameters at the values ``assign`` and the coordinates optionally
-    rescaled by ``scales``; an exact pair of integer polynomials.
+    rescaled by ``scales``, values as integer (numerator, denominator)
+    pairs; an exact pair of integer polynomials.
 
     Each side specializes to a polynomial over a positive integer, n / cn
     and d / cd, so the quotient is n * cd / (d * cn).  Raises
@@ -443,33 +480,32 @@ def at_base_point(num_den, assign, scales=None):
 
 
 def specialize_fiber(images, tnames, u):
-    """Evaluate the base parameters at a rational point, keeping the
-    coordinates symbolic; returns (numerator, denominator) pairs of integer
-    polynomials."""
-    assign = dict(zip(tnames, u))
+    """Evaluate the base parameters at a rational point (ints or
+    Fractions), keeping the coordinates symbolic; returns (numerator,
+    denominator) pairs of integer polynomials."""
+    assign = {t: (x.numerator, x.denominator) for t, x in zip(tnames, u)}
     return tuple(at_base_point(f.expand(), assign) for f in images)
 
 
 def fiber_iso_check(fam, u, u2, walls=None):
     """The coordinate rescalings by u2^c / u^c intertwine the wall
-    transitions of the fibres over u and u2."""
+    transitions of the fibres over the rational points u and u2."""
     n = fam.n
-    u = tuple(Fraction(x) for x in u)
-    u2 = tuple(Fraction(x) for x in u2)
-    if any(x == 0 for x in u) or any(x == 0 for x in u2):
+    u = [(x.numerator, x.denominator) for x in u]
+    u2 = [(x.numerator, x.denominator) for x in u2]
+    if any(a == 0 for a, _ in u + u2):
         raise ValueError("fibre comparison needs nonzero base points")
-
-    quot = [b / a for a, b in zip(u, u2)]
     ratios = {}
 
     def ratio(col):
-        """u2^col / u^col, computed once per column in this call."""
+        """u2^col / u^col as an integer pair with a positive denominator,
+        computed once per column in this call."""
         if col not in ratios:
-            out = Fraction(1)
-            for q, x in zip(quot, col):
-                if x:
-                    out *= q ** x
-            ratios[col] = out
+            p = q = 1
+            for (a, b), (c, d), x in zip(u, u2, col):
+                r, s = (c * b, d * a) if x > 0 else (d * a, c * b)
+                p, q = p * r ** abs(x), q * s ** abs(x)
+            ratios[col] = (-p, -q) if q < 0 else (p, q)
         return ratios[col]
 
     items = (sorted(fam.atlas.adjacency) if walls is None else walls)
@@ -483,9 +519,9 @@ def fiber_iso_check(fam, u, u2, walls=None):
             num_den = T.images[i].expand()
             a, b = at_base_point(num_den, assign_u, scales)
             c, d = at_base_point(num_den, assign_u2)
-            q = ratio(column(T.far.C, i))
-            # a / b == (c * q) / d, cross-multiplied
-            if a * d.scale(q.denominator) != c.scale(q.numerator) * b:
+            p, q = ratio(column(T.far.C, i))
+            # a / b == (c * p / q) / d, cross-multiplied
+            if a * d.scale(q) != c.scale(p) * b:
                 raise CheckFailed(
                     f"wall ({src},{k}): fibre rescaling does not intertwine "
                     f"coordinate {i + 1}")

@@ -26,8 +26,8 @@ degree,) + exponents``: plain tuple order on such keys is reversed
 graded-lex, and since degree is linear in the exponents the keys still add
 componentwise.
 
-Rationals enter only at base points (``substitute_values``), as an integer
-polynomial over a positive int; callers carry plain (num, den) pairs.
+Rationals enter only at base points (``substitute_values``), as integer
+(num, den) pairs, and leave as an integer polynomial over a positive int.
 
 The t -> 0 limit (``limit_t_zero``), the degree (``degree_of``) and the
 exponent bounds (``PosRatFunc.exponent_bounds``) of a rational function are
@@ -60,7 +60,9 @@ whose ``TropMonomial.to_posrat`` is a monomial; and ``degeneration``, whose
 polynomial, and returns one whose minimal exponent is already 0 as its own
 key; they leave out a key equal to one and a zeroth power, and ``prf_sum``
 merges the sum's key into the denominator's factors, none equal to one,
-dropping an exponent that sums to zero.
+dropping an exponent that sums to zero.  The sum of monomials in
+``prf_sum`` is its own key when its content is 1: its coefficients are
+sums of positive multiplicities and its minimal exponent is 0.
 """
 
 from __future__ import annotations
@@ -761,8 +763,10 @@ def prf_sum(parts):
     positive numerator polynomials, and divides the denominator back out.
     When no part has factors the parts are monomials: their units, shifted
     by the componentwise minimum, key the coefficients of one polynomial,
-    with no common denominator and nothing for ``reduced`` to cancel.
-    Parts over different variable sets raise ``VariableSetMismatch``.
+    with no common denominator and nothing for ``reduced`` to cancel; its
+    coefficients are positive and its minimal exponent 0 by construction,
+    so only its content is checked.  Parts over different variable sets
+    raise ``VariableSetMismatch``.
     """
     parts = [(c, f) for c, f in parts if c]
     if not parts:
@@ -779,8 +783,15 @@ def prf_sum(parts):
         for c, f in parts:
             e = tuple(map(sub, f.unit, low))
             terms[e] = terms.get(e, 0) + c
-        # the sum's minimal exponent is 0, so the key's shift is 0
-        _, key = _canonical_factor(LaurentPoly._new(vars, terms))
+        key = LaurentPoly._new(vars, terms)
+        if key.integer_content() != 1:
+            # name the numerator the factored route names: the sum over
+            # the least common denominator, the monomial x^[-low]+
+            up = tuple(max(x, 0) for x in low)
+            num = LaurentPoly._new(vars, {tuple(map(add, e, up)): c
+                                          for e, c in terms.items()})
+            raise PositivityError(
+                f"factor has integer content != 1: {num.to_text()}")
         return PosRatFunc._new(vars, low, {} if key.is_one() else {key: 1})
     splits = [f.num_den_split() for _, f in parts]
     # least common denominator over factored forms
@@ -945,10 +956,10 @@ def limit_t_zero(f, t_vars):
 
 
 def substitute_values(poly, assignment, scales=None):
-    """Evaluate some variables of an integer polynomial at rational values
-    (ints or Fractions), optionally also scaling other variables by rational
-    constants (the variable stays, its coefficient picks up
-    scale**exponent).
+    """Evaluate some variables of an integer polynomial at rational values,
+    optionally also scaling other variables by rational constants (the
+    variable stays, its coefficient picks up scale**exponent); a value is
+    an integer pair (numerator, positive denominator), not always reduced.
 
     Returns ``(numerator, denominator)``: an integer polynomial over the
     same variable set (substituted slots pinned to exponent zero) and a
@@ -982,7 +993,7 @@ def substitute_values(poly, assignment, scales=None):
         if pin:
             pinned.append(i)
         hi, lo = max(max(xs), 0), max(-min(xs), 0)
-        a, b = q.numerator, q.denominator
+        a, b = q
         d = b ** hi * abs(a) ** lo
         denom *= d
         # exact floor divisions: b^x and a^-x divide d

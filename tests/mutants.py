@@ -120,6 +120,13 @@ MUTANTS = [
      ["tests/test_invariants.py::test_g_matrix_routes_agree",
       "tests/test_seeds.py::"
       "test_g_cone_step_equals_its_form_through_whole_matrices"]),
+    # the family's limit memo is keyed on the unit of the function alone
+    (_DG,
+     "        lim = self._limits.get(f)\n",
+     "        f = next((g for g in self._limits if g.unit == f.unit), f)\n"
+     "        lim = self._limits.get(f)\n",
+     ["tests/test_degeneration.py::"
+      "test_shared_limit_verdicts_keep_each_checks_failure"]),
     # prf_sum merges the sum's key into the denominator with exponent -1
     (_EA,
      "factors = {} if key.is_one() else {key: 1}",
@@ -198,11 +205,13 @@ CHECK_SITES = {
      "cone {idx} coordinate {i + 1}: degree {got}, expected {want}"):
         ["tests/test_degeneration.py::"
          "test_degree_check_rejects_tampered_pullback"],
-    (_DG, "coordinate_limit", "{where} has no monomial limit ({exc})"):
+    (_DG, "coordinate_limit", "{where} has no monomial limit ({lim})"):
         ["tests/test_degeneration.py::"
          "test_coordinate_limit_needs_a_coordinate_monomial",
          "tests/test_degeneration.py::"
-         "test_limit_check_rejects_tampered_pullback"],
+         "test_limit_check_rejects_tampered_pullback",
+         "tests/test_degeneration.py::"
+         "test_shared_limit_verdicts_keep_each_checks_failure"],
     (_DG, "coordinate_limit",
      "{where} limit not a coordinate monomial: {lim.to_text()}"):
         ["tests/test_degeneration.py::"

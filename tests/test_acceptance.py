@@ -4,14 +4,14 @@ pass/fail line with its runtime against the stated budget.
 Run with output visible:  python3 -m pytest tests/test_acceptance.py -v -s
 """
 
+import json
+import os
 import random
 import time
 from fractions import Fraction
 
 from cluster_forge.corpus import (
     a2_exchange,
-    a3_exchange,
-    b2_exchange,
     run_a2_tables,
     run_dp5,
     run_gr25,
@@ -46,10 +46,31 @@ from cluster_forge.seeds import (
     langlands_dual,
     mutate_cluster_seed,
     mutate_y_seed,
+    seed_from_json,
 )
 from cluster_forge.semifields import TropMonomial
 
 RNG_SEED = 20260815
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "..", "src",
+                        "cluster_forge", "fixtures")
+
+
+def _fixture_exchange(name):
+    """The exchange data of a shipped seed file."""
+    with open(os.path.join(FIXTURES, f"{name}.json"), encoding="utf-8") as fh:
+        return seed_from_json(json.load(fh))[0]
+
+
+def b2_exchange():
+    """Rank-2 pattern with a doubled arrow and multipliers (2, 1)."""
+    return _fixture_exchange("b2")
+
+
+def a3_exchange():
+    """Rank-3 path quiver 1 -> 2 -> 3."""
+    return _fixture_exchange("a3")
+
 
 # expected monomial transition maps of the two-directions atlas at t = 0,
 # one image pair per directed wall (cone index, direction)

@@ -469,8 +469,7 @@ def test_at_base_point_equals_the_product_of_the_specialized_sides():
     rng = random.Random(5)
     fam = Family(A3)
     const = lambda c: LaurentPoly(fam.vars, {(0,) * len(fam.vars): c})
-    point = lambda: Fraction(rng.choice([-3, -2, -1, 1, 2, 5]),
-                             rng.randint(1, 4))
+    point = lambda: (rng.choice([-3, -2, -1, 1, 2, 5]), rng.randint(1, 4))
     for src, k in sorted(fam.atlas.adjacency):
         assign = {t: point() for t in fam.tnames}
         scales = {x: point() for x in fam.xnames if rng.random() < 0.5}
@@ -488,9 +487,9 @@ def test_at_base_point_refuses_a_vanishing_denominator():
     den = LaurentPoly(V, {(0, 0, 0, 0): 1, (0, 0, 1, 0): 1})
     with pytest.raises(ExactAlgebraError, match="zero denominator"):
         at_base_point((LaurentPoly(V, {(1, 0, 0, 0): 1}), den),
-                      {"t1": -1, "t2": 2})
+                      {"t1": (-1, 1), "t2": (2, 1)})
     assert at_base_point((LaurentPoly(V, {(1, 0, 0, 0): 1}), den),
-                         {"t1": Fraction(-1, 2), "t2": 2}) == (
+                         {"t1": (-1, 2), "t2": (2, 1)}) == (
         LaurentPoly(V, {(1, 0, 0, 0): 2}), LaurentPoly.one(V))
 
 
@@ -826,17 +825,19 @@ def test_family_checks_on_a3_make_pinned_counts(monkeypatch):
     """Exact work counts over one fixed A3 case list: every check of the
     glued family on the a3 fixture's atlas.  Expansions, exact divisions
     (and how many fail), wall-image builds, polynomial products (and how
-    many have a one-term side) and sums whose parts are all monomials are
-    counted through wrappers; each count is the same for every hash seed.
+    many have a one-term side), sums whose parts are all monomials and
+    t = 0 limits are counted through wrappers; each count is the same for
+    every hash seed.
     A change that moves a count re-records it here on purpose."""
     counts = dict.fromkeys(["expand", "divisions", "inexact", "walls",
                             "products", "one_term_products",
-                            "monomial_sums"], 0)
+                            "monomial_sums", "limits"], 0)
     expand = PosRatFunc.expand
     divide = exact_algebra.poly_exact_div
     build = degeneration.family_wall_images
     multiply = LaurentPoly.__mul__
     add_up = exact_algebra.prf_sum
+    take_limit = degeneration.limit_t_zero
 
     def counted_expand(self):
         counts["expand"] += 1
@@ -864,12 +865,17 @@ def test_family_checks_on_a3_make_pinned_counts(monkeypatch):
         counts["monomial_sums"] += not any(f.factors for _, f in parts)
         return add_up(parts)
 
+    def counted_limit(f, t_vars):
+        counts["limits"] += 1
+        return take_limit(f, t_vars)
+
     monkeypatch.setattr(PosRatFunc, "expand", counted_expand)
     monkeypatch.setattr(LaurentPoly, "__mul__", counted_multiply)
     monkeypatch.setattr(exact_algebra, "prf_sum", counted_add_up)
     monkeypatch.setattr(exact_algebra, "poly_exact_div", counted_divide)
     monkeypatch.setattr(degeneration, "poly_exact_div", counted_divide)
     monkeypatch.setattr(degeneration, "family_wall_images", counted_build)
+    monkeypatch.setattr(degeneration, "limit_t_zero", counted_limit)
     fam = _a3_fixture_family()
     assert degree_check(fam) and limit_check(fam)
     assert glue_ring_check_all(fam)
@@ -882,7 +888,7 @@ def test_family_checks_on_a3_make_pinned_counts(monkeypatch):
     assert cocycle_check(fam, max_len=5)
     assert counts == {"expand": 288, "divisions": 59, "inexact": 9,
                       "walls": 151, "products": 422, "one_term_products": 422,
-                      "monomial_sums": 245}
+                      "monomial_sums": 245, "limits": 74}
 
 
 # -- verdict memos shared between checks -------------------------------------------
@@ -948,3 +954,48 @@ def test_ring_exits_report_the_lowest_coordinate_near_first(near_i, far_i,
     with pytest.raises(CheckFailed) as err:
         glue_ring_check(fam, 0, 0)
     assert str(err.value) == f"wall (0,0): {message}"
+
+
+@pytest.mark.parametrize("central_first", [True, False],
+                         ids=["central-first", "strata-first"])
+def test_shared_limit_verdicts_keep_each_checks_failure(monkeypatch,
+                                                        central_first):
+    """The A2 walls in direction 0 at coefficient vector (1, 0), from cones
+    0 and 2, have their wall coordinate's image X1^-1 scaled by t1 + t2,
+    in the family and in the stars alike, so that it has no monomial limit
+    at t = 0.  The Family decides that limit once, and X1^-1 at the other
+    walls in direction 0 keeps its limit: the central fibre check fails at
+    wall (0,0), and the strata check fails on exactly the rays whose stars
+    hold those walls, each with its own message, in either order."""
+    build = degeneration.family_wall_images
+
+    def scaled(B, k, c_k, xnames, tnames):
+        images = build(B, k, c_k, xnames, tnames)
+        if xnames[k] != "X1" or tuple(c_k) != (1, 0):
+            return images
+        t1, t2 = (PosRatFunc.variable(xnames + tnames, t) for t in tnames)
+        return (images[0].mul(t1.add(t2)),) + images[1:]
+
+    monkeypatch.setattr(degeneration, "family_wall_images", scaled)
+    fam = Family(A2)
+    reason = ("has no monomial limit (factor t1 + t2 vanishes at t=0 after "
+              "content removal)")
+
+    def central():
+        with pytest.raises(CheckFailed) as err:
+            central_fiber_toric_check(fam)
+        assert str(err.value) == f"wall (0,0): coordinate 1 {reason}"
+
+    def strata():
+        for ray in fam.atlas.rays:
+            if ray in ((0, 1), (0, -1)):
+                with pytest.raises(CheckFailed) as err:
+                    strata_consistency_check(fam, [ray])
+                assert str(err.value) == (
+                    f"stratum wall in direction 0: transverse coordinate 1 "
+                    f"{reason}")
+            else:
+                strata_consistency_check(fam, [ray])
+
+    for check in ((central, strata) if central_first else (strata, central)):
+        check()

@@ -360,8 +360,9 @@ def test_trusted_constructors_are_called_only_where_allowed():
 
 
 #: The engine computes in integers; rationals enter only at the base-point
-#: boundary: the ``--at`` option and the points of ``fiber_iso_check``.
-FRACTIONS_ALLOWED = {"cli.py", "degeneration.py"}
+#: boundary, the ``--at`` option, and go on as integer (numerator,
+#: denominator) pairs.
+FRACTIONS_ALLOWED = {"cli.py"}
 
 
 @pytest.mark.parametrize("module", sorted(set(MODULES) - FRACTIONS_ALLOWED))
