@@ -455,7 +455,9 @@ def _rational(piece):
 @click.option("--json", "as_json", is_flag=True)
 def degenerate(seed_path, at_text, as_json):
     """Print the wall transition maps of the family specialized at a base
-    point; the zero point gives the toric gluing of the central fiber."""
+    point; the zero point gives the toric gluing of the central fiber.
+    Walls share images, so each distinct image is specialized and printed
+    once."""
     ed, _ = _load_seed(seed_path)
     _need_mutable(ed, seed_path, "degenerate",
                   "the family needs a fully mutable seed")
@@ -473,22 +475,24 @@ def degenerate(seed_path, at_text, as_json):
     if any(zeros) and not all(zeros):
         _fail(EXIT_INPUT, "--at must be all zero (central fiber) or all "
               "nonzero (smooth fiber)")
+    central = all(zeros)
     fam = Family(ed, atlas=_walk(ed, seed_path))
-    maps = []
+    maps, special = [], {}
     for (src, k), dst in sorted(fam.atlas.adjacency.items()):
-        T = fam.transition(src, k)
-        if all(zeros):
-            images = [limit_t_zero(f, fam.tnames) for f in T.images]
-        else:
-            images = specialize_fiber(T.images, fam.tnames, u)
+        images = fam.transition(src, k).images
+        for f in images:
+            if f not in special:
+                special[f] = (limit_t_zero(f, fam.tnames) if central else
+                              specialize_fiber([f], fam.tnames, u)[0])
         maps.append((src, k, dst, images))
     # the only ValueError printing raises is Python's limit on the digits
     # of an int converted to text
     try:
         at = [str(x) for x in u]
+        texts = {f: v.to_text() if central else ratio_text(*v)
+                 for f, v in special.items()}
         walls = [{"src": src, "direction": k + 1, "dst": dst,
-                  "images": [f.to_text() if all(zeros)
-                             else ratio_text(*f) for f in images]}
+                  "images": [texts[f] for f in images]}
                  for src, k, dst, images in maps]
     except ValueError:
         _fail(EXIT_INPUT, f"--at {at_text!r}: the specialized maps have "
@@ -497,7 +501,7 @@ def degenerate(seed_path, at_text, as_json):
     if as_json:
         _echo_json({"at": at, "walls": walls})
     else:
-        kind = ("toric gluing of the central fiber" if all(zeros)
+        kind = ("toric gluing of the central fiber" if central
                 else "fiber transition maps")
         lines = [f"{kind} at ({', '.join(at)})"]
         for w in walls:

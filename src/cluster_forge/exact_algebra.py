@@ -471,11 +471,12 @@ class PosRatFunc:
     exponent 0, coefficients > 0) to nonzero integer exponents.
     """
 
-    __slots__ = ("vars", "unit", "factors")
+    __slots__ = ("vars", "unit", "factors", "_hash")
 
     def __init__(self, vars, unit, factors):
         self.vars = tuple(vars)
         self.unit = tuple(unit)
+        self._hash = None
         clean = {}
         for p, e in factors.items():
             if e:
@@ -495,6 +496,7 @@ class PosRatFunc:
         self.vars = vars
         self.unit = unit
         self.factors = factors
+        self._hash = None
         return self
 
     # -- constructors ---------------------------------------------------
@@ -718,8 +720,10 @@ class PosRatFunc:
                 and self.unit == other.unit and self.factors == other.factors)
 
     def __hash__(self):
-        return hash((self.vars, self.unit,
-                     tuple(sorted(((hash(p), e) for p, e in self.factors.items())))))
+        if self._hash is None:
+            self._hash = hash((self.vars, self.unit,
+                               frozenset(self.factors.items())))
+        return self._hash
 
     def to_text(self):
         return ratio_text(*self.expand())

@@ -54,6 +54,7 @@ _CLI = "src/cluster_forge/cli.py"
 _CO = "src/cluster_forge/corpus.py"
 _GF = "src/cluster_forge/gfan.py"
 _SE = "src/cluster_forge/seeds.py"
+_SF = "src/cluster_forge/semifields.py"
 
 MUTANTS = [
     # rat_equal decides on the unit alone
@@ -134,6 +135,22 @@ MUTANTS = [
      ["tests/test_exact_algebra.py::test_posrat_add_matches_expand",
       "tests/test_exact_algebra.py::"
       "test_prf_sum_equals_its_sum_over_one_denominator"]),
+    # degenerate's memo of specialized images is keyed on the unit alone
+    (_CLI,
+     "        images = fam.transition(src, k).images\n",
+     "        images = [next((g for g in special if g.unit == f.unit), f)\n"
+     "                  for f in fam.transition(src, k).images]\n",
+     ["tests/test_cli.py::test_pinned_command_output"
+      "[degenerate --seed a3.json --at 1/2,-3,5/7]",
+      "tests/test_cli.py::"
+      "test_fixed_commands_make_pinned_counts[degenerate-central]"]),
+    # bracket returns its two parts swapped
+    (_SF,
+     "    return p.mul(minus), minus\n",
+     "    return minus, p.mul(minus)\n",
+     ["tests/test_semifields.py::"
+      "test_bracket_of_a_rational_function_is_p_over_p_plus_one",
+      "tests/test_invariants.py::test_separation_identities_principal"]),
 ]
 
 CHECK_SITES = {

@@ -1344,25 +1344,37 @@ def test_degenerate_mixed_zero_is_input_error():
 
 @pytest.mark.parametrize("command, want", [
     ("degenerate --seed a3.json --at 1/2,-3,5/3",
-     {"products": 60, "expand": 126, "divisions": 0, "substitutions": 252}),
+     {"products": 40, "expand": 46, "divisions": 0, "substitutions": 92,
+      "limits": 0}),
+    ("degenerate --seed a3.json --at 0,0,0",
+     {"products": 0, "expand": 0, "divisions": 0, "substitutions": 0,
+      "limits": 46}),
     ("table a2 --format json",
-     {"products": 15, "expand": 0, "divisions": 15, "substitutions": 0}),
+     {"products": 15, "expand": 0, "divisions": 15, "substitutions": 0,
+      "limits": 0}),
     ("verify separation --seed a2.json --paths random:5 --rng-seed 3",
-     {"products": 18, "expand": 0, "divisions": 14, "substitutions": 0}),
+     {"products": 18, "expand": 0, "divisions": 14, "substitutions": 0,
+      "limits": 0}),
     ("verify duality --seed a3.json",
-     {"products": 10, "expand": 0, "divisions": 0, "substitutions": 0}),
+     {"products": 10, "expand": 0, "divisions": 0, "substitutions": 0,
+      "limits": 0}),
     ("verify strata --seed a3.json",
-     {"products": 0, "expand": 0, "divisions": 0, "substitutions": 0}),
+     {"products": 0, "expand": 0, "divisions": 0, "substitutions": 0,
+      "limits": 0}),
     ("verify cocycle --seed a3.json",
-     {"products": 18, "expand": 0, "divisions": 11, "substitutions": 0}),
+     {"products": 18, "expand": 0, "divisions": 11, "substitutions": 0,
+      "limits": 0}),
     ("mutate --seed a3.json --path 1,2,3,2,1",
-     {"products": 14, "expand": 3, "divisions": 10, "substitutions": 0}),
-], ids=["degenerate", "table", "verify-separation", "verify-duality",
-        "verify-strata", "verify-cocycle", "mutate"])
+     {"products": 14, "expand": 3, "divisions": 10, "substitutions": 0,
+      "limits": 0}),
+], ids=["degenerate", "degenerate-central", "table", "verify-separation",
+        "verify-duality", "verify-strata", "verify-cocycle", "mutate"])
 def test_fixed_commands_make_pinned_counts(monkeypatch, command, want):
     """Exact work counts of fixed commands: polynomial products,
-    expansions, exact divisions and base-point substitutions, counted
-    through wrappers; each count is the same for every hash seed.  A
+    expansions, exact divisions, base-point substitutions and the central
+    limits ``degenerate`` takes, counted through wrappers; each count is
+    the same for every hash seed.  The a3 walls carry 126 images of 46
+    distinct values, and ``degenerate`` specializes each value once.  A
     change that moves a count re-records it here on purpose."""
     counts = dict.fromkeys(want, 0)
 
@@ -1382,6 +1394,8 @@ def test_fixed_commands_make_pinned_counts(monkeypatch, command, want):
     monkeypatch.setattr(degeneration, "substitute_values",
                         counted("substitutions",
                                 degeneration.substitute_values))
+    monkeypatch.setattr(cli, "limit_t_zero",
+                        counted("limits", cli.limit_t_zero))
     args = [fixture(a) if a.endswith(".json") else a for a in command.split()]
     assert run(*args).exit_code == 0
     assert counts == want

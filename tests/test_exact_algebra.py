@@ -767,6 +767,36 @@ def test_term_reads_equal_their_term_by_term_definitions(p):
     assert q == p and hash(q) == hash(p)
 
 
+_ONE_PLUS_X = lp(XY, {(0, 0): 1, (1, 0): 1})
+_ONE_PLUS_Y = lp(XY, {(0, 0): 1, (0, 1): 1})
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(posrats(max_terms=3), min_size=1, max_size=3))
+@example([PosRatFunc.from_poly(_ONE_PLUS_X),
+          PosRatFunc.from_poly(_ONE_PLUS_Y, -2)])
+def test_posrat_hash_ignores_the_order_of_the_factors(fs):
+    """Equal values whose factor dicts were filled in opposite orders hash
+    equal and share one dict entry, on the first hash of each and once
+    both hashes are cached."""
+    f = fs[0]
+    for g in fs[1:]:
+        f = f.mul(g)
+    items = list(f.factors.items())
+
+    def copies():
+        return (PosRatFunc(f.vars, f.unit, dict(items)),
+                PosRatFunc(f.vars, f.unit, dict(reversed(items))))
+
+    a, b = copies()
+    memo = {a: "a"}
+    memo[b] = "b"
+    assert memo == {a: "b"} and hash(a) == hash(b)
+    c, d = copies()
+    memo = {c: "c", a: "a", d: "d", b: "b"}
+    assert memo == {a: "b"}
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), posrats(),
        posrats(max_terms=3), st.integers(-3, 3))
