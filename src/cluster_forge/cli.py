@@ -52,7 +52,6 @@ from .invariants import (
     mat_mul,
     mat_transpose,
     rows_to_csv,
-    rows_to_json,
     separation_check,
     table_rows,
 )
@@ -90,6 +89,11 @@ def _load_json_file(path, what):
         _fail(EXIT_INPUT, f"{what} file {path} is not valid JSON: {exc}")
     except UnicodeDecodeError as exc:
         _fail(EXIT_INPUT, f"{what} file {path} is not UTF-8 text: {exc}")
+    except ValueError:
+        _fail(EXIT_INPUT, f"{what} file {path} holds an integer too long to "
+                          "read")
+    except RecursionError:
+        _fail(EXIT_INPUT, f"{what} file {path} is nested too deeply to read")
     except OSError as exc:
         _fail(EXIT_INPUT, f"{what} file {path} cannot be read: "
                           f"{exc.strerror}")
@@ -166,8 +170,14 @@ def _need_mutable(ed, seed_path, source, need):
               f"{source}: seed file {seed_path} has frozen directions; {need}")
 
 
+def _json_text(obj):
+    """The one JSON layout of every output: ``fan --out`` files and
+    ``--json`` or ``--format json`` stdout."""
+    return json.dumps(obj, indent=2, sort_keys=True)
+
+
 def _echo_json(obj):
-    _echo(json.dumps(obj, indent=2, sort_keys=True))
+    _echo(_json_text(obj))
 
 
 class _Command(click.Command):
@@ -278,11 +288,11 @@ def fan(seed_path, freeze_text, depth, out_path, as_json):
     if not atlas.complete:
         _echo(f"warning: enumeration truncated at depth {depth}; "
               "the atlas is incomplete", err=True)
-    obj = fan_to_json(atlas)
+    text = _json_text(fan_to_json(atlas))
     if out_path:
         try:
             with open(out_path, "w", encoding="utf-8") as fh:
-                fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+                fh.write(text + "\n")
         except OSError as exc:
             _fail(EXIT_INPUT, f"--out {out_path} cannot be written: "
                               f"{exc.strerror}")
@@ -290,7 +300,7 @@ def fan(seed_path, freeze_text, depth, out_path, as_json):
             _echo(f"{len(atlas.cones)} cones, {len(atlas.rays)} rays "
                   f"-> {out_path}")
     if as_json or not out_path:
-        _echo_json(obj)
+        _echo(text)
     sys.exit(EXIT_OK if atlas.complete else EXIT_TRUNCATED)
 
 
@@ -538,7 +548,7 @@ def table(which, fmt):
         if fmt == "csv":
             _echo(rows_to_csv(rows), nl=False)
         else:
-            _echo(rows_to_json(rows))
+            _echo_json(rows)
         sys.exit(EXIT_OK)
     if fmt == "csv":
         _fail(EXIT_INPUT, f"table {which}: csv rows are only defined for "

@@ -227,13 +227,6 @@ class LaurentPoly:
                 terms.pop(e, None)
         return LaurentPoly._new(self.vars, terms)
 
-    def __neg__(self):
-        return LaurentPoly._new(self.vars,
-                                {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
         """Product, under ``TERM_BUDGET``.  When one side has one term the
         product shifts and scales the other side's terms, and a side equal

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 
 from .exact_algebra import (
     Grading,
@@ -347,10 +346,6 @@ def table_rows(ed, path):
     """One invariant report per vertex along a path (prefix by prefix)."""
     return [invariant_report(ed, tuple(path[:length]))
             for length in range(len(path) + 1)]
-
-
-def rows_to_json(rows):
-    return json.dumps(rows, indent=2, sort_keys=True)
 
 
 def rows_to_csv(rows):

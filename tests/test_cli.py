@@ -36,13 +36,9 @@ from cluster_forge.exact_algebra import LaurentPoly, PosRatFunc
 from cluster_forge.gfan import enumerate_gfan
 from cluster_forge.seeds import ExchangeData, seed_from_json
 from cluster_forge.semifields import TropMonomial
+from support import fixture, record_calls
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
-FIXTURES = os.path.join(SRC, "cluster_forge", "fixtures")
-
-
-def fixture(name):
-    return os.path.join(FIXTURES, name)
 
 
 def run(*args, **kw):
@@ -561,6 +557,24 @@ def test_json_file_that_is_not_an_object_is_input_error(tmp_path, what,
     assert res.exit_code == 2
     assert isinstance(res.exception, SystemExit)
     assert f"{what} file {path} must hold a JSON object" in res.stderr
+
+
+@pytest.mark.parametrize("what", ["seed", "fan"])
+@pytest.mark.parametrize("text", ["[" * 990 + "]" * 990,
+                                  '{"n": ' + "9" * 5000 + "}"],
+                         ids=["deep-nesting", "long-integer"])
+def test_json_file_past_the_parser_limits_is_input_error(tmp_path, what,
+                                                         text):
+    """A file nested too deeply for the parser, or holding an integer with
+    more digits than Python converts from text, exits 2 naming the file."""
+    path = tmp_path / "file.json"
+    path.write_text(text)
+    args = (("star", "--fan", str(path), "--tau", "ray:1") if what == "fan"
+            else ("mutate", "--seed", str(path)))
+    res = run(*args)
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert res.stderr.startswith(f"error: {what} file {path} ")
 
 
 def test_fan_file_nested_seed_must_be_an_object(tmp_path):
@@ -1128,14 +1142,7 @@ def test_verify_duality_a3_all_cones():
 def test_verify_duality_mutates_once_per_new_cone(monkeypatch):
     """The degree route shares path prefixes across one atlas: A3 has 14
     cones, so 13 mutations past the initial seed."""
-    calls = []
-    mutate = invariants.mutate_cluster_seed
-
-    def counted(seed, k):
-        calls.append(k)
-        return mutate(seed, k)
-
-    monkeypatch.setattr(invariants, "mutate_cluster_seed", counted)
+    calls = record_calls(monkeypatch, "mutate_cluster_seed", invariants)
     res = run("verify", "duality", "--seed", fixture("a3.json"))
     assert res.exit_code == 0
     assert "14/14 ok" in res.output
@@ -1372,33 +1379,22 @@ def test_degenerate_mixed_zero_is_input_error():
 def test_fixed_commands_make_pinned_counts(monkeypatch, command, want):
     """Exact work counts of fixed commands: polynomial products,
     expansions, exact divisions, base-point substitutions and the central
-    limits ``degenerate`` takes, counted through wrappers; each count is
-    the same for every hash seed.  The a3 walls carry 126 images of 46
+    limits ``degenerate`` takes, read from the recorded calls; each count
+    is the same for every hash seed.  The a3 walls carry 126 images of 46
     distinct values, and ``degenerate`` specializes each value once.  A
     change that moves a count re-records it here on purpose."""
-    counts = dict.fromkeys(want, 0)
-
-    def counted(key, fn):
-        def wrapper(*args):
-            counts[key] += 1
-            return fn(*args)
-        return wrapper
-
-    monkeypatch.setattr(LaurentPoly, "__mul__",
-                        counted("products", LaurentPoly.__mul__))
-    monkeypatch.setattr(PosRatFunc, "expand",
-                        counted("expand", PosRatFunc.expand))
-    divide = counted("divisions", exact_algebra.poly_exact_div)
-    for module in (exact_algebra, degeneration, invariants, corpus):
-        monkeypatch.setattr(module, "poly_exact_div", divide)
-    monkeypatch.setattr(degeneration, "substitute_values",
-                        counted("substitutions",
-                                degeneration.substitute_values))
-    monkeypatch.setattr(cli, "limit_t_zero",
-                        counted("limits", cli.limit_t_zero))
+    calls = {
+        "products": record_calls(monkeypatch, "__mul__", LaurentPoly),
+        "expand": record_calls(monkeypatch, "expand", PosRatFunc),
+        "divisions": record_calls(monkeypatch, "poly_exact_div", exact_algebra,
+                                  degeneration, invariants, corpus),
+        "substitutions": record_calls(monkeypatch, "substitute_values",
+                                      degeneration),
+        "limits": record_calls(monkeypatch, "limit_t_zero", cli),
+    }
     args = [fixture(a) if a.endswith(".json") else a for a in command.split()]
     assert run(*args).exit_code == 0
-    assert counts == want
+    assert {key: len(c) for key, c in calls.items()} == want
 
 
 @pytest.mark.parametrize("command, want", [
@@ -1416,42 +1412,21 @@ def test_fixed_commands_make_pinned_validating_constructions(monkeypatch,
     initial Y-variables (one ``PosRatFunc`` each) and tropicalized
     polynomials.  A change that puts a hot path back on a validating constructor
     moves a count here."""
-    counts = dict.fromkeys(want, 0)
-    for cls in (LaurentPoly, PosRatFunc, TropMonomial, ExchangeData):
-        def init(self, *args, _init=cls.__init__, _name=cls.__name__):
-            counts[_name] += 1
-            _init(self, *args)
-        monkeypatch.setattr(cls, "__init__", init)
+    calls = {cls.__name__: record_calls(monkeypatch, "__init__", cls)
+             for cls in (LaurentPoly, PosRatFunc, TropMonomial, ExchangeData)}
     args = [fixture(a) if a.endswith(".json") else a for a in command.split()]
     assert run(*args).exit_code == 0
-    assert counts == want
+    assert {name: len(c) for name, c in calls.items()} == want
 
 
 def test_verify_cocycle_walks_the_faces_once(monkeypatch):
     """The suite walks the 2-faces to count the ones it skips, and the
     check runs on the faces that walk found."""
-    calls = []
-
-    def counted(atlas, max_len):
-        calls.append(max_len)
-        return gfan.two_faces(atlas, max_len)
-
-    monkeypatch.setattr(cli, "two_faces", counted)
-    monkeypatch.setattr(degeneration, "two_faces", counted)
+    calls = record_calls(monkeypatch, "two_faces", cli, degeneration)
     res = run("verify", "cocycle", "--seed", fixture("a3.json"))
     assert res.exit_code == 0
     assert res.stdout == "cocycle cocycle: ok\nverify cocycle: 1/1 ok\n"
-    assert calls == [8]
-
-
-def _steps_counted(monkeypatch):
-    counts = {"g_cone_step": 0, "g_vector_step": 0}
-    for name in counts:
-        def counted(*args, _fn=getattr(gfan, name), _name=name):
-            counts[_name] += 1
-            return _fn(*args)
-        monkeypatch.setattr(gfan, name, counted)
-    return counts
+    assert [max_len for (_, max_len), _ in calls] == [8]
 
 
 def test_fan_and_star_make_pinned_step_counts(monkeypatch, tmp_path):
@@ -1461,13 +1436,15 @@ def test_fan_and_star_make_pinned_step_counts(monkeypatch, tmp_path):
     prefixes shared (13 steps), and one g-vector across each of their 2
     other walls (10).  The counts are the same for every hash seed."""
     fan = tmp_path / "a3.json"
-    counts = _steps_counted(monkeypatch)
+    cone_steps = record_calls(monkeypatch, "g_cone_step", gfan)
+    vector_steps = record_calls(monkeypatch, "g_vector_step", gfan)
     assert run("fan", "--seed", fixture("a3.json"),
                "--out", str(fan)).exit_code == 0
-    assert counts == {"g_cone_step": 13, "g_vector_step": 55}
-    counts = _steps_counted(monkeypatch)
+    assert (len(cone_steps), len(vector_steps)) == (13, 55)
+    cone_steps.clear()
+    vector_steps.clear()
     assert run("star", "--fan", str(fan), "--tau", "ray:1").exit_code == 0
-    assert counts == {"g_cone_step": 13, "g_vector_step": 23}
+    assert (len(cone_steps), len(vector_steps)) == (13, 23)
 
 
 @pytest.mark.parametrize("small, huge", [
@@ -1480,13 +1457,16 @@ def test_a_huge_walk_cap_makes_the_same_work_on_a_complete_atlas(
     """On A3 every 2-face closes within 8 steps, and the g-fan walk stops
     when its frontier is empty, so a cap of 10^9 makes the same steps and
     stdout as --max-len 8 or no --depth: neither value sets the work."""
+    cone_steps = record_calls(monkeypatch, "g_cone_step", gfan)
+    vector_steps = record_calls(monkeypatch, "g_vector_step", gfan)
     runs = []
     for args in (small, huge):
-        counts = _steps_counted(monkeypatch)
+        cone_steps.clear()
+        vector_steps.clear()
         res = run(*args, "--seed", fixture("a3.json"))
         assert res.exit_code == 0
-        runs.append((res.stdout, dict(counts)))
-    assert runs[0][1]["g_cone_step"] > 0
+        runs.append((res.stdout, len(cone_steps), len(vector_steps)))
+    assert runs[0][1] > 0
     assert runs[1] == runs[0]
 
 

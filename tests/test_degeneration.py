@@ -1,8 +1,6 @@
 """Oracles and consistency checks for the glued family over the cone atlas
 and its degeneration onto the toric variety of the fan."""
 
-import json
-import os
 import random
 from fractions import Fraction
 
@@ -23,7 +21,6 @@ from cluster_forge.seeds import (
     ExchangeData,
     YSeedCoeff,
     mutate_y_seed,
-    seed_from_json,
 )
 from cluster_forge import degeneration
 from cluster_forge.invariants import CheckFailed
@@ -48,22 +45,11 @@ from cluster_forge.degeneration import (
     wall_key,
     _in_glue_ring,
 )
+from support import (A2, A3, A4, B2, B3, C3, D4, G2, fixture_exchange,
+                     record_calls)
 
-A2 = ExchangeData(((0, 1), (-1, 0)), 2)
-B2 = ExchangeData(((0, -1), (2, 0)), 2, (2, 1))
-A3 = ExchangeData(((0, 1, 0), (-1, 0, 1), (0, -1, 0)), 3)
-G2 = ExchangeData(((0, -1), (3, 0)), 2, (3, 1))
-B3 = ExchangeData(((0, 1, 0), (-1, 0, 1), (0, -2, 0)), 3, (2, 2, 1))
-C3 = ExchangeData(((0, 1, 0), (-1, 0, 2), (0, -1, 0)), 3, (1, 1, 2))
-A4 = ExchangeData(((0, 1, 0, 0), (-1, 0, 1, 0), (0, -1, 0, 1),
-                   (0, 0, -1, 0)), 4)
-D4 = ExchangeData(((0, 1, 0, 0), (-1, 0, 1, 1), (0, -1, 0, 0),
-                   (0, -1, 0, 0)), 4)
 FINITE_TYPES = {"a2": A2, "b2": B2, "g2": G2, "a3": A3, "b3": B3, "c3": C3,
                 "a4": A4, "d4": D4}
-
-FIXTURES = os.path.join(os.path.dirname(__file__), "..", "src",
-                        "cluster_forge", "fixtures")
 
 V = ("X1", "X2", "t1", "t2")
 
@@ -700,26 +686,21 @@ def test_strata_builds_each_star_wall_once_per_call(monkeypatch):
     builds in the star's variables for the 84 walls walked, since the
     walls of an A1 x A1 star share their images in pairs."""
     fam = Family(A3)
-    build = degeneration.family_wall_images
-    keys = []
+    builds = record_calls(monkeypatch, "family_wall_images", degeneration)
 
-    def counted(B, k, c_k, xnames, tnames):
-        if xnames != fam.xnames:
-            keys.append(wall_key(B, k, c_k))
-        return build(B, k, c_k, xnames, tnames)
+    def star_wall_keys(ray):
+        builds.clear()
+        strata_consistency_check(fam, [ray])
+        return [wall_key(B, k, c_k) for (B, k, c_k, xnames, _), _ in builds
+                if xnames != fam.xnames]
 
-    monkeypatch.setattr(degeneration, "family_wall_images", counted)
     per_ray = []
     for ray in A3_STAR_SIZES:
-        del keys[:]
-        strata_consistency_check(fam, [ray])
+        keys = star_wall_keys(ray)
         assert len(set(keys)) == len(keys)
         per_ray.append(len(keys))
     assert sum(per_ray) == 72
-    for ray, builds in zip(A3_STAR_SIZES, per_ray):
-        del keys[:]
-        strata_consistency_check(fam, [ray])
-        assert len(keys) == builds
+    assert [len(star_wall_keys(ray)) for ray in A3_STAR_SIZES] == per_ray
 
 
 def test_family_rejects_frozen_directions():
@@ -764,8 +745,7 @@ def test_wall_image_cache_and_shared_memo_agree_with_fresh(ed):
 
 
 def _a3_fixture_family():
-    with open(os.path.join(FIXTURES, "a3.json"), encoding="utf-8") as fh:
-        return Family(seed_from_json(json.load(fh))[0])
+    return Family(fixture_exchange("a3.json"))
 
 
 COUNTED_CHECKS = [
@@ -780,20 +760,6 @@ COUNTED_CHECKS = [
 ]
 
 
-def _counted_evaluate(monkeypatch):
-    """Route PosRatFunc.evaluate through a counter; returns the list each
-    call appends its receiver to."""
-    seen = []
-    evaluate = PosRatFunc.evaluate
-
-    def counted(self, *args, **kwargs):
-        seen.append(self)
-        return evaluate(self, *args, **kwargs)
-
-    monkeypatch.setattr(PosRatFunc, "evaluate", counted)
-    return seen
-
-
 @pytest.mark.parametrize("check, calls", COUNTED_CHECKS,
                          ids=["cocycle", "glue", "degree"])
 def test_checks_evaluate_through_posratfunc_evaluate(monkeypatch, check,
@@ -803,7 +769,7 @@ def test_checks_evaluate_through_posratfunc_evaluate(monkeypatch, check,
     composed once per pair of wall keys in a Family, so a check pays one
     composition per distinct pair, not one per wall."""
     fam = _a3_fixture_family()
-    seen = _counted_evaluate(monkeypatch)
+    seen = record_calls(monkeypatch, "evaluate", PosRatFunc)
     assert check(fam)
     assert len(seen) == calls
 
@@ -815,7 +781,7 @@ def test_a_second_family_pays_as_much_as_the_first(monkeypatch, check,
     """No memo outlives its Family: a second Family on the same atlas
     composes as often as the first."""
     first = _a3_fixture_family()
-    seen = _counted_evaluate(monkeypatch)
+    seen = record_calls(monkeypatch, "evaluate", PosRatFunc)
     assert check(first)
     assert check(Family(first.ed, atlas=first.atlas))
     assert len(seen) == 2 * calls
@@ -826,56 +792,16 @@ def test_family_checks_on_a3_make_pinned_counts(monkeypatch):
     glued family on the a3 fixture's atlas.  Expansions, exact divisions
     (and how many fail), wall-image builds, polynomial products (and how
     many have a one-term side), sums whose parts are all monomials and
-    t = 0 limits are counted through wrappers; each count is the same for
-    every hash seed.
+    t = 0 limits are read from the recorded calls; each count is the same
+    for every hash seed.
     A change that moves a count re-records it here on purpose."""
-    counts = dict.fromkeys(["expand", "divisions", "inexact", "walls",
-                            "products", "one_term_products",
-                            "monomial_sums", "limits"], 0)
-    expand = PosRatFunc.expand
-    divide = exact_algebra.poly_exact_div
-    build = degeneration.family_wall_images
-    multiply = LaurentPoly.__mul__
-    add_up = exact_algebra.prf_sum
-    take_limit = degeneration.limit_t_zero
-
-    def counted_expand(self):
-        counts["expand"] += 1
-        return expand(self)
-
-    def counted_divide(a, b):
-        counts["divisions"] += 1
-        try:
-            return divide(a, b)
-        except InexactDivision:
-            counts["inexact"] += 1
-            raise
-
-    def counted_build(*args):
-        counts["walls"] += 1
-        return build(*args)
-
-    def counted_multiply(a, b):
-        counts["products"] += 1
-        counts["one_term_products"] += len(a.terms) == 1 or len(b.terms) == 1
-        return multiply(a, b)
-
-    def counted_add_up(parts):
-        parts = list(parts)
-        counts["monomial_sums"] += not any(f.factors for _, f in parts)
-        return add_up(parts)
-
-    def counted_limit(f, t_vars):
-        counts["limits"] += 1
-        return take_limit(f, t_vars)
-
-    monkeypatch.setattr(PosRatFunc, "expand", counted_expand)
-    monkeypatch.setattr(LaurentPoly, "__mul__", counted_multiply)
-    monkeypatch.setattr(exact_algebra, "prf_sum", counted_add_up)
-    monkeypatch.setattr(exact_algebra, "poly_exact_div", counted_divide)
-    monkeypatch.setattr(degeneration, "poly_exact_div", counted_divide)
-    monkeypatch.setattr(degeneration, "family_wall_images", counted_build)
-    monkeypatch.setattr(degeneration, "limit_t_zero", counted_limit)
+    expand = record_calls(monkeypatch, "expand", PosRatFunc)
+    divisions = record_calls(monkeypatch, "poly_exact_div", exact_algebra,
+                             degeneration)
+    walls = record_calls(monkeypatch, "family_wall_images", degeneration)
+    products = record_calls(monkeypatch, "__mul__", LaurentPoly)
+    sums = record_calls(monkeypatch, "prf_sum", exact_algebra)
+    limits = record_calls(monkeypatch, "limit_t_zero", degeneration)
     fam = _a3_fixture_family()
     assert degree_check(fam) and limit_check(fam)
     assert glue_ring_check_all(fam)
@@ -886,6 +812,15 @@ def test_family_checks_on_a3_make_pinned_counts(monkeypatch):
         strata_consistency_check(fam, [ray])
     assert central_fiber_toric_check(fam)
     assert cocycle_check(fam, max_len=5)
+    counts = {"expand": len(expand), "divisions": len(divisions),
+              "inexact": sum(isinstance(raised, InexactDivision)
+                             for _, raised in divisions),
+              "walls": len(walls), "products": len(products),
+              "one_term_products": sum(len(a.terms) == 1 or len(b.terms) == 1
+                                       for (a, b), _ in products),
+              "monomial_sums": sum(not any(f.factors for _, f in parts)
+                                   for (parts,), _ in sums),
+              "limits": len(limits)}
     assert counts == {"expand": 288, "divisions": 59, "inexact": 9,
                       "walls": 151, "products": 422, "one_term_products": 422,
                       "monomial_sums": 245, "limits": 74}

@@ -601,14 +601,14 @@ def _assert_clean_prf(f):
 def test_trusted_results_equal_their_validated_copies(a, b, c, k, f, g, j):
     """Every result the arithmetic builds through the trusted constructors
     is exactly what the validating constructors make of it."""
-    polys = [a + b, a - b, -a, a + (-a), a * b, (a - b) * c, (a * c).power(k),
-             c.power(k) + a]
+    polys = [a + b, a + b.scale(-1), a.scale(-1), a + a.scale(-1), a * b,
+             (a + b.scale(-1)) * c, (a * c).power(k), c.power(k) + a]
     if not b.is_zero():
         polys.append(poly_exact_div(a * b, b))
         polys.append(poly_exact_div(b * c * c, b))
     for p in polys:
         _assert_clean_poly(p)
-    assert (a + (-a)).is_zero()
+    assert (a + a.scale(-1)).is_zero()
     prfs = [f.mul(g), f.power(j), f.inv(), f.mul(f.inv()), g.power(0),
             f.mul(g).power(-2).mul(g.power(2)), f.inv().inv()]
     for h in prfs:

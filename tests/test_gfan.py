@@ -1,7 +1,5 @@
 """Fan enumeration, fan axioms, stars, and rank-2 polytopes."""
 
-import json
-import os
 from math import gcd
 
 import pytest
@@ -21,19 +19,11 @@ from cluster_forge.gfan import (
     star,
     two_faces,
 )
-from cluster_forge.seeds import ExchangeData, mutate_matrix, seed_from_json
+from cluster_forge.seeds import ExchangeData, mutate_matrix
+from support import (A2, A3, A4, ACYCLIC_TRIANGLE, B2, B3, C3, D4, G2,
+                     fixture_exchange)
 
 A1 = ExchangeData(((0,),), 1)
-A2 = ExchangeData(((0, 1), (-1, 0)), 2)
-B2 = ExchangeData(((0, -1), (2, 0)), 2, (2, 1))
-A3 = ExchangeData(((0, 1, 0), (-1, 0, 1), (0, -1, 0)), 3)
-G2 = ExchangeData(((0, -1), (3, 0)), 2, (3, 1))
-B3 = ExchangeData(((0, 1, 0), (-1, 0, 1), (0, -2, 0)), 3, (2, 2, 1))
-C3 = ExchangeData(((0, 1, 0), (-1, 0, 2), (0, -1, 0)), 3, (1, 1, 2))
-A4 = ExchangeData(((0, 1, 0, 0), (-1, 0, 1, 0), (0, -1, 0, 1),
-                   (0, 0, -1, 0)), 4)
-D4 = ExchangeData(((0, 1, 0, 0), (-1, 0, 1, 1), (0, -1, 0, 0),
-                   (0, -1, 0, 0)), 4)
 A5 = ExchangeData(tuple(tuple(1 if j == i + 1 else -1 if j == i - 1 else 0
                              for j in range(5)) for i in range(5)), 5)
 # same rank-3 shape with reversed arrows, used for the frozen-direction fan
@@ -44,10 +34,7 @@ A2_RAYS = ((-1, 0), (-1, 1), (0, -1), (0, 1), (1, 0))
 A2_CONE_CYCLE = [(1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1)]
 B2_RAYS = ((-1, 0), (0, -1), (0, 1), (1, -2), (1, -1), (1, 0))
 
-FIXTURES = os.path.join(os.path.dirname(__file__), "..", "src",
-                        "cluster_forge", "fixtures")
-with open(os.path.join(FIXTURES, "gr25.json"), encoding="utf-8") as _fh:
-    GR25 = seed_from_json(json.load(_fh))[0]
+GR25 = fixture_exchange("gr25.json")
 
 FINITE = [A1, A2, B2, G2, A3, B3, C3, A4, D4, A5, GR25]
 FINITE_IDS = ["a1", "a2", "b2", "g2", "a3", "b3", "c3", "a4", "d4", "a5",
@@ -340,7 +327,6 @@ def test_depth_cap_detects_infinite_fan():
             enumerate_gfan(MARKOV, depth=depth)
 
 
-ACYCLIC_TRIANGLE = ((0, 1, 1), (-1, 0, 1), (-1, -1, 0))
 AFFINE_D4 = tuple(tuple(1 if i == 0 < j else -1 if j == 0 < i else 0
                         for j in range(5)) for i in range(5))
 

@@ -1,7 +1,6 @@
 """Path invariants: frozen rank-2 walk oracles, dual-route cross-checks,
 separation identities."""
 
-import json
 import os
 
 import pytest
@@ -36,31 +35,12 @@ from cluster_forge.seeds import (
     mutate_matrix,
     mutate_y_tuple,
     p_vars,
-    seed_from_json,
     x_vars,
     y_vars,
 )
 from cluster_forge.semifields import TropMonomial
-
-A2 = ExchangeData(((0, 1), (-1, 0)), 2)
-B2 = ExchangeData(((0, -1), (2, 0)), 2, (2, 1))
-A3 = ExchangeData(((0, 1, 0), (-1, 0, 1), (0, -1, 0)), 3)
-G2 = ExchangeData(((0, -1), (3, 0)), 2, (3, 1))
-B3 = ExchangeData(((0, 1, 0), (-1, 0, 1), (0, -2, 0)), 3, (2, 2, 1))
-C3 = ExchangeData(((0, 1, 0), (-1, 0, 2), (0, -1, 0)), 3, (1, 1, 2))
-A4 = ExchangeData(((0, 1, 0, 0), (-1, 0, 1, 0), (0, -1, 0, 1),
-                   (0, 0, -1, 0)), 4)
-D4 = ExchangeData(((0, 1, 0, 0), (-1, 0, 1, 1), (0, -1, 0, 0),
-                   (0, -1, 0, 0)), 4)
-
-FIXTURES = os.path.join(os.path.dirname(__file__), "..", "src",
-                        "cluster_forge", "fixtures")
-
-
-def fixture_exchange(name):
-    with open(os.path.join(FIXTURES, name), encoding="utf-8") as fh:
-        return seed_from_json(json.load(fh))[0]
-
+from support import (A2, A3, A4, ACYCLIC_TRIANGLE, B2, B3, C3, D4, FIXTURES,
+                     G2, fixture_exchange, record_calls)
 
 WALK = [1, 0, 1, 0, 1]
 
@@ -320,26 +300,11 @@ def test_f_polynomials_reject_a_negative_exponent(monkeypatch):
 def test_separation_on_fixed_paths_makes_pinned_counts(monkeypatch):
     """Exact kernel work over a fixed list of separation checks: polynomial
     products, how many of them have a one-term side, and sums whose parts
-    are all monomials, counted through wrappers; each count is the same for
-    every hash seed.  A change that moves a count re-records it here on
+    are all monomials, read from the recorded calls; each count is the same
+    for every hash seed.  A change that moves a count re-records it here on
     purpose."""
-    counts = dict.fromkeys(["products", "one_term_products",
-                            "monomial_sums"], 0)
-    multiply = LaurentPoly.__mul__
-    add_up = exact_algebra.prf_sum
-
-    def counted_multiply(a, b):
-        counts["products"] += 1
-        counts["one_term_products"] += len(a.terms) == 1 or len(b.terms) == 1
-        return multiply(a, b)
-
-    def counted_add_up(parts):
-        parts = list(parts)
-        counts["monomial_sums"] += not any(f.factors for _, f in parts)
-        return add_up(parts)
-
-    monkeypatch.setattr(LaurentPoly, "__mul__", counted_multiply)
-    monkeypatch.setattr(exact_algebra, "prf_sum", counted_add_up)
+    products = record_calls(monkeypatch, "__mul__", LaurentPoly)
+    sums = record_calls(monkeypatch, "prf_sum", exact_algebra)
     pv3 = ("p1", "p2", "p3")
     cases = [
         (A2, tuple(TropMonomial.variable(PV, v) for v in PV), WALK),
@@ -353,6 +318,11 @@ def test_separation_on_fixed_paths_makes_pinned_counts(monkeypatch):
     ]
     for ed, p0, path in cases:
         assert separation_check(ed, p0, path)
+    counts = {"products": len(products),
+              "one_term_products": sum(len(a.terms) == 1 or len(b.terms) == 1
+                                       for (a, b), _ in products),
+              "monomial_sums": sum(not any(f.factors for _, f in parts)
+                                   for (parts,), _ in sums)}
     assert counts == {"products": 104, "one_term_products": 91,
                       "monomial_sums": 12}
 
@@ -456,9 +426,8 @@ def test_invariant_report_structure():
 # program is asked only for the values it reports (f_polynomials, c_matrix,
 # g_matrix), which are then checked against the paper's formulas.
 
-ACYCLIC_TRIANGLE = ExchangeData(((0, 1, 1), (-1, 0, 1), (-1, -1, 0)), 3)
 FZ_TYPES = {"A2": A2, "B2": B2, "G2": G2, "A3": A3,
-            "acyclic-triangle": ACYCLIC_TRIANGLE}
+            "acyclic-triangle": ExchangeData(ACYCLIC_TRIANGLE, 3)}
 FZ_MAX_LEN = 5
 
 # A coefficient tuple in the tropical semifield Trop(q1, q2), per rank; its
