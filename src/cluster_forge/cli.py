@@ -13,20 +13,20 @@ import json
 import random
 import sys
 from contextlib import contextmanager
-from fractions import Fraction
 from functools import partial
+from math import gcd
 
 import click
 
 from . import corpus
 from .degeneration import (
     Family,
+    at_base_point,
     central_fiber_toric_check,
     cocycle_check,
     degree_check,
     glue_ring_check_all,
     limit_check,
-    specialize_fiber,
     strata_consistency_check,
 )
 from .exact_algebra import (
@@ -437,31 +437,23 @@ def verify(check, seed_path, paths_spec, max_len, rng_seed, as_json):
 # -- degenerate ---------------------------------------------------------------
 
 
-# --at refuses decimal exponents beyond this size: Fraction expands 1e{e}
-# to an integer of e digits, which takes time quadratic in e
-AT_MAX_EXPONENT = 1000
-
-
-class _ExponentTooLarge(ValueError):
-    pass
-
-
-def _rational(piece):
-    """One --at component as a Fraction; ValueError when it is not a
-    rational numeral, _ExponentTooLarge when its decimal exponent is beyond
-    +-AT_MAX_EXPONENT.  The exponent is read before Fraction sees the
-    piece; int accepts every exponent Fraction does."""
-    _, mark, exponent = piece.strip().lower().partition("e")
-    if mark and abs(int(exponent)) > AT_MAX_EXPONENT:
-        raise _ExponentTooLarge(piece)
-    return Fraction(piece.strip())
+def _ratio(piece):
+    """One --at component, a or a/b with int() on each side and b > 0, as
+    an integer (numerator, denominator) pair in lowest terms; ValueError on
+    anything else."""
+    a, slash, b = piece.partition("/")
+    a, b = int(a), int(b) if slash else 1
+    if b <= 0:
+        raise ValueError(piece)
+    g = gcd(a, b)
+    return a // g, b // g
 
 
 @main.command()
 @click.option("--seed", "seed_path", required=True)
 @click.option("--at", "at_text", required=True,
-              help="comma-separated rational base point u1,...,un "
-                   f"(decimal exponents up to {AT_MAX_EXPONENT})")
+              help="comma-separated base point u1,...,un, each an integer "
+                   "a or a ratio a/b with b > 0")
 @click.option("--json", "as_json", is_flag=True)
 def degenerate(seed_path, at_text, as_json):
     """Print the wall transition maps of the family specialized at a base
@@ -472,33 +464,31 @@ def degenerate(seed_path, at_text, as_json):
     _need_mutable(ed, seed_path, "degenerate",
                   "the family needs a fully mutable seed")
     try:
-        u = [_rational(piece) for piece in at_text.split(",")]
-    except _ExponentTooLarge:
-        _fail(EXIT_INPUT, f"--at {at_text!r}: decimal exponents beyond "
-              f"+-{AT_MAX_EXPONENT} are not accepted")
-    except (ValueError, ZeroDivisionError):
+        u = [_ratio(piece) for piece in at_text.split(",")]
+    except ValueError:
         _fail(EXIT_INPUT, f"--at {at_text!r} is not a comma-separated "
-              "rational vector")
+              "vector of integers a and ratios a/b with b > 0")
     if len(u) != ed.n:
         _fail(EXIT_INPUT, f"--at needs {ed.n} components, got {len(u)}")
-    zeros = [x == 0 for x in u]
+    zeros = [a == 0 for a, _ in u]
     if any(zeros) and not all(zeros):
         _fail(EXIT_INPUT, "--at must be all zero (central fiber) or all "
               "nonzero (smooth fiber)")
     central = all(zeros)
     fam = Family(ed, atlas=_walk(ed, seed_path))
+    assign = dict(zip(fam.tnames, u))
     maps, special = [], {}
     for (src, k), dst in sorted(fam.atlas.adjacency.items()):
         images = fam.transition(src, k).images
         for f in images:
             if f not in special:
                 special[f] = (limit_t_zero(f, fam.tnames) if central else
-                              specialize_fiber([f], fam.tnames, u)[0])
+                              at_base_point(f.expand(), assign))
         maps.append((src, k, dst, images))
     # the only ValueError printing raises is Python's limit on the digits
     # of an int converted to text
     try:
-        at = [str(x) for x in u]
+        at = [str(a) if b == 1 else f"{a}/{b}" for a, b in u]
         texts = {f: v.to_text() if central else ratio_text(*v)
                  for f, v in special.items()}
         walls = [{"src": src, "direction": k + 1, "dst": dst,

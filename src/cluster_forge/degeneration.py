@@ -26,10 +26,16 @@ from .semifields import TropMonomial
 from .seeds import (
     mutate_matrix,
     mutate_y_tuple,
+    replay,
     sign,
     t_vars,
 )
-from .invariants import CheckFailed, mat_identity, principal_grading
+from .invariants import (
+    CheckFailed,
+    column_sign,
+    mat_identity,
+    principal_grading,
+)
 from .gfan import enumerate_gfan, g_cone_step, star, two_faces
 
 
@@ -131,10 +137,10 @@ class Family:
     A patch's coefficient vectors are the c-vectors of its cone record.
     Caches, in dicts it owns and that live exactly as long as it does, wall
     transitions (keyed on cone index and direction, like the adjacency),
-    pullbacks of patch coordinates to the initial patch (keyed on cone
-    index), and wall images (keyed by ``wall_key`` on row k of the exchange
-    matrix, k and the coefficient vector, everything ``family_wall_images``
-    reads).  The transition is the one place a wall's far record is
+    pullbacks of patch coordinates to the initial patch (keyed on path
+    prefix, filled by ``replay``), and wall images (keyed by ``wall_key``
+    on row k of the exchange matrix, k and the coefficient vector,
+    everything ``family_wall_images`` reads).  The transition is the one place a wall's far record is
     stepped; the checks read it there.  Every check here that builds wall
     images in the family's own variables reads the wall-image cache.
 
@@ -159,9 +165,8 @@ class Family:
         self.atlas = atlas if atlas is not None else enumerate_gfan(ed)
         self.xnames, self.tnames = family_vars(ed.n)
         self.vars = self.xnames + self.tnames
-        self._by_path = {c.path: c.index for c in self.atlas.cones}
         self._trans = {}
-        self._pull = {}
+        self._pull = {(): (0, self.coordinates())}
         self._walls = {}
         self._round_trips = {}
         self._ring_exits = {}
@@ -237,17 +242,14 @@ class Family:
 
     def pullback_to_initial(self, cone_index):
         """Coordinates of the patch expressed in the initial patch, composed
-        along the cone's representative path."""
-        if cone_index not in self._pull:
-            rec = self.atlas.cones[cone_index]
-            if not rec.path:
-                self._pull[cone_index] = self.coordinates()
-            else:
-                parent = self._by_path[rec.path[:-1]]
-                base = self.pullback_to_initial(parent)
-                T = self.transition(parent, rec.path[-1])
-                self._pull[cone_index] = composer(self.xnames, base)(T.images)
-        return self._pull[cone_index]
+        along the cone's representative path.  The memo maps each path
+        prefix to its cone index and pullback."""
+        def step(value, k):
+            src, base = value
+            images = self.transition(src, k).images
+            return (self.atlas.adjacency[(src, k)],
+                    composer(self.xnames, base)(images))
+        return replay(self._pull, self.atlas.cones[cone_index].path, step)[1]
 
 
 # -- special-fibre checks ---------------------------------------------------------
@@ -314,7 +316,7 @@ def central_fiber_toric_check(fam):
     for src, k in sorted(fam.atlas.adjacency):
         T = fam.transition(src, k)
         B, Csrc = T.near.B, T.near.C
-        cs = sign(next(x for x in column(Csrc, k) if x))
+        cs = column_sign(column(Csrc, k))
         for i in range(n):
             a = list(coordinate_limit(fam, T.images[i],
                                       f"wall ({src},{k}): coordinate {i + 1}"))
@@ -477,14 +479,6 @@ def at_base_point(num_den, assign, scales=None):
     if d.is_zero():
         raise ExactAlgebraError("zero denominator")
     return n.scale(cd), d.scale(cn)
-
-
-def specialize_fiber(images, tnames, u):
-    """Evaluate the base parameters at a rational point (ints or
-    Fractions), keeping the coordinates symbolic; returns (numerator,
-    denominator) pairs of integer polynomials."""
-    assign = {t: (x.numerator, x.denominator) for t, x in zip(tnames, u)}
-    return tuple(at_base_point(f.expand(), assign) for f in images)
 
 
 def fiber_iso_check(fam, u, u2, walls=None):

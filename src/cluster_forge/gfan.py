@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from math import gcd
 
-from .invariants import CheckFailed, c_matrix_step, mat_identity
+from .invariants import CheckFailed, c_matrix_step, column_sign, mat_identity
 from .seeds import (
     ExchangeData,
     json_int,
@@ -126,13 +126,12 @@ def g_vector_step(cone, k):
     sum_l [-e*b_lk]_+ g_l, with e the sign of the k-th c-vector.  Raises
     ``CheckFailed`` when that c-vector is not sign-coherent."""
     col = [row[k] for row in cone.C]
-    pos = max(col) > 0
-    if pos == (min(col) < 0):
+    e = column_sign(col)
+    if not e:
         path = ",".join(str(j + 1) for j in cone.path) or "(initial)"
         col = tuple(col)
         raise CheckFailed(f"cone at path {path}: c-vector {k + 1} {col} is "
                           f"not sign-coherent")
-    e = 1 if pos else -1
     G = cone.G
     g = [-row[k] for row in G]
     for l, row in enumerate(cone.B[:len(col)]):
@@ -467,7 +466,8 @@ def fan_from_json(obj, tau):
     """
     complete = obj.get("complete", True)
     if not isinstance(complete, bool):
-        raise ValueError(f"complete must be true or false, not {complete!r}")
+        raise ValueError("complete must be true or false, not "
+                         f"{repr(complete)[:40]}")
     if not complete:
         raise FanDepthExceeded("is marked incomplete (truncated "
                                "enumeration); re-run fan with a larger --depth")

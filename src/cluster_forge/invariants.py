@@ -139,16 +139,18 @@ def c_matrix(ed, path):
     return C
 
 
+def column_sign(col):
+    """The sign of a sign-coherent column: 1 when it is nonzero and
+    nonnegative, -1 when it is nonzero and nonpositive, 0 when it is zero
+    or has entries of both signs."""
+    pos, neg = max(col) > 0, min(col) < 0
+    return 0 if pos == neg else 1 if pos else -1
+
+
 def check_sign_coherence(C):
     """Each column must be nonzero and either all nonnegative or all
     nonpositive."""
-    for j in range(len(C[0])):
-        col = [row[j] for row in C]
-        if not any(col):
-            return False
-        if not (all(x >= 0 for x in col) or all(x <= 0 for x in col)):
-            return False
-    return True
+    return all(map(column_sign, zip(*C)))
 
 
 # -- g-vectors -----------------------------------------------------------------

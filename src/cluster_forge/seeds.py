@@ -329,9 +329,10 @@ def p_star_pullback(ed, vars=None):
 
 def json_int(x, field, lo=None, hi=None):
     """A JSON integer (not a bool), within ``lo..hi`` when they are given;
-    anything else raises ``ValueError`` naming the field."""
+    anything else raises ``ValueError`` naming the field and showing the
+    first 40 characters of the value."""
     if isinstance(x, bool) or not isinstance(x, int):
-        raise ValueError(f"{field} must be an integer, not {x!r}")
+        raise ValueError(f"{field} must be an integer, not {repr(x)[:40]}")
     if hi is None:
         if lo is not None and x < lo:
             raise ValueError(f"{field} = {x} must be at least {lo}")

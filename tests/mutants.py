@@ -144,6 +144,11 @@ MUTANTS = [
       "[degenerate --seed a3.json --at 1/2,-3,5/7]",
       "tests/test_cli.py::"
       "test_fixed_commands_make_pinned_counts[degenerate-central]"]),
+    # --at keeps a ratio as written instead of in lowest terms
+    (_CLI,
+     "    g = gcd(a, b)\n    return a // g, b // g\n",
+     "    return a, b\n",
+     ["tests/test_cli.py::test_degenerate_reads_a_ratio_in_lowest_terms"]),
     # bracket returns its two parts swapped
     (_SF,
      "    return p.mul(minus), minus\n",

@@ -559,6 +559,32 @@ def test_json_file_that_is_not_an_object_is_input_error(tmp_path, what,
     assert f"{what} file {path} must hold a JSON object" in res.stderr
 
 
+@pytest.mark.parametrize("what, field", [("seed", "B[0][1]"),
+                                         ("fan", "complete")])
+def test_a_long_malformed_field_is_cut_in_the_message(what, field):
+    """A seed whose B[0][1], or a fan file whose complete, is a list of
+    100,000 integers exits 2 naming the field, and the message shows only
+    the start of the value."""
+    huge = list(range(100_000))
+    if what == "seed":
+        with open(fixture("a2.json"), encoding="utf-8") as fh:
+            obj = json.load(fh)
+        obj["B"][0][1] = huge
+        args = ["mutate", "--seed", "f.json", "--path", "1"]
+    else:
+        obj = _fan_file("a2.json")
+        obj["complete"] = huge
+        args = ["star", "--fan", "f.json", "--tau", "ray:1"]
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        with open("f.json", "w") as fh:
+            json.dump(obj, fh)
+        res = runner.invoke(main, args)
+    assert res.exit_code == 2
+    assert f"{field} must be" in res.stderr
+    assert len(res.stderr.encode("utf-8")) < 200
+
+
 @pytest.mark.parametrize("what", ["seed", "fan"])
 @pytest.mark.parametrize("text", ["[" * 990 + "]" * 990,
                                   '{"n": ' + "9" * 5000 + "}"],
@@ -981,7 +1007,7 @@ def test_star_fuzzed_fan_files_exit_cleanly(tmp_path, obj, tau):
 
 FINITE_SEEDS = ["a2.json", "a3.json", "a3_rev.json", "b2.json", "dp5.json",
                 "gr25.json"]
-# strings that int() or Fraction() read in a way one might not expect
+# strings that int() reads in a way one might not expect
 _ODD_PIECES = ["", " ", "0", "-0", "-1", "+1", " 2 ", "1/0", "1//2", "2/3",
                "-1/2", "1/-2", "1.5", ".5", "1e3", "1_0", "_1", "0x1", "½",
                "٣", "x", "inf", "nan", "9" * 40, "1e5000", "1e99999999",
@@ -1091,24 +1117,41 @@ def test_degenerate_fuzzed_point_exits_cleanly(name, at, as_json):
     assert _exits_cleanly(run(*args, *(["--json"] if as_json else [])))
 
 
-@pytest.mark.parametrize("at", ["1e5000,1", "1e99999999,1", "1,1e-1001"])
-def test_degenerate_refuses_large_decimal_exponents(at):
-    """A decimal exponent beyond AT_MAX_EXPONENT is refused before Fraction
-    expands it."""
+@pytest.mark.parametrize("at", [
+    "1e5000,1", "1e99999999,1", "1,1e-1001", "0.5,1", "1/0,1", "1/-2,1",
+    pytest.param("9" * 5000 + ",1", id="5000-digit-integer")])
+def test_degenerate_refuses_at_pieces_that_are_not_integer_ratios(at):
+    """Each --at piece is an integer a or a ratio a/b with b > 0, each side
+    read by int(): decimals, a zero or negative denominator and an integer
+    past int()'s digit limit exit 2 naming --at."""
     res = run("degenerate", "--seed", fixture("a2.json"), f"--at={at}")
     assert res.exit_code == 2
-    assert "decimal exponents beyond +-1000" in res.output
+    assert res.stdout == ""
+    assert res.stderr.startswith("error: --at ")
 
 
 def test_degenerate_refuses_maps_too_long_to_print():
-    """Within the exponent bound, a base point whose maps hold an integer
-    past Python's digit limit for text ends in exit 2, not a traceback."""
+    """A base point whose maps hold an integer past Python's digit limit
+    for text ends in exit 2, not a traceback."""
     big = "9" * 3000
     res = run("degenerate", "--seed", fixture("a2.json"), f"--at={big},{big}")
     assert res.exit_code == 2
     assert "too long to print" in res.output
     assert run("degenerate", "--seed", fixture("a2.json"),
-               "--at=1e1000,1").exit_code == 0
+               "--at=" + "1" + "0" * 1000 + ",1").exit_code == 0
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+def test_degenerate_reads_a_ratio_in_lowest_terms(as_json):
+    """--at 2/4,-6/2 is the point 1/2,-3: the header, the JSON "at" field
+    and every map print as they do for --at 1/2,-3."""
+    flag = ["--json"] if as_json else []
+    got = run("degenerate", "--seed", fixture("a2.json"), "--at", "2/4,-6/2",
+              *flag)
+    want = run("degenerate", "--seed", fixture("a2.json"), "--at", "1/2,-3",
+               *flag)
+    assert got.exit_code == want.exit_code == 0
+    assert got.stdout == want.stdout
 
 
 def test_in_process_calls_free_their_streams():

@@ -39,7 +39,6 @@ from cluster_forge.degeneration import (
     glue_ring_check,
     glue_ring_check_all,
     limit_check,
-    specialize_fiber,
     strata_consistency_check,
     wall_binomial,
     wall_key,
@@ -200,7 +199,8 @@ def test_degree_check_rejects_tampered_pullback():
     fam = Family(A2)
     degree_check(fam)
     pull = fam.pullback_to_initial(1)
-    fam._pull[1] = (pull[0].mul(PosRatFunc.variable(V, "X1")), pull[1])
+    fam._pull[fam.atlas.cones[1].path] = (
+        1, (pull[0].mul(PosRatFunc.variable(V, "X1")), pull[1]))
     with pytest.raises(CheckFailed):
         degree_check(fam)
 
@@ -211,7 +211,7 @@ def test_limit_check_rejects_tampered_pullback():
     pull = fam.pullback_to_initial(1)
     bad = pull[0].mul(PosRatFunc.from_poly(
         LaurentPoly(V, {(0, 0, 0, 0): 1, (1, 0, 0, 0): 1})))
-    fam._pull[1] = (bad, pull[1])
+    fam._pull[fam.atlas.cones[1].path] = (1, (bad, pull[1]))
     with pytest.raises(CheckFailed):
         limit_check(fam)
 
@@ -221,7 +221,7 @@ def test_limit_check_names_a_limit_on_the_wrong_coordinate():
     with the wrong exponents."""
     fam = Family(A2)
     X1, X2 = fam.coordinates()
-    fam._pull[0] = (X2, X1)
+    fam._pull[()] = (0, (X2, X1))
     with pytest.raises(CheckFailed) as err:
         limit_check(fam)
     assert str(err.value) == ("cone 0 coordinate 1: limit exponents (0, 1), "
@@ -422,10 +422,11 @@ def test_glue_ring_reads_the_denominator_left_after_the_binomial():
     assert not _in_glue_ring(over(W * other, 0, 0, 0, 0), 0, W)
 
 
-def test_specialize_fiber_at_one():
+def test_at_base_point_at_one():
     fam = Family(A2)
     T = fam.transition(0, 1)
-    assert specialize_fiber(T.images, fam.tnames, (1, 1)) == (
+    assign = dict.fromkeys(fam.tnames, (1, 1))
+    assert tuple(at_base_point(f.expand(), assign) for f in T.images) == (
         (LaurentPoly(V, {(1, 0, 0, 0): 1, (1, 1, 0, 0): 1}),
          LaurentPoly.one(V)),
         (LaurentPoly.one(V), LaurentPoly(V, X2)))

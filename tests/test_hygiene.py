@@ -359,19 +359,16 @@ def test_trusted_constructors_are_called_only_where_allowed():
     assert found == TRUSTED_CALLERS
 
 
-#: The engine computes in integers; rationals enter only at the base-point
-#: boundary, the ``--at`` option, and go on as integer (numerator,
-#: denominator) pairs.
-FRACTIONS_ALLOWED = {"cli.py"}
-
-
-@pytest.mark.parametrize("module", sorted(set(MODULES) - FRACTIONS_ALLOWED))
+@pytest.mark.parametrize("module", MODULES)
 def test_only_the_base_point_boundary_imports_fractions(module):
+    """The engine computes in integers.  Rationals enter only at the
+    base-point boundary, the ``--at`` option, which reads each side of a
+    ratio with int() into an integer (numerator, denominator) pair; so no
+    module imports fractions."""
     with open(os.path.join(PACKAGE, module), encoding="utf-8") as fh:
         tree = ast.parse(fh.read(), filename=module)
     assert "fractions" not in set(_imported_modules(tree)), (
-        f"{module} imports fractions; only "
-        f"{', '.join(sorted(FRACTIONS_ALLOWED))} may")
+        f"{module} imports fractions")
 
 
 def _mutants():
