@@ -119,7 +119,8 @@ def test_table_json_exits_1_on_a_failed_check(monkeypatch, which, name,
 #: over one rational point, a mutation path on each fully mutable fixture
 #: in every coefficient mode, as text and as JSON, and the family suites
 #: degree, limit and glue run to success on a2, b2 and a3, as text and as
-#: JSON.  A fixture name stands for its path.  A change meant to keep every
+#: JSON, and the fan file of each fixture and of a3_rev with direction 1
+#: frozen.  A fixture name stands for its path.  A change meant to keep every
 #: output byte-identical must leave these as they are.
 PINNED = {
     "table a2 --format text":
@@ -314,6 +315,20 @@ PINNED = {
         ("ed8896840f76fb0d34e47b2715f1824513fc0350e454252b2d7fab83b7736041", 0),
     "verify glue --seed a3.json --json":
         ("93b3a2fdb0958d132dd79d473e48d6d8a42591896576a6fa170cc07a1a6626f9", 0),
+    "fan --seed a2.json":
+        ("608748d351701346dcca7438ffd12ad0efb9a6855d7a677d734704bc97ff5353", 0),
+    "fan --seed b2.json":
+        ("6832cfdec8b9381377c7e11fb542b955ae9a27b935b1b4fa84e5a5e7e63c4f13", 0),
+    "fan --seed a3.json":
+        ("9be6054d995f9e5bde5eb7b7655ebc2cede0a03595d85483e0998c0c8f80fd8c", 0),
+    "fan --seed a3_rev.json":
+        ("6bcfa1ea8b8a3e3cc4e38d14dbb1f29e5cb6818fbadfc85c1abd45a63d7bedea", 0),
+    "fan --seed dp5.json":
+        ("0e9405252276dd8166c506d28f20ea91a7f9ebf196f6d3d65a31609f1d01c603", 0),
+    "fan --seed gr25.json":
+        ("beda9fc1718d88f98faecf5e872b090e2718e72dfdfaf2b36076c21a2391e0d9", 0),
+    "fan --seed a3_rev.json --freeze 1":
+        ("967268b3b5b409d685a164717f98f055f4a5549b7cf0d4cec2ae623a60fbaee1", 0),
 }
 
 
