@@ -3,10 +3,9 @@ verification suites, specialize the degenerating family, reproduce the
 stored tables, and inspect stars of fan faces.
 
 Exit codes: 0 success, 1 a verification failed, 2 malformed input,
-3 attempt to mutate a frozen direction, 4 work that cannot finish: an atlas
-that cannot be complete (a truncated one, or the g-fan of a seed of
-infinite type), or a polynomial product over the term budget of
-``exact_algebra.TERM_BUDGET`` term products.
+3 attempt to mutate a frozen direction, 4 work that cannot finish: the
+g-fan of a seed of infinite type, or a polynomial product over the term
+budget of ``exact_algebra.TERM_BUDGET`` term products.
 """
 
 import json
@@ -36,7 +35,6 @@ from .exact_algebra import (
     ratio_text,
 )
 from .gfan import (
-    FanDepthExceeded,
     InfiniteType,
     enumerate_gfan,
     fan_from_json,
@@ -61,7 +59,7 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_INPUT = 2
 EXIT_FROZEN = 3
-EXIT_TRUNCATED = 4
+EXIT_UNFINISHED = 4
 
 Y_SEED_NEEDS_MUTABLE = "Y-seed dynamics need a fully mutable matrix"
 
@@ -139,15 +137,15 @@ def _joined(path):
     return ",".join(str(k + 1) for k in path)
 
 
-def _walk(ed, seed_path, allowed=None, depth=None):
+def _walk(ed, seed_path, allowed=None):
     """``enumerate_gfan`` for a seed file; exit 4, naming the matrix pair
     and the mutation path to it, when the walk finds the seed is of
     infinite type."""
     try:
-        return enumerate_gfan(ed, allowed, depth)
+        return enumerate_gfan(ed, allowed)
     except InfiniteType as exc:
-        _fail(EXIT_TRUNCATED, f"seed file {seed_path} is of infinite type: "
-                              f"{exc}")
+        _fail(EXIT_UNFINISHED, f"seed file {seed_path} is of infinite type: "
+                               f"{exc}")
 
 
 @contextmanager
@@ -161,7 +159,7 @@ def _budget(what):
     try:
         yield
     except TermBudgetExceeded as exc:
-        _fail(EXIT_TRUNCATED, f"{what} cannot finish: {exc}")
+        _fail(EXIT_UNFINISHED, f"{what} cannot finish: {exc}")
 
 
 def _need_mutable(ed, seed_path, source, need):
@@ -267,27 +265,18 @@ def mutate(seed_path, path_text, coeffs, as_json):
 @click.option("--seed", "seed_path", required=True)
 @click.option("--freeze", "freeze_text", default="",
               help="comma-separated 1-based directions to exclude")
-@click.option("--depth", type=int, default=None,
-              help="stop the breadth-first walk at this depth and write the "
-                   "atlas found so far, marked incomplete (exit 4)")
 @click.option("--out", "out_path", default=None,
               help="write the atlas JSON here instead of stdout")
 @click.option("--json", "as_json", is_flag=True,
               help="print the atlas JSON to stdout even with --out")
-def fan(seed_path, freeze_text, depth, out_path, as_json):
+def fan(seed_path, freeze_text, out_path, as_json):
     """Enumerate the atlas of maximal cones reachable from the seed."""
-    if depth is not None and depth < 0:
-        _fail(EXIT_INPUT, f"--depth {depth}: the breadth-first depth cap "
-                          "must be at least 0")
     ed, _ = _load_seed(seed_path)
     frozen = set(_parse_directions(freeze_text, ed, "--freeze"))
     allowed = tuple(k for k in range(ed.n) if k not in frozen)
     if not allowed:
         _fail(EXIT_INPUT, "--freeze leaves no mutable directions")
-    atlas = _walk(ed, seed_path, allowed, depth)
-    if not atlas.complete:
-        _echo(f"warning: enumeration truncated at depth {depth}; "
-              "the atlas is incomplete", err=True)
+    atlas = _walk(ed, seed_path, allowed)
     text = _json_text(fan_to_json(atlas))
     if out_path:
         try:
@@ -301,7 +290,7 @@ def fan(seed_path, freeze_text, depth, out_path, as_json):
                   f"-> {out_path}")
     if as_json or not out_path:
         _echo(text)
-    sys.exit(EXIT_OK if atlas.complete else EXIT_TRUNCATED)
+    sys.exit(EXIT_OK)
 
 
 # -- verify ------------------------------------------------------------------
@@ -572,10 +561,9 @@ def star_cmd(fan_path, tau, as_json):
     try:
         atlas = fan_from_json(obj, ray_index - 1)
     except InfiniteType as exc:
-        _fail(EXIT_TRUNCATED, f"fan file {fan_path} is marked complete, but "
-                              f"its stored seed is of infinite type: {exc}")
-    except FanDepthExceeded as exc:
-        _fail(EXIT_TRUNCATED, f"fan file {fan_path} {exc}")
+        _fail(EXIT_UNFINISHED, f"fan file {fan_path} is marked complete, "
+                               "but its stored seed is of infinite type: "
+                               f"{exc}")
     except IndexError as exc:
         _fail(EXIT_INPUT, f"--tau ray:{ray_index} {exc}")
     except (CheckFailed, KeyError, TypeError, ValueError) as exc:

@@ -22,17 +22,12 @@ from .invariants import CheckFailed, c_matrix_step, column_sign, mat_identity
 from .seeds import (
     ExchangeData,
     json_int,
+    json_list,
     mutate_matrix,
     mutate_rows,
     replay,
     seed_from_json,
 )
-
-
-class FanDepthExceeded(Exception):
-    """A fan file that cannot stand for the whole fan: it is marked
-    incomplete by the ``fan --depth`` walk that wrote it, or is marked
-    complete but holds only the first cones of its stored seed's walk."""
 
 
 class InfiniteType(Exception):
@@ -98,19 +93,16 @@ class ConeRecord:
 
 class GFanAtlas:
     """All maximal g-cones reachable from the initial seed (optionally only
-    through a subset of directions), with wall adjacency.  ``complete`` is
-    false when the walk was cut off at its ``depth``.  The walk steps every
-    cone it keeps in every allowed direction, so in a complete walk the
-    cone across any wall of an atlas cone is an atlas cone.
-    ``fan_from_json`` returns one holding only the cones of a star, with no
-    adjacency."""
+    through a subset of directions), with wall adjacency.  The walk steps
+    every cone it keeps in every allowed direction, so the cone across any
+    wall of an atlas cone is an atlas cone.  ``fan_from_json`` returns one
+    holding only the cones of a star, with no adjacency."""
 
-    def __init__(self, ed, cones, adjacency, allowed, complete=True):
+    def __init__(self, ed, cones, adjacency, allowed):
         self.ed = ed
         self.cones = cones
         self.adjacency = adjacency
         self.allowed = tuple(allowed)
-        self.complete = complete
 
     @property
     def rays(self):
@@ -160,12 +152,10 @@ def g_cone_step(cone, k):
                                   [-row[k] for row in B[:len(cone.C)]]))
 
 
-def enumerate_gfan(ed, allowed=None, depth=None):
+def enumerate_gfan(ed, allowed=None):
     """Breadth-first walk of the seed pattern, one node per distinct set of
     g-vector columns.  A step first computes only the new g-vector; the
-    full record is stepped only when the resulting cone is new.  With
-    ``depth``, the walk steps from no cone deeper than that, and the atlas
-    is marked incomplete when new cones were still appearing.
+    full record is stepped only when the resulting cone is new.
 
     Each cone taken from the frontier has its exchange matrix read on the
     allowed directions, and the first pair with |b_ij * b_ji| > 3 raises
@@ -174,7 +164,7 @@ def enumerate_gfan(ed, allowed=None, depth=None):
     exactly when every matrix in the mutation class of that principal part
     keeps the bound, and each of those matrices is, up to relabelling, the
     matrix of a cone of the walk.  So the walk ends without a cap: it closes,
-    or it raises at the first depth holding a matrix past the bound.
+    or it raises at the first frontier holding a matrix past the bound.
     """
     allowed = tuple(range(ed.n)) if allowed is None else tuple(allowed)
     root = ConeRecord.initial(ed)
@@ -182,8 +172,7 @@ def enumerate_gfan(ed, allowed=None, depth=None):
     adjacency = {}
     seen = {root.key(): 0}
     frontier = [root]
-    level = 0
-    while frontier and (depth is None or level <= depth):
+    while frontier:
         nxt = []
         for src in frontier:
             B = src.B
@@ -204,8 +193,7 @@ def enumerate_gfan(ed, allowed=None, depth=None):
                     nxt.append(rec)
                 adjacency[(src.index, k)] = index
         frontier = nxt
-        level += 1
-    return GFanAtlas(ed, cones, adjacency, allowed, complete=not frontier)
+    return GFanAtlas(ed, cones, adjacency, allowed)
 
 
 def two_faces(atlas, max_len):
@@ -405,7 +393,7 @@ def fan_to_json(atlas):
         "dual_rays": [[list(nrm) for nrm in c.normals()] for c in atlas.cones],
         "paths": [[k + 1 for k in c.path] for c in atlas.cones],
         "allowed": [k + 1 for k in atlas.allowed],
-        "complete": atlas.complete,
+        "complete": True,
         "seed": {
             "B": [list(r) for r in atlas.ed.B],
             "n": atlas.ed.n,
@@ -427,13 +415,14 @@ def fan_from_json(obj, tau):
     return an atlas of the cones that hold the ray.
 
     ``tau`` is the ray's 0-based position in the file's ``rays``; a
-    position out of range raises ``IndexError``.  Fields come first.  Rays,
-    cone indices, allowed directions and path steps must be integers, of
-    length n and in range, and none may be listed twice; each maximal cone
-    lists n distinct rays and has one path, of allowed directions and
-    shorter than the number of cones, as every breadth-first path is.
-    Anything else raises ``ValueError`` naming the field.  A file marked
-    incomplete raises ``FanDepthExceeded``.
+    position out of range raises ``IndexError``.  Fields come first.
+    ``rays``, ``maximal_cones``, each cone and ``allowed`` must be lists.
+    Rays, cone indices, allowed directions and path steps must be
+    integers, of length n and in range, and none may be listed twice; each
+    maximal cone lists n distinct rays and has one path, of allowed
+    directions and shorter than the number of cones, as every
+    breadth-first path is.  ``complete``, when present, must be true.
+    Anything else raises ``ValueError`` naming the field.
 
     Then three local checks, each raising ``CheckFailed`` naming a field:
 
@@ -457,39 +446,35 @@ def fan_from_json(obj, tau):
 
     When a local check fails, the stored seed is enumerated once to name
     the fault: a seed of infinite type raises the walk's ``InfiniteType``,
-    naming the matrix pair and the mutation path to it, a file holding only
-    the first cones of its seed's walk raises ``FanDepthExceeded`` as
-    truncated, and any other fault is the failed check.
+    naming the matrix pair and the mutation path to it, and any other fault
+    is the failed check.
 
     The returned atlas holds the replayed cones in file order, each
     numbered by its position in the file, and no adjacency.
     """
     complete = obj.get("complete", True)
-    if not isinstance(complete, bool):
-        raise ValueError("complete must be true or false, not "
-                         f"{repr(complete)[:40]}")
-    if not complete:
-        raise FanDepthExceeded("is marked incomplete (truncated "
-                               "enumeration); re-run fan with a larger --depth")
+    if complete is not True:
+        raise ValueError(f"complete must be true, not {repr(complete)[:40]}")
     ed, _ = seed_from_json(obj["seed"])
     n = ed.n
     allowed = {}
-    for i, k in enumerate(obj.get("allowed", range(1, n + 1))):
+    for i, k in enumerate(json_list(obj.get("allowed", list(range(1, n + 1))),
+                                    "allowed")):
         _add_once(allowed, json_int(k, f"allowed[{i}]", 1, n) - 1,
                   f"allowed[{i}]")
     allowed = tuple(allowed)
     rays = {}
-    for i, r in enumerate(obj["rays"]):
+    for i, r in enumerate(json_list(obj["rays"], "rays")):
         if not isinstance(r, list) or len(r) != n:
             raise ValueError(f"rays[{i}] must be a list of n = {n} integers")
         _add_once(rays, tuple(json_int(x, f"rays[{i}][{j}]")
                               for j, x in enumerate(r)), f"rays[{i}]")
     rays = tuple(rays)
     cones = {}
-    for i, idxs in enumerate(obj["maximal_cones"]):
+    for i, idxs in enumerate(json_list(obj["maximal_cones"], "maximal_cones")):
         cone = frozenset(
             rays[json_int(x, f"maximal_cones[{i}][{j}]", 0, len(rays) - 1)]
-            for j, x in enumerate(idxs))
+            for j, x in enumerate(json_list(idxs, f"maximal_cones[{i}]")))
         if len(cone) != n or len(idxs) != n:
             raise ValueError(f"maximal_cones[{i}] must list n = {n} "
                              "distinct ray indices")
@@ -500,14 +485,7 @@ def fan_from_json(obj, tau):
     try:
         records = _certify_star(ed, allowed, rays, cones, paths, tau)
     except CheckFailed:
-        atlas = enumerate_gfan(ed, allowed)
-        m = len(cones)
-        if 0 < m < len(atlas.cones) and list(cones) == [
-                c.key() for c in atlas.cones[:m]]:
-            raise FanDepthExceeded(
-                f"is marked complete, but holds only the first {m} of the "
-                f"{len(atlas.cones)} cones its stored seed's walk reaches; "
-                "re-run fan with a larger --depth")
+        enumerate_gfan(ed, allowed)
         raise
     return GFanAtlas(ed, records, {}, allowed)
 

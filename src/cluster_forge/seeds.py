@@ -335,33 +335,45 @@ def json_int(x, field, lo=None, hi=None):
         raise ValueError(f"{field} must be an integer, not {repr(x)[:40]}")
     if hi is None:
         if lo is not None and x < lo:
-            raise ValueError(f"{field} = {x} must be at least {lo}")
+            raise ValueError(f"{field} = {repr(x)[:40]} must be at least "
+                             f"{lo}")
     elif not lo <= x <= hi:
-        raise ValueError(f"{field} = {x} is out of range {lo}..{hi}")
+        raise ValueError(f"{field} = {repr(x)[:40]} is out of range "
+                         f"{lo}..{hi}")
+    return x
+
+
+def json_list(x, field):
+    """A JSON list; anything else raises ``ValueError`` naming the field
+    and showing the first 40 characters of the value."""
+    if not isinstance(x, list):
+        raise ValueError(f"{field} must be a list, not {repr(x)[:40]}")
     return x
 
 
 def seed_from_json(obj):
     """Exchange data and coefficient tuple from a parsed seed object.
 
-    Every entry of ``B``, ``n``, ``d``, ``coeff_rank`` and ``p`` must be an
-    integer, and ``p`` holds either no tuple or ``n`` tuples of length
-    ``coeff_rank``; anything else raises ``ValueError`` naming the field.
+    ``B``, its rows, ``d``, ``p`` and its tuples must be lists; every entry
+    of ``B``, ``n``, ``d``, ``coeff_rank`` and ``p`` must be an integer, and
+    ``p`` holds either no tuple or ``n`` tuples of length ``coeff_rank``;
+    anything else raises ``ValueError`` naming the field.
     """
     if not isinstance(obj, dict):
         raise ValueError("a seed must be a JSON object")
     n = json_int(obj["n"], "n")
-    B = [[json_int(x, f"B[{i}][{j}]") for j, x in enumerate(row)]
-         for i, row in enumerate(obj["B"])]
+    B = [[json_int(x, f"B[{i}][{j}]")
+          for j, x in enumerate(json_list(row, f"B[{i}]"))]
+         for i, row in enumerate(json_list(obj["B"], "B"))]
     d = obj.get("d")
     if d is not None:
-        d = [json_int(x, f"d[{i}]") for i, x in enumerate(d)]
+        d = [json_int(x, f"d[{i}]") for i, x in enumerate(json_list(d, "d"))]
     r = json_int(obj.get("coeff_rank", 0), "coeff_rank", 0)
-    p = obj.get("p", [])
+    p = json_list(obj.get("p", []), "p")
     if len(p) not in (0, n):
         raise ValueError(f"p has {len(p)} tuples, not 0 or n = {n}")
     for i, e in enumerate(p):
-        if len(e) != r:
+        if len(json_list(e, f"p[{i}]")) != r:
             raise ValueError(
                 f"p[{i}] has length {len(e)}, not coeff_rank = {r}")
         for j, x in enumerate(e):

@@ -149,6 +149,12 @@ MUTANTS = [
      "    g = gcd(a, b)\n    return a // g, b // g\n",
      "    return a, b\n",
      ["tests/test_cli.py::test_degenerate_reads_a_ratio_in_lowest_terms"]),
+    # the c-matrix steps with column k of B instead of row k
+    (_IV,
+     "    return mutate_rows(C, k, B[k][:len(C)])\n",
+     "    return mutate_rows(C, k, [row[k] for row in B[:len(C)]])\n",
+     ["tests/test_invariants.py::test_c_matrix_routes_agree",
+      "tests/test_invariants.py::test_c_matrix_walk_matches_frozen_values"]),
     # bracket returns its two parts swapped
     (_SF,
      "    return p.mul(minus), minus\n",

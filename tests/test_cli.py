@@ -469,19 +469,6 @@ def test_fan_round_trip_star():
         assert st["restricted_matrix"] == [[0]]
 
 
-def test_fan_truncated_then_star_refuses():
-    runner = CliRunner()
-    with runner.isolated_filesystem():
-        res = runner.invoke(main, ["fan", "--seed", fixture("a2.json"),
-                                   "--depth", "0", "--out", "fan.json"])
-        assert res.exit_code == 4
-        assert "truncated" in res.stderr
-        res2 = runner.invoke(main, ["star", "--fan", "fan.json",
-                                    "--tau", "ray:1"])
-        assert res2.exit_code == 4
-        assert "incomplete" in res2.stderr
-
-
 def test_fan_freeze_restricts_directions():
     res = run("fan", "--seed", fixture("a3_rev.json"), "--freeze", "1",
               "--json")
@@ -511,6 +498,7 @@ def test_fan_tampered_file_is_input_error():
                           (setter("allowed", [0, 2]), "allowed[0]"),
                           (setter("allowed", [True, 2]), "allowed[0]"),
                           (setter("complete", "yes"), "complete"),
+                          (setter("complete", False), "complete must be true"),
                           (setter("maximal_cones", [[0, 5]]),
                            "maximal_cones[0][1]"),
                           (setter("paths", [[], [1], [2], [1, 2.0], [2, 1]]),
@@ -574,30 +562,72 @@ def test_json_file_that_is_not_an_object_is_input_error(tmp_path, what,
     assert f"{what} file {path} must hold a JSON object" in res.stderr
 
 
+def _run_tampered(what, keys, value):
+    """Exit code and stderr of ``mutate`` on the a2 seed file, or of
+    ``star`` on its fan file, with the entry that ``keys`` lead to set to
+    ``value``."""
+    if what == "seed":
+        with open(fixture("a2.json"), encoding="utf-8") as fh:
+            obj = json.load(fh)
+        args = ["mutate", "--seed", "f.json", "--path", "1"]
+    else:
+        obj = _fan_file("a2.json")
+        args = ["star", "--fan", "f.json", "--tau", "ray:1"]
+    functools.reduce(lambda o, k: o[k], keys[:-1], obj)[keys[-1]] = value
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        with open("f.json", "w") as fh:
+            json.dump(obj, fh)
+        res = runner.invoke(main, args)
+    return res.exit_code, res.stderr
+
+
+def _field(keys):
+    """``keys`` written as error messages name the field, as in B[0][1]."""
+    return keys[0] + "".join(f"[{k}]" for k in keys[1:])
+
+
 @pytest.mark.parametrize("what, field", [("seed", "B[0][1]"),
                                          ("fan", "complete")])
 def test_a_long_malformed_field_is_cut_in_the_message(what, field):
     """A seed whose B[0][1], or a fan file whose complete, is a list of
     100,000 integers exits 2 naming the field, and the message shows only
     the start of the value."""
-    huge = list(range(100_000))
-    if what == "seed":
-        with open(fixture("a2.json"), encoding="utf-8") as fh:
-            obj = json.load(fh)
-        obj["B"][0][1] = huge
-        args = ["mutate", "--seed", "f.json", "--path", "1"]
-    else:
-        obj = _fan_file("a2.json")
-        obj["complete"] = huge
-        args = ["star", "--fan", "f.json", "--tau", "ray:1"]
-    runner = CliRunner()
-    with runner.isolated_filesystem():
-        with open("f.json", "w") as fh:
-            json.dump(obj, fh)
-        res = runner.invoke(main, args)
-    assert res.exit_code == 2
-    assert f"{field} must be" in res.stderr
-    assert len(res.stderr.encode("utf-8")) < 200
+    keys = ("B", 0, 1) if what == "seed" else ("complete",)
+    code, err = _run_tampered(what, keys, list(range(100_000)))
+    assert code == 2
+    assert f"{field} must be" in err
+    assert len(err.encode("utf-8")) < 200
+
+
+@pytest.mark.parametrize("what, keys, value", [
+    ("seed", ("coeff_rank",), -10 ** 4000),
+    ("fan", ("allowed", 0), 10 ** 4000)], ids=["seed", "fan"])
+def test_a_long_integer_out_of_range_is_cut_in_the_message(what, keys,
+                                                           value):
+    """A seed whose coeff_rank is -10^4000, or a fan file whose allowed[0]
+    is 10^4000, exits 2 naming the field, and the message shows only the
+    start of the number."""
+    code, err = _run_tampered(what, keys, value)
+    assert code == 2
+    assert f"error: {what} file f.json is malformed" in err
+    assert f": {_field(keys)} = " in err
+    assert len(err.encode("utf-8")) < 200
+
+
+@pytest.mark.parametrize("what, keys", [
+    ("seed", ("B",)), ("seed", ("B", 1)), ("seed", ("d",)),
+    ("seed", ("p",)), ("seed", ("p", 1)), ("fan", ("rays",)),
+    ("fan", ("maximal_cones",)), ("fan", ("maximal_cones", 1)),
+    ("fan", ("allowed",))],
+    ids=["seed-B", "seed-B[1]", "seed-d", "seed-p", "seed-p[1]", "fan-rays",
+         "fan-maximal_cones", "fan-maximal_cones[1]", "fan-allowed"])
+def test_a_container_field_that_is_not_a_list_is_named(what, keys):
+    """A list field of a seed or fan file that holds an integer exits 2
+    naming the field, not with Python's own words about ints."""
+    code, err = _run_tampered(what, keys, 7)
+    assert code == 2
+    assert f"{_field(keys)} must be a list, not 7" in err
 
 
 @pytest.mark.parametrize("what", ["seed", "fan"])
@@ -686,7 +716,7 @@ def test_star_names_an_infinite_type_seed_without_walking(tmp_path,
             f"infinite type: {named}") in res.stderr
 
 
-WALKING_COMMANDS = [("fan",), ("fan", "--depth", "1"),
+WALKING_COMMANDS = [("fan",),
                     *(("verify", suite) for suite in (
                         "duality", "signcoherence", "cocycle", "degree",
                         "limit", "strata", "glue")),
@@ -904,18 +934,21 @@ def test_star_needs_every_transverse_neighbour(tmp_path):
 
 @pytest.mark.parametrize("seed_name", ["b2.json", "a3.json"])
 def test_star_on_a_truncated_file_marked_complete(tmp_path, seed_name):
-    """fan --depth 1 with complete flipped to true: exit 4, naming the
-    truncation, on every ray."""
+    """A fan file cut to the first m cones and paths of its seed's walk, for
+    every m short of the whole fan: exit 2 on every ray, naming a cone that
+    shares fewer facets than there are allowed directions."""
+    whole = _fan_file(seed_name)
     path = tmp_path / "fan.json"
-    assert run("fan", "--seed", fixture(seed_name), "--depth", "1",
-               "--out", str(path)).exit_code == 4
-    obj = json.loads(path.read_text())
-    obj["complete"] = True
-    path.write_text(json.dumps(obj))
-    for i in range(1, len(obj["rays"]) + 1):
-        res = run("star", "--fan", str(path), "--tau", f"ray:{i}")
-        assert res.exit_code == 4
-        assert "is marked complete, but holds only the first" in res.stderr
+    for m in range(1, len(whole["maximal_cones"])):
+        obj = dict(whole, maximal_cones=whole["maximal_cones"][:m],
+                   paths=whole["paths"][:m])
+        path.write_text(json.dumps(obj))
+        for i in range(1, len(obj["rays"]) + 1):
+            res = run("star", "--fan", str(path), "--tau", f"ray:{i}")
+            assert res.exit_code == 2
+            assert re.search(r"maximal_cones\[\d+\] shares \d of its facets "
+                             r"with other maximal cones, not one per allowed "
+                             r"direction", res.stderr)
 
 
 def test_star_refuses_a_long_path_before_any_replay(tmp_path, monkeypatch):
@@ -1113,12 +1146,11 @@ def _seed_objects(draw):
 @given(_seed_objects())
 def test_fuzzed_seed_json_exits_cleanly(tmp_path, obj):
     """Seed objects of rank at most 3 with entries at most 3 in absolute
-    value, valid or with fields dropped or replaced, through fan --depth 3
-    and mutate --path 1,2: exit 0-4 and no exception other than
-    SystemExit."""
+    value, valid or with fields dropped or replaced, through fan and
+    mutate --path 1,2: exit 0-4 and no exception other than SystemExit."""
     seed = tmp_path / "seed.json"
     seed.write_text(json.dumps(obj))
-    assert _exits_cleanly(run("fan", "--seed", str(seed), "--depth", "3"))
+    assert _exits_cleanly(run("fan", "--seed", str(seed)))
     assert _exits_cleanly(run("mutate", "--seed", str(seed),
                               "--path", "1,2"))
 
@@ -1230,13 +1262,10 @@ def test_verify_separation_explicit_paths():
     (("verify", "separation", "--paths", "random:3", "--max-len", "0"),
      "--max-len"),
     (("verify", "cocycle", "--max-len", "-1"), "--max-len"),
-    (("fan", "--depth", "-1"), "--depth"),
-], ids=["no-paths", "negative-paths", "zero-max-len", "cocycle-negative",
-        "fan-negative-depth"])
+], ids=["no-paths", "negative-paths", "zero-max-len", "cocycle-negative"])
 def test_verify_empty_work_is_input_error(args, option):
-    """A path count or walk length below 1, or a negative depth cap, is
-    refused, not reported as 0/0 ok, a truncated atlas, a traceback, or
-    (for the cocycle walk) a walk without end."""
+    """A path count or walk length below 1 is refused, not reported as 0/0
+    ok, a traceback, or (for the cocycle walk) a walk without end."""
     res = run_process(*args, "--seed", fixture("a2.json"))
     assert res.returncode == 2
     assert "Traceback" not in res.stdout + res.stderr
@@ -1508,13 +1537,11 @@ def test_fan_and_star_make_pinned_step_counts(monkeypatch, tmp_path):
 @pytest.mark.parametrize("small, huge", [
     (("verify", "cocycle", "--max-len", "8"),
      ("verify", "cocycle", "--max-len", "1000000000")),
-    (("fan",), ("fan", "--depth", "1000000000")),
-], ids=["cocycle-max-len", "fan-depth"])
+], ids=["cocycle-max-len"])
 def test_a_huge_walk_cap_makes_the_same_work_on_a_complete_atlas(
         monkeypatch, small, huge):
-    """On A3 every 2-face closes within 8 steps, and the g-fan walk stops
-    when its frontier is empty, so a cap of 10^9 makes the same steps and
-    stdout as --max-len 8 or no --depth: neither value sets the work."""
+    """On A3 every 2-face closes within 8 steps, so a cap of 10^9 makes the
+    same steps and stdout as --max-len 8: the cap does not set the work."""
     cone_steps = record_calls(monkeypatch, "g_cone_step", gfan)
     vector_steps = record_calls(monkeypatch, "g_vector_step", gfan)
     runs = []

@@ -41,18 +41,15 @@ FINITE_IDS = ["a1", "a2", "b2", "g2", "a3", "b3", "c3", "a4", "d4", "a5",
               "gr25"]
 
 
-def reference_walk(ed, allowed=None, depth=None):
+def reference_walk(ed, allowed=None):
     """The breadth-first walk that steps the full record on every wall:
-    (cones, adjacency, allowed, complete)."""
+    (cones, adjacency, allowed)."""
     allowed = tuple(range(ed.n)) if allowed is None else tuple(allowed)
     cones = [ConeRecord.initial(ed)]
     seen = {cones[0].key(): 0}
     adjacency = {}
     frontier = [0]
-    level = 0
     while frontier:
-        if depth is not None and level > depth:
-            return cones, adjacency, allowed, False
         nxt = []
         for i in frontier:
             for k in allowed:
@@ -63,19 +60,17 @@ def reference_walk(ed, allowed=None, depth=None):
                     nxt.append(seen[rec.key()])
                 adjacency[(i, k)] = seen[rec.key()]
         frontier = nxt
-        level += 1
-    return cones, adjacency, allowed, True
+    return cones, adjacency, allowed
 
 
 def assert_walk_matches_reference(ed, **kw):
     atlas = enumerate_gfan(ed, **kw)
-    cones, adjacency, allowed, complete = reference_walk(ed, **kw)
+    cones, adjacency, allowed = reference_walk(ed, **kw)
     assert [c.index for c in atlas.cones] == list(range(len(cones)))
     assert [(c.path, c.B, c.C, c.G, c.Cd) for c in atlas.cones] == \
         [(c.path, c.B, c.C, c.G, c.Cd) for c in cones]
     assert atlas.adjacency == adjacency
     assert atlas.allowed == allowed
-    assert atlas.complete is complete
 
 
 def test_cone_counts():
@@ -110,16 +105,10 @@ def test_walk_matches_the_full_step_reference(ed):
     assert_walk_matches_reference(ed)
 
 
-@pytest.mark.parametrize("depth", [0, 1, 2])
-def test_partial_walk_matches_the_full_step_reference(depth):
-    for ed in (A3, D4, A5):
-        assert_walk_matches_reference(ed, depth=depth)
-
-
 def test_restricted_walk_matches_the_full_step_reference():
     assert_walk_matches_reference(A3_REV, allowed=(1, 2))
     assert_walk_matches_reference(D4, allowed=(3, 1, 0))
-    assert_walk_matches_reference(A5, allowed=(0, 2, 4), depth=1)
+    assert_walk_matches_reference(A5, allowed=(0, 2, 4))
 
 
 @pytest.mark.parametrize("ed", FINITE, ids=FINITE_IDS)
@@ -134,9 +123,8 @@ def test_g_vector_step_is_the_new_column_of_the_full_step(ed):
 def test_g_cone_step_changes_only_column_k_of_g(ed):
     """A step keeps every generator but the k-th, so the walks key a
     stepped cone by one new g-vector, and a face stays put under a step
-    transverse to it.  The depth cap keeps the walk finite when a step
-    goes wrong."""
-    for cone in enumerate_gfan(ed, depth=3).cones:
+    transverse to it."""
+    for cone in enumerate_gfan(ed).cones:
         gens = cone.generators()
         for k in range(ed.n):
             stepped = g_cone_step(cone, k).generators()
@@ -319,12 +307,11 @@ def test_two_faces_counts_the_faces_it_cannot_close():
     assert two_faces(enumerate_gfan(A1), 8) == ([], 0)
 
 
-def test_depth_cap_detects_infinite_fan():
+def test_walk_refuses_the_markov_seed_at_the_initial_cone():
     """The Markov matrix breaks the bound at the initial cone, so the walk
-    refuses it with or without a depth."""
-    for depth in (None, 0, 4):
-        with pytest.raises(InfiniteType, match=r"b_1,2 \* b_2,1 = 2 \* -2"):
-            enumerate_gfan(MARKOV, depth=depth)
+    refuses it before its first step."""
+    with pytest.raises(InfiniteType, match=r"b_1,2 \* b_2,1 = 2 \* -2"):
+        enumerate_gfan(MARKOV)
 
 
 AFFINE_D4 = tuple(tuple(1 if i == 0 < j else -1 if j == 0 < i else 0
@@ -334,7 +321,7 @@ AFFINE_D4 = tuple(tuple(1 if i == 0 < j else -1 if j == 0 < i else 0
 @pytest.mark.parametrize("ed", [A1, A2, B2, G2, A3, A3_REV, B3, C3, A4, D4,
                                 A5])
 def test_finite_types_have_no_infinite_type_witness(ed):
-    assert enumerate_gfan(ed).complete
+    enumerate_gfan(ed)
 
 
 @pytest.mark.parametrize("B, allowed, expect", [
@@ -352,7 +339,7 @@ def test_infinite_type_witness(B, allowed, expect):
     |b_ij * b_ji| <= 3, which replaying the path on B confirms; the walk
     over a finite-type principal part closes."""
     try:
-        assert enumerate_gfan(_exchange_data(B), allowed).complete
+        enumerate_gfan(_exchange_data(B), allowed)
         got = None
     except InfiniteType as exc:
         got = exc.witness
