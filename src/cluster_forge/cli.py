@@ -105,7 +105,7 @@ def _load_seed(path):
     obj = _load_json_file(path, "seed")
     try:
         return seed_from_json(obj)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         _fail(EXIT_INPUT, f"seed file {path} is malformed: {exc}")
 
 
@@ -566,7 +566,7 @@ def star_cmd(fan_path, tau, as_json):
                                f"{exc}")
     except IndexError as exc:
         _fail(EXIT_INPUT, f"--tau ray:{ray_index} {exc}")
-    except (CheckFailed, KeyError, TypeError, ValueError) as exc:
+    except (CheckFailed, TypeError, ValueError) as exc:
         _fail(EXIT_INPUT, f"fan file {fan_path} is malformed or stale: {exc}")
     ray = tuple(obj["rays"][ray_index - 1])
     try:

@@ -118,7 +118,7 @@ def principal_family_walk(ed, path):
     rows = [(cone.B, cone.C, images)]
     for k in path:
         images = composer(xn, images)(
-            family_wall_images(cone.B, k, column(cone.C, k), xn, tn))
+            family_wall_images(cone.B[k], k, column(cone.C, k), xn, tn))
         cone = g_cone_step(cone, k)
         rows.append((cone.B, cone.C, images))
     return rows

@@ -32,6 +32,7 @@ from .seeds import (
 )
 from .invariants import (
     CheckFailed,
+    c_matrix_step,
     column_sign,
     mat_identity,
     principal_grading,
@@ -72,32 +73,41 @@ def composer(xnames, images):
     return lambda fs: tuple(f.evaluate(subst, memo) for f in fs)
 
 
-def family_wall_images(B, k, c_k, xnames, tnames):
+def family_wall_images(bk, k, c_k, xnames, tnames):
     """Pullbacks of the far patch's coordinates across the wall in direction
-    k, expressed in the near patch.
+    k, expressed in the near patch; ``bk``, ``k`` and ``c_k`` are the
+    wall's key: row k of the near exchange matrix, the direction and the
+    near patch's k-th coefficient vector.
 
     This is the Y-seed mutation ``mutate_y_tuple`` of the coordinates with
     coefficient t^c_k, whose parts are the monomials t^[c_k]+ and
-    t^[-c_k]+ of the near patch's k-th coefficient vector: the far wall
-    coordinate pulls back to the inverse of the near one, and every other
-    coordinate picks up a power of a subtraction-free binomial.  Only row k
-    of ``B``, ``k`` and ``c_k`` are read.  ``Family.wall_images`` caches
-    this per family.  The coordinates and the two parts are monomials,
-    built without checks; ``mutate_y_tuple`` is the one route from them to
-    the images.
+    t^[-c_k]+: the far wall coordinate pulls back to the inverse of the
+    near one, and every other coordinate picks up a power of a
+    subtraction-free binomial.  ``Family.wall_images`` caches this per
+    family.  The coordinates and the two parts are monomials, built without
+    checks; ``mutate_y_tuple`` is the one route from them to the images.
     """
     vars = xnames + tnames
     n = len(xnames)
     xs = variables(vars, range(n))
     plus = PosRatFunc.monomial(vars, [0] * n + [max(c, 0) for c in c_k])
     minus = PosRatFunc.monomial(vars, [0] * n + [max(-c, 0) for c in c_k])
-    return mutate_y_tuple(xs, B, k, plus, minus)
+    return mutate_y_tuple(xs, bk, k, plus, minus)
 
 
 def wall_key(B, k, c_k):
     """The key of a wall's coordinate images: everything
     ``family_wall_images`` reads."""
     return (tuple(B[k]), k, tuple(c_k))
+
+
+def reverse_wall(key):
+    """The key of the same wall crossed from its far side, stepping no
+    record: ``g_cone_step`` negates row k of B (``mutate_matrix``) and
+    column k of C (``c_matrix_step``), and so undoes the Y-pattern mutation
+    (Fomin-Zelevinsky, Cluster algebras IV)."""
+    bk, k, c_k = key
+    return tuple(-b for b in bk), k, tuple(-c for c in c_k)
 
 
 def wall_binomial(vars, k, c_k, n):
@@ -111,24 +121,17 @@ def wall_binomial(vars, k, c_k, n):
 
 
 class TransitionMap:
-    """One wall of the family: the near cone record, the coordinate images
-    (entry i the pullback of the far patch's i-th coordinate, written in
-    the near patch's coordinates), and the far record ``g_cone_step(near,
-    k)``, its columns in the near record's order, stepped on first use."""
+    """One wall of the family: the near cone record, the wall's
+    ``wall_key`` and its coordinate images (entry i the pullback of the far
+    patch's i-th coordinate, written in the near patch's coordinates).
+    The far side is ``reverse_wall(key)``."""
 
-    __slots__ = ("k", "near", "images", "_far")
+    __slots__ = ("near", "key", "images")
 
-    def __init__(self, k, near, images):
-        self.k = k
+    def __init__(self, near, key, images):
         self.near = near
+        self.key = key
         self.images = tuple(images)
-        self._far = None
-
-    @property
-    def far(self):
-        if self._far is None:
-            self._far = g_cone_step(self.near, self.k)
-        return self._far
 
 
 class Family:
@@ -140,14 +143,15 @@ class Family:
     pullbacks of patch coordinates to the initial patch (keyed on path
     prefix, filled by ``replay``), and wall images (keyed by ``wall_key``
     on row k of the exchange matrix, k and the coefficient vector,
-    everything ``family_wall_images`` reads).  The transition is the one place a wall's far record is
-    stepped; the checks read it there.  Every check here that builds wall
-    images in the family's own variables reads the wall-image cache.
+    everything ``family_wall_images`` reads).  A wall is its key: the far
+    side of a wall is ``reverse_wall`` of its key, so no far record is
+    stepped.  Every check here that builds wall images in the family's own
+    variables reads the wall-image cache.
 
     Three verdict memos hold small values: ``round_trip`` decides once per
-    pair of wall keys which coordinate, if any, crossing there and back
-    moves; ``ring_exit`` decides once per wall key which image, if any,
-    leaves its wall ring; and ``limit`` decides once per value of a
+    wall key which coordinate, if any, crossing there and back moves;
+    ``ring_exit`` decides once per wall key which image, if any, leaves
+    its wall ring; and ``limit`` decides once per value of a
     function its t = 0 limit, as exponents in X1..Xn or the reason it is no
     coordinate monomial.  Expansions and composites are deliberately not
     cached: holding expansions on the family raised the ``family``
@@ -179,38 +183,37 @@ class Family:
     def coordinates(self):
         return variables(self.vars, range(self.n))
 
-    def wall_images(self, B, k, c_k):
-        """``family_wall_images`` in this family's variables, computed once
-        per ``wall_key``."""
-        key = wall_key(B, k, c_k)
+    def wall_images(self, key):
+        """``family_wall_images`` of a ``wall_key`` in this family's
+        variables, computed once per key."""
         if key not in self._walls:
-            self._walls[key] = family_wall_images(B, k, c_k, self.xnames,
+            self._walls[key] = family_wall_images(*key, self.xnames,
                                                   self.tnames)
         return self._walls[key]
 
-    def round_trip(self, there, back):
-        """The first coordinate that crossing a wall there and back moves,
-        or None when the composite is the identity.  ``there`` and ``back``
-        are (wall key, images) pairs; the images of ``back`` are composed
-        with those of ``there`` once per pair of keys."""
-        key = (there[0], back[0])
+    def round_trip(self, key):
+        """The first coordinate that crossing the wall ``key`` there and
+        back moves, or None when the composite is the identity: the images
+        of ``reverse_wall(key)`` composed after those of ``key``, once per
+        key."""
         if key not in self._round_trips:
-            comp = composer(self.xnames, there[1])(back[1])
+            comp = composer(self.xnames, self.wall_images(key))(
+                self.wall_images(reverse_wall(key)))
             coords = self.coordinates()
             self._round_trips[key] = next(
                 (i for i in range(self.n)
                  if not rat_equal(comp[i], coords[i])), None)
         return self._round_trips[key]
 
-    def ring_exit(self, key, images):
-        """The first of a wall's images, under its ``wall_key``, that
-        leaves the wall ring, or None; decided once per key, since the
-        ring depends only on k and c_k."""
+    def ring_exit(self, key):
+        """The first of the images of the wall ``key`` that leaves the wall
+        ring, or None; decided once per key, since the ring depends only on
+        k and c_k."""
         if key not in self._ring_exits:
             _, k, c_k = key
             W = wall_binomial(self.vars, k, c_k, self.n)
             self._ring_exits[key] = next(
-                (i for i, f in enumerate(images)
+                (i for i, f in enumerate(self.wall_images(key))
                  if not _in_glue_ring(f, k, W)), None)
         return self._ring_exits[key]
 
@@ -236,8 +239,9 @@ class Family:
         key = (cone_index, k)
         if key not in self._trans:
             near = self.atlas.cones[cone_index]
-            self._trans[key] = TransitionMap(
-                k, near, self.wall_images(near.B, k, column(near.C, k)))
+            wall = wall_key(near.B, k, column(near.C, k))
+            self._trans[key] = TransitionMap(near, wall,
+                                             self.wall_images(wall))
         return self._trans[key]
 
     def pullback_to_initial(self, cone_index):
@@ -311,7 +315,7 @@ def central_fiber_toric_check(fam):
     c-vector recurrence itself: ``c_matrix_step`` makes the far cone's
     coefficient vector i the near cone's c-matrix times exponent vector i,
     because the walk's ``g_vector_step`` found column k sign-coherent, so
-    the far record is not read."""
+    the far c-matrix is not computed here."""
     n = fam.n
     for src, k in sorted(fam.atlas.adjacency):
         T = fam.transition(src, k)
@@ -362,12 +366,7 @@ def cocycle_check(fam, max_len=8, faces=None):
     n = fam.n
     coords = fam.coordinates()
     for src, k in sorted(fam.atlas.adjacency):
-        T = fam.transition(src, k)
-        c_far = column(T.far.C, k)
-        moved = fam.round_trip(
-            (wall_key(T.near.B, k, column(T.near.C, k)), T.images),
-            (wall_key(T.far.B, k, c_far),
-             fam.wall_images(T.far.B, k, c_far)))
+        moved = fam.round_trip(fam.transition(src, k).key)
         if moved is not None:
             raise CheckFailed(
                 f"wall ({src},{k}): there-and-back composite moves "
@@ -380,7 +379,7 @@ def cocycle_check(fam, max_len=8, faces=None):
         cone, images = start, None
         for s, nxt in enumerate(stepped):
             k = (i, j)[s % 2]
-            step = fam.wall_images(cone.B, k, column(cone.C, k))
+            step = fam.wall_images(wall_key(cone.B, k, column(cone.C, k)))
             images = composer(fam.xnames, images)(step) if s else step
             cone = nxt
         cols = {column(start.C, c): c for c in range(n)}
@@ -417,23 +416,15 @@ def _in_glue_ring(f, k, W):
 
 def glue_ring_check(fam, src, k, coefficient_free=False):
     """Both transition maps across a wall land inside the opposite wall
-    rings, and the two composites are the identity.  The two sides carry
-    the same wall data by construction: the far record is ``g_cone_step``
-    of the near one, which negates row k of B and column k of C.  With
-    ``coefficient_free`` both sides take their images from the family's
-    wall-image cache at zero coefficient vectors."""
-    n = fam.n
-    T = fam.transition(src, k)
-    Bs, Bfar = T.near.B, T.far.B
-    if coefficient_free:
-        ck = ck_far = (0,) * n
-    else:
-        ck, ck_far = column(T.near.C, k), column(T.far.C, k)
-    images = fam.wall_images(Bs, k, ck)
-    R = fam.wall_images(Bfar, k, ck_far)
-    near_key, far_key = wall_key(Bs, k, ck), wall_key(Bfar, k, ck_far)
-    near_exit = fam.ring_exit(near_key, images)
-    far_exit = fam.ring_exit(far_key, R)
+    rings, and the two composites are the identity.  The key ``there`` of
+    the near side is the transition's, with a zero coefficient vector when
+    ``coefficient_free``; the far side's is ``reverse_wall`` of it.  Both
+    take their images from the family's wall-image cache."""
+    bk, _, c_k = fam.transition(src, k).key
+    there = (bk, k, (0,) * fam.n if coefficient_free else c_k)
+    back = reverse_wall(there)
+    near_exit = fam.ring_exit(there)
+    far_exit = fam.ring_exit(back)
     if near_exit is not None and (far_exit is None or near_exit <= far_exit):
         raise CheckFailed(
             f"wall ({src},{k}): image of coordinate {near_exit + 1} leaves "
@@ -442,8 +433,8 @@ def glue_ring_check(fam, src, k, coefficient_free=False):
         raise CheckFailed(
             f"wall ({src},{k}): reverse image of coordinate {far_exit + 1} "
             f"leaves the far wall ring")
-    there_back = fam.round_trip((near_key, images), (far_key, R))
-    back_there = fam.round_trip((far_key, R), (near_key, images))
+    there_back = fam.round_trip(there)
+    back_there = fam.round_trip(back)
     if there_back is not None and (back_there is None
                                    or there_back <= back_there):
         raise CheckFailed(
@@ -483,7 +474,8 @@ def at_base_point(num_den, assign, scales=None):
 
 def fiber_iso_check(fam, u, u2, walls=None):
     """The coordinate rescalings by u2^c / u^c intertwine the wall
-    transitions of the fibres over the rational points u and u2."""
+    transitions of the fibres over the rational points u and u2.  The far
+    patch's c-vectors are ``c_matrix_step`` of the near c-matrix."""
     n = fam.n
     u = [(x.numerator, x.denominator) for x in u]
     u2 = [(x.numerator, x.denominator) for x in u2]
@@ -509,11 +501,12 @@ def fiber_iso_check(fam, u, u2, walls=None):
         T = fam.transition(src, k)
         scales = {fam.xnames[j]: ratio(column(T.near.C, j))
                   for j in range(n)}
+        Cfar = c_matrix_step(T.near.C, T.near.B, k)
         for i in range(n):
             num_den = T.images[i].expand()
             a, b = at_base_point(num_den, assign_u, scales)
             c, d = at_base_point(num_den, assign_u2)
-            p, q = ratio(column(T.far.C, i))
+            p, q = ratio(column(Cfar, i))
             # a / b == (c * p / q) / d, cross-multiplied
             if a * d.scale(q) != c.scale(p) * b:
                 raise CheckFailed(
@@ -583,7 +576,7 @@ def strata_consistency_check(fam, tau_rays):
                         "restricted coefficients drift from the ambient "
                         "coefficient vectors")
             for l, k in enumerate(trans_pos):
-                T = fam.wall_images(Bw, k, column(Cw, k))
+                T = fam.wall_images(wall_key(Bw, k, column(Cw, k)))
                 ncone = g_cone_step(cone, k)
                 Cfar = ncone.C
                 for j in face_pos:
@@ -600,8 +593,8 @@ def strata_consistency_check(fam, tau_rays):
                             f"image")
                 skey = wall_key(Bb, l, pb[l].exps)
                 if skey not in star_walls:
-                    star_walls[skey] = family_wall_images(
-                        Bb, l, pb[l].exps, star_x, fam.tnames)
+                    star_walls[skey] = family_wall_images(*skey, star_x,
+                                                          fam.tnames)
                 star_images = star_walls[skey]
                 for ll, i in enumerate(trans_pos):
                     on_star = _restrict(T[i], star_pos, star_vars)
@@ -630,7 +623,7 @@ def strata_consistency_check(fam, tau_rays):
                 if key not in seen:
                     seen.add(key)
                     nxt.append((ncone, mutate_matrix(Bb, l),
-                                mutate_y_tuple(pb, Bb, l, one, one)))
+                                mutate_y_tuple(pb, Bb[l], l, one, one)))
         frontier = nxt
     if len(seen) != node_count:
         raise CheckFailed("stratum walk did not reach every cone of the "

@@ -21,6 +21,7 @@ from math import gcd
 from .invariants import CheckFailed, c_matrix_step, column_sign, mat_identity
 from .seeds import (
     ExchangeData,
+    json_field,
     json_int,
     json_list,
     mutate_matrix,
@@ -262,6 +263,7 @@ def star(atlas, tau_rays):
     The quotient coordinates are the rows of the inverse generator matrix of
     a base cone containing the face, at the positions complementary to the
     face; the restricted exchange data lives at the base cone's seed.
+    Distinct cones holding the face project to distinct cones.
     """
     tau = [tuple(r) for r in tau_rays]
     base = None
@@ -280,16 +282,9 @@ def star(atlas, tau_rays):
     def project(v):
         return tuple(dot(r, v) for r in rows)
 
-    proj = []
-    seen = set()
-    for c in atlas.cones:
-        if not set(tau) <= set(c.generators()):
-            continue
-        cols = [project(g) for g in c.generators() if g not in tau]
-        key = frozenset(cols)
-        if key not in seen:
-            seen.add(key)
-            proj.append((c.index, tuple(cols)))
+    proj = [(c.index, tuple(project(g) for g in c.generators()
+                            if g not in tau))
+            for c in atlas.cones if set(tau) <= set(c.generators())]
     restricted = ExchangeData(
         tuple(tuple(base.B[i][j] for j in dropped) for i in dropped),
         len(dropped),
@@ -415,7 +410,8 @@ def fan_from_json(obj, tau):
     return an atlas of the cones that hold the ray.
 
     ``tau`` is the ray's 0-based position in the file's ``rays``; a
-    position out of range raises ``IndexError``.  Fields come first.
+    position out of range raises ``IndexError``.  Fields come first:
+    ``seed``, ``rays``, ``maximal_cones`` and ``paths`` must be present;
     ``rays``, ``maximal_cones``, each cone and ``allowed`` must be lists.
     Rays, cone indices, allowed directions and path steps must be
     integers, of length n and in range, and none may be listed twice; each
@@ -455,7 +451,7 @@ def fan_from_json(obj, tau):
     complete = obj.get("complete", True)
     if complete is not True:
         raise ValueError(f"complete must be true, not {repr(complete)[:40]}")
-    ed, _ = seed_from_json(obj["seed"])
+    ed, _ = seed_from_json(json_field(obj, "seed"))
     n = ed.n
     allowed = {}
     for i, k in enumerate(json_list(obj.get("allowed", list(range(1, n + 1))),
@@ -464,14 +460,15 @@ def fan_from_json(obj, tau):
                   f"allowed[{i}]")
     allowed = tuple(allowed)
     rays = {}
-    for i, r in enumerate(json_list(obj["rays"], "rays")):
+    for i, r in enumerate(json_list(json_field(obj, "rays"), "rays")):
         if not isinstance(r, list) or len(r) != n:
             raise ValueError(f"rays[{i}] must be a list of n = {n} integers")
         _add_once(rays, tuple(json_int(x, f"rays[{i}][{j}]")
                               for j, x in enumerate(r)), f"rays[{i}]")
     rays = tuple(rays)
     cones = {}
-    for i, idxs in enumerate(json_list(obj["maximal_cones"], "maximal_cones")):
+    for i, idxs in enumerate(json_list(json_field(obj, "maximal_cones"),
+                                       "maximal_cones")):
         cone = frozenset(
             rays[json_int(x, f"maximal_cones[{i}][{j}]", 0, len(rays) - 1)]
             for j, x in enumerate(json_list(idxs, f"maximal_cones[{i}]")))
@@ -479,7 +476,7 @@ def fan_from_json(obj, tau):
             raise ValueError(f"maximal_cones[{i}] must list n = {n} "
                              "distinct ray indices")
         _add_once(cones, cone, f"maximal_cones[{i}]")
-    paths = _read_paths(obj["paths"], len(cones), n, allowed)
+    paths = _read_paths(json_field(obj, "paths"), len(cones), n, allowed)
     if not 0 <= tau < len(rays):
         raise IndexError(f"out of range 1..{len(rays)}")
     try:

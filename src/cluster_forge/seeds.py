@@ -191,23 +191,24 @@ class YSeedCoeff:
         return cls.initial(exchange, p)
 
 
-def mutate_y_tuple(y, B, k, plus, minus):
-    """The Y-pattern rule in direction k on a tuple ``y`` in a semifield,
-    with p_k = plus / minus given by its two parts ``bracket(p_k)`` in the
-    same semifield, or plus = minus = 1 for the coefficients themselves.
+def mutate_y_tuple(y, bk, k, plus, minus):
+    """The Y-pattern rule in direction k, by row k ``bk`` of the exchange
+    matrix, on a tuple ``y`` in a semifield, with p_k = plus / minus given
+    by its two parts ``bracket(p_k)`` in the same semifield, or plus = minus
+    = 1 for the coefficients themselves.
 
-    y_k inverts; every other y_j with b = B[k][j] != 0 is multiplied by
+    y_k inverts; every other y_j with b = bk[j] != 0 is multiplied by
     (plus (+) minus * y_k^-1)^-b when b > 0 and by (minus (+) plus * y_k)^-b
     when b < 0, each binomial built once per sign; each product is
-    ``reduced()``.  Only the first len(y) entries of row k are read, so rows
-    over frozen directions may be passed.
+    ``reduced()``.  Only the first len(y) entries of ``bk`` are read, so a
+    row over frozen directions may be passed.
     """
     yk = y[k]
     inv = yk.inv()
     bases = {}
     out = list(y)
     out[k] = inv
-    for j, b in enumerate(B[k][:len(y)]):
+    for j, b in enumerate(bk[:len(y)]):
         if j == k or not b:
             continue
         s = b > 0
@@ -223,14 +224,14 @@ def mutate_y_seed(seed, k):
     Y-variables by ``mutate_y_tuple`` with the two parts of p_k embedded
     among their variables, the coefficient tuple by the same rule with both
     parts one, and the matrix by its exchange mutation."""
-    B = seed.exchange.B
+    bk = seed.exchange.B[k]
     pk = seed.p[k]
     one = pk.one(pk.vars)
     plus, minus = bracket(pk)
-    ys = mutate_y_tuple(seed.y, B, k, plus.to_posrat(seed.vars),
+    ys = mutate_y_tuple(seed.y, bk, k, plus.to_posrat(seed.vars),
                         minus.to_posrat(seed.vars))
     return YSeedCoeff(seed.exchange.mutate(k), ys,
-                      mutate_y_tuple(seed.p, B, k, one, one))
+                      mutate_y_tuple(seed.p, bk, k, one, one))
 
 
 class ClusterSeedCoeff:
@@ -281,7 +282,7 @@ def mutate_cluster_seed(seed, k):
     xs = list(seed.x)
     xs[k] = minus.add(plus).mul(seed.x[k].inv())
     return ClusterSeedCoeff(seed.exchange.mutate(k), xs,
-                            mutate_y_tuple(seed.p, B, k, one, one))
+                            mutate_y_tuple(seed.p, B[k], k, one, one))
 
 
 def principal_extension(ed):
@@ -351,20 +352,28 @@ def json_list(x, field):
     return x
 
 
+def json_field(obj, field):
+    """``obj[field]``; a missing field raises ``ValueError`` naming it."""
+    if field not in obj:
+        raise ValueError(f"{field} is missing")
+    return obj[field]
+
+
 def seed_from_json(obj):
     """Exchange data and coefficient tuple from a parsed seed object.
 
-    ``B``, its rows, ``d``, ``p`` and its tuples must be lists; every entry
-    of ``B``, ``n``, ``d``, ``coeff_rank`` and ``p`` must be an integer, and
-    ``p`` holds either no tuple or ``n`` tuples of length ``coeff_rank``;
-    anything else raises ``ValueError`` naming the field.
+    ``n`` and ``B`` must be present.  ``B``, its rows, ``d``, ``p`` and its
+    tuples must be lists; every entry of ``B``, ``n``, ``d``, ``coeff_rank``
+    and ``p`` must be an integer, and ``p`` holds either no tuple or ``n``
+    tuples of length ``coeff_rank``; anything else raises ``ValueError``
+    naming the field.
     """
     if not isinstance(obj, dict):
         raise ValueError("a seed must be a JSON object")
-    n = json_int(obj["n"], "n")
+    n = json_int(json_field(obj, "n"), "n")
     B = [[json_int(x, f"B[{i}][{j}]")
           for j, x in enumerate(json_list(row, f"B[{i}]"))]
-         for i, row in enumerate(json_list(obj["B"], "B"))]
+         for i, row in enumerate(json_list(json_field(obj, "B"), "B"))]
     d = obj.get("d")
     if d is not None:
         d = [json_int(x, f"d[{i}]") for i, x in enumerate(json_list(d, "d"))]

@@ -155,6 +155,14 @@ MUTANTS = [
      "    return mutate_rows(C, k, [row[k] for row in B[:len(C)]])\n",
      ["tests/test_invariants.py::test_c_matrix_routes_agree",
       "tests/test_invariants.py::test_c_matrix_walk_matches_frozen_values"]),
+    # the far side of a wall negates row k of B but keeps c_k
+    (_DG,
+     "    return tuple(-b for b in bk), k, tuple(-c for c in c_k)\n",
+     "    return tuple(-b for b in bk), k, c_k\n",
+     ["tests/test_degeneration.py::test_glue_rings",
+      "tests/test_degeneration.py::test_cocycle",
+      "tests/test_degeneration.py::"
+      "test_reverse_wall_is_the_key_of_the_stepped_far_record"]),
     # bracket returns its two parts swapped
     (_SF,
      "    return p.mul(minus), minus\n",

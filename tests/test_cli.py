@@ -562,10 +562,13 @@ def test_json_file_that_is_not_an_object_is_input_error(tmp_path, what,
     assert f"{what} file {path} must hold a JSON object" in res.stderr
 
 
+MISSING = object()
+
+
 def _run_tampered(what, keys, value):
     """Exit code and stderr of ``mutate`` on the a2 seed file, or of
     ``star`` on its fan file, with the entry that ``keys`` lead to set to
-    ``value``."""
+    ``value``, or removed when ``value`` is ``MISSING``."""
     if what == "seed":
         with open(fixture("a2.json"), encoding="utf-8") as fh:
             obj = json.load(fh)
@@ -573,7 +576,11 @@ def _run_tampered(what, keys, value):
     else:
         obj = _fan_file("a2.json")
         args = ["star", "--fan", "f.json", "--tau", "ray:1"]
-    functools.reduce(lambda o, k: o[k], keys[:-1], obj)[keys[-1]] = value
+    parent = functools.reduce(lambda o, k: o[k], keys[:-1], obj)
+    if value is MISSING:
+        del parent[keys[-1]]
+    else:
+        parent[keys[-1]] = value
     runner = CliRunner()
     with runner.isolated_filesystem():
         with open("f.json", "w") as fh:
@@ -628,6 +635,21 @@ def test_a_container_field_that_is_not_a_list_is_named(what, keys):
     code, err = _run_tampered(what, keys, 7)
     assert code == 2
     assert f"{_field(keys)} must be a list, not 7" in err
+
+
+@pytest.mark.parametrize("what, keys", [
+    ("seed", ("n",)), ("seed", ("B",)), ("fan", ("rays",)),
+    ("fan", ("seed",)), ("fan", ("maximal_cones",)), ("fan", ("paths",)),
+    ("fan", ("seed", "n"))],
+    ids=["seed-n", "seed-B", "fan-rays", "fan-seed", "fan-maximal_cones",
+         "fan-paths", "fan-seed.n"])
+def test_a_missing_field_is_named(what, keys):
+    """A seed or fan file without a field it needs exits 2 saying which
+    field is missing, not with the bare key."""
+    code, err = _run_tampered(what, keys, MISSING)
+    assert code == 2
+    assert f"error: {what} file f.json is malformed" in err
+    assert f": {keys[-1]} is missing" in err
 
 
 @pytest.mark.parametrize("what", ["seed", "fan"])
@@ -1532,6 +1554,23 @@ def test_fan_and_star_make_pinned_step_counts(monkeypatch, tmp_path):
     vector_steps.clear()
     assert run("star", "--fan", str(fan), "--tau", "ray:1").exit_code == 0
     assert (len(cone_steps), len(vector_steps)) == (13, 23)
+
+
+@pytest.mark.parametrize("suite, want", [
+    ("glue", (13, 55)),
+    ("cocycle", (55, 97)),
+], ids=["glue", "cocycle"])
+def test_verify_family_suites_make_pinned_step_counts(monkeypatch, suite,
+                                                      want):
+    """The glued-family suites on A3 step no far record: a wall's far side
+    is its key negated.  ``verify glue`` takes only the walk's 13 cone
+    steps and 55 g-vectors; ``verify cocycle`` adds the 42 steps around
+    the nine 2-faces, each with its g-vector.  Steps taken through
+    ``degeneration``'s binding are counted too."""
+    cone_steps = record_calls(monkeypatch, "g_cone_step", gfan, degeneration)
+    vector_steps = record_calls(monkeypatch, "g_vector_step", gfan)
+    assert run("verify", suite, "--seed", fixture("a3.json")).exit_code == 0
+    assert (len(cone_steps), len(vector_steps)) == want
 
 
 @pytest.mark.parametrize("small, huge", [

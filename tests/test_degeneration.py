@@ -39,6 +39,7 @@ from cluster_forge.degeneration import (
     glue_ring_check,
     glue_ring_check_all,
     limit_check,
+    reverse_wall,
     strata_consistency_check,
     wall_binomial,
     wall_key,
@@ -118,8 +119,8 @@ def _walk_composite(fam, path):
     images = fam.coordinates()
     cone = fam.atlas.cones[0]
     for k in path:
-        step = family_wall_images(cone.B, k, column(cone.C, k), fam.xnames,
-                                  fam.tnames)
+        step = family_wall_images(cone.B[k], k, column(cone.C, k),
+                                  fam.xnames, fam.tnames)
         subst = dict(zip(fam.xnames, images))
         images = tuple(img.evaluate(subst) for img in step)
         cone = g_cone_step(cone, k)
@@ -134,7 +135,7 @@ def test_wall_transitions_from_initial_patch():
     T1 = fam.transition(0, 1)
     assert rat_equal(T1.images[0], _prf(X1_ONE_T2X2))
     assert rat_equal(T1.images[1], _prf({(0, 0, 0, 0): 1}, X2))
-    assert T0.near is fam.atlas.cones[0] and T0.k == 0
+    assert T0.near is fam.atlas.cones[0] and T0.key[1] == 0
 
 
 def test_pullbacks_to_initial_patch():
@@ -251,7 +252,7 @@ def test_central_fiber_rejects_a_wall_that_keeps_the_coordinates():
     the wall coordinate at t = 0."""
     fam = Family(A2)
     T = fam.transition(0, 0)
-    fam._trans[(0, 0)] = type(T)(T.k, T.near, fam.coordinates())
+    fam._trans[(0, 0)] = type(T)(T.near, T.key, fam.coordinates())
     with pytest.raises(CheckFailed) as err:
         central_fiber_toric_check(fam)
     assert str(err.value) == ("wall (0,0): coordinate 1 degenerates to "
@@ -276,10 +277,11 @@ def test_cocycle(ed):
 
 
 def test_cocycle_rejects_tampered_transition():
+    """The wall pass composes each wall's images, read from the wall-image
+    cache under the transition's key, with those of the reversed key."""
     fam = Family(A2)
     T = fam.transition(0, 0)
-    fam._trans[(0, 0)] = type(T)(
-        T.k, T.near, (T.images[0].power(2), T.images[1]))
+    fam._walls[T.key] = (T.images[0].power(2), T.images[1])
     with pytest.raises(CheckFailed):
         cocycle_check(fam)
 
@@ -369,8 +371,7 @@ def test_cocycle_rejects_a_tampered_wall_off_the_base_faces(ed, monkeypatch):
         if not _face_keys(face[0], face[1], face[2], max_len) & near_base)
     for rec in (start, stepped[0]):
         key = _wall_key(rec, i)
-        fam._walls[key] = _conjugate(fam, fam.wall_images(rec.B, i, key[2]),
-                                     i)
+        fam._walls[key] = _conjugate(fam, fam.wall_images(key), i)
     with monkeypatch.context() as m:
         m.setattr(degeneration, "two_faces", lambda atlas, max_len: ([], 0))
         assert cocycle_check(fam, max_len=max_len)
@@ -389,6 +390,24 @@ def test_glue_ring_single_wall():
     fam = Family(A2)
     assert glue_ring_check(fam, 0, 0)
     assert glue_ring_check(fam, 0, 1, coefficient_free=True)
+
+
+@pytest.mark.parametrize("ed", list(FINITE_TYPES.values()),
+                         ids=list(FINITE_TYPES))
+def test_reverse_wall_is_the_key_of_the_stepped_far_record(ed):
+    """On every wall of every finite type, with the near coefficient vector
+    and with none, the near key negated is the key of the far record that
+    ``g_cone_step`` steps, and reversing twice gives the key back."""
+    atlas = Family(ed).atlas
+    free = (0,) * ed.n
+    for src, k in sorted(atlas.adjacency):
+        near = atlas.cones[src]
+        far = g_cone_step(near, k)
+        for c_k, c_far in ((column(near.C, k), column(far.C, k)),
+                           (free, free)):
+            key = wall_key(near.B, k, c_k)
+            assert reverse_wall(key) == wall_key(far.B, k, c_far)
+            assert reverse_wall(reverse_wall(key)) == key
 
 
 def test_glue_ring_membership_certificates():
@@ -500,7 +519,7 @@ def test_fiber_iso_rejects_tampered_transition(tamper):
         images[0] = images[0].power(2)
     else:
         images.reverse()
-    fam._trans[(1, 1)] = type(T)(T.k, T.near, images)
+    fam._trans[(1, 1)] = type(T)(T.near, T.key, images)
     with pytest.raises(CheckFailed):
         fiber_iso_check(fam, u, u2)
     with pytest.raises(CheckFailed):
@@ -516,7 +535,7 @@ def test_strata_of_every_a2_ray():
         assert {cols for _, cols in st.proj_cones} == {((1,),), ((-1,),)}
         assert st.restricted.B == ((0,),)
         # the residual family has two patches glued by inversion
-        images = family_wall_images(st.restricted.B, 0, (1, 0), ("X1",),
+        images = family_wall_images(st.restricted.B[0], 0, (1, 0), ("X1",),
                                     ("t1", "t2"))
         assert images == (PosRatFunc.monomial(("X1", "t1", "t2"),
                                               (-1, 0, 0)),)
@@ -594,8 +613,8 @@ def test_strata_rejects_a_restricted_family_that_disagrees(monkeypatch):
     k = star(fam.atlas, [ray]).dropped[0]
     build = degeneration.family_wall_images
 
-    def skewed(B, k, c_k, xnames, tnames):
-        images = build(B, k, c_k, xnames, tnames)
+    def skewed(bk, k, c_k, xnames, tnames):
+        images = build(bk, k, c_k, xnames, tnames)
         if xnames == fam.xnames:
             return images
         t1 = PosRatFunc.variable(xnames + tnames, tnames[0])
@@ -635,8 +654,8 @@ def _drift_restricted_coefficients(fam, st, monkeypatch):
     first one."""
     mutate = degeneration.mutate_y_tuple
 
-    def drifted(y, B, k, plus, minus):
-        out = mutate(y, B, k, plus, minus)
+    def drifted(y, bk, k, plus, minus):
+        out = mutate(y, bk, k, plus, minus)
         if isinstance(plus, TropMonomial):
             out = (out[0].inv(),) + out[1:]
         return out
@@ -692,7 +711,7 @@ def test_strata_builds_each_star_wall_once_per_call(monkeypatch):
     def star_wall_keys(ray):
         builds.clear()
         strata_consistency_check(fam, [ray])
-        return [wall_key(B, k, c_k) for (B, k, c_k, xnames, _), _ in builds
+        return [(bk, k, c_k) for (bk, k, c_k, xnames, _), _ in builds
                 if xnames != fam.xnames]
 
     per_ray = []
@@ -732,16 +751,17 @@ def test_wall_image_cache_and_shared_memo_agree_with_fresh(ed):
             memo = {}
             for k in range(n):
                 for c_k in (column(cone.C, k), free):
-                    fresh = family_wall_images(cone.B, k, c_k, fam.xnames,
+                    fresh = family_wall_images(cone.B[k], k, c_k, fam.xnames,
                                                fam.tnames)
-                    assert fam.wall_images(cone.B, k, c_k) == fresh
+                    key = wall_key(cone.B, k, c_k)
+                    assert fam.wall_images(key) == fresh
                     shared = tuple(img.evaluate(subst, memo)
-                                   for img in fam.wall_images(cone.B, k, c_k))
+                                   for img in fam.wall_images(key))
                     assert shared == tuple(img.evaluate(subst)
                                            for img in fresh)
             k = rng.randrange(n)
             images = tuple(img.evaluate(subst) for img in
-                           fam.wall_images(cone.B, k, column(cone.C, k)))
+                           fam.wall_images(_wall_key(cone, k)))
             cone = g_cone_step(cone, k)
 
 
@@ -833,7 +853,7 @@ def _corrupt_wall(fam, rec, k, i, by):
     """Replace image i of a record's wall in direction k, in the family's
     wall cache, by its product with ``by``."""
     key = _wall_key(rec, k)
-    images = list(fam.wall_images(rec.B, k, key[2]))
+    images = list(fam.wall_images(key))
     images[i] = images[i].mul(by)
     fam._walls[key] = tuple(images)
 
@@ -905,8 +925,8 @@ def test_shared_limit_verdicts_keep_each_checks_failure(monkeypatch,
     hold those walls, each with its own message, in either order."""
     build = degeneration.family_wall_images
 
-    def scaled(B, k, c_k, xnames, tnames):
-        images = build(B, k, c_k, xnames, tnames)
+    def scaled(bk, k, c_k, xnames, tnames):
+        images = build(bk, k, c_k, xnames, tnames)
         if xnames[k] != "X1" or tuple(c_k) != (1, 0):
             return images
         t1, t2 = (PosRatFunc.variable(xnames + tnames, t) for t in tnames)

@@ -91,7 +91,7 @@ def c_matrix_tropical(ed, path):
     one = TropMonomial.one(tv)
     B = ed.B
     for k in path:
-        p = mutate_y_tuple(p, B, k, one, one)
+        p = mutate_y_tuple(p, B[k], k, one, one)
         B = mutate_matrix(B, k)
     return tuple(tuple(p[j].exps[i] for j in range(n)) for i in range(n))
 

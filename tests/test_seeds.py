@@ -302,7 +302,7 @@ def test_coefficient_rule_matches_the_tropical_closed_form(case):
     pv = ("p1", "p2")
     one = TropMonomial.one(pv)
     p = tuple(TropMonomial(pv, e) for e in exps)
-    got = mutate_y_tuple(p, B, k, one, one)
+    got = mutate_y_tuple(p, B[k], k, one, one)
     assert [m.exps for m in got] == tropical_closed_form(exps, B, k)
 
 
