@@ -79,20 +79,32 @@ def family_wall_images(bk, k, c_k, xnames, tnames):
     wall's key: row k of the near exchange matrix, the direction and the
     near patch's k-th coefficient vector.
 
-    This is the Y-seed mutation ``mutate_y_tuple`` of the coordinates with
-    coefficient t^c_k, whose parts are the monomials t^[c_k]+ and
-    t^[-c_k]+: the far wall coordinate pulls back to the inverse of the
-    near one, and every other coordinate picks up a power of a
-    subtraction-free binomial.  ``Family.wall_images`` caches this per
-    family.  The coordinates and the two parts are monomials, built without
-    checks; ``mutate_y_tuple`` is the one route from them to the images.
+    These are the Y-seed mutation of the coordinates with coefficient
+    t^c_k (Fomin-Zelevinsky, Cluster algebras IV), in closed form:
+    X_k pulls back to X_k^-1, and X_j, for b = bk[j], to
+    X_j * X_k^[b]+ * W^-b with W = t^[-c_k]+ + t^[c_k]+ * X_k.  The rule's
+    binomial t^[c_k]+ (+) t^[-c_k]+ * X_k^-1 is X_k^-1 * W, so each image
+    is a monomial times one power of W, which is already a canonical
+    factor: its two terms differ in X_k, and [c]+ and [-c]+ have disjoint
+    supports, so its content is one and its minimal exponent zero.  Every
+    image is built trusted, around one W per call; W is built here apart
+    from ``wall_binomial``, so that the glue-ring check compares two
+    constructions.  ``Family.wall_images`` caches the images per family.
     """
     vars = xnames + tnames
     n = len(xnames)
-    xs = variables(vars, range(n))
-    plus = PosRatFunc.monomial(vars, [0] * n + [max(c, 0) for c in c_k])
-    minus = PosRatFunc.monomial(vars, [0] * n + [max(-c, 0) for c in c_k])
-    return mutate_y_tuple(xs, bk, k, plus, minus)
+    zero = (0,) * len(vars)
+    W = LaurentPoly._new(vars, {
+        zero[:k] + (1,) + zero[k + 1:n] + tuple(max(c, 0) for c in c_k): 1,
+        zero[:n] + tuple(max(-c, 0) for c in c_k): 1})
+    images = []
+    for j in range(n):
+        b = 0 if j == k else bk[j]
+        unit = list(zero)
+        unit[j] = 1
+        unit[k] = -1 if j == k else max(b, 0)
+        images.append(PosRatFunc._new(vars, tuple(unit), {W: -b} if b else {}))
+    return tuple(images)
 
 
 def wall_key(B, k, c_k):
@@ -146,7 +158,10 @@ class Family:
     everything ``family_wall_images`` reads).  A wall is its key: the far
     side of a wall is ``reverse_wall`` of its key, so no far record is
     stepped.  Every check here that builds wall images in the family's own
-    variables reads the wall-image cache.
+    variables reads the wall-image cache.  A wall's images are built in
+    closed form, each a monomial times one power of the wall binomial W,
+    with no semifield sum; ``ring_exit`` builds W again, apart, through
+    ``wall_binomial``.
 
     Three verdict memos hold small values: ``round_trip`` decides once per
     wall key which coordinate, if any, crossing there and back moves;

@@ -451,7 +451,7 @@ def fan_from_json(obj, tau):
     complete = obj.get("complete", True)
     if complete is not True:
         raise ValueError(f"complete must be true, not {repr(complete)[:40]}")
-    ed, _ = seed_from_json(json_field(obj, "seed"))
+    ed, _ = seed_from_json(json_field(obj, "seed"), "seed")
     n = ed.n
     allowed = {}
     for i, k in enumerate(json_list(obj.get("allowed", list(range(1, n + 1))),

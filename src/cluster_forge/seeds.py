@@ -352,41 +352,52 @@ def json_list(x, field):
     return x
 
 
-def json_field(obj, field):
-    """``obj[field]``; a missing field raises ``ValueError`` naming it."""
+def json_field(obj, field, pre=""):
+    """``obj[field]``; a missing field raises ``ValueError`` naming it,
+    after the prefix ``pre`` that names where ``obj`` is."""
     if field not in obj:
-        raise ValueError(f"{field} is missing")
+        raise ValueError(f"{pre}{field} is missing")
     return obj[field]
 
 
-def seed_from_json(obj):
+def seed_from_json(obj, at=""):
     """Exchange data and coefficient tuple from a parsed seed object.
 
     ``n`` and ``B`` must be present.  ``B``, its rows, ``d``, ``p`` and its
     tuples must be lists; every entry of ``B``, ``n``, ``d``, ``coeff_rank``
     and ``p`` must be an integer, and ``p`` holds either no tuple or ``n``
     tuples of length ``coeff_rank``; anything else raises ``ValueError``
-    naming the field.
+    naming the field.  ``at`` names the seed in a file that nests it, such
+    as ``seed`` in a fan file: each field is then named ``at.field``, and a
+    message that names no field starts with ``at: ``.
     """
+    pre = f"{at}." if at else ""
+    whole = f"{at}: " if at else ""
     if not isinstance(obj, dict):
-        raise ValueError("a seed must be a JSON object")
-    n = json_int(json_field(obj, "n"), "n")
-    B = [[json_int(x, f"B[{i}][{j}]")
-          for j, x in enumerate(json_list(row, f"B[{i}]"))]
-         for i, row in enumerate(json_list(json_field(obj, "B"), "B"))]
+        raise ValueError(f"{whole}a seed must be a JSON object")
+    n = json_int(json_field(obj, "n", pre), f"{pre}n")
+    B = [[json_int(x, f"{pre}B[{i}][{j}]")
+          for j, x in enumerate(json_list(row, f"{pre}B[{i}]"))]
+         for i, row in enumerate(json_list(json_field(obj, "B", pre),
+                                           f"{pre}B"))]
     d = obj.get("d")
     if d is not None:
-        d = [json_int(x, f"d[{i}]") for i, x in enumerate(json_list(d, "d"))]
-    r = json_int(obj.get("coeff_rank", 0), "coeff_rank", 0)
-    p = json_list(obj.get("p", []), "p")
+        d = [json_int(x, f"{pre}d[{i}]")
+             for i, x in enumerate(json_list(d, f"{pre}d"))]
+    r = json_int(obj.get("coeff_rank", 0), f"{pre}coeff_rank", 0)
+    p = json_list(obj.get("p", []), f"{pre}p")
     if len(p) not in (0, n):
-        raise ValueError(f"p has {len(p)} tuples, not 0 or n = {n}")
+        raise ValueError(f"{pre}p has {len(p)} tuples, not 0 or n = {n}")
     for i, e in enumerate(p):
-        if len(json_list(e, f"p[{i}]")) != r:
-            raise ValueError(
-                f"p[{i}] has length {len(e)}, not coeff_rank = {r}")
+        if len(json_list(e, f"{pre}p[{i}]")) != r:
+            raise ValueError(f"{pre}p[{i}] has length {len(e)}, not "
+                             f"coeff_rank = {r}")
         for j, x in enumerate(e):
-            json_int(x, f"p[{i}][{j}]")
+            json_int(x, f"{pre}p[{i}][{j}]")
     pv = p_vars(r)
-    return ExchangeData(B, n, d), tuple(TropMonomial(pv, e) for e in p)
+    try:
+        ed = ExchangeData(B, n, d)
+    except ValueError as exc:
+        raise ValueError(f"{whole}{exc}") from None
+    return ed, tuple(TropMonomial(pv, e) for e in p)
 

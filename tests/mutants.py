@@ -163,6 +163,15 @@ MUTANTS = [
       "tests/test_degeneration.py::test_cocycle",
       "tests/test_degeneration.py::"
       "test_reverse_wall_is_the_key_of_the_stepped_far_record"]),
+    # the wall images raise X_k to [-b]+ instead of [b]+
+    (_DG,
+     "        unit[k] = -1 if j == k else max(b, 0)\n",
+     "        unit[k] = -1 if j == k else max(-b, 0)\n",
+     ["tests/test_degeneration.py::test_wall_images_follow_the_y_seed_rule",
+      "tests/test_degeneration.py::test_glue_rings",
+      "tests/test_degeneration.py::test_cocycle",
+      "tests/test_degeneration.py::"
+      "test_pullback_matches_coefficient_dynamics"]),
     # bracket returns its two parts swapped
     (_SF,
      "    return p.mul(minus), minus\n",

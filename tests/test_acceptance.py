@@ -255,7 +255,7 @@ def test_07_ray_strata():
             assert len(st.proj_cones) == 2
             assert {cols for _, cols in st.proj_cones} == {((1,),), ((-1,),)}
             assert st.restricted.B == ((0,),)
-            images = family_wall_images(st.restricted.B, 0, (1, 0), ("X1",),
+            images = family_wall_images(st.restricted.B[0], 0, (1, 0), ("X1",),
                                         ("t1", "t2"))
             inverse = PosRatFunc.monomial(("X1", "t1", "t2"), (-1, 0, 0))
             assert images == (inverse,)

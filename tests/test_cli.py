@@ -649,7 +649,27 @@ def test_a_missing_field_is_named(what, keys):
     code, err = _run_tampered(what, keys, MISSING)
     assert code == 2
     assert f"error: {what} file f.json is malformed" in err
-    assert f": {keys[-1]} is missing" in err
+    assert f": {'.'.join(keys)} is missing" in err
+
+
+@pytest.mark.parametrize("keys, value, message, names_a_field", [
+    (("B", 0, 1), "x", "B[0][1] must be an integer, not 'x'", True),
+    (("n",), MISSING, "n is missing", True),
+    (("p",), [[0, 1]], "p has 1 tuples, not 0 or n = 2", True),
+    (("B", 0, 0), 1, "nonzero diagonal entry", False)],
+    ids=["B[0][1]", "n", "p", "diagonal"])
+def test_a_fan_files_seed_fields_are_named_under_seed(keys, value, message,
+                                                     names_a_field):
+    """A fault in a fan file's seed names the field as seed.field, and a
+    message that names no field starts with seed: ; the same fault in a
+    seed file keeps the seed file's message.  Both exit 2."""
+    code, err = _run_tampered("seed", keys, value)
+    assert (code, err) == (2, f"error: seed file f.json is malformed: "
+                              f"{message}\n")
+    code, err = _run_tampered("fan", ("seed",) + keys, value)
+    where = "seed." if names_a_field else "seed: "
+    assert (code, err) == (2, f"error: fan file f.json is malformed or "
+                              f"stale: {where}{message}\n")
 
 
 @pytest.mark.parametrize("what", ["seed", "fan"])

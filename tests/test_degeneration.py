@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies
 
 from cluster_forge import exact_algebra
 from cluster_forge.exact_algebra import (
@@ -21,6 +22,7 @@ from cluster_forge.seeds import (
     ExchangeData,
     YSeedCoeff,
     mutate_y_seed,
+    mutate_y_tuple,
 )
 from cluster_forge import degeneration
 from cluster_forge.invariants import CheckFailed
@@ -34,6 +36,7 @@ from cluster_forge.degeneration import (
     cocycle_check,
     coordinate_limit,
     degree_check,
+    family_vars,
     family_wall_images,
     fiber_iso_check,
     glue_ring_check,
@@ -41,6 +44,7 @@ from cluster_forge.degeneration import (
     limit_check,
     reverse_wall,
     strata_consistency_check,
+    variables,
     wall_binomial,
     wall_key,
     _in_glue_ring,
@@ -163,15 +167,15 @@ def test_pentagon_walk_rows_and_closure():
 @pytest.mark.parametrize("ed", [A2, B2, A3], ids=["a2", "b2", "a3"])
 def test_pullback_matches_coefficient_dynamics(ed):
     """The pullback of each patch to the initial one equals the Y-seed walk
-    seeded with one base parameter per direction.  Both sides apply the
-    one Y-mutation rule, ``mutate_y_tuple``: the family through
-    ``family_wall_images``, the walk through ``mutate_y_seed``.  What stays
-    independent is how the steps are put together and where the
-    coefficients come from.  The pullback composes the wall maps through
-    ``PosRatFunc.evaluate``, where the walk applies each step directly to
-    the current Y-variables.  The family's coefficients are the c-matrix
-    columns of its cone records, where the walk's come from the same rule
-    applied to the tropical coefficient tuple with both parts one."""
+    seeded with one base parameter per direction.  The two sides share no
+    rule.  The family builds each wall map in closed form,
+    X_j * X_k^[b]+ * W^-b, and composes the maps through
+    ``PosRatFunc.evaluate``; the walk applies the Y-mutation rule
+    ``mutate_y_tuple`` through ``mutate_y_seed`` directly to the current
+    Y-variables, summing in the semifield.  The family's coefficients are
+    the c-matrix columns of its cone records, where the walk's come from
+    the rule applied to the tropical coefficient tuple with both parts
+    one."""
     fam = Family(ed)
     n = ed.n
     p0 = tuple(TropMonomial(fam.tnames,
@@ -408,6 +412,67 @@ def test_reverse_wall_is_the_key_of_the_stepped_far_record(ed):
             key = wall_key(near.B, k, c_k)
             assert reverse_wall(key) == wall_key(far.B, k, c_far)
             assert reverse_wall(reverse_wall(key)) == key
+
+
+def _rule_wall_images(bk, k, c_k, xnames, tnames):
+    """The second route to ``family_wall_images``: the Y-seed rule
+    ``mutate_y_tuple`` on the coordinate monomials, with the parts
+    t^[c_k]+ and t^[-c_k]+ of the coefficient t^c_k."""
+    vars = xnames + tnames
+    n = len(xnames)
+    plus = PosRatFunc.monomial(vars, [0] * n + [max(c, 0) for c in c_k])
+    minus = PosRatFunc.monomial(vars, [0] * n + [max(-c, 0) for c in c_k])
+    return mutate_y_tuple(variables(vars, range(n)), bk, k, plus, minus)
+
+
+def _assert_images_follow_the_rule(key):
+    """The closed-form images of the wall ``key`` have the rule's units and
+    factor dicts, factor order included."""
+    xnames, tnames = family_vars(len(key[0]))
+    closed = family_wall_images(*key, xnames, tnames)
+    rule = _rule_wall_images(*key, xnames, tnames)
+    assert ([(f.unit, list(f.factors.items())) for f in closed]
+            == [(f.unit, list(f.factors.items())) for f in rule]), key
+
+
+@pytest.mark.parametrize("ed", list(FINITE_TYPES.values()),
+                         ids=list(FINITE_TYPES))
+def test_wall_images_follow_the_y_seed_rule(ed):
+    """On every wall of every finite type, crossed from either side, with
+    the near coefficient vector and with none, the closed form
+    X_j * X_k^[b]+ * W^-b equals the Y-seed rule with coefficient t^c_k."""
+    atlas = Family(ed).atlas
+    free = (0,) * ed.n
+    for src, k in sorted(atlas.adjacency):
+        near = atlas.cones[src]
+        for c_k in (column(near.C, k), free):
+            key = wall_key(near.B, k, c_k)
+            _assert_images_follow_the_rule(key)
+            _assert_images_follow_the_rule(reverse_wall(key))
+
+
+@settings(max_examples=200, deadline=None)
+@given(strategies.integers(1, 5).flatmap(lambda n: strategies.tuples(
+    strategies.tuples(*[strategies.integers(-4, 4)] * n),
+    strategies.integers(0, n - 1),
+    strategies.tuples(*[strategies.integers(-3, 3)] * n))))
+def test_wall_images_follow_the_y_seed_rule_on_any_row(key):
+    """Any row, direction and coefficient vector, row k's own entry and a
+    zero coefficient vector included: the closed form equals the rule."""
+    _assert_images_follow_the_rule(key)
+
+
+def test_wall_images_make_no_sum(monkeypatch):
+    """Each image is a monomial times one power of the wall binomial, so
+    building both sides of every wall of the a3 fixture, 44 distinct wall
+    keys, makes no ``prf_sum`` call."""
+    fam = _a3_fixture_family()
+    walls = record_calls(monkeypatch, "family_wall_images", degeneration)
+    sums = record_calls(monkeypatch, "prf_sum", exact_algebra)
+    for src, k in fam.atlas.adjacency:
+        fam.wall_images(reverse_wall(fam.transition(src, k).key))
+    assert {"walls": len(walls), "sums": len(sums)} == {"walls": 44,
+                                                        "sums": 0}
 
 
 def test_glue_ring_membership_certificates():
@@ -814,7 +879,8 @@ def test_family_checks_on_a3_make_pinned_counts(monkeypatch):
     (and how many fail), wall-image builds, polynomial products (and how
     many have a one-term side), sums whose parts are all monomials and
     t = 0 limits are read from the recorded calls; each count is the same
-    for every hash seed.
+    for every hash seed.  No monomial sum builds a wall image: each image
+    is built in closed form.
     A change that moves a count re-records it here on purpose."""
     expand = record_calls(monkeypatch, "expand", PosRatFunc)
     divisions = record_calls(monkeypatch, "poly_exact_div", exact_algebra,
@@ -844,7 +910,7 @@ def test_family_checks_on_a3_make_pinned_counts(monkeypatch):
               "limits": len(limits)}
     assert counts == {"expand": 288, "divisions": 59, "inexact": 9,
                       "walls": 151, "products": 422, "one_term_products": 422,
-                      "monomial_sums": 245, "limits": 74}
+                      "monomial_sums": 78, "limits": 74}
 
 
 # -- verdict memos shared between checks -------------------------------------------
